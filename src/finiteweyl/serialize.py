@@ -22,8 +22,12 @@ SCHEMA_VERSION = 1
 
 
 def json_dumps(payload: dict) -> str:
-    """Deterministic rendering: fixed key order, fixed separators."""
-    return json.dumps(payload, indent=2, separators=(",", ": ")) + "\n"
+    """Deterministic rendering: fixed key order, fixed separators.
+
+    Non-finite floats raise ValueError rather than emitting NaN/Infinity,
+    which are not standard JSON.
+    """
+    return json.dumps(payload, indent=2, separators=(",", ": "), allow_nan=False) + "\n"
 
 
 def phase_to_payload(p: PhaseExponent) -> dict:

@@ -655,16 +655,14 @@ def suite_basis(
     _run(report, "odd_dimension_special_unitary", 0.0, determinants)
 
     def structure_closure() -> float:
+        indices = basis_mod.pauli_indices(d, include_identity=True)
+        mats = {ab: basis_mod.u_ab(d, *ab).to_matrix() for ab in indices}
         worst = 0.0
-        for ab in basis_mod.pauli_indices(d, include_identity=True):
-            for ab2 in basis_mod.pauli_indices(d, include_identity=True):
+        for ab in indices:
+            for ab2 in indices:
                 coeff, target = basis_mod.pauli_commutator(d, ab, ab2, "-")
-                lhs = (
-                    basis_mod.u_ab(d, *ab).to_matrix() @ basis_mod.u_ab(d, *ab2).to_matrix()
-                    - basis_mod.u_ab(d, *ab2).to_matrix() @ basis_mod.u_ab(d, *ab).to_matrix()
-                )
-                rhs = coeff * basis_mod.u_ab(d, *target).to_matrix()
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+                lhs = mats[ab] @ mats[ab2] - mats[ab2] @ mats[ab]
+                worst = max(worst, float(np.max(np.abs(lhs - coeff * mats[target]))))
         return worst
 
     _run(report, "structure_constants_close_dense_commutators", 1e-12, structure_closure)

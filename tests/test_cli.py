@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import finiteweyl.cli as cli_mod
+import finiteweyl.group as group_mod
 from finiteweyl.cli import main
 
 
@@ -239,12 +241,43 @@ def test_verify_cap_error(capsys):
         ["mub", "hadamard", "--d", "1", "--a", "0"],
         ["weyl", "fourier", "--d", "1"],
         ["group", "classes", "--d", "-2"],
+        ["group", "irreps", "--d", "1"],
     ],
 )
 def test_degenerate_dimensions_rejected(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "must be >= 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weyl", "vra", "--r", "nan"],
+        ["weyl", "vra", "--r", "inf"],
+        ["verify", "all", "--tolerance", "nan"],
+    ],
+)
+def test_non_finite_floats_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Out of range float values") and err.count("\n") == 1
+
+
+def test_group_subgroups_closure_failure_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(group_mod, "_is_closed", lambda elements: False)
+    code, out, err = run_cli(capsys, "group", "subgroups", "--d", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: subset center is not closed under the group law\n"
+
+
+def test_group_irreps_identity_failure_exits_2(capsys, monkeypatch):
+    def failing_counts(d):
+        raise RuntimeError("squared-dimension identity failed")
+
+    monkeypatch.setattr(cli_mod, "pd_irrep_counts", failing_counts)
+    code, out, err = run_cli(capsys, "group", "irreps", "--d", "3")
+    assert (code, out, err) == (2, "", "error: squared-dimension identity failed\n")
 
 
 def test_console_entry_point_subprocess():

@@ -5,9 +5,11 @@ from itertools import product
 
 import pytest
 
+import finiteweyl.group as group_mod
 from finiteweyl.group import (
     FormalCombination,
     PdElement,
+    _is_normal,
     bracket_matches_monomial_commutator,
     class_count_minus_order_factor,
     irrep_character_norm,
@@ -203,12 +205,58 @@ def test_named_subgroups_d2():
     assert table["diagonal-plane"].isomorphism == "generic-abelian"
 
 
+def brute_force_is_normal(elements, d: int) -> bool:
+    """Independent oracle: conjugate by every one of the d^3 elements."""
+    keys = {h.key() for h in elements}
+    return all(
+        pd_conjugate(g, h).key() in keys for g in pd_elements(d) for h in elements
+    )
+
+
+def cyclic_subgroup(g: PdElement) -> tuple[PdElement, ...]:
+    members = [pd_identity(g.d)]
+    acc = g
+    while acc != members[0]:
+        members.append(acc)
+        acc = pd_compose(acc, g)
+    return tuple(members)
+
+
+def test_generator_normality_matches_brute_force():
+    for d in range(2, 9):
+        named = [list(s.elements) for s in pd_named_subgroups(d)]
+        cyclic = {frozenset(cyclic_subgroup(g)) for g in pd_elements(d)}
+        verdicts = set()
+        for members in named + [list(c) for c in cyclic]:
+            expected = brute_force_is_normal(members, d)
+            assert _is_normal(members, d) == expected, (d, members)
+            verdicts.add(expected)
+        # both verdicts occur, so a shortcut that always agrees cannot pass
+        assert verdicts == {True, False}
+
+
+def test_named_subgroups_conjugation_count(monkeypatch):
+    calls = 0
+
+    def counting_conjugate(g, h):
+        nonlocal calls
+        calls += 1
+        return pd_conjugate(g, h)
+
+    monkeypatch.setattr(group_mod, "pd_conjugate", counting_conjugate)
+    subgroups = pd_named_subgroups(12)
+    assert 0 < calls <= 3 * sum(len(s.elements) for s in subgroups)
+
+
 def test_quotient_by_center():
     for d in range(2, 8):
         assert pd_quotient_is_double_cyclic(d)
 
 
 def test_irrep_counts():
+    for d in (-1, 0, 1):
+        with pytest.raises(ValueError, match="must be >= 2"):
+            pd_irrep_counts(d)
     assert pd_irrep_counts(2) == (4, 1)
     assert pd_irrep_counts(3) == (9, 2)
     one_dim, d_dim = pd_irrep_counts(7)

@@ -1,5 +1,7 @@
 import pytest
 
+from finiteweyl import suites
+from finiteweyl.operators import MonomialOperator
 from finiteweyl.suites import (
     run_suite,
     suite_basis,
@@ -82,6 +84,36 @@ def test_basis_suite_with_tensor():
     names = {c.name for c in report.checks}
     assert "tensor_partition_found_and_valid" in names
     assert "search_certifies_incompleteness" in names
+
+
+def test_basis_suite_builds_each_dense_matrix_once(monkeypatch):
+    d = 12
+    calls = 0
+    to_matrix = MonomialOperator.to_matrix
+
+    def counting_to_matrix(self):
+        nonlocal calls
+        calls += 1
+        return to_matrix(self)
+
+    monkeypatch.setattr(MonomialOperator, "to_matrix", counting_to_matrix)
+    report = suite_basis(d)
+    assert report.overall, failing_names(report)
+    assert 0 < calls <= 2 * d * d
+
+
+def test_dense_structure_recheck_catches_a_wrong_coefficient(monkeypatch):
+    pauli_commutator = suites.basis_mod.pauli_commutator
+
+    def corrupted(d, ab, ab2, sign="-"):
+        coeff, target = pauli_commutator(d, ab, ab2, sign)
+        if (ab, ab2, sign) == ((1, 0), (0, 1), "-"):
+            coeff *= 1.5
+        return coeff, target
+
+    monkeypatch.setattr(suites.basis_mod, "pauli_commutator", corrupted)
+    report = suite_basis(3)
+    assert "structure_constants_close_dense_commutators" in failing_names(report)
 
 
 def test_run_suite_dispatch():
