@@ -1,0 +1,82 @@
+"""Print the exit code and the sha256 of stdout for a fixed list of CLI commands.
+
+Each command runs as `python -m finiteweyl.cli ...` in a fresh process with
+`<root>/src` on PYTHONPATH.  One line per command: exit code, sha256 of the
+stdout bytes, command.  Run it on two checkouts and diff the output to
+check that a change keeps every byte of stdout:
+
+    python scripts/stdout_fingerprint.py > after.txt
+    python scripts/stdout_fingerprint.py --root ../parent > before.txt
+    diff before.txt after.txt
+
+`--command "weyl pair --d 3"` (repeatable) replaces the fixed list.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+# every CLI example in the README, then the heavier cases
+COMMANDS = [
+    "hw check",
+    "group classes --d 4",
+    "group centralizer --d 4 --elem 0,2,0",
+    "group subgroups --d 3",
+    "group irreps --d 4",
+    "weyl pair --d 3 --format exact-json",
+    "weyl pair --d 3 --format dense-csv",
+    "weyl vra --d 5 --r 1 --a 2",
+    "weyl fourier --d 4",
+    "weyl su2-check --d 9",
+    "mub family --p 7 --tolerance 1e-9",
+    "mub hadamard --d 6 --a 2 --format dense-csv",
+    "basis partition --d 4",
+    "basis partition --d 4 --tensor 2,2",
+    "basis structure --d 3",
+    "verify all --d 3",
+    "verify all --d 4",
+    "verify all --d 12",
+    "mub family --p 2",
+    "mub family --p 3",
+    "mub family --p 7",
+    "mub family --p 97",
+    "basis partition --tensor 2,4",
+]
+
+
+def fingerprint(root: Path, command: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "finiteweyl.cli", *shlex.split(command)],
+        capture_output=True,
+        env=env,
+    )
+    return f"{result.returncode} {hashlib.sha256(result.stdout).hexdigest()} {command}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--root",
+        type=Path,
+        default=Path(__file__).resolve().parent.parent,
+        help="checkout whose src/ is run (default: this one)",
+    )
+    parser.add_argument(
+        "--command", action="append", help="CLI arguments to run instead of the fixed list"
+    )
+    args = parser.parse_args(argv)
+    for command in args.command or COMMANDS:
+        print(fingerprint(args.root.resolve(), command), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

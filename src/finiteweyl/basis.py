@@ -271,13 +271,18 @@ def tensor_pauli(dims: tuple[int, ...], index: tuple) -> TensorMonomial:
 
 
 def tensor_indices_commute(dims: tuple[int, ...], idx1: tuple, idx2: tuple) -> bool:
-    """Exact commutation test: sum of (a_j b'_j - b_j a'_j)/d_j integral."""
-    total = Fraction(0)
+    """Exact commutation test: sum of (a_j b'_j - b_j a'_j)/d_j integral.
+
+    In integers (the symplectic form of Aaronson & Gottesman): with
+    L = lcm(d_j), the sum of (a_j b'_j - b_j a'_j) * (L / d_j) is 0 mod L.
+    """
+    lcm = math.lcm(*dims)
+    total = 0
     for pos, p in enumerate(dims):
         a, b = idx1[2 * pos], idx1[2 * pos + 1]
         a2, b2 = idx2[2 * pos], idx2[2 * pos + 1]
-        total += Fraction(a * b2 - b * a2, p)
-    return total.denominator == 1
+        total += (a * b2 - b * a2) * (lcm // p)
+    return total % lcm == 0
 
 
 def tensor_trace_pairing(u: TensorMonomial, v: TensorMonomial) -> complex:

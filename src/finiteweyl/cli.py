@@ -58,6 +58,17 @@ def _dense_payload(kind: str, mat: np.ndarray, **extra) -> dict:
     }
 
 
+def _int_fields(option: str, text: str, form: str) -> tuple[int, ...]:
+    """Parse a comma-separated option value such as "2,4" against form "p,e"."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != len(form.split(",")):
+        raise ValueError(f"{option} expects integers {form}, got {text!r}")
+    return values
+
+
 def _report_exit(report, include_payload: bool = True) -> int:
     if include_payload:
         _emit({"schema": SCHEMA_VERSION, **report.to_json()})
@@ -97,7 +108,7 @@ def cmd_group(args: argparse.Namespace) -> int:
     if args.action == "centralizer":
         if args.elem is None:
             raise ValueError("--elem a,b,c is required for the centralizer command")
-        a, b, c = (int(x) for x in args.elem.split(","))
+        a, b, c = _int_fields("--elem", args.elem, "a,b,c")
         size = pd_centralizer_size(PdElement(a, b, c, d))
         _emit(
             {
@@ -248,7 +259,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     d = args.d
     if args.action == "partition":
         if args.tensor:
-            p, e = (int(x) for x in args.tensor.split(","))
+            p, e = _int_fields("--tensor", args.tensor, "p,e")
             partition = cartan_partition_prime_power(p, e)
         elif is_prime(d) and d > SEARCH_CAP:
             partition = cartan_partition_prime(d)
@@ -389,6 +400,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # NaN is not < 0; it keeps its own error, raised when the payload is rendered
+        if getattr(args, "tolerance", 0.0) < 0:
+            raise ValueError(f"tolerance must be >= 0, got {args.tolerance}")
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

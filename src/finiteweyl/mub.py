@@ -61,11 +61,10 @@ def basis_exponent_table(d: int, a: int) -> np.ndarray:
     """Integer tau exponents: entry (k, alpha) of the a-th eigenbasis."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    table = np.zeros((d, d), dtype=np.int64)
-    for k in range(d):
-        for alpha in range(d):
-            table[k, alpha] = ((d - k - 1) * (k + 1) * a - 2 * (k + 1) * alpha) % (2 * d)
-    return table
+    # a only matters mod 2d; reducing it first keeps every product in int64
+    k1 = np.arange(1, d + 1, dtype=np.int64)[:, None]  # k + 1
+    alpha = np.arange(d, dtype=np.int64)[None, :]
+    return ((d - k1) * k1 * (a % (2 * d)) - 2 * k1 * alpha) % (2 * d)
 
 
 def basis_b0a(d: int, a: int) -> OrthonormalBasis:

@@ -18,17 +18,21 @@ Vertex = Hashable
 
 def _build_adjacency(
     vertices: Sequence[Vertex], commutes: Callable[[Vertex, Vertex], bool]
-) -> dict[Vertex, frozenset]:
-    return {
-        v: frozenset(u for u in vertices if u != v and commutes(u, v))
-        for v in vertices
-    }
+) -> dict[Vertex, set]:
+    """Neighbour sets; commutes is symmetric, so each unordered pair is tested once."""
+    adjacency: dict[Vertex, set] = {v: set() for v in vertices}
+    for i, u in enumerate(vertices):
+        for v in vertices[i + 1 :]:
+            if commutes(u, v):
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+    return adjacency
 
 
 def _cliques_through(
     pivot: Vertex,
     allowed: frozenset,
-    adjacency: dict[Vertex, frozenset],
+    adjacency: dict[Vertex, set],
     size: int,
 ):
     """Yield size-cliques containing pivot, members drawn from allowed."""

@@ -3,12 +3,22 @@
 Exact objects (phases, monomials, Hadamard exponent tables, partitions)
 serialize through integer tau exponents and round-trip bit-identically.
 Dense matrices serialize as CSV rows of re,im pairs with 17 significant
-digits.  Every JSON payload carries a top-level "schema": 1.
+digits; non-finite entries are rejected.  Every JSON payload carries a
+top-level "schema": 1.
+
+`json_dumps` is the one renderer of payload text.  Its output is
+byte-identical to `json.dumps(payload, indent=2, separators=(",", ": "),
+allow_nan=False) + "\n"`, but each list of plain ints and floats (a row of
+an exponent table or deviation matrix) is encoded by the C encoder in one
+call; the indented `json.dumps` would fall back to the pure-Python encoder
+and yield every number separately.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -27,7 +37,60 @@ def json_dumps(payload: dict) -> str:
     Non-finite floats raise ValueError rather than emitting NaN/Infinity,
     which are not standard JSON.
     """
-    return json.dumps(payload, indent=2, separators=(",", ": "), allow_nan=False) + "\n"
+    return _render(payload, "") + "\n"
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _render(value: Any, indent: str) -> str:
+    """Indented JSON for value nested at indent; its closing bracket lines up with indent."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        items = [f"{_render_key(k)}: {_render(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        opening, closing = "[", "]"
+        if value and set(map(type, value)) <= _NUMBER_TYPES:
+            try:
+                # the C encoder writes "[1, 2.5]"; numbers never contain ", "
+                items = [json.dumps(value, allow_nan=False)[1:-1].replace(", ", ",\n" + inner)]
+            except ValueError:
+                items = [_render_scalar(x) for x in value]  # raises json's own message
+        else:
+            items = [_render(x, inner) for x in value]
+    else:
+        return _render_scalar(value)
+    if not items:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+
+
+def _render_scalar(value: Any) -> str:
+    """One JSON scalar, tested in the order of the stdlib encoder."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _render_key(key: Any) -> str:
+    if isinstance(key, (float, int)) or key is None:
+        key = _render_scalar(key)
+    elif not isinstance(key, str):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
 
 
 def phase_to_payload(p: PhaseExponent) -> dict:
@@ -88,9 +151,12 @@ def dense_matrix_of(obj: Any) -> np.ndarray:
 
 
 def matrix_to_csv(mat: np.ndarray) -> str:
-    """Row-major re,im pairs, 17 significant digits."""
+    """Row-major re,im pairs, 17 significant digits; NaN and infinities raise."""
+    mat = np.atleast_2d(mat)
+    if not np.isfinite(mat).all():
+        raise ValueError("dense CSV cannot encode non-finite matrix entries (NaN or infinity)")
     lines = []
-    for row in np.atleast_2d(mat):
+    for row in mat:
         cells = []
         for entry in row:
             value = complex(entry)

@@ -1,9 +1,12 @@
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import commutator, max_abs
 from finiteweyl.basis import (
@@ -178,6 +181,19 @@ def test_search_composite_dimensions():
         commuting_class_search(13)
 
 
+def test_adjacency_tests_each_pair_once():
+    calls = []
+
+    def commutes(u, v):
+        calls.append(frozenset((u, v)))
+        return (u + v) % 2 == 0
+
+    vertices = list(range(8))
+    part = find_commuting_partition(vertices, commutes, 4)
+    assert part == [[0, 2, 4, 6], [1, 3, 5, 7]]
+    assert len(calls) == len(set(calls)) == 8 * 7 // 2
+
+
 def test_generic_search_engine():
     vertices = list(range(6))
     part = find_commuting_partition(vertices, lambda u, v: u // 2 == v // 2, 2)
@@ -210,6 +226,24 @@ def test_tensor_commutation_rule():
     assert max_abs(commutator(xx, zz)) == 0.0
     # single-factor mismatch does not commute
     assert not tensor_indices_commute(dims, (1, 0, 0, 0), (0, 1, 0, 0))
+
+
+@given(
+    st.lists(st.sampled_from([2, 3, 4, 5, 6, 12]), min_size=1, max_size=4).flatmap(
+        lambda dims: st.tuples(
+            st.just(tuple(dims)),
+            *[st.tuples(*[st.integers(0, p - 1)] * 4) for p in dims],
+        )
+    )
+)
+def test_tensor_commutation_matches_fraction_sum(case):
+    dims, *coords = case
+    idx1 = tuple(x for a, b, _, _ in coords for x in (a, b))
+    idx2 = tuple(x for _, _, a, b in coords for x in (a, b))
+    total = sum(
+        Fraction(a * b2 - b * a2, p) for p, (a, b, a2, b2) in zip(dims, coords)
+    )
+    assert tensor_indices_commute(dims, idx1, idx2) == (total.denominator == 1)
 
 
 def test_tensor_commutation_matches_dense():

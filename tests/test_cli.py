@@ -264,6 +264,45 @@ def test_non_finite_floats_rejected(capsys, argv):
     assert err.startswith("error: Out of range float values") and err.count("\n") == 1
 
 
+def test_dense_csv_rejects_non_finite(capsys):
+    code, out, err = run_cli(
+        capsys, "weyl", "vra", "--d", "3", "--r", "nan", "--format", "dense-csv"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: dense CSV cannot encode non-finite") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mub", "family", "--p", "7", "--tolerance", "-1"],
+        ["verify", "all", "--d", "3", "--tolerance", "-0.5"],
+        ["weyl", "su2-check", "--tolerance=-1e-9"],
+        ["hw", "check", "--tolerance=-1"],
+    ],
+)
+def test_negative_tolerance_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tolerance must be >= 0, got -") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, form",
+    [
+        (["basis", "partition", "--tensor", "2"], "p,e"),
+        (["basis", "partition", "--tensor", "a,b"], "p,e"),
+        (["basis", "partition", "--tensor", "2,2,2"], "p,e"),
+        (["group", "centralizer", "--d", "4", "--elem", "1,2"], "a,b,c"),
+        (["group", "centralizer", "--d", "4", "--elem", "1,x,0"], "a,b,c"),
+    ],
+)
+def test_malformed_tuple_arguments_rejected(capsys, argv, form):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"expects integers {form}, got '{argv[-1]}'" in err and err.count("\n") == 1
+
+
 def test_group_subgroups_closure_failure_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(group_mod, "_is_closed", lambda elements: False)
     code, out, err = run_cli(capsys, "group", "subgroups", "--d", "3")
@@ -298,6 +337,26 @@ def test_console_entry_point_subprocess():
         text=True,
     )
     assert again.stdout == result.stdout  # byte-identical across processes
+
+
+def test_stdout_fingerprint_script_is_stable():
+    import pathlib
+    import subprocess
+    import sys
+
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "stdout_fingerprint.py"
+    argv = [sys.executable, str(script)]
+    argv += ["--command", "weyl pair --d 3", "--command", "basis partition --d 4"]
+    runs = [
+        subprocess.run(argv, capture_output=True, text=True, check=True).stdout for _ in range(2)
+    ]
+    lines = runs[0].splitlines()
+    assert runs[0] == runs[1]
+    assert [line.split(" ", 2)[0::2] for line in lines] == [
+        ["0", "weyl pair --d 3"],
+        ["1", "basis partition --d 4"],
+    ]
+    assert all(len(line.split(" ")[1]) == 64 for line in lines)
 
 
 def test_outputs_byte_identical(capsys):

@@ -63,6 +63,20 @@ def test_bases_diagonalize_weighted_shift():
                 assert max_abs(v @ vectors[:, alpha] - lam * vectors[:, alpha]) < 1e-10
 
 
+def test_exponent_table_matches_loop_formula():
+    def loop_table(d, a):
+        return [
+            [((d - k - 1) * (k + 1) * a - 2 * (k + 1) * alpha) % (2 * d) for alpha in range(d)]
+            for k in range(d)
+        ]
+
+    for d in range(2, 25):
+        for a in [*range(-2 * d, 2 * d), 10**30 + 7, -(10**30)]:
+            table = basis_exponent_table(d, a)
+            assert table.dtype == np.int64
+            assert table.tolist() == loop_table(d, a), (d, a)
+
+
 def test_basis_argument_validation():
     with pytest.raises(ValueError):
         basis_b0a(4, 4)

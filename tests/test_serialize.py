@@ -2,6 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import finiteweyl.cli as cli_mod
 
 from finiteweyl.basis import cartan_partition_prime, cartan_partition_prime_power
 from finiteweyl.mub import hadamard_h_a
@@ -105,3 +109,84 @@ def test_json_dumps_deterministic():
     payload = {"schema": 1, "b": [1, 2], "a": "x"}
     assert json_dumps(payload) == json_dumps(payload)
     assert json_dumps(payload).endswith("\n")
+
+
+def stdlib_dumps(payload) -> str:
+    return json.dumps(payload, indent=2, separators=(",", ": "), allow_nan=False) + "\n"
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# plain numbers, numbers mixed with bools, and the edge values of the C encoder
+number_rows = st.lists(
+    st.one_of(
+        st.integers(),
+        st.integers(min_value=-(10**40), max_value=10**40),
+        finite_floats,
+        st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324]),
+        st.booleans(),
+    ),
+    max_size=8,
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    finite_floats,
+    st.text(alphabet=st.sampled_from(list('ab, "\\\n\tü€😀')), max_size=8),
+)
+keys = st.one_of(
+    st.text(alphabet=st.sampled_from(list('k, "ü')), max_size=4),
+    st.integers(),
+    finite_floats,
+    st.booleans(),
+    st.none(),
+)
+payloads = st.recursive(
+    st.one_of(scalars, number_rows),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(payloads)
+def test_json_dumps_matches_stdlib(payload):
+    assert json_dumps(payload) == stdlib_dumps(payload)
+
+
+@given(payloads, st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+def test_json_dumps_non_finite_message_matches_stdlib(payload, bad):
+    for poisoned in ([1, 2.5, bad], {"rows": [payload, [0, bad]]}, {bad: 1}, bad):
+        with pytest.raises(ValueError) as ours:
+            json_dumps(poisoned)
+        with pytest.raises(ValueError) as theirs:
+            stdlib_dumps(poisoned)
+        assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("payload", [[np.int64(1)], {"a": object()}, {(1, 2): 0}])
+def test_json_dumps_type_error_matches_stdlib(payload):
+    with pytest.raises(TypeError) as ours:
+        json_dumps(payload)
+    with pytest.raises(TypeError) as theirs:
+        stdlib_dumps(payload)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_json_dumps_matches_stdlib_on_mub_family_payload(monkeypatch, capsys):
+    payloads = []
+    monkeypatch.setattr(cli_mod, "_emit", payloads.append)
+    assert cli_mod.main(["mub", "family", "--p", "97"]) == 0
+    (payload,) = payloads
+    assert json_dumps(payload) == stdlib_dumps(payload)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_csv_rejects_non_finite(bad):
+    mat = np.eye(2, dtype=complex)
+    mat[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        matrix_to_csv(mat)
