@@ -47,6 +47,14 @@ COMMANDS = [
     "mub family --p 7",
     "mub family --p 97",
     "basis partition --tensor 2,4",
+    # structure entries, dense monomials, Hadamard JSON and the suites that
+    # turn tau exponents into complex numbers
+    "basis structure --d 5",
+    "weyl pair --d 5 --format dense-csv",
+    "mub hadamard --d 6 --a 2",
+    "verify mub --p 97",
+    "verify basis --p 3 --e 2",
+    "verify all --d 16",
 ]
 
 

@@ -26,9 +26,7 @@ from .group import (
     PdElement,
     pd_centralizer_size,
     pd_character,
-    pd_compose,
     pd_conjugacy_classes,
-    pd_inverse,
     pd_irrep,
     pd_irrep_counts,
     pd_is_ambivalent,
@@ -37,9 +35,7 @@ from .group import (
 )
 from .heisenberg import (
     HWElement,
-    hw_compose,
     hw_conjugate,
-    hw_inverse,
     hw_lie_check,
     hw_matrix,
 )
@@ -60,10 +56,9 @@ from .operators import (
     t_operator,
     v_ra_eigenvector,
     v_ra_matrix,
-    w_abc,
     weyl_pair,
 )
-from .phases import PhaseExponent, phase_mul, phase_to_complex
+from .phases import PhaseExponent
 from .report import Check, VerificationReport
 from .suites import run_suite
 
@@ -86,9 +81,7 @@ __all__ = [
     "fourier_matrix",
     "hadamard_h_a",
     "hs_orthogonality",
-    "hw_compose",
     "hw_conjugate",
-    "hw_inverse",
     "hw_lie_check",
     "hw_matrix",
     "is_prime",
@@ -97,16 +90,12 @@ __all__ = [
     "pauli_commutator",
     "pd_centralizer_size",
     "pd_character",
-    "pd_compose",
     "pd_conjugacy_classes",
-    "pd_inverse",
     "pd_irrep",
     "pd_irrep_counts",
     "pd_is_ambivalent",
     "pd_lie_bracket",
     "pd_named_subgroups",
-    "phase_mul",
-    "phase_to_complex",
     "polar_su2_ops",
     "run_suite",
     "structure_constants",
@@ -117,6 +106,5 @@ __all__ = [
     "unbiasedness",
     "v_ra_eigenvector",
     "v_ra_matrix",
-    "w_abc",
     "weyl_pair",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -232,23 +231,20 @@ class TensorMonomial:
             out = np.kron(out, f.to_matrix())
         return out
 
-    def trace_phase(self) -> Fraction | None:
-        """Trace = (prod of dims) * exp(i*pi*s); returns s, or None if zero."""
-        total = Fraction(0)
+    def trace(self) -> complex:
+        """prod(d_j) times the product of the factor phases tau_j^t_j.
+
+        With L = lcm(d_j), tau_j^t_j = exp(i*pi*t_j*(L/d_j)/L), so the
+        product is the single phase PhaseExponent(sum t_j*(L/d_j), L).
+        """
+        lcm = math.lcm(*self.dims)
+        total = 0
         for f in self.factors:
             scalar = f.trace_exact()
             if scalar is None:
-                return None
-            total += Fraction(scalar.t, scalar.d)
-        return total % 2
-
-    def trace(self) -> complex:
-        s = self.trace_phase()
-        if s is None:
-            return 0j
-        return math.prod(self.dims) * complex(
-            math.cos(math.pi * s), math.sin(math.pi * s)
-        )
+                return 0j
+            total += scalar.t * (lcm // scalar.d)
+        return math.prod(self.dims) * PhaseExponent(total, lcm).to_complex()
 
 
 def tensor_indices(dims: tuple[int, ...]) -> list[tuple]:

@@ -18,6 +18,7 @@ from .basis import (
     SEARCH_CAP,
     cartan_partition_prime,
     cartan_partition_prime_power,
+    commutator_coefficient_exponents,
     commuting_class_search,
     format_index,
     structure_constants,
@@ -45,12 +46,11 @@ from .suites import DEFAULT_TOLERANCE, run_suite, suite_hw, suite_su2
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json_dumps(payload))
+    sys.stdout.write(json_dumps({"schema": SCHEMA_VERSION, **payload}))
 
 
 def _dense_payload(kind: str, mat: np.ndarray, **extra) -> dict:
     return {
-        "schema": SCHEMA_VERSION,
         "type": kind,
         **extra,
         "re": [[float(x.real) for x in row] for row in mat],
@@ -71,7 +71,7 @@ def _int_fields(option: str, text: str, form: str) -> tuple[int, ...]:
 
 def _report_exit(report, include_payload: bool = True) -> int:
     if include_payload:
-        _emit({"schema": SCHEMA_VERSION, **report.to_json()})
+        _emit(report.to_json())
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     return 0 if report.overall else 1
@@ -94,7 +94,6 @@ def cmd_group(args: argparse.Namespace) -> int:
         report = pd_conjugacy_classes(d, cap)
         _emit(
             {
-                "schema": SCHEMA_VERSION,
                 "type": "conjugacy-classes",
                 "d": d,
                 "class_count": report.class_count,
@@ -112,7 +111,6 @@ def cmd_group(args: argparse.Namespace) -> int:
         size = pd_centralizer_size(PdElement(a, b, c, d))
         _emit(
             {
-                "schema": SCHEMA_VERSION,
                 "type": "centralizer",
                 "d": d,
                 "element": [a % d, b % d, c % d],
@@ -125,7 +123,6 @@ def cmd_group(args: argparse.Namespace) -> int:
         subs = pd_named_subgroups(d, cap)
         _emit(
             {
-                "schema": SCHEMA_VERSION,
                 "type": "subgroups",
                 "d": d,
                 "subgroups": [
@@ -155,7 +152,6 @@ def cmd_group(args: argparse.Namespace) -> int:
             )
         _emit(
             {
-                "schema": SCHEMA_VERSION,
                 "type": "irreps",
                 "d": d,
                 "one_dimensional": one_dim,
@@ -177,7 +173,6 @@ def cmd_weyl(args: argparse.Namespace) -> int:
         else:
             _emit(
                 {
-                    "schema": SCHEMA_VERSION,
                     "type": "weyl-pair",
                     "d": d,
                     "X": monomial_to_payload(x),
@@ -229,7 +224,6 @@ def cmd_mub(args: argparse.Namespace) -> int:
                 )
         _emit(
             {
-                "schema": SCHEMA_VERSION,
                 "type": "mub-family",
                 "p": p,
                 "basis_labels": [b.label for b in bases],
@@ -246,11 +240,7 @@ def cmd_mub(args: argparse.Namespace) -> int:
         )
         return 0 if passed else 1
     if args.action == "hadamard":
-        h = hadamard_h_a(args.d, args.a)
-        if args.format == "dense-csv":
-            sys.stdout.write(matrix_to_csv(h.to_matrix()))
-        else:
-            sys.stdout.write(export(h, "json"))
+        sys.stdout.write(export(hadamard_h_a(args.d, args.a), args.format))
         return 0
     raise ValueError(f"unknown mub action {args.action!r}")
 
@@ -276,20 +266,20 @@ def cmd_basis(args: argparse.Namespace) -> int:
         table = structure_constants(d)
         entries = []
         for (ab, ab2), (target, coeff) in table.items():
+            first, second = commutator_coefficient_exponents(d, ab, ab2)
             entries.append(
                 {
                     "left": format_index(ab, (d, d)),
                     "right": format_index(ab2, (d, d)),
                     "target": format_index(target, (d, d)),
-                    "tau_first": (-2 * ab[1] * ab2[0]) % (2 * d),
-                    "tau_second": (-2 * ab[0] * ab2[1]) % (2 * d),
+                    "tau_first": first.t,
+                    "tau_second": second.t,
                     "re": coeff.real,
                     "im": coeff.imag,
                 }
             )
         _emit(
             {
-                "schema": SCHEMA_VERSION,
                 "type": "structure-constants",
                 "d": d,
                 "nonzero_count": len(entries),
@@ -315,6 +305,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+# the options that take a float; see _attach_negative_floats
+_FLOAT_OPTIONS = ("--r", "--tolerance")
+
+
+def _takes_float(option: str) -> bool:
+    """True for a float option, written out or abbreviated as argparse allows."""
+    return len(option) > 2 and any(o.startswith(option) for o in _FLOAT_OPTIONS)
+
+
+def _attach_negative_floats(argv: list[str]) -> list[str]:
+    """Write `--r -1e-3` as `--r=-1e-3`.
+
+    argparse reads a token that starts with "-" as an option name unless it
+    is a negative number without an exponent (`-0.001`), so `--r -1e-3`
+    would leave --r without its value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and _takes_float(out[-1]) and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
 
 
 def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -398,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_floats(sys.argv[1:] if argv is None else argv))
     try:
         # NaN is not < 0; it keeps its own error, raised when the payload is rendered
         if getattr(args, "tolerance", 0.0) < 0:

@@ -68,14 +68,6 @@ def pd_identity(d: int) -> PdElement:
     return PdElement(0, 0, 0, d)
 
 
-def pd_compose(g: PdElement, h: PdElement) -> PdElement:
-    return g.compose(h)
-
-
-def pd_inverse(g: PdElement) -> PdElement:
-    return g.inverse()
-
-
 def pd_conjugate(g: PdElement, h: PdElement) -> PdElement:
     """g h g^-1, via composition (the closed form only moves h.a)."""
     return g.compose(h).compose(g.inverse())

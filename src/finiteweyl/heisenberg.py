@@ -38,14 +38,6 @@ class HWElement:
 HW_IDENTITY = HWElement(0.0, 0.0, 0.0)
 
 
-def hw_compose(g: HWElement, h: HWElement) -> HWElement:
-    return g.compose(h)
-
-
-def hw_inverse(g: HWElement) -> HWElement:
-    return g.inverse()
-
-
 def hw_commutator(g: HWElement, h: HWElement) -> HWElement:
     """Group commutator g h g^-1 h^-1, computed by composition."""
     return g.compose(h).compose(g.inverse()).compose(h.inverse())

@@ -16,19 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import fourier_matrix, v_ra_matrix
+from .phases import tau_powers
 
 MUB_PRIME_CAP = 97
-
-
-def tau_power_matrix(table: np.ndarray, d: int) -> np.ndarray:
-    """exp(i*pi*table/d) with quarter-turn entries (1, i, -1, -i) made exact."""
-    canonical = np.asarray(table) % (2 * d)
-    out = np.exp(1j * np.pi * canonical / d)
-    doubled = 2 * canonical
-    exact = (doubled % d) == 0
-    quarter = (doubled[exact] // d) % 4
-    out[exact] = np.choose(quarter, [1.0, 1j, -1.0, -1j])
-    return out
 
 
 def is_prime(n: int) -> bool:
@@ -71,8 +61,7 @@ def basis_b0a(d: int, a: int) -> OrthonormalBasis:
     """Eigenbasis of X Z^a, built from the exact exponent table."""
     if not 0 <= a <= d - 1:
         raise ValueError(f"a must lie in 0..{d - 1}, got {a}")
-    table = basis_exponent_table(d, a)
-    vectors = tau_power_matrix(table, d) / math.sqrt(d)
+    vectors = tau_powers(basis_exponent_table(d, a), d) / math.sqrt(d)
     return OrthonormalBasis(d=d, label=str(a), vectors=vectors)
 
 
@@ -89,7 +78,7 @@ class HadamardMatrix:
     exponents: np.ndarray
 
     def to_matrix(self) -> np.ndarray:
-        return tau_power_matrix(self.exponents, self.d)
+        return tau_powers(self.exponents, self.d)
 
     def gram_defect(self) -> float:
         h = self.to_matrix()

@@ -135,10 +135,6 @@ def weyl_pair(d: int) -> tuple[MonomialOperator, MonomialOperator]:
     return x, z
 
 
-def w_abc(d: int, a: int, b: int, c: int) -> MonomialOperator:
-    return MonomialOperator.w(d, a, b, c)
-
-
 def trace_pairing_exact(u: MonomialOperator, v: MonomialOperator) -> PhaseExponent | None:
     """Tr(u^dagger v) / d as an exact phase, or None when the trace vanishes."""
     return monomial_mul(u.adjoint(), v).trace_exact()

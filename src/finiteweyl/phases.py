@@ -6,12 +6,23 @@ d-th root of unity used by clock matrices; half-integer powers of q that
 show up in Hadamard exponents are integer powers of tau, which is why tau
 (and not q) is the base phase.  Exponents live in Z_{2d}, so products and
 inverses involve no floating point at all.
+
+`PhaseExponent.to_complex` (one phase) and `tau_powers` (an array of
+exponents) are the one conversion from tau exponents to complex numbers.
+Both form the argument pi*t/d in real arithmetic and take the quarter turns
+1, i, -1, -i from an exact table, so they agree bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+
+import numpy as np
+
+# tau^t for 2t/d = 0, 1, 2, 3: exact, so qubit monomials and scalar
+# identities survive float conversion without rounding
+_QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 @dataclass(frozen=True)
@@ -54,10 +65,8 @@ class PhaseExponent:
         return self.t == 0
 
     def to_complex(self) -> complex:
-        # quarter-turn phases come out exact so that qubit monomials and
-        # scalar identities survive float conversion without rounding
         if (2 * self.t) % self.d == 0:
-            return (1 + 0j, 1j, -1 + 0j, -1j)[(2 * self.t // self.d) % 4]
+            return _QUARTER_TURNS[2 * self.t // self.d]
         return cmath.exp(1j * cmath.pi * self.t / self.d)
 
     def to_json(self) -> dict:
@@ -71,9 +80,11 @@ class PhaseExponent:
         return cls(payload["tau_exp"], denom // 2)
 
 
-def phase_mul(p1: PhaseExponent, p2: PhaseExponent) -> PhaseExponent:
-    return p1 * p2
-
-
-def phase_to_complex(p: PhaseExponent) -> complex:
-    return p.to_complex()
+def tau_powers(exponents, d: int) -> np.ndarray:
+    """tau^t for every t in an integer array, equal to PhaseExponent(t, d).to_complex()."""
+    t = np.asarray(exponents) % (2 * d)
+    out = np.exp(1j * (np.pi * t / d))
+    quarter, remainder = np.divmod(2 * t, d)
+    exact = remainder == 0
+    out[exact] = np.array(_QUARTER_TURNS)[quarter[exact]]
+    return out

@@ -530,8 +530,8 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
 
     def trace_pairing() -> bool:
         for a, b, c, a2, b2, c2 in product(range(min(d, 3)), repeat=6):
-            u = op_mod.w_abc(d, a, b, c)
-            v = op_mod.w_abc(d, a2, b2, c2)
+            u = op_mod.MonomialOperator.w(d, a, b, c)
+            v = op_mod.MonomialOperator.w(d, a2, b2, c2)
             got = op_mod.w_abc_trace_pairing(u, v)
             expected = (
                 d * op_mod.PhaseExponent.q_power(a2 - a, d).to_complex()

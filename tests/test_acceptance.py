@@ -37,7 +37,6 @@ from finiteweyl.basis import (
 from finiteweyl.group import pd_conjugacy_classes, pd_irrep_counts
 from finiteweyl.heisenberg import (
     generator_matrices,
-    hw_compose,
     hw_matrix,
     hw_matrix_law,
     hw_to_matrix_params,
@@ -287,7 +286,7 @@ def test_criterion_12_continuous_group():
         if not np.array_equal(lhs, hw_matrix(hw_matrix_law(g, h))):
             failures.append(f"matrix law differs at {g}, {h}")
             break
-        image = hw_matrix(hw_to_matrix_params(hw_compose(g, h)))
+        image = hw_matrix(hw_to_matrix_params(g.compose(h)))
         direct = hw_matrix(hw_to_matrix_params(g)) @ hw_matrix(hw_to_matrix_params(h))
         if not np.array_equal(image, direct):
             failures.append(f"bijection fails at {g}, {h}")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import commutator, max_abs
 from finiteweyl.basis import (
     TWO_QUBIT_SPREAD,
+    TensorMonomial,
     cartan_partition_prime,
     cartan_partition_prime_power,
     commutator_coefficient_exponents,
@@ -31,6 +32,7 @@ from finiteweyl.basis import (
     validate_cartan_partition,
 )
 from finiteweyl.mub import OrthonormalBasis, pairwise_deviations
+from finiteweyl.operators import MonomialOperator
 from finiteweyl.search import (
     find_commuting_partition,
     greedy_commuting_classes,
@@ -281,6 +283,42 @@ def test_tensor_trace_equals_product_of_factor_traces():
             v = tensor_pauli(dims, v_idx)
             dense = complex(np.trace(u.adjoint().to_matrix() @ v.to_matrix()))
             assert abs(tensor_trace_pairing(u, v) - dense) < 1e-10
+
+
+@st.composite
+def phased_tensor_monomials(draw):
+    """1-3 factors tau^t X^b Z^c; about half of them scalar, so traces are often nonzero."""
+    factors = []
+    for p in draw(st.lists(st.sampled_from([2, 3, 4, 5, 6]), min_size=1, max_size=3)):
+        shift, clock = draw(
+            st.one_of(st.just((0, 0)), st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)))
+        )
+        t = draw(st.integers(-4 * p, 4 * p))
+        factors.append(MonomialOperator.from_tau_exponent(p, t, shift, clock))
+    return TensorMonomial(tuple(factors))
+
+
+def fraction_trace_phase(u: TensorMonomial) -> Fraction | None:
+    """s with Tr u = prod(d_j) exp(i*pi*s), by rational arithmetic; None if Tr u = 0."""
+    total = Fraction(0)
+    for f in u.factors:
+        scalar = f.trace_exact()
+        if scalar is None:
+            return None
+        total += Fraction(scalar.t, scalar.d)
+    return total % 2
+
+
+@given(phased_tensor_monomials())
+def test_phased_tensor_trace(u):
+    got = u.trace()
+    size = math.prod(u.dims)
+    s = fraction_trace_phase(u)
+    reference = 0j if s is None else size * complex(math.cos(math.pi * s), math.sin(math.pi * s))
+    assert abs(got - reference) <= 1e-12
+    assert abs(got - complex(np.trace(u.to_matrix()))) <= 1e-12
+    if s is not None and (2 * s).denominator == 1:
+        assert got == size * (1, 1j, -1, -1j)[int(2 * s)]
 
 
 def test_qutrit_pair_anticommutators_never_vanish():

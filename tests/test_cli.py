@@ -279,12 +279,24 @@ def test_dense_csv_rejects_non_finite(capsys):
         ["verify", "all", "--d", "3", "--tolerance", "-0.5"],
         ["weyl", "su2-check", "--tolerance=-1e-9"],
         ["hw", "check", "--tolerance=-1"],
+        ["hw", "check", "--tolerance", "-1e-9"],
+        ["verify", "all", "--d", "3", "--tol", "-1e-9"],
     ],
 )
 def test_negative_tolerance_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: tolerance must be >= 0, got -") and err.count("\n") == 1
+
+
+def test_negative_float_in_exponent_form_is_a_value(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "weyl", "vra", "--d", "3", "--r", "-1e-3")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "weyl", "vra", "--d", "3", "--r=-1e-3") == (0, out, "")
+    # the console entry point reads sys.argv
+    monkeypatch.setattr("sys.argv", ["finiteweyl", "weyl", "vra", "--d", "3", "--r", "-1e-3"])
+    assert main() == 0
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize(

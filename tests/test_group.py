@@ -15,12 +15,10 @@ from finiteweyl.group import (
     irrep_character_norm,
     pd_centralizer_size,
     pd_character,
-    pd_compose,
     pd_conjugacy_classes,
     pd_conjugate,
     pd_elements,
     pd_identity,
-    pd_inverse,
     pd_irrep,
     pd_irrep_counts,
     pd_is_ambivalent,
@@ -48,38 +46,39 @@ def brute_force_class_count(d: int) -> int:
 
 
 def test_compose_law():
-    assert pd_compose(PdElement(1, 2, 1, 3), PdElement(0, 1, 2, 3)) == pd_identity(3)
-    assert pd_compose(PdElement(1, 1, 1, 2), PdElement(1, 1, 1, 2)) == PdElement(1, 0, 0, 2)
+    assert PdElement(1, 2, 1, 3).compose(PdElement(0, 1, 2, 3)) == pd_identity(3)
+    assert PdElement(1, 1, 1, 2).compose(PdElement(1, 1, 1, 2)) == PdElement(1, 0, 0, 2)
 
 
 def test_euler_decomposition():
     for d in (2, 3, 5):
         for a, b, c in product(range(d), repeat=3):
-            built = pd_compose(
-                pd_compose(PdElement(a, 0, 0, d), PdElement(0, b, 0, d)),
-                PdElement(0, 0, c, d),
+            built = (
+                PdElement(a, 0, 0, d)
+                .compose(PdElement(0, b, 0, d))
+                .compose(PdElement(0, 0, c, d))
             )
             assert built == PdElement(a, b, c, d)
 
 
 def test_modulus_mismatch():
     with pytest.raises(ValueError):
-        pd_compose(PdElement(0, 0, 0, 2), PdElement(0, 0, 0, 3))
+        PdElement(0, 0, 0, 2).compose(PdElement(0, 0, 0, 3))
 
 
 def test_inverse():
-    assert pd_inverse(pd_identity(5)) == pd_identity(5)
-    assert pd_inverse(PdElement(1, 2, 1, 3)) == PdElement(0, 1, 2, 3)
+    assert pd_identity(5).inverse() == pd_identity(5)
+    assert PdElement(1, 2, 1, 3).inverse() == PdElement(0, 1, 2, 3)
     for g in pd_elements(2):
-        assert pd_compose(g, pd_inverse(g)) == pd_identity(2)
-        assert pd_compose(pd_inverse(g), g) == pd_identity(2)
+        assert g.compose(g.inverse()) == pd_identity(2)
+        assert g.inverse().compose(g) == pd_identity(2)
 
 
 def test_associativity_small_d_exhaustive():
     for d in (2, 3):
         elems = pd_elements(d)
         for g, h, k in product(elems, repeat=3):
-            assert pd_compose(pd_compose(g, h), k) == pd_compose(g, pd_compose(h, k))
+            assert g.compose(h).compose(k) == g.compose(h.compose(k))
 
 
 def test_associativity_random_larger_d():
@@ -88,7 +87,7 @@ def test_associativity_random_larger_d():
         elems = pd_elements(d)
         for _ in range(3500):
             g, h, k = (rng.choice(elems) for _ in range(3))
-            assert pd_compose(pd_compose(g, h), k) == pd_compose(g, pd_compose(h, k))
+            assert g.compose(h).compose(k) == g.compose(h.compose(k))
 
 
 def test_class_report_small_dimensions():
@@ -218,7 +217,7 @@ def cyclic_subgroup(g: PdElement) -> tuple[PdElement, ...]:
     acc = g
     while acc != members[0]:
         members.append(acc)
-        acc = pd_compose(acc, g)
+        acc = acc.compose(g)
     return tuple(members)
 
 
@@ -269,7 +268,7 @@ def test_characters_are_homomorphisms():
     for m, n in product(range(d), repeat=2):
         chi = pd_character(m, n, d)
         for g, h in product(elems, repeat=2):
-            assert chi(pd_compose(g, h)) == chi(g) * chi(h)
+            assert chi(g.compose(h)) == chi(g) * chi(h)
     assert pd_character(1, 0, 2)(PdElement(0, 1, 0, 2)).to_complex() == -1 + 0j
     trivial = pd_character(0, 0, 5)
     assert all(trivial(g).is_one for g in pd_elements(5))
@@ -283,7 +282,7 @@ def test_characters_separate_by_sampling():
         chi = pd_character(m, n, d)
         for _ in range(200):
             g, h = rng.choice(elems), rng.choice(elems)
-            assert chi(pd_compose(g, h)) == chi(g) * chi(h)
+            assert chi(g.compose(h)) == chi(g) * chi(h)
 
 
 def test_irrep_is_homomorphism():
@@ -292,7 +291,7 @@ def test_irrep_is_homomorphism():
         for k in range(1, d):
             rho = pd_irrep(k, d)
             for g, h in product(elems, repeat=2):
-                assert monomial_mul(rho(g), rho(h)) == rho(pd_compose(g, h))
+                assert monomial_mul(rho(g), rho(h)) == rho(g.compose(h))
 
 
 def test_irrep_examples():

@@ -12,10 +12,8 @@ from finiteweyl.heisenberg import (
     hw_commutator,
     hw_commutator_closed,
     hw_commutes,
-    hw_compose,
     hw_conjugate,
     hw_conjugate_closed,
-    hw_inverse,
     hw_lie_check,
     hw_matrix,
     hw_matrix_law,
@@ -32,16 +30,16 @@ GRID = [
 
 def test_identity_and_inverse():
     for g in GRID:
-        assert hw_compose(HW_IDENTITY, g) == g
-        assert hw_compose(g, HW_IDENTITY) == g
-        assert hw_compose(g, hw_inverse(g)) == HW_IDENTITY
-        assert hw_compose(hw_inverse(g), g) == HW_IDENTITY
+        assert HW_IDENTITY.compose(g) == g
+        assert g.compose(HW_IDENTITY) == g
+        assert g.compose(g.inverse()) == HW_IDENTITY
+        assert g.inverse().compose(g) == HW_IDENTITY
 
 
 def test_explicit_inverse_pair():
     g = HWElement(1.0, 2.0, 3.0)
-    assert hw_inverse(g) == HWElement(-7.0, -2.0, -3.0)
-    assert hw_compose(g, HWElement(-7.0, -2.0, -3.0)) == HW_IDENTITY
+    assert g.inverse() == HWElement(-7.0, -2.0, -3.0)
+    assert g.compose(HWElement(-7.0, -2.0, -3.0)) == HW_IDENTITY
 
 
 def test_commutator_closed_form():
@@ -53,7 +51,7 @@ def test_commutator_closed_form():
 def test_commutation_iff_cross_term():
     for g in GRID[::7]:
         for h in GRID[::11]:
-            same = hw_compose(g, h) == hw_compose(h, g)
+            same = g.compose(h) == h.compose(g)
             assert same == hw_commutes(g, h)
             assert same == (g.z * h.y - g.y * h.z == 0.0)
 
@@ -82,7 +80,7 @@ def test_associativity_exact():
     elems = random_dyadic_elements(120, seed=9)
     for _ in range(500):
         g, h, k = (elems[rng.randrange(len(elems))] for _ in range(3))
-        assert hw_compose(hw_compose(g, h), k) == hw_compose(g, hw_compose(h, k))
+        assert g.compose(h).compose(k) == g.compose(h.compose(k))
 
 
 def test_matrix_shape_and_identity():
@@ -106,7 +104,7 @@ def test_bijection_is_homomorphism():
     pairs = random_dyadic_elements(200, seed=5)
     for g, h in zip(pairs[:100], pairs[100:]):
         lhs = hw_matrix(hw_to_matrix_params(g)) @ hw_matrix(hw_to_matrix_params(h))
-        rhs = hw_matrix(hw_to_matrix_params(hw_compose(g, h)))
+        rhs = hw_matrix(hw_to_matrix_params(g.compose(h)))
         assert np.array_equal(lhs, rhs)
 
 

@@ -18,7 +18,6 @@ from finiteweyl.mub import (
     mub_family,
     pairwise_deviations,
     s_permutation,
-    tau_power_matrix,
     unbiasedness,
 )
 from finiteweyl.operators import v_ra_eigenvalue, v_ra_matrix
@@ -29,13 +28,6 @@ def test_is_prime():
               71, 73, 79, 83, 89, 97}
     for n in range(100):
         assert is_prime(n) == (n in primes)
-
-
-def test_tau_power_matrix_quarter_turns_exact():
-    table = np.array([[0, 3], [6, 9]])
-    got = tau_power_matrix(table, 6)
-    assert got[0, 0] == 1 + 0j and got[0, 1] == 1j
-    assert got[1, 0] == -1 + 0j and got[1, 1] == -1j
 
 
 def test_qubit_bases_match_hand_computation():

@@ -20,7 +20,6 @@ from finiteweyl.operators import (
     v_ra_eigenvalue,
     v_ra_eigenvector,
     v_ra_matrix,
-    w_abc,
     w_abc_trace_pairing,
     weyl_pair,
 )
@@ -70,8 +69,10 @@ def test_monomial_mul_matches_group_law():
         for _ in range(200):
             a, b, c = rng.randrange(d), rng.randrange(d), rng.randrange(d)
             a2, b2, c2 = rng.randrange(d), rng.randrange(d), rng.randrange(d)
-            got = monomial_mul(w_abc(d, a, b, c), w_abc(d, a2, b2, c2))
-            assert got == w_abc(d, (a + a2 - c * b2) % d, b + b2, c + c2)
+            got = monomial_mul(
+                MonomialOperator.w(d, a, b, c), MonomialOperator.w(d, a2, b2, c2)
+            )
+            assert got == MonomialOperator.w(d, (a + a2 - c * b2) % d, b + b2, c + c2)
 
 
 def test_identity_neutral():
@@ -111,7 +112,7 @@ def test_monomial_dimension_mismatch():
 def test_trace_pairing():
     x, z = weyl_pair(2)
     assert w_abc_trace_pairing(x, z) == 0j
-    got = w_abc_trace_pairing(w_abc(3, 0, 0, 0), w_abc(3, 1, 0, 0))
+    got = w_abc_trace_pairing(MonomialOperator.w(3, 0, 0, 0), MonomialOperator.w(3, 1, 0, 0))
     assert abs(got - 3 * cmath.exp(2j * cmath.pi / 3)) < 1e-15
     rng = random.Random(47)
     for d in (2, 3, 4, 7):
@@ -121,7 +122,9 @@ def test_trace_pairing():
     # full closed form on a small exhaustive grid
     for d in (2, 3):
         for a, b, c, a2, b2, c2 in product(range(d), repeat=6):
-            got = w_abc_trace_pairing(w_abc(d, a, b, c), w_abc(d, a2, b2, c2))
+            got = w_abc_trace_pairing(
+                MonomialOperator.w(d, a, b, c), MonomialOperator.w(d, a2, b2, c2)
+            )
             if (b, c) == (b2, c2):
                 expected = d * PhaseExponent.q_power(a2 - a, d).to_complex()
             else:

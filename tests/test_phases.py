@@ -1,26 +1,27 @@
 import cmath
 import random
 
+import numpy as np
 import pytest
 
-from finiteweyl.phases import PhaseExponent, phase_mul, phase_to_complex
+from finiteweyl.phases import PhaseExponent, tau_powers
 
 
 def test_product_adds_exponents():
-    assert phase_mul(PhaseExponent(2, 3), PhaseExponent(3, 3)) == PhaseExponent(5, 3)
+    assert PhaseExponent(2, 3) * PhaseExponent(3, 3) == PhaseExponent(5, 3)
 
 
 def test_tau_to_the_d_squares_to_one():
     # tau^d = -1, so tau^d * tau^d = 1
     for d in range(2, 10):
-        assert phase_mul(PhaseExponent(d, d), PhaseExponent(d, d)).t == 0
+        assert (PhaseExponent(d, d) * PhaseExponent(d, d)).t == 0
 
 
 def test_q_multiplication_matches_minus_one_for_qubits():
     # d = 2 makes q = -1, so q^a q^b = (-1)^(a+b)
     for a in range(4):
         for b in range(4):
-            p = phase_mul(PhaseExponent.q_power(a, 2), PhaseExponent.q_power(b, 2))
+            p = PhaseExponent.q_power(a, 2) * PhaseExponent.q_power(b, 2)
             assert p.t == (2 * (a + b)) % 4
             assert p.to_complex() == (-1 + 0j) ** ((a + b) % 2)
 
@@ -33,16 +34,33 @@ def test_canonical_representative():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        phase_mul(PhaseExponent(1, 3), PhaseExponent(1, 4))
+        PhaseExponent(1, 3) * PhaseExponent(1, 4)
     with pytest.raises(ValueError):
         PhaseExponent(0, 1)
 
 
 def test_to_complex_values():
-    assert phase_to_complex(PhaseExponent(0, 5)) == 1 + 0j
-    assert phase_to_complex(PhaseExponent(2, 2)) == -1 + 0j
-    assert phase_to_complex(PhaseExponent(1, 2)) == 1j
-    assert abs(phase_to_complex(PhaseExponent(1, 3)) - cmath.exp(1j * cmath.pi / 3)) < 1e-15
+    assert PhaseExponent(0, 5).to_complex() == 1 + 0j
+    assert PhaseExponent(2, 2).to_complex() == -1 + 0j
+    assert PhaseExponent(1, 2).to_complex() == 1j
+    assert abs(PhaseExponent(1, 3).to_complex() - cmath.exp(1j * cmath.pi / 3)) < 1e-15
+
+
+def test_tau_powers_is_to_complex_bit_for_bit():
+    # same bits as the scalar route, signed zeros included
+    for d in [*range(2, 65), 97, 128, 1000]:
+        t = np.arange(2 * d)
+        expected = np.array([PhaseExponent(int(x), d).to_complex() for x in t])
+        assert tau_powers(t, d).tobytes() == expected.tobytes()
+    # quarter turns are exact, and the shape of the table is kept
+    got = tau_powers(np.array([[0, 3], [6, 9]]), 6)
+    assert got.shape == (2, 2)
+    assert got[0, 0] == 1 + 0j and got[0, 1] == 1j
+    assert got[1, 0] == -1 + 0j and got[1, 1] == -1j
+    # exponents outside 0..2d-1 are reduced mod 2d first
+    got = tau_powers([-3, 15, -1], 6)
+    expected = np.array([PhaseExponent(t, 6).to_complex() for t in (-3, 15, -1)])
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_inverse_cancels():
@@ -50,7 +68,7 @@ def test_inverse_cancels():
     for _ in range(200):
         d = rng.randrange(2, 30)
         p = PhaseExponent(rng.randrange(2 * d), d)
-        assert phase_mul(p, p.inverse()).t == 0
+        assert (p * p.inverse()).t == 0
         assert p.inverse().t == (2 * d - p.t) % (2 * d)
 
 
@@ -60,8 +78,8 @@ def test_multiplicativity_against_complex():
         d = rng.randrange(2, 40)
         p1 = PhaseExponent(rng.randrange(2 * d), d)
         p2 = PhaseExponent(rng.randrange(2 * d), d)
-        lhs = phase_to_complex(phase_mul(p1, p2))
-        rhs = phase_to_complex(p1) * phase_to_complex(p2)
+        lhs = (p1 * p2).to_complex()
+        rhs = p1.to_complex() * p2.to_complex()
         assert abs(lhs - rhs) < 1e-14
 
 
