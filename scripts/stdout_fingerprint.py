@@ -55,6 +55,13 @@ COMMANDS = [
     "verify mub --p 97",
     "verify basis --p 3 --e 2",
     "verify all --d 16",
+    # the integer array kernels of the group and basis suites at composite
+    # and prime d
+    "verify group --d 12",
+    "verify basis --d 12",
+    "verify all --d 6",
+    "verify all --d 8",
+    "verify basis --d 11",
 ]
 
 

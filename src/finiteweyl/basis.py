@@ -8,6 +8,13 @@ same decomposition exists for tensor-product labels and is found here by
 exhaustive backtracking over the commutation graph.  For composite d
 (single qudit) the search instead certifies that no such partition exists
 and returns the best-effort classes.
+
+`commutator_table(d)` is the array form of `commutator_coefficient_exponents`
+and `pauli_commutator`: one `CommutatorTable` of int64 tau exponents and
+target label indices for all d^4 label pairs, whose `coefficients` method
+turns the exponents into the complex coefficients through
+`phases.tau_powers`, bit for bit as `pauli_commutator` does.
+`hs_orthogonality` reads the trace pairings off the same table.
 """
 
 from __future__ import annotations
@@ -15,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from types import EllipsisType
 
 import numpy as np
 
-from .operators import MonomialOperator, monomial_mul, trace_pairing_exact
-from .phases import PhaseExponent
+from .operators import MonomialOperator, monomial_mul
+from .phases import PhaseExponent, tau_powers
 from .search import (
     find_commuting_partition,
     greedy_commuting_classes,
@@ -77,6 +85,49 @@ def pauli_commutator(
     return coeff, target
 
 
+@dataclass(frozen=True, eq=False)
+class CommutatorTable:
+    """Exponents of u_i u_j for all labels i, j in `pauli_indices(d, True)` order.
+
+    Label (a, b) has index a*d + b.  With i = (a, b) and j = (a', b'),
+    u_i u_j = tau^first[i, j] u_k and u_j u_i = tau^second[i, j] u_k, where
+    k = target[i, j] is the index of (a + a', b + b') mod d.
+    """
+
+    d: int
+    first: np.ndarray  # (-2ba') mod 2d
+    second: np.ndarray  # (-2ab') mod 2d
+    target: np.ndarray
+
+    def coefficients(self, sign: str = "-", index: int | EllipsisType = ...) -> np.ndarray:
+        """tau^first -+ tau^second at `index` (default: every pair).
+
+        These are the coefficients `pauli_commutator` returns, bit for bit.
+        """
+        if sign not in ("-", "+"):
+            raise ValueError(f"sign must be '-' or '+', got {sign!r}")
+        # exponents lie in Z_2d, so look each one up among the 2d powers
+        powers = tau_powers(np.arange(2 * self.d), self.d)
+        out = powers[self.first[index]]
+        if sign == "-":
+            out -= powers[self.second[index]]
+        else:
+            out += powers[self.second[index]]
+        return out
+
+
+def commutator_table(d: int) -> CommutatorTable:
+    """The exponents and targets of `pauli_commutator` for all d^4 label pairs."""
+    _check_dimension(d)
+    a, b = np.divmod(np.arange(d * d, dtype=np.int64), d)
+    return CommutatorTable(
+        d=d,
+        first=(-2 * np.outer(b, a)) % (2 * d),
+        second=(-2 * np.outer(a, b)) % (2 * d),
+        target=((a[:, None] + a) % d) * d + (b[:, None] + b) % d,
+    )
+
+
 def structure_constants(
     d: int, cap: int = STRUCTURE_TABLE_CAP
 ) -> dict[tuple[PauliIndex, PauliIndex], tuple[PauliIndex, complex]]:
@@ -97,19 +148,24 @@ def structure_constants(
 def hs_orthogonality(d: int) -> float:
     """Max deviation of Tr(u^dagger u') from d delta delta, exactly 0.0.
 
-    Trace pairings are evaluated in monomial arithmetic; any deviation is
-    reported as its exact magnitude.
+    Trace pairings are evaluated exactly from the commutator table; any
+    deviation is reported as its exact magnitude.
     """
-    _check_dimension(d)
-    worst = 0.0
-    for ab in pauli_indices(d, include_identity=True):
-        for ab2 in pauli_indices(d, include_identity=True):
-            scalar = trace_pairing_exact(u_ab(d, *ab), u_ab(d, *ab2))
-            if ab == ab2:
-                deviation = 0.0 if (scalar is not None and scalar.is_one) else 1.0
-            else:
-                deviation = 0.0 if scalar is None else abs(d * scalar.to_complex())
-            worst = max(worst, deviation)
+    table = commutator_table(d)
+    a, b = np.divmod(np.arange(d * d, dtype=np.int64), d)
+    # u_ab^dagger = tau^(-2ab) u_(-a,-b), so Tr(u_ab^dagger u_j) is d times
+    # tau^(-2ab) tau^first[(-a,-b), j] when target[(-a,-b), j] is the
+    # identity label 0, and 0 otherwise
+    negated = ((-a) % d) * d + (-b) % d
+    exponents = table.first[negated]
+    exponents += (-2 * a * b)[:, None]
+    exponents %= 2 * d
+    scalar = table.target[negated] == 0
+    diagonal = np.eye(d * d, dtype=bool)
+    worst = 0.0 if (scalar[diagonal] & (exponents[diagonal] == 0)).all() else 1.0
+    off_diagonal = scalar & ~diagonal
+    if off_diagonal.any():
+        worst = max(worst, float(np.max(np.abs(d * tau_powers(exponents[off_diagonal], d)))))
     return worst
 
 

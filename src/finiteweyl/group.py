@@ -14,6 +14,15 @@ Brute-force enumerations are capped (default d <= 16) since class and
 centralizer computations grow like d^4.  Normality of a named subgroup is
 tested by conjugating it with the generators (1,0,0), (0,1,0) and (0,0,1)
 only, at a cost of at most 3|H| conjugations.
+
+Array forms sit next to the scalar forms they mirror and take int arrays
+whose last axis holds (a, b, c): `pd_element_array` (the elements in
+`pd_elements` order), `pd_compose_array` and `pd_inverse_array` (the group
+law), `pd_centralizer_sizes`, `pd_character_exponents` (tau exponents of
+`pd_character`) and `pd_irrep_trace_exponents` (`rho_k(g).trace_exact()`).
+They evaluate the same integer formulas mod d or mod 2d, so they agree
+exactly with the scalar forms; closure, commutativity, the centre, the
+quotient law and the character norms are evaluated with them.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .operators import MonomialOperator, monomial_mul
 from .phases import PhaseExponent
@@ -75,6 +86,31 @@ def pd_conjugate(g: PdElement, h: PdElement) -> PdElement:
 
 def pd_elements(d: int) -> list[PdElement]:
     return [PdElement(a, b, c, d) for a, b, c in product(range(d), repeat=3)]
+
+
+def pd_element_array(d: int) -> np.ndarray:
+    """The d^3 elements as a (d^3, 3) int64 array, in `pd_elements` order."""
+    if d < 2:
+        raise ValueError(f"modulus must be >= 2, got {d}")
+    return np.indices((d, d, d), dtype=np.int64).reshape(3, -1).T
+
+
+def pd_compose_array(g: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
+    """`PdElement.compose` on (..., 3) int arrays, broadcast, reduced mod d."""
+    g, h = np.asarray(g, dtype=np.int64), np.asarray(h, dtype=np.int64)
+    a = g[..., 0] + h[..., 0] - g[..., 2] * h[..., 1]
+    return np.stack([a, g[..., 1] + h[..., 1], g[..., 2] + h[..., 2]], axis=-1) % d
+
+
+def pd_inverse_array(g: np.ndarray, d: int) -> np.ndarray:
+    """`PdElement.inverse` on a (..., 3) int array, reduced mod d."""
+    g = np.asarray(g, dtype=np.int64)
+    return np.stack([-g[..., 0] - g[..., 1] * g[..., 2], -g[..., 1], -g[..., 2]], axis=-1) % d
+
+
+def _element_codes(g: np.ndarray, d: int) -> np.ndarray:
+    """Index of each reduced (a, b, c) in `pd_elements` order."""
+    return (g[..., 0] * d + g[..., 1]) * d + g[..., 2]
 
 
 def _check_cap(d: int, cap: int) -> None:
@@ -143,6 +179,19 @@ def pd_centralizer_size(g: PdElement) -> int:
     return d * pairs
 
 
+def pd_centralizer_sizes(g: np.ndarray, d: int) -> np.ndarray:
+    """`pd_centralizer_size` of each element of a (..., 3) int array.
+
+    The same brute-force count, once per coset label (b, c): the number of
+    (b', c') with c b' - b c' = 0 (mod d), times d.
+    """
+    g = np.asarray(g, dtype=np.int64) % d
+    z = np.arange(d)
+    b, c, b2, c2 = np.ix_(z, z, z, z)
+    table = d * np.count_nonzero((c * b2 - b * c2) % d == 0, axis=(2, 3))
+    return table[g[..., 1], g[..., 2]]
+
+
 def pd_is_ambivalent(d: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> bool:
     """Whether every conjugacy class is closed under inversion."""
     report = pd_conjugacy_classes(d, cap)
@@ -161,11 +210,19 @@ class Subgroup:
     isomorphism: str
 
 
+def _as_array(elements: Iterable[PdElement]) -> tuple[np.ndarray, int]:
+    elems = list(elements)
+    return np.array([g.key() for g in elems], dtype=np.int64).reshape(-1, 3), elems[0].d
+
+
 def _is_closed(elements: Iterable[PdElement]) -> bool:
-    keys = {g.key() for g in elements}
+    array, d = _as_array(elements)
+    member = np.zeros(d**3, dtype=bool)
+    member[_element_codes(array, d)] = True
+    # one left factor at a time keeps the work arrays at |H| elements
     return all(
-        g.compose(h).key() in keys for g in elements for h in elements
-    ) and all(g.inverse().key() in keys for g in elements)
+        member[_element_codes(pd_compose_array(g, array, d), d)].all() for g in array
+    ) and bool(member[_element_codes(pd_inverse_array(array, d), d)].all())
 
 
 def _is_normal(elements: Iterable[PdElement], d: int) -> bool:
@@ -179,8 +236,13 @@ def _is_normal(elements: Iterable[PdElement], d: int) -> bool:
 
 
 def _is_abelian(elements: Iterable[PdElement]) -> bool:
-    elems = list(elements)
-    return all(g.commutes_with(h) for g in elems for h in elems)
+    # PdElement.commutes_with on every pair: c b' - b c' = 0 (mod d)
+    array, d = _as_array(elements)
+    b, c = array[:, 1], array[:, 2]
+    cross = np.outer(c, b)
+    cross -= np.outer(b, c)
+    cross %= d
+    return not cross.any()
 
 
 def _element_order(g: PdElement) -> int:
@@ -241,15 +303,21 @@ def pd_named_subgroups(d: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> list[Subgr
 
 def pd_center_is_center(d: int) -> bool:
     """The set {(a,0,0)} equals the centralizer of the whole group."""
-    center = {g.key() for g in pd_elements(d) if pd_centralizer_size(g) == d**3}
-    return center == {(a, 0, 0) for a in range(d)}
+    elements = pd_element_array(d)
+    center = elements[pd_centralizer_sizes(elements, d) == d**3]
+    return bool(np.array_equal(center, [(a, 0, 0) for a in range(d)]))
 
 
 def pd_quotient_is_double_cyclic(d: int) -> bool:
     """P_d / Z(P_d) has the componentwise law on coset labels (b, c)."""
-    for b, c, b2, c2 in product(range(d), repeat=4):
-        prod_elem = PdElement(0, b, c, d).compose(PdElement(0, b2, c2, d))
-        if (prod_elem.b, prod_elem.c) != ((b + b2) % d, (c + c2) % d):
+    b2, c2 = np.divmod(np.arange(d * d, dtype=np.int64), d)
+    cosets = np.stack([np.zeros_like(b2), b2, c2], axis=-1)
+    for b, c in product(range(d), repeat=2):
+        products = pd_compose_array((0, b, c), cosets, d)
+        if not (
+            np.array_equal(products[:, 1], (b + b2) % d)
+            and np.array_equal(products[:, 2], (c + c2) % d)
+        ):
             return False
     return True
 
@@ -278,6 +346,12 @@ def pd_character(m: int, n: int, d: int) -> Callable[[PdElement], PhaseExponent]
     return chi
 
 
+def pd_character_exponents(m: int, n: int, g: np.ndarray, d: int) -> np.ndarray:
+    """Tau exponents of `pd_character(m, n, d)` on a (..., 3) int array."""
+    g = np.asarray(g, dtype=np.int64)
+    return (2 * (m * g[..., 1] + n * g[..., 2])) % (2 * d)
+
+
 def pd_irrep(k: int, d: int) -> Callable[[PdElement], MonomialOperator]:
     """The monomial representation rho_k(a, b, c) = q^(ka) X^b Z^(kc)."""
     if not 1 <= k <= d - 1:
@@ -289,6 +363,20 @@ def pd_irrep(k: int, d: int) -> Callable[[PdElement], MonomialOperator]:
     return rho
 
 
+def pd_irrep_trace_exponents(k: int, g: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """`pd_irrep(k, d)(g).trace_exact()` for a (..., 3) int array.
+
+    Returns (exponents, scalar): where `scalar` holds, rho_k(g) is the
+    scalar d * tau^exponent and its trace is that; elsewhere it is traceless
+    and the exponent is meaningless.
+    """
+    if not 1 <= k <= d - 1:
+        raise ValueError(f"k must lie in 1..{d - 1}, got {k}")
+    g = np.asarray(g, dtype=np.int64)
+    scalar = (g[..., 1] % d == 0) & ((k * g[..., 2]) % d == 0)
+    return (2 * k * g[..., 0]) % (2 * d), scalar
+
+
 def irrep_character_norm(k: int, d: int) -> Fraction:
     """(1/d^3) * sum over the group of |Tr rho_k|^2, computed exactly.
 
@@ -296,13 +384,9 @@ def irrep_character_norm(k: int, d: int) -> Fraction:
     gcd(k, d), the number of irreducible components counted with squared
     multiplicity.
     """
-    rho = pd_irrep(k, d)
-    total = 0
-    for g in pd_elements(d):
-        scalar = rho(g).trace_exact()
-        if scalar is not None:
-            total += d * d  # |d * tau^t|^2
-    return Fraction(total, d**3)
+    _, scalar = pd_irrep_trace_exponents(k, pd_element_array(d), d)
+    # |d * tau^t|^2 = d^2 for every scalar rho_k(g)
+    return Fraction(d * d * int(np.count_nonzero(scalar)), d**3)
 
 
 class FormalCombination:

@@ -212,16 +212,13 @@ def suite_group(
             len(cls) == 1 for cls in census.classes if (cls[0].b, cls[0].c) == (0, 0)
         ),
     )
-    _run(
-        report,
-        "centralizers_multiple_of_d_squared",
-        0.0,
-        lambda: all(
-            group_mod.pd_centralizer_size(g) % d**2 == 0
-            and (group_mod.pd_centralizer_size(g) == d**3) == ((g.b, g.c) == (0, 0))
-            for g in elements
-        ),
-    )
+    def centralizers() -> bool:
+        array = group_mod.pd_element_array(d)
+        sizes = group_mod.pd_centralizer_sizes(array, d)
+        central = (array[:, 1] == 0) & (array[:, 2] == 0)
+        return bool((sizes % d**2 == 0).all() and np.array_equal(sizes == d**3, central))
+
+    _run(report, "centralizers_multiple_of_d_squared", 0.0, centralizers)
     _run(report, "ambivalent_only_for_d2", 0.0, lambda: group_mod.pd_is_ambivalent(d, cap) == (d == 2))
 
     def burnside() -> bool:
@@ -257,12 +254,15 @@ def suite_group(
 
     def characters() -> bool:
         sample = elements if d <= 3 else [rng.choice(elements) for _ in range(40)]
+        keys = np.array([x.key() for x in sample], dtype=np.int64)
+        g, h = keys[:, None, :], keys[None, :10, :]
+        products = group_mod.pd_compose_array(g, h, d)
         for m, n in product(range(d), repeat=2):
-            chi = group_mod.pd_character(m, n, d)
-            for g in sample:
-                for h in sample[:10]:
-                    if chi(g.compose(h)) != chi(g) * chi(h):
-                        return False
+            chi_g, chi_h, chi_gh = (
+                group_mod.pd_character_exponents(m, n, x, d) for x in (g, h, products)
+            )
+            if not np.array_equal(chi_gh, (chi_g + chi_h) % (2 * d)):
+                return False
         return True
 
     _run(report, "characters_are_homomorphisms", 0.0, characters)
@@ -635,6 +635,14 @@ def suite_mub(
 # ---------------------------------------------------------------------------
 
 
+def _symplectic(d: int) -> np.ndarray:
+    """ab' - ba' for every pair of labels (a, b), (a', b'), in table order."""
+    a, b = np.divmod(np.arange(d * d), d)
+    form = np.outer(a, b)
+    form -= np.outer(b, a)
+    return form
+
+
 def suite_basis(
     d: int = 3,
     tensor: tuple[int, int] | None = None,
@@ -655,45 +663,44 @@ def suite_basis(
     _run(report, "odd_dimension_special_unitary", 0.0, determinants)
 
     def structure_closure() -> float:
-        indices = basis_mod.pauli_indices(d, include_identity=True)
-        mats = {ab: basis_mod.u_ab(d, *ab).to_matrix() for ab in indices}
+        # dense products, one row of label pairs at a time in batches of d,
+        # so the work arrays hold d^3 numbers: an independent float recheck
+        # of the exact table
+        table = basis_mod.commutator_table(d)
+        mats = np.empty((d * d, d, d), dtype=complex)
+        for i, ab in enumerate(basis_mod.pauli_indices(d, include_identity=True)):
+            mats[i] = basis_mod.u_ab(d, *ab).to_matrix()
         worst = 0.0
-        for ab in indices:
-            for ab2 in indices:
-                coeff, target = basis_mod.pauli_commutator(d, ab, ab2, "-")
-                lhs = mats[ab] @ mats[ab2] - mats[ab2] @ mats[ab]
-                worst = max(worst, float(np.max(np.abs(lhs - coeff * mats[target]))))
+        for i, left in enumerate(mats):
+            coefficients = table.coefficients("-", i)[:, None, None]
+            for j in range(0, d * d, d):
+                right = mats[j : j + d]
+                defect = left @ right
+                defect -= right @ left
+                expected = mats[table.target[i, j : j + d]]
+                # coefficient first: numpy's c * M and M * c can differ in the last bit
+                defect -= np.multiply(coefficients[j : j + d], expected, out=expected)
+                worst = max(worst, float(np.max(np.abs(defect))))
         return worst
 
     _run(report, "structure_constants_close_dense_commutators", 1e-12, structure_closure)
 
     def antisymmetry_and_vanishing() -> bool:
-        for ab in basis_mod.pauli_indices(d, include_identity=True):
-            for ab2 in basis_mod.pauli_indices(d, include_identity=True):
-                c1, t1 = basis_mod.pauli_commutator(d, ab, ab2, "-")
-                c2, t2 = basis_mod.pauli_commutator(d, ab2, ab, "-")
-                if t1 != t2 or abs(c1 + c2) > 1e-12:
-                    return False
-                vanish = basis_mod.indices_commute(d, ab, ab2)
-                first, second = basis_mod.commutator_coefficient_exponents(d, ab, ab2)
-                if (first == second) != vanish:
-                    return False
-        return True
+        table = basis_mod.commutator_table(d)
+        coefficients = table.coefficients("-")
+        return bool(
+            np.array_equal(table.target, table.target.T)
+            and (np.abs(coefficients + coefficients.T) <= 1e-12).all()
+            and np.array_equal(table.first == table.second, _symplectic(d) % d == 0)
+        )
 
     _run(report, "structure_constants_antisymmetric_and_vanishing", 0.0, antisymmetry_and_vanishing)
 
     def anticommutators() -> bool:
-        for ab in basis_mod.pauli_indices(d):
-            for ab2 in basis_mod.pauli_indices(d):
-                coeff, _ = basis_mod.pauli_commutator(d, ab, ab2, "+")
-                a, b = ab
-                a2, b2 = ab2
-                vanish = (2 * (a * b2 - b * a2) - d) % (2 * d) == 0
-                if (abs(coeff) < 1e-12) != vanish:
-                    return False
-                if d % 2 == 1 and abs(coeff) < 1e-12:
-                    return False
-        return True
+        # the identity label 0 is left out
+        small = np.abs(basis_mod.commutator_table(d).coefficients("+")[1:, 1:]) < 1e-12
+        vanish = (2 * _symplectic(d)[1:, 1:] - d) % (2 * d) == 0
+        return bool(np.array_equal(small, vanish) and not (d % 2 == 1 and small.any()))
 
     _run(report, "anticommutator_vanishing_rule", 0.0, anticommutators)
 

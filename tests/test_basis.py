@@ -9,12 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import commutator, max_abs
+import finiteweyl.basis as basis_mod
 from finiteweyl.basis import (
     TWO_QUBIT_SPREAD,
     TensorMonomial,
     cartan_partition_prime,
     cartan_partition_prime_power,
     commutator_coefficient_exponents,
+    commutator_table,
     commuting_class_search,
     format_index,
     hs_orthogonality,
@@ -112,6 +114,61 @@ def test_structure_table():
 def test_hs_orthogonality():
     for d in range(2, 9):
         assert hs_orthogonality(d) == 0.0
+
+
+def assert_table_matches_scalar_forms(d, pairs):
+    table = commutator_table(d)
+    labels = pauli_indices(d, include_identity=True)
+    minus, plus = table.coefficients("-"), table.coefficients("+")
+    for i, j in pairs:
+        first, second = commutator_coefficient_exponents(d, labels[i], labels[j])
+        assert (table.first[i, j], table.second[i, j]) == (first.t, second.t)
+        for sign, coefficients in (("-", minus), ("+", plus)):
+            coeff, target = pauli_commutator(d, labels[i], labels[j], sign)
+            assert labels[table.target[i, j]] == target
+            # bit for bit, signed zeros included
+            assert np.array_equal(
+                np.array([coefficients[i, j]]).view(float), np.array([coeff]).view(float)
+            )
+            assert coefficients[i, j] == table.coefficients(sign, i)[j]
+
+
+def test_commutator_table_matches_scalar_forms_exhaustively():
+    for d in range(2, 7):
+        table = commutator_table(d)
+        for array in (table.first, table.second, table.target):
+            assert array.dtype == np.int64 and array.shape == (d * d, d * d)
+        assert_table_matches_scalar_forms(d, product(range(d * d), repeat=2))
+    with pytest.raises(ValueError, match="sign"):
+        commutator_table(2).coefficients("*")
+
+
+@st.composite
+def label_index_pairs(draw):
+    """d in 2..16 and a few (i, j) index pairs into its commutator table."""
+    d = draw(st.integers(2, 16))
+    index = st.integers(0, d * d - 1)
+    return d, draw(st.lists(st.tuples(index, index), min_size=1, max_size=20))
+
+
+@given(label_index_pairs())
+def test_commutator_table_matches_scalar_forms_on_samples(case):
+    d, pairs = case
+    assert_table_matches_scalar_forms(d, pairs)
+
+
+def test_hs_orthogonality_catches_a_wrong_table_entry(monkeypatch):
+    build = basis_mod.commutator_table
+
+    def corrupted(d):
+        table = build(d)
+        # label (d-1, 0) is the negation of (1, 0); the pair ((d-1, 0), (1, 0))
+        # is where hs_orthogonality reads Tr(u_10^dagger u_10)
+        table.first[(d - 1) * d, d] += 1
+        return table
+
+    monkeypatch.setattr(basis_mod, "commutator_table", corrupted)
+    assert hs_orthogonality(3) == 1.0
 
 
 def test_gram_full_rank():

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finiteweyl.cli as cli_mod
 import finiteweyl.group as group_mod
@@ -378,3 +382,67 @@ def test_outputs_byte_identical(capsys):
     _, first, _ = run_cli(capsys, "basis", "partition", "--d", "4", "--tensor", "2,2")
     _, second, _ = run_cli(capsys, "basis", "partition", "--d", "4", "--tensor", "2,2")
     assert first == second
+
+
+# cheap commands (d <= 8) and the tokens that mutate them
+FUZZ_BASES = [
+    ["hw", "check"],
+    ["group", "classes", "--d", "4"],
+    ["group", "centralizer", "--d", "4", "--elem", "0,2,0"],
+    ["group", "subgroups", "--d", "3"],
+    ["group", "irreps", "--d", "4"],
+    ["weyl", "pair", "--d", "3", "--format", "exact-json"],
+    ["weyl", "vra", "--d", "5", "--r", "1", "--a", "2"],
+    ["weyl", "fourier", "--d", "4", "--format", "dense-csv"],
+    ["weyl", "su2-check", "--d", "5"],
+    ["mub", "family", "--p", "5", "--tolerance", "1e-9"],
+    ["mub", "hadamard", "--d", "6", "--a", "2"],
+    ["basis", "partition", "--d", "4"],
+    ["basis", "partition", "--tensor", "2,2"],
+    ["basis", "structure", "--d", "3"],
+    ["verify", "basis", "--d", "3"],
+    ["verify", "mub", "--p", "3"],
+]
+FUZZ_TOKENS = [
+    "--d", "--p", "--e", "--a", "--r", "--elem", "--tensor", "--tolerance", "--tol",
+    "--max-d", "--format", "--bogus", "-1", "0", "1", "2", "3", "5", "8", "-1e-3",
+    "1e-20", "nan", "inf", "-inf", "x", "", "1,2", "1,x,0", "2,2", "3,1", "a,b",
+    "json", "dense-csv", "exact-json", "check", "family", "verify", "all",
+]
+
+
+@st.composite
+def fuzzed_argv(draw):
+    argv = list(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        # free text carries no digits, so no mutation asks for a large d
+        garbage = st.text(st.characters(blacklist_categories=("Nd",)), max_size=6)
+        token = draw(st.sampled_from(FUZZ_TOKENS) | garbage)
+        position = draw(st.integers(0, len(argv)))
+        action = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if action == "insert" or not argv:
+            argv.insert(position, token)
+        elif action == "replace":
+            argv[min(position, len(argv) - 1)] = token
+        else:
+            del argv[min(position, len(argv) - 1)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzzed_argv())
+def test_cli_fuzzed_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors, --help
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "", argv
+        one_line_error = err.startswith("error: ") and err.count("\n") == 1
+        usage_error = err.startswith("usage: ") and ": error: " in err
+        assert one_line_error or usage_error, (argv, err)

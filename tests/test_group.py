@@ -3,24 +3,35 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import finiteweyl.group as group_mod
 from finiteweyl.group import (
     FormalCombination,
     PdElement,
+    _is_abelian,
+    _is_closed,
     _is_normal,
     bracket_matches_monomial_commutator,
     class_count_minus_order_factor,
     irrep_character_norm,
     pd_centralizer_size,
+    pd_centralizer_sizes,
     pd_character,
+    pd_character_exponents,
+    pd_compose_array,
     pd_conjugacy_classes,
     pd_conjugate,
+    pd_element_array,
     pd_elements,
     pd_identity,
+    pd_inverse_array,
     pd_irrep,
     pd_irrep_counts,
+    pd_irrep_trace_exponents,
     pd_is_ambivalent,
     pd_lie_bracket,
     pd_lie_bracket_combinations,
@@ -29,6 +40,8 @@ from finiteweyl.group import (
 )
 from finiteweyl.operators import MonomialOperator, monomial_mul
 from finiteweyl.phases import PhaseExponent
+
+SMALL_D = range(2, 7)
 
 
 def brute_force_class_count(d: int) -> int:
@@ -384,3 +397,136 @@ def test_order_minus_class_count_divisibility():
             assert value % 16 == 0
         else:
             assert value % 32 == 0
+
+
+# ---------------------------------------------------------------------------
+# Array forms against the scalar forms they mirror
+# ---------------------------------------------------------------------------
+
+
+def keys_of(elements) -> np.ndarray:
+    return np.array([g.key() for g in elements], dtype=np.int64).reshape(-1, 3)
+
+
+def w_of(g: PdElement) -> MonomialOperator:
+    return MonomialOperator.w(g.d, g.a, g.b, g.c)
+
+
+@st.composite
+def elements_mod_d(draw, count: int):
+    """d in 2..16 and `count` elements of P_d."""
+    d = draw(st.integers(2, 16))
+    coords = st.tuples(*[st.integers(0, d - 1)] * 3)
+    return d, [PdElement(*draw(coords), d) for _ in range(count)]
+
+
+def test_element_array_is_pd_elements_order():
+    for d in SMALL_D:
+        array = pd_element_array(d)
+        assert array.dtype == np.int64
+        assert np.array_equal(array, keys_of(pd_elements(d)))
+    with pytest.raises(ValueError, match="must be >= 2"):
+        pd_element_array(1)
+
+
+def test_array_group_law_matches_compose_exhaustively():
+    for d in SMALL_D:
+        elems = pd_elements(d)
+        array = keys_of(elems)
+        products = pd_compose_array(array[:, None, :], array[None, :, :], d)
+        expected = np.array([[g.compose(h).key() for h in elems] for g in elems])
+        assert np.array_equal(products, expected)
+        assert np.array_equal(pd_inverse_array(array, d), keys_of(g.inverse() for g in elems))
+
+
+@given(elements_mod_d(2), st.lists(st.integers(-40, 40), min_size=6, max_size=6))
+def test_array_group_law_matches_compose_on_samples(case, shifts):
+    # unreduced inputs: the array law reduces mod d exactly as PdElement does
+    d, (g, h) = case
+    raw_g = np.array(g.key()) + d * np.array(shifts[:3])
+    raw_h = np.array(h.key()) + d * np.array(shifts[3:])
+    assert tuple(pd_compose_array(raw_g, raw_h, d)) == g.compose(h).key()
+    assert tuple(pd_inverse_array(raw_g, d)) == g.inverse().key()
+
+
+def test_character_and_trace_exponents_match_scalar_forms_exhaustively():
+    for d in SMALL_D:
+        elems = pd_elements(d)
+        array = keys_of(elems)
+        for m, n in product(range(d), repeat=2):
+            chi = pd_character(m, n, d)
+            expected = [chi(g).t for g in elems]
+            assert pd_character_exponents(m, n, array, d).tolist() == expected
+        for k in range(1, d):
+            exponents, scalar = pd_irrep_trace_exponents(k, array, d)
+            traces = [pd_irrep(k, d)(g).trace_exact() for g in elems]
+            assert scalar.tolist() == [t is not None for t in traces]
+            assert exponents[scalar].tolist() == [t.t for t in traces if t is not None]
+        with pytest.raises(ValueError, match="k must lie"):
+            pd_irrep_trace_exponents(d, array, d)
+
+
+@given(elements_mod_d(1), st.integers(0, 40), st.integers(0, 40), st.integers(1, 15))
+def test_character_and_trace_exponents_match_scalar_forms_on_samples(case, m, n, k):
+    d, (g,) = case
+    k = 1 + k % (d - 1)
+    assert pd_character_exponents(m, n, np.array(g.key()), d) == pd_character(m, n, d)(g).t
+    exponent, scalar = pd_irrep_trace_exponents(k, np.array(g.key()), d)
+    trace = pd_irrep(k, d)(g).trace_exact()
+    assert bool(scalar) == (trace is not None)
+    if trace is not None:
+        assert exponent == trace.t
+
+
+def test_centralizer_sizes_match_brute_force_count():
+    for d in SMALL_D:
+        elems = pd_elements(d)
+        expected = [pd_centralizer_size(g) for g in elems]
+        assert pd_centralizer_sizes(keys_of(elems), d).tolist() == expected
+
+
+@given(elements_mod_d(1))
+def test_centralizer_sizes_match_brute_force_count_on_samples(case):
+    d, (g,) = case
+    assert pd_centralizer_sizes(np.array(g.key()), d) == pd_centralizer_size(g)
+
+
+def brute_force_is_closed(elements) -> bool:
+    keys = {g.key() for g in elements}
+    return all(g.compose(h).key() in keys for g in elements for h in elements) and all(
+        g.inverse().key() in keys for g in elements
+    )
+
+
+def test_closure_and_commutativity_match_brute_force():
+    for d in range(2, 6):
+        named = [list(s.elements) for s in pd_named_subgroups(d)]
+        cyclic = [list(cyclic_subgroup(g)) for g in pd_elements(d)]
+        # a subset missing one element, or with one extra, is rarely closed
+        broken = [members[:-1] for members in named + cyclic if len(members) > 1]
+        broken += [members + [PdElement(0, 1, 1, d)] for members in named]
+        verdicts = set()
+        for members in named + cyclic + broken:
+            expected = brute_force_is_closed(members)
+            assert _is_closed(members) == expected, (d, members)
+            assert _is_abelian(members) == all(
+                g.commutes_with(h) for g in members for h in members
+            )
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# The group law as a property
+# ---------------------------------------------------------------------------
+
+
+@given(elements_mod_d(3))
+def test_group_law_properties(case):
+    d, (g, h, k) = case
+    identity = pd_identity(d)
+    assert g.compose(h).compose(k) == g.compose(h.compose(k))
+    assert identity.compose(g) == g == g.compose(identity)
+    assert g.compose(g.inverse()) == identity == g.inverse().compose(g)
+    # the monomial realisation w(a, b, c) = q^a X^b Z^c is a homomorphism
+    assert monomial_mul(w_of(g), w_of(h)) == w_of(g.compose(h))

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import commutator, max_abs
 from finiteweyl.operators import (
@@ -93,6 +95,28 @@ def test_monomial_mul_matches_dense():
             dense = u.to_matrix() @ v.to_matrix()
             exact = monomial_mul(u, v).to_matrix()
             assert max_abs(dense - exact) < 1e-12
+
+
+@st.composite
+def monomial_pairs(draw):
+    """d in 2..16 and two monomials tau^t X^b Z^c with unreduced t, b, c."""
+    d = draw(st.integers(2, 16))
+    coords = st.tuples(
+        st.integers(-4 * d, 4 * d), st.integers(-2 * d, 2 * d), st.integers(-2 * d, 2 * d)
+    )
+    return [MonomialOperator.from_tau_exponent(d, *draw(coords)) for _ in range(2)]
+
+
+@given(monomial_pairs())
+def test_monomial_mul_matches_dense_product(pair):
+    u, v = pair
+    dense = u.to_matrix() @ v.to_matrix()
+    exact = monomial_mul(u, v).to_matrix()
+    assert max_abs(dense - exact) <= 1e-12
+    quarter_turns = np.array([0, 1, 1j, -1, -1j])
+    if u.d <= 4 and all(np.isin(m, quarter_turns).all() for m in (u.to_matrix(), v.to_matrix())):
+        # each entry of the product is one product of quarter turns
+        assert np.array_equal(dense, exact)
 
 
 def test_monomial_unitary():

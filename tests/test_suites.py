@@ -103,17 +103,35 @@ def test_basis_suite_builds_each_dense_matrix_once(monkeypatch):
 
 
 def test_dense_structure_recheck_catches_a_wrong_coefficient(monkeypatch):
-    pauli_commutator = suites.basis_mod.pauli_commutator
+    coefficients = suites.basis_mod.CommutatorTable.coefficients
 
-    def corrupted(d, ab, ab2, sign="-"):
-        coeff, target = pauli_commutator(d, ab, ab2, sign)
-        if (ab, ab2, sign) == ((1, 0), (0, 1), "-"):
-            coeff *= 1.5
-        return coeff, target
+    def corrupted(table, sign="-", index=...):
+        full = coefficients(table, sign)
+        if sign == "-":
+            # the pair ((1, 0), (0, 1)): label (a, b) has index a*d + b
+            full[table.d, 1] *= 1.5
+        return full[index]
 
-    monkeypatch.setattr(suites.basis_mod, "pauli_commutator", corrupted)
+    monkeypatch.setattr(suites.basis_mod.CommutatorTable, "coefficients", corrupted)
     report = suite_basis(3)
     assert "structure_constants_close_dense_commutators" in failing_names(report)
+
+
+def test_basis_suite_catches_a_wrong_table_entry(monkeypatch):
+    build = suites.basis_mod.commutator_table
+
+    def corrupted(d):
+        table = build(d)
+        # the exponent of u_01 u_10; (0, 1) and (1, 0) do not commute
+        table.first[1, d] = (table.first[1, d] + 1) % (2 * d)
+        return table
+
+    monkeypatch.setattr(suites.basis_mod, "commutator_table", corrupted)
+    failing = set(failing_names(suite_basis(3)))
+    assert {
+        "structure_constants_close_dense_commutators",
+        "structure_constants_antisymmetric_and_vanishing",
+    } <= failing
 
 
 def test_run_suite_dispatch():
