@@ -62,6 +62,16 @@ COMMANDS = [
     "verify all --d 6",
     "verify all --d 8",
     "verify basis --d 11",
+    # the first-found classes of the clique search: the tensor partitions,
+    # then the composite d whose failed search falls back to greedy classes
+    "basis partition --tensor 2,2",
+    "basis partition --tensor 2,3",
+    "basis partition --tensor 3,2",
+    "basis partition --d 6",
+    "basis partition --d 8",
+    "basis partition --d 9",
+    "basis partition --d 10",
+    "basis partition --d 12",
 ]
 
 

@@ -15,11 +15,16 @@ target label indices for all d^4 label pairs, whose `coefficients` method
 turns the exponents into the complex coefficients through
 `phases.tau_powers`, bit for bit as `pauli_commutator` does.
 `hs_orthogonality` reads the trace pairings off the same table.
+`tensor_commutation_table(dims, labels)` is the array form of
+`tensor_indices_commute` (and, with dims = (d,), of `indices_commute`):
+the symplectic form of every label pair, from which both searches read
+their commutation graph.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import product
 from types import EllipsisType
@@ -222,10 +227,8 @@ def commuting_class_search(d: int, cap: int = SEARCH_CAP) -> CartanPartition:
     if d > cap:
         raise ValueError(f"d={d} exceeds the search cap {cap}")
     vertices = pauli_indices(d)
-
-    def commutes(u: PauliIndex, v: PauliIndex) -> bool:
-        return indices_commute(d, u, v)
-
+    # one table serves both searches; each reads every pair once
+    commutes = _table_lookup(vertices, tensor_commutation_table((d,), vertices))
     solution = find_commuting_partition(vertices, commutes, d - 1)
     if solution is not None:
         return CartanPartition(dimension=d, classes=solution, complete=True)
@@ -337,6 +340,34 @@ def tensor_indices_commute(dims: tuple[int, ...], idx1: tuple, idx2: tuple) -> b
     return total % lcm == 0
 
 
+def tensor_commutation_table(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
+    """The array form of `tensor_indices_commute`, for all pairs of labels.
+
+    Entry [i, j] is the symplectic form of labels[i] and labels[j]: with
+    w_j = L / d_j and L = lcm(d_j), the sum of (a_j b'_j - b_j a'_j) * w_j
+    mod L.  It is 0 exactly when the two operators commute.  With dims =
+    (d,) it is ab' - ba' mod d, the form of `indices_commute`.
+    """
+    lcm = math.lcm(*dims)
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2 * len(dims))
+    weights = np.array([lcm // p for p in dims], dtype=np.int64)
+    # half[i, j] is the sum of a_k b'_k w_k for labels[i] and labels[j],
+    # so half[j, i] is the sum of b_k a'_k w_k
+    half = (labels[:, 0::2] * weights) @ labels[:, 1::2].T
+    return (half - half.T) % lcm
+
+
+def _table_lookup(labels: list[tuple], form: np.ndarray) -> Callable[[tuple, tuple], bool]:
+    """A `commutes(u, v)` that reads labels u and v off their commutation table."""
+    position = {label: i for i, label in enumerate(labels)}
+    commuting = (form == 0).tolist()
+
+    def commutes(u: tuple, v: tuple) -> bool:
+        return commuting[position[u]][position[v]]
+
+    return commutes
+
+
 def tensor_trace_pairing(u: TensorMonomial, v: TensorMonomial) -> complex:
     return (u.adjoint() @ v).trace()
 
@@ -361,10 +392,7 @@ def cartan_partition_prime_power(
         raise ValueError(f"p^e={d} exceeds the tensor search cap {cap}")
     dims = (p,) * e
     vertices = tensor_indices(dims)
-
-    def commutes(u, v):
-        return tensor_indices_commute(dims, u, v)
-
+    commutes = _table_lookup(vertices, tensor_commutation_table(dims, vertices))
     solution = find_commuting_partition(vertices, commutes, d - 1)
     if solution is None:
         raise RuntimeError(
@@ -381,20 +409,45 @@ def cartan_partition_prime_power(
     return partition
 
 
+def _dense_stack(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
+    """`tensor_pauli(dims, idx).to_matrix()` for every label, stacked, bit for bit.
+
+    Each distinct factor matrix u_ab(p, a, b) is built once, and the
+    Kronecker products of all labels are one broadcast per factor, with the
+    same elementwise products as `np.kron`.
+    """
+    factors: dict[tuple[int, int, int], np.ndarray] = {}
+
+    def factor(p: int, a: int, b: int) -> np.ndarray:
+        if (p, a, b) not in factors:
+            factors[p, a, b] = u_ab(p, a, b).to_matrix()
+        return factors[p, a, b]
+
+    out = None
+    for pos, p in enumerate(dims):
+        f = np.stack([factor(p, idx[2 * pos], idx[2 * pos + 1]) for idx in labels])
+        if out is None:
+            out = f
+        else:
+            n, r = out.shape[:2]
+            out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(n, r * p, r * p)
+    return out
+
+
 def partition_dense_commutation_defect(partition: CartanPartition) -> float:
-    """Max norm of dense intra-class commutators, an independent recheck."""
+    """Max norm of dense intra-class commutators, an independent recheck.
+
+    One row of a class at a time: mats[i] against every later member.
+    """
+    dims = partition.tensor_dims or (partition.dimension,)
     worst = 0.0
     for cls in partition.classes:
-        mats = []
-        for idx in cls:
-            if partition.tensor_dims is None:
-                mats.append(u_ab(partition.dimension, *idx).to_matrix())
-            else:
-                mats.append(tensor_pauli(partition.tensor_dims, idx).to_matrix())
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                worst = max(worst, float(np.max(np.abs(comm))))
+        mats = _dense_stack(dims, cls)
+        for i in range(len(mats) - 1):
+            later = mats[i + 1 :]
+            comm = mats[i] @ later
+            comm -= later @ mats[i]
+            worst = max(worst, float(np.max(np.abs(comm))))
     return worst
 
 

@@ -58,10 +58,14 @@ def _dense_payload(kind: str, mat: np.ndarray, **extra) -> dict:
     }
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
 def _int_fields(option: str, text: str, form: str) -> tuple[int, ...]:
     """Parse a comma-separated option value such as "2,4" against form "p,e"."""
     try:
-        values = tuple(int(x) for x in text.split(","))
+        values = tuple(_int_list(text))
     except ValueError:
         values = ()
     if len(values) != len(form.split(",")):
@@ -307,32 +311,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-# the options that take a float; see _attach_negative_floats
-_FLOAT_OPTIONS = ("--r", "--tolerance")
+# the options whose value may start with "-", and how each value parses;
+# see _attach_negative_values
+_SIGNED_OPTIONS = {"--r": float, "--tolerance": float, "--elem": _int_list, "--tensor": _int_list}
 
 
-def _takes_float(option: str) -> bool:
-    """True for a float option, written out or abbreviated as argparse allows."""
-    return len(option) > 2 and any(o.startswith(option) for o in _FLOAT_OPTIONS)
+def _is_value(option: str, arg: str) -> bool:
+    """True when arg parses as a value of option, written out or abbreviated as argparse allows."""
+    for name, parse in _SIGNED_OPTIONS.items():
+        if len(option) > 2 and name.startswith(option):
+            try:
+                parse(arg)
+            except ValueError:
+                continue
+            return True
+    return False
 
 
-def _attach_negative_floats(argv: list[str]) -> list[str]:
-    """Write `--r -1e-3` as `--r=-1e-3`.
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write `--r -1e-3` as `--r=-1e-3` and `--elem -1,0,0` as `--elem=-1,0,0`.
 
     argparse reads a token that starts with "-" as an option name unless it
-    is a negative number without an exponent (`-0.001`), so `--r -1e-3`
-    would leave --r without its value.
+    is a negative number without an exponent (`-0.001`), so `--r -1e-3` or
+    `--elem -1,0,0` would leave the option without its value.
     """
     out: list[str] = []
     for arg in argv:
-        if out and _takes_float(out[-1]) and arg.startswith("-"):
-            try:
-                float(arg)
-            except ValueError:
-                pass
-            else:
-                out[-1] += "=" + arg
-                continue
+        if out and arg.startswith("-") and _is_value(out[-1], arg):
+            out[-1] += "=" + arg
+            continue
         out.append(arg)
     return out
 
@@ -418,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_negative_floats(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         # NaN is not < 0; it keeps its own error, raised when the payload is rendered
         if getattr(args, "tolerance", 0.0) < 0:

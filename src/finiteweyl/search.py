@@ -7,50 +7,61 @@ generated in lexicographic order), recursing until the vertex set is
 exhausted or all branches fail.  With a fixed vertex ordering the outcome
 is fully deterministic, and failure is an exhaustive proof that no
 partition into cliques of that size exists.
+
+Sets of vertices are bitsets: Python ints whose bit i stands for the i-th
+vertex in sorted order.  Lowest set bit first is then lexicographic order,
+and intersecting a candidate set with a neighbour set is one `&`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 Vertex = Hashable
 
 
-def _build_adjacency(
+def _adjacency_masks(
     vertices: Sequence[Vertex], commutes: Callable[[Vertex, Vertex], bool]
-) -> dict[Vertex, set]:
-    """Neighbour sets; commutes is symmetric, so each unordered pair is tested once."""
-    adjacency: dict[Vertex, set] = {v: set() for v in vertices}
+) -> list[int]:
+    """Neighbour bitmasks; commutes is symmetric, so each unordered pair is tested once."""
+    masks = [0] * len(vertices)
     for i, u in enumerate(vertices):
-        for v in vertices[i + 1 :]:
-            if commutes(u, v):
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-    return adjacency
+        for j in range(i + 1, len(vertices)):
+            if commutes(u, vertices[j]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+def _members(mask: int, vertices: Sequence[Vertex]) -> list[Vertex]:
+    """The vertices whose bits are set in mask, in sorted order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(vertices[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def _cliques_through(
-    pivot: Vertex,
-    allowed: frozenset,
-    adjacency: dict[Vertex, set],
-    size: int,
-):
-    """Yield size-cliques containing pivot, members drawn from allowed."""
+    pivot: int, allowed: int, adjacency: list[int], size: int
+) -> Iterator[int]:
+    """Yield size-cliques (as masks) containing vertex pivot, members drawn from allowed."""
 
-    def extend(current: list, candidates: list):
-        if len(current) == size:
-            yield frozenset(current)
+    def extend(clique: int, count: int, candidates: int) -> Iterator[int]:
+        if count == size:
+            yield clique
             return
-        needed = size - len(current)
-        for i, v in enumerate(candidates):
-            remaining = candidates[i + 1 :]
-            if len(remaining) + 1 < needed:
-                break
-            current.append(v)
-            yield from extend(current, [u for u in remaining if u in adjacency[v]])
-            current.pop()
+        needed = size - count
+        # stop once too few candidates are left to complete the clique
+        while candidates.bit_count() >= needed:
+            low = candidates & -candidates
+            candidates ^= low
+            yield from extend(
+                clique | low, count + 1, candidates & adjacency[low.bit_length() - 1]
+            )
 
-    yield from extend([pivot], sorted(allowed & adjacency[pivot]))
+    yield from extend(1 << pivot, 1, allowed & adjacency[pivot])
 
 
 def find_commuting_partition(
@@ -62,23 +73,23 @@ def find_commuting_partition(
     ordered = sorted(vertices)
     if len(ordered) % class_size != 0:
         return None
-    adjacency = _build_adjacency(ordered, commutes)
+    adjacency = _adjacency_masks(ordered, commutes)
 
-    def cover(uncovered: frozenset) -> list[frozenset] | None:
+    def cover(uncovered: int) -> list[int] | None:
         if not uncovered:
             return []
-        pivot = min(uncovered)
-        rest = uncovered - {pivot}
-        for clique in _cliques_through(pivot, rest, adjacency, class_size):
-            tail = cover(uncovered - clique)
+        low = uncovered & -uncovered
+        pivot = low.bit_length() - 1
+        for clique in _cliques_through(pivot, uncovered ^ low, adjacency, class_size):
+            tail = cover(uncovered & ~clique)
             if tail is not None:
                 return [clique] + tail
         return None
 
-    solution = cover(frozenset(ordered))
+    solution = cover((1 << len(ordered)) - 1)
     if solution is None:
         return None
-    return [sorted(clique) for clique in solution]
+    return [_members(clique, ordered) for clique in solution]
 
 
 def greedy_commuting_classes(
@@ -88,20 +99,21 @@ def greedy_commuting_classes(
 ) -> list[list[Vertex]]:
     """First-found disjoint cliques, scanning pivots in lexicographic order.
 
-    Used as the best-effort answer when no full partition exists.
+    Used as the best-effort answer when no full partition exists.  A pivot
+    with no clique stays uncovered and may join a later pivot's clique.
     """
     ordered = sorted(vertices)
-    adjacency = _build_adjacency(ordered, commutes)
-    covered: set[Vertex] = set()
+    adjacency = _adjacency_masks(ordered, commutes)
+    uncovered = (1 << len(ordered)) - 1
     classes: list[list[Vertex]] = []
-    for pivot in ordered:
-        if pivot in covered:
+    for pivot in range(len(ordered)):
+        bit = 1 << pivot
+        if not uncovered & bit:
             continue
-        allowed = frozenset(v for v in ordered if v not in covered and v != pivot)
-        clique = next(_cliques_through(pivot, allowed, adjacency, class_size), None)
+        clique = next(_cliques_through(pivot, uncovered ^ bit, adjacency, class_size), None)
         if clique is not None:
-            classes.append(sorted(clique))
-            covered |= clique
+            classes.append(_members(clique, ordered))
+            uncovered &= ~clique
     return classes
 
 

@@ -635,20 +635,13 @@ def suite_mub(
 # ---------------------------------------------------------------------------
 
 
-def _symplectic(d: int) -> np.ndarray:
-    """ab' - ba' for every pair of labels (a, b), (a', b'), in table order."""
-    a, b = np.divmod(np.arange(d * d), d)
-    form = np.outer(a, b)
-    form -= np.outer(b, a)
-    return form
-
-
 def suite_basis(
     d: int = 3,
     tensor: tuple[int, int] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     report = VerificationReport("basis")
+    labels = basis_mod.pauli_indices(d, include_identity=True)
 
     _run(report, "hilbert_schmidt_orthogonality", 0.0, lambda: basis_mod.hs_orthogonality(d))
 
@@ -656,8 +649,7 @@ def suite_basis(
         if d % 2 == 0:
             return True
         return all(
-            basis_mod.u_ab(d, a, b).determinant().is_one
-            for a, b in basis_mod.pauli_indices(d, include_identity=True)
+            basis_mod.u_ab(d, a, b).determinant().is_one for a, b in labels
         )
 
     _run(report, "odd_dimension_special_unitary", 0.0, determinants)
@@ -668,7 +660,7 @@ def suite_basis(
         # of the exact table
         table = basis_mod.commutator_table(d)
         mats = np.empty((d * d, d, d), dtype=complex)
-        for i, ab in enumerate(basis_mod.pauli_indices(d, include_identity=True)):
+        for i, ab in enumerate(labels):
             mats[i] = basis_mod.u_ab(d, *ab).to_matrix()
         worst = 0.0
         for i, left in enumerate(mats):
@@ -691,7 +683,12 @@ def suite_basis(
         return bool(
             np.array_equal(table.target, table.target.T)
             and (np.abs(coefficients + coefficients.T) <= 1e-12).all()
-            and np.array_equal(table.first == table.second, _symplectic(d) % d == 0)
+            # the form is built after the sum above is freed, which keeps it
+            # off this check's peak memory
+            and np.array_equal(
+                table.first == table.second,
+                basis_mod.tensor_commutation_table((d,), labels) == 0,
+            )
         )
 
     _run(report, "structure_constants_antisymmetric_and_vanishing", 0.0, antisymmetry_and_vanishing)
@@ -699,7 +696,9 @@ def suite_basis(
     def anticommutators() -> bool:
         # the identity label 0 is left out
         small = np.abs(basis_mod.commutator_table(d).coefficients("+")[1:, 1:]) < 1e-12
-        vanish = (2 * _symplectic(d)[1:, 1:] - d) % (2 * d) == 0
+        # ab' - ba' comes reduced mod d, which leaves (2 form - d) mod 2d as it is
+        form = basis_mod.tensor_commutation_table((d,), labels[1:])
+        vanish = (2 * form - d) % (2 * d) == 0
         return bool(np.array_equal(small, vanish) and not (d % 2 == 1 and small.any()))
 
     _run(report, "anticommutator_vanishing_rule", 0.0, anticommutators)

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import commutator, max_abs
@@ -26,6 +26,7 @@ from finiteweyl.basis import (
     pauli_indices,
     structure_constants,
     su4_spread_check,
+    tensor_commutation_table,
     tensor_indices,
     tensor_indices_commute,
     tensor_pauli,
@@ -263,6 +264,86 @@ def test_generic_search_engine():
     assert greedy == [[0, 1], [2, 3], [4, 5]]
 
 
+def set_search_partition(vertices, commutes, class_size):
+    """The set-based search that the bitset search replaced, kept as an oracle.
+
+    Returns the partition (or None) and the greedy classes.
+    """
+    ordered = sorted(vertices)
+    adjacency = {v: set() for v in ordered}
+    for i, u in enumerate(ordered):
+        for v in ordered[i + 1 :]:
+            if commutes(u, v):
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+
+    def cliques_through(pivot, allowed):
+        def extend(current, candidates):
+            if len(current) == class_size:
+                yield frozenset(current)
+                return
+            for i, v in enumerate(candidates):
+                remaining = candidates[i + 1 :]
+                if len(remaining) + 1 < class_size - len(current):
+                    break
+                yield from extend(current + [v], [u for u in remaining if u in adjacency[v]])
+
+        yield from extend([pivot], sorted(allowed & adjacency[pivot]))
+
+    def cover(uncovered):
+        if not uncovered:
+            return []
+        pivot = min(uncovered)
+        for clique in cliques_through(pivot, uncovered - {pivot}):
+            tail = cover(uncovered - clique)
+            if tail is not None:
+                return [clique] + tail
+        return None
+
+    solution = cover(frozenset(ordered)) if len(ordered) % class_size == 0 else None
+    if solution is not None:
+        solution = [sorted(clique) for clique in solution]
+    covered, greedy = set(), []
+    for pivot in ordered:
+        if pivot not in covered:
+            allowed = frozenset(v for v in ordered if v not in covered and v != pivot)
+            clique = next(cliques_through(pivot, allowed), None)
+            if clique is not None:
+                greedy.append(sorted(clique))
+                covered |= clique
+    return solution, greedy
+
+
+@st.composite
+def commutation_graphs(draw):
+    """Shuffled vertex labels, a random symmetric edge set and a class size."""
+    n = draw(st.integers(0, 16))
+    density = draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))
+    edges = {
+        frozenset(pair)
+        for pair, weight in zip(
+            ((i, j) for i in range(n) for j in range(i + 1, n)),
+            draw(st.lists(st.floats(0, 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)),
+        )
+        if weight < density
+    }
+    vertices = draw(st.permutations(range(n)))
+    return vertices, edges, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(commutation_graphs())
+def test_bitset_search_matches_set_search(graph):
+    vertices, edges, size = graph
+
+    def commutes(u, v):
+        return frozenset((u, v)) in edges
+
+    solution, greedy = set_search_partition(vertices, commutes, size)
+    assert find_commuting_partition(vertices, commutes, size) == solution
+    assert greedy_commuting_classes(vertices, commutes, size) == greedy
+
+
 # ---------------------------------------------------------------------------
 # Tensor operators
 # ---------------------------------------------------------------------------
@@ -315,6 +396,52 @@ def test_tensor_commutation_matches_dense():
             v = tensor_pauli(dims, v_idx)
             dense_commutes = max_abs(commutator(u.to_matrix(), v.to_matrix())) < 1e-12
             assert dense_commutes == tensor_indices_commute(dims, u_idx, v_idx)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2), (3, 3), (2, 3), (3, 5)])
+def test_commutation_table_matches_scalar_test(dims):
+    labels = tensor_indices(dims)
+    form = tensor_commutation_table(dims, labels)
+    assert form.shape == (len(labels), len(labels))
+    assert ((form >= 0) & (form < math.lcm(*dims))).all()
+    for i, u in enumerate(labels):
+        for j, v in enumerate(labels):
+            assert (form[i, j] == 0) == tensor_indices_commute(dims, u, v)
+
+
+def test_single_qudit_commutation_table_is_the_form():
+    for d in range(2, 13):
+        labels = pauli_indices(d, include_identity=True)
+        form = tensor_commutation_table((d,), labels)
+        for i, (a, b) in enumerate(labels):
+            for j, (a2, b2) in enumerate(labels):
+                assert form[i, j] == (a * b2 - b * a2) % d
+                assert (form[i, j] == 0) == indices_commute(d, (a, b), (a2, b2))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2), (5,), (2, 2, 2, 2)])
+def test_dense_stack_is_bit_equal_to_kron(dims):
+    labels = tensor_indices(dims)
+    stack = basis_mod._dense_stack(dims, labels)
+    expected = np.stack([tensor_pauli(dims, idx).to_matrix() for idx in labels])
+    assert stack.dtype == expected.dtype and stack.shape == expected.shape
+    assert np.array_equal(stack.view(np.uint64), expected.view(np.uint64))
+
+
+def test_dense_recheck_catches_a_non_commuting_pair():
+    good = cartan_partition_prime_power(2, 3, verify_dense=False)
+    assert partition_dense_commutation_defect(good) <= 1e-12
+    # swap one label between two classes: each class now holds a non-commuting pair
+    classes = [list(cls) for cls in good.classes]
+    classes[0][-1], classes[1][-1] = classes[1][-1], classes[0][-1]
+    bad = basis_mod.CartanPartition(
+        dimension=good.dimension, classes=classes, tensor_dims=good.tensor_dims
+    )
+    assert not validate_cartan_partition(bad)
+    assert partition_dense_commutation_defect(bad) > 1e-12
+    prime = cartan_partition_prime(5)
+    prime.classes[2][0], prime.classes[3][0] = prime.classes[3][0], prime.classes[2][0]
+    assert partition_dense_commutation_defect(prime) > 1e-12
 
 
 def test_tensor_trace_pairing():

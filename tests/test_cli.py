@@ -303,6 +303,24 @@ def test_negative_float_in_exponent_form_is_a_value(capsys, monkeypatch):
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize("spelling", [["--elem", "-1,0,0"], ["--elem=-1,0,0"], ["--el", "-1,0,0"]])
+def test_negative_element_list_is_a_value(capsys, spelling):
+    code, out, err = run_cli(capsys, "group", "centralizer", "--d", "4", *spelling)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["element"] == [3, 0, 0] and payload["centralizer_size"] == 64
+    assert run_cli(capsys, "group", "centralizer", "--d", "4", "--elem", "3,0,0") == (0, out, "")
+
+
+@pytest.mark.parametrize("spelling", [["--tensor", "-2,2"], ["--tensor=-2,2"], ["--ten", "-2,2"]])
+def test_negative_tensor_list_is_a_value(capsys, spelling):
+    assert run_cli(capsys, "basis", "partition", *spelling) == (
+        2,
+        "",
+        "error: p must be prime, got -2\n",
+    )
+
+
 @pytest.mark.parametrize(
     "argv, form",
     [
