@@ -51,6 +51,12 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"dimension must be >= 2, got {d}")
 
 
+def _check_table_dimension(d: int, cap: int) -> None:
+    _check_dimension(d)
+    if d > cap:
+        raise ValueError(f"d={d} exceeds the structure-table cap {cap}")
+
+
 def u_ab(d: int, a: int, b: int) -> MonomialOperator:
     """X^a Z^b with no scalar phase."""
     if not (0 <= a < d and 0 <= b < d):
@@ -123,7 +129,7 @@ class CommutatorTable:
 
 def commutator_table(d: int) -> CommutatorTable:
     """The exponents and targets of `pauli_commutator` for all d^4 label pairs."""
-    _check_dimension(d)
+    _check_table_dimension(d, STRUCTURE_TABLE_CAP)
     a, b = np.divmod(np.arange(d * d, dtype=np.int64), d)
     return CommutatorTable(
         d=d,
@@ -137,9 +143,7 @@ def structure_constants(
     d: int, cap: int = STRUCTURE_TABLE_CAP
 ) -> dict[tuple[PauliIndex, PauliIndex], tuple[PauliIndex, complex]]:
     """Nonzero structure constants of u(d) in the X^a Z^b basis."""
-    _check_dimension(d)
-    if d > cap:
-        raise ValueError(f"d={d} exceeds the structure-table cap {cap}")
+    _check_table_dimension(d, cap)
     table: dict[tuple[PauliIndex, PauliIndex], tuple[PauliIndex, complex]] = {}
     for ab in pauli_indices(d, include_identity=True):
         for ab2 in pauli_indices(d, include_identity=True):

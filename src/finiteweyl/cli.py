@@ -1,4 +1,5 @@
-"""Command-line entry point.
+"""Command-line entry point: parses arguments, calls the library and hands
+each result to one `serialize` function, which builds the payload.
 
 JSON payloads go to stdout (deterministic: fixed orderings, no timestamps);
 human-readable diagnostics and timings go to stderr.  Exit codes: 0 on
@@ -11,17 +12,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__
 from .basis import (
     SEARCH_CAP,
     cartan_partition_prime,
     cartan_partition_prime_power,
-    commutator_coefficient_exponents,
+    commutator_table,
     commuting_class_search,
-    format_index,
-    structure_constants,
 )
 from .group import (
     DEFAULT_BRUTE_FORCE_CAP,
@@ -32,30 +29,18 @@ from .group import (
     pd_irrep_counts,
     pd_named_subgroups,
 )
-from .mub import basis_exponent_table, hadamard_h_a, is_prime, mub_family, pairwise_deviations
+from .mub import hadamard_h_a, is_prime, mub_family, pairwise_deviations
 from .operators import fourier_matrix, v_ra_matrix, weyl_pair
 from .serialize import (
-    SCHEMA_VERSION,
     export,
-    json_dumps,
-    matrix_to_csv,
-    monomial_to_payload,
-    partition_to_payload,
+    export_centralizer,
+    export_dense,
+    export_irreps,
+    export_mub_family,
+    export_subgroups,
+    export_weyl_pair,
 )
 from .suites import DEFAULT_TOLERANCE, run_suite, suite_hw, suite_su2
-
-
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json_dumps({"schema": SCHEMA_VERSION, **payload}))
-
-
-def _dense_payload(kind: str, mat: np.ndarray, **extra) -> dict:
-    return {
-        "type": kind,
-        **extra,
-        "re": [[float(x.real) for x in row] for row in mat],
-        "im": [[float(x.imag) for x in row] for row in mat],
-    }
 
 
 def _int_list(text: str) -> list[int]:
@@ -73,9 +58,8 @@ def _int_fields(option: str, text: str, form: str) -> tuple[int, ...]:
     return values
 
 
-def _report_exit(report, include_payload: bool = True) -> int:
-    if include_payload:
-        _emit(report.to_json())
+def _report_exit(report) -> int:
+    sys.stdout.write(export(report))
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     return 0 if report.overall else 1
@@ -87,211 +71,77 @@ def _report_exit(report, include_payload: bool = True) -> int:
 
 
 def cmd_hw(args: argparse.Namespace) -> int:
-    if args.action != "check":
-        raise ValueError(f"unknown hw action {args.action!r}")
     return _report_exit(suite_hw(args.tolerance))
 
 
 def cmd_group(args: argparse.Namespace) -> int:
     d, cap = args.d, args.max_d
     if args.action == "classes":
-        report = pd_conjugacy_classes(d, cap)
-        _emit(
-            {
-                "type": "conjugacy-classes",
-                "d": d,
-                "class_count": report.class_count,
-                "singleton_count": report.singleton_count,
-                "size_d_count": report.size_d_count,
-                "size_histogram": {str(k): v for k, v in report.size_histogram.items()},
-                "classes": [[[g.a, g.b, g.c] for g in cls] for cls in report.classes],
-            }
-        )
-        return 0
-    if args.action == "centralizer":
+        text = export(pd_conjugacy_classes(d, cap))
+    elif args.action == "centralizer":
         if args.elem is None:
             raise ValueError("--elem a,b,c is required for the centralizer command")
-        a, b, c = _int_fields("--elem", args.elem, "a,b,c")
-        size = pd_centralizer_size(PdElement(a, b, c, d))
-        _emit(
-            {
-                "type": "centralizer",
-                "d": d,
-                "element": [a % d, b % d, c % d],
-                "centralizer_size": size,
-                "class_size": d**3 // size,
-            }
-        )
-        return 0
-    if args.action == "subgroups":
-        subs = pd_named_subgroups(d, cap)
-        _emit(
-            {
-                "type": "subgroups",
-                "d": d,
-                "subgroups": [
-                    {
-                        "name": s.name,
-                        "order": len(s.elements),
-                        "is_normal": s.is_normal,
-                        "isomorphism": s.isomorphism,
-                        "elements": [[g.a, g.b, g.c] for g in s.elements],
-                    }
-                    for s in subs
-                ],
-            }
-        )
-        return 0
-    if args.action == "irreps":
-        one_dim, d_dim = pd_irrep_counts(d)
-        norms = []
-        for k in range(1, d):
-            norm = irrep_character_norm(k, d)
-            norms.append(
-                {
-                    "k": k,
-                    "character_norm": int(norm) if norm.denominator == 1 else float(norm),
-                    "irreducible": norm == 1,
-                }
-            )
-        _emit(
-            {
-                "type": "irreps",
-                "d": d,
-                "one_dimensional": one_dim,
-                "claimed_d_dimensional": d_dim,
-                "monomial_representations": norms,
-            }
-        )
-        return 0
-    raise ValueError(f"unknown group action {args.action!r}")
+        element = PdElement(*_int_fields("--elem", args.elem, "a,b,c"), d)
+        text = export_centralizer(element, pd_centralizer_size(element))
+    elif args.action == "subgroups":
+        text = export_subgroups(d, pd_named_subgroups(d, cap))
+    else:
+        counts = pd_irrep_counts(d)
+        text = export_irreps(d, counts, [irrep_character_norm(k, d) for k in range(1, d)])
+    sys.stdout.write(text)
+    return 0
 
 
 def cmd_weyl(args: argparse.Namespace) -> int:
     d = args.d
-    if args.action == "pair":
-        x, z = weyl_pair(d)
-        if args.format == "dense-csv":
-            sys.stdout.write("# X\n" + matrix_to_csv(x.to_matrix()))
-            sys.stdout.write("# Z\n" + matrix_to_csv(z.to_matrix()))
-        else:
-            _emit(
-                {
-                    "type": "weyl-pair",
-                    "d": d,
-                    "X": monomial_to_payload(x),
-                    "Z": monomial_to_payload(z),
-                }
-            )
-        return 0
-    if args.action == "vra":
-        mat = v_ra_matrix(d, args.r, args.a)
-        if args.format == "dense-csv":
-            sys.stdout.write(matrix_to_csv(mat))
-        else:
-            _emit(_dense_payload("vra", mat, d=d, r=args.r, a=args.a))
-        return 0
-    if args.action == "fourier":
-        mat = fourier_matrix(d)
-        if args.format == "dense-csv":
-            sys.stdout.write(matrix_to_csv(mat))
-        else:
-            _emit(_dense_payload("fourier", mat, d=d))
-        return 0
     if args.action == "su2-check":
         return _report_exit(suite_su2(d, args.tolerance))
-    raise ValueError(f"unknown weyl action {args.action!r}")
+    if args.action == "pair":
+        text = export_weyl_pair(*weyl_pair(d), args.format)
+    elif args.action == "vra":
+        mat = v_ra_matrix(d, args.r, args.a)
+        text = export_dense("vra", mat, args.format, d=d, r=args.r, a=args.a)
+    else:
+        text = export_dense("fourier", fourier_matrix(d), args.format, d=d)
+    sys.stdout.write(text)
+    return 0
 
 
 def cmd_mub(args: argparse.Namespace) -> int:
-    if args.action == "family":
-        p = args.p
-        bases = mub_family(p)
-        deviations = pairwise_deviations(bases)
-        n = len(bases)
-        matrix = [[0.0] * n for _ in range(n)]
-        for (i, j), value in deviations.items():
-            matrix[i][j] = matrix[j][i] = value
-        worst = max(deviations.values())
-        passed = worst <= args.tolerance
-        family_payload = []
-        for b in bases:
-            if b.label == "computational":
-                family_payload.append({"label": b.label, "identity": True})
-            else:
-                family_payload.append(
-                    {
-                        "label": b.label,
-                        "normalization": "1/sqrt(p)",
-                        "tau_exponents": basis_exponent_table(p, int(b.label)).tolist(),
-                    }
-                )
-        _emit(
-            {
-                "type": "mub-family",
-                "p": p,
-                "basis_labels": [b.label for b in bases],
-                "bases": family_payload,
-                "pairwise_deviation_matrix": matrix,
-                "max_deviation": worst,
-                "tolerance": args.tolerance,
-                "status": "pass" if passed else "fail",
-            }
-        )
-        print(
-            f"mub family p={p}: max deviation {worst:.3e} (tolerance {args.tolerance:.1e})",
-            file=sys.stderr,
-        )
-        return 0 if passed else 1
     if args.action == "hadamard":
         sys.stdout.write(export(hadamard_h_a(args.d, args.a), args.format))
         return 0
-    raise ValueError(f"unknown mub action {args.action!r}")
+    p = args.p
+    bases = mub_family(p)
+    deviations = pairwise_deviations(bases)
+    sys.stdout.write(export_mub_family(bases, deviations, args.tolerance))
+    worst = max(deviations.values())
+    print(
+        f"mub family p={p}: max deviation {worst:.3e} (tolerance {args.tolerance:.1e})",
+        file=sys.stderr,
+    )
+    return 0 if worst <= args.tolerance else 1
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
     d = args.d
-    if args.action == "partition":
-        if args.tensor:
-            p, e = _int_fields("--tensor", args.tensor, "p,e")
-            partition = cartan_partition_prime_power(p, e)
-        elif is_prime(d) and d > SEARCH_CAP:
-            partition = cartan_partition_prime(d)
-        else:
-            partition = commuting_class_search(d)
-        _emit(partition_to_payload(partition))
-        status = "complete" if partition.complete else "incomplete"
-        print(
-            f"partition d={partition.dimension}: {partition.class_count} classes, {status}",
-            file=sys.stderr,
-        )
-        return 0 if partition.complete else 1
     if args.action == "structure":
-        table = structure_constants(d)
-        entries = []
-        for (ab, ab2), (target, coeff) in table.items():
-            first, second = commutator_coefficient_exponents(d, ab, ab2)
-            entries.append(
-                {
-                    "left": format_index(ab, (d, d)),
-                    "right": format_index(ab2, (d, d)),
-                    "target": format_index(target, (d, d)),
-                    "tau_first": first.t,
-                    "tau_second": second.t,
-                    "re": coeff.real,
-                    "im": coeff.imag,
-                }
-            )
-        _emit(
-            {
-                "type": "structure-constants",
-                "d": d,
-                "nonzero_count": len(entries),
-                "entries": entries,
-            }
-        )
+        sys.stdout.write(export(commutator_table(d)))
         return 0
-    raise ValueError(f"unknown basis action {args.action!r}")
+    if args.tensor:
+        p, e = _int_fields("--tensor", args.tensor, "p,e")
+        partition = cartan_partition_prime_power(p, e)
+    elif is_prime(d) and d > SEARCH_CAP:
+        partition = cartan_partition_prime(d)
+    else:
+        partition = commuting_class_search(d)
+    sys.stdout.write(export(partition))
+    status = "complete" if partition.complete else "incomplete"
+    print(
+        f"partition d={partition.dimension}: {partition.class_count} classes, {status}",
+        file=sys.stderr,
+    )
+    return 0 if partition.complete else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -102,20 +102,6 @@ class MonomialOperator:
         entries_exp = d * self.phase.t + self.clock * d * (d - 1)
         return PhaseExponent(sign_exp + entries_exp, d)
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "tau_exp": self.phase.t,
-            "shift": self.shift,
-            "clock": self.clock,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "MonomialOperator":
-        return cls.from_tau_exponent(
-            payload["d"], payload["tau_exp"], payload["shift"], payload["clock"]
-        )
-
 
 def monomial_mul(u: MonomialOperator, v: MonomialOperator) -> MonomialOperator:
     """Product via the reordering rule Z^c X^b = q^(-cb) X^b Z^c."""

@@ -57,9 +57,6 @@ class PhaseExponent:
     def inverse(self) -> "PhaseExponent":
         return PhaseExponent(-self.t, self.d)
 
-    def conjugate(self) -> "PhaseExponent":
-        return self.inverse()
-
     @property
     def is_one(self) -> bool:
         return self.t == 0
@@ -68,16 +65,6 @@ class PhaseExponent:
         if (2 * self.t) % self.d == 0:
             return _QUARTER_TURNS[2 * self.t // self.d]
         return cmath.exp(1j * cmath.pi * self.t / self.d)
-
-    def to_json(self) -> dict:
-        return {"tau_exp": self.t, "tau_denominator": 2 * self.d}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "PhaseExponent":
-        denom = payload["tau_denominator"]
-        if denom % 2 != 0:
-            raise ValueError(f"tau_denominator must be even, got {denom}")
-        return cls(payload["tau_exp"], denom // 2)
 
 
 def tau_powers(exponents, d: int) -> np.ndarray:

@@ -13,17 +13,6 @@ class Check:
     tolerance: float
     elapsed: float = 0.0
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        payload = {
-            "name": self.name,
-            "status": "pass" if self.passed else "fail",
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-        }
-        if include_timing:
-            payload["elapsed"] = self.elapsed
-        return payload
-
 
 @dataclass
 class VerificationReport:
@@ -51,10 +40,6 @@ class VerificationReport:
         self.checks.append(check)
         return check
 
-    def add_flag(self, name: str, passed: bool, elapsed: float = 0.0) -> Check:
-        """Boolean check; deviation is 0 on pass, 1 on fail."""
-        return self.add(name, 0.0 if passed else 1.0, 0.0, elapsed)
-
     def extend(self, other: "VerificationReport") -> None:
         for check in other.checks:
             self.checks.append(
@@ -66,13 +51,6 @@ class VerificationReport:
                     elapsed=check.elapsed,
                 )
             )
-
-    def to_json(self, include_timing: bool = False) -> dict:
-        return {
-            "suite": self.suite,
-            "overall": "pass" if self.overall else "fail",
-            "checks": [c.to_json(include_timing) for c in self.checks],
-        }
 
     def summary_lines(self) -> list[str]:
         lines = []

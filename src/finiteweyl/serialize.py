@@ -1,10 +1,13 @@
-"""Exact JSON and dense CSV export.
+"""The output format: every JSON payload encoder, the renderer, dense CSV.
 
-Exact objects (phases, monomials, Hadamard exponent tables, partitions)
-serialize through integer tau exponents and round-trip bit-identically.
-Dense matrices serialize as CSV rows of re,im pairs with 17 significant
-digits; non-finite entries are rejected.  Every JSON payload carries a
-top-level "schema": 1.
+No other module knows the shape of a payload.  `export(obj, fmt)` writes
+one library object, each `export_*` function the results of one CLI
+command, and `_document` adds the top-level "schema": 1.  Exact objects
+(phases, monomials, Hadamard exponent tables, partitions) serialize
+through integer tau exponents and read back bit-identically through
+`import_exact`, whose decoders sit next to their encoders.  Dense
+matrices serialize as CSV rows of re,im pairs with 17 significant digits;
+non-finite entries are rejected.
 
 `json_dumps` is the one renderer of payload text.  Its output is
 byte-identical to `json.dumps(payload, indent=2, separators=(",", ": "),
@@ -18,15 +21,19 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
 
-from .basis import CartanPartition, format_index
-from .mub import HadamardMatrix
+from .basis import CartanPartition, CommutatorTable, format_index
+from .group import ConjugacyClassReport, PdElement, Subgroup
+from .mub import HadamardMatrix, OrthonormalBasis, basis_exponent_table
 from .operators import MonomialOperator
 from .phases import PhaseExponent
+from .report import VerificationReport
 
 SCHEMA_VERSION = 1
 
@@ -93,28 +100,56 @@ def _render_key(key: Any) -> str:
     return encode_basestring_ascii(key)
 
 
-def phase_to_payload(p: PhaseExponent) -> dict:
-    return {"schema": SCHEMA_VERSION, "type": "phase", **p.to_json()}
+def _document(payload: dict) -> dict:
+    return {"schema": SCHEMA_VERSION, **payload}
 
 
-def monomial_to_payload(m: MonomialOperator) -> dict:
-    return {"schema": SCHEMA_VERSION, "type": "monomial", **m.to_json()}
+def _json(payload: dict) -> str:
+    return json_dumps(_document(payload))
 
 
-def hadamard_to_payload(h: HadamardMatrix) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "type": "hadamard",
-        "d": h.d,
-        "a": h.a,
-        "tau_exponents": h.exponents.tolist(),
-    }
+def _text(fmt: str, payload: Callable[[], dict], dense: Callable[[], str]) -> str:
+    """The one format switch: the JSON document of payload() or the CSV text dense()."""
+    if fmt in ("json", "exact-json"):
+        return _json(payload())
+    if fmt in ("csv", "dense-csv"):
+        return dense()
+    raise ValueError(f"unknown format {fmt!r}")
 
 
-def partition_to_payload(p: CartanPartition) -> dict:
+def _phase(p: PhaseExponent) -> dict:
+    return {"type": "phase", "tau_exp": p.t, "tau_denominator": 2 * p.d}
+
+
+def _phase_from(payload: dict) -> PhaseExponent:
+    denom = payload["tau_denominator"]
+    if denom % 2 != 0:
+        raise ValueError(f"tau_denominator must be even, got {denom}")
+    return PhaseExponent(payload["tau_exp"], denom // 2)
+
+
+def _monomial(m: MonomialOperator) -> dict:
+    return {"type": "monomial", "d": m.d, "tau_exp": m.phase.t, "shift": m.shift, "clock": m.clock}
+
+
+def _monomial_from(payload: dict) -> MonomialOperator:
+    return MonomialOperator.from_tau_exponent(
+        payload["d"], payload["tau_exp"], payload["shift"], payload["clock"]
+    )
+
+
+def _hadamard(h: HadamardMatrix) -> dict:
+    return {"type": "hadamard", "d": h.d, "a": h.a, "tau_exponents": h.exponents.tolist()}
+
+
+def _hadamard_from(payload: dict) -> HadamardMatrix:
+    exponents = np.array(payload["tau_exponents"], dtype=np.int64)
+    return HadamardMatrix(d=payload["d"], a=payload["a"], exponents=exponents)
+
+
+def _partition(p: CartanPartition) -> dict:
     moduli = p.label_moduli()
     return {
-        "schema": SCHEMA_VERSION,
         "type": "partition",
         "dimension": p.dimension,
         "tensor_dims": list(p.tensor_dims) if p.tensor_dims else None,
@@ -123,23 +158,109 @@ def partition_to_payload(p: CartanPartition) -> dict:
     }
 
 
-def export(obj: Any, fmt: str = "json") -> str:
-    """Render a library object as exact JSON or dense CSV text."""
-    if fmt in ("json", "exact-json"):
-        if isinstance(obj, PhaseExponent):
-            return json_dumps(phase_to_payload(obj))
-        if isinstance(obj, MonomialOperator):
-            return json_dumps(monomial_to_payload(obj))
-        if isinstance(obj, HadamardMatrix):
-            return json_dumps(hadamard_to_payload(obj))
-        if isinstance(obj, CartanPartition):
-            return json_dumps(partition_to_payload(obj))
-        if isinstance(obj, dict):
-            return json_dumps({"schema": SCHEMA_VERSION, **obj})
+def _partition_from(payload: dict) -> CartanPartition:
+    return CartanPartition(
+        dimension=payload["dimension"],
+        classes=[[parse_index(label) for label in cls] for cls in payload["classes"]],
+        complete=payload["complete"],
+        tensor_dims=tuple(payload["tensor_dims"]) if payload["tensor_dims"] else None,
+    )
+
+
+def parse_index(label: str) -> tuple[int, ...]:
+    body = label.strip("()")
+    if "," in body:
+        return tuple(int(x) for x in body.split(","))
+    return tuple(int(ch) for ch in body)
+
+
+_DECODERS = {
+    "phase": _phase_from,
+    "monomial": _monomial_from,
+    "hadamard": _hadamard_from,
+    "partition": _partition_from,
+}
+
+
+def import_exact(text: str) -> Any:
+    """Inverse of export(..., "json") for exact payloads."""
+    payload = json.loads(text)
+    if payload.get("schema") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema {payload.get('schema')!r}")
+    kind = payload.get("type")
+    if kind not in _DECODERS:
+        raise ValueError(f"unknown payload type {kind!r}")
+    return _DECODERS[kind](payload)
+
+
+def _report(report: VerificationReport) -> dict:
+    checks = [
+        {
+            "name": c.name,
+            "status": "pass" if c.passed else "fail",
+            "max_deviation": c.max_deviation,
+            "tolerance": c.tolerance,
+        }
+        for c in report.checks
+    ]
+    overall = "pass" if report.overall else "fail"
+    return {"suite": report.suite, "overall": overall, "checks": checks}
+
+
+def _conjugacy_classes(report: ConjugacyClassReport) -> dict:
+    return {
+        "type": "conjugacy-classes",
+        "d": report.d,
+        "class_count": report.class_count,
+        "singleton_count": report.singleton_count,
+        "size_d_count": report.size_d_count,
+        "size_histogram": {str(k): v for k, v in report.size_histogram.items()},
+        "classes": [[[g.a, g.b, g.c] for g in cls] for cls in report.classes],
+    }
+
+
+def _structure_constants(table: CommutatorTable) -> dict:
+    """The nonzero commutators [u_i, u_j], in row-major (i, j) order."""
+    d = table.d
+    labels = [format_index(divmod(k, d), (d, d)) for k in range(d * d)]
+    # u_i and u_j commute exactly when their two exponents agree
+    pairs = np.nonzero(table.first != table.second)
+    coefficients = table.coefficients("-", pairs)
+    columns = (*pairs, table.target[pairs], table.first[pairs], table.second[pairs])
+    rows = [
+        {
+            "left": labels[i],
+            "right": labels[j],
+            "target": labels[k],
+            "tau_first": first,
+            "tau_second": second,
+            "re": re,
+            "im": im,
+        }
+        for i, j, k, first, second, re, im in zip(
+            *(column.tolist() for column in columns),
+            coefficients.real.tolist(),
+            coefficients.imag.tolist(),
+        )
+    ]
+    return {"type": "structure-constants", "d": d, "nonzero_count": len(rows), "entries": rows}
+
+
+_ENCODERS: dict[type, Callable[[Any], dict]] = {
+    PhaseExponent: _phase,
+    MonomialOperator: _monomial,
+    HadamardMatrix: _hadamard,
+    CartanPartition: _partition,
+    VerificationReport: _report,
+    ConjugacyClassReport: _conjugacy_classes,
+    CommutatorTable: _structure_constants,
+}
+
+
+def _payload(obj: Any) -> dict:
+    if type(obj) not in _ENCODERS:
         raise TypeError(f"no exact JSON encoding for {type(obj).__name__}")
-    if fmt in ("csv", "dense-csv"):
-        return matrix_to_csv(dense_matrix_of(obj))
-    raise ValueError(f"unknown format {fmt!r}")
+    return _ENCODERS[type(obj)](obj)
 
 
 def dense_matrix_of(obj: Any) -> np.ndarray:
@@ -148,6 +269,113 @@ def dense_matrix_of(obj: Any) -> np.ndarray:
     if isinstance(obj, (MonomialOperator, HadamardMatrix)):
         return obj.to_matrix()
     raise TypeError(f"cannot render {type(obj).__name__} as a dense matrix")
+
+
+def export(obj: Any, fmt: str = "json") -> str:
+    """Render a library object as exact JSON or dense CSV text.
+
+    A `CommutatorTable` renders as the structure constants of u(d).
+    """
+    return _text(fmt, lambda: _payload(obj), lambda: matrix_to_csv(dense_matrix_of(obj)))
+
+
+def export_centralizer(element: PdElement, size: int) -> str:
+    d = element.d
+    return _json(
+        {
+            "type": "centralizer",
+            "d": d,
+            "element": [element.a, element.b, element.c],
+            "centralizer_size": size,
+            "class_size": d**3 // size,
+        }
+    )
+
+
+def export_subgroups(d: int, subgroups: list[Subgroup]) -> str:
+    entries = [
+        {
+            "name": s.name,
+            "order": len(s.elements),
+            "is_normal": s.is_normal,
+            "isomorphism": s.isomorphism,
+            "elements": [[g.a, g.b, g.c] for g in s.elements],
+        }
+        for s in subgroups
+    ]
+    return _json({"type": "subgroups", "d": d, "subgroups": entries})
+
+
+def export_irreps(d: int, counts: tuple[int, int], norms: list[Fraction]) -> str:
+    """The claimed census and the character norm of rho_k for k = 1..d-1."""
+    representations = [
+        {
+            "k": k,
+            "character_norm": int(norm) if norm.denominator == 1 else float(norm),
+            "irreducible": norm == 1,
+        }
+        for k, norm in enumerate(norms, start=1)
+    ]
+    return _json(
+        {
+            "type": "irreps",
+            "d": d,
+            "one_dimensional": counts[0],
+            "claimed_d_dimensional": counts[1],
+            "monomial_representations": representations,
+        }
+    )
+
+
+def export_weyl_pair(x: MonomialOperator, z: MonomialOperator, fmt: str) -> str:
+    """Both monomials as nested exact documents, or as two labelled CSV blocks."""
+    return _text(
+        fmt,
+        lambda: {
+            "type": "weyl-pair",
+            "d": x.d,
+            "X": _document(_monomial(x)),
+            "Z": _document(_monomial(z)),
+        },
+        lambda: f"# X\n{matrix_to_csv(x.to_matrix())}# Z\n{matrix_to_csv(z.to_matrix())}",
+    )
+
+
+def export_dense(kind: str, mat: np.ndarray, fmt: str, **fields: Any) -> str:
+    """A dense matrix as its re and im rows after fields, or as CSV."""
+    return _text(
+        fmt,
+        lambda: {"type": kind, **fields, "re": mat.real.tolist(), "im": mat.imag.tolist()},
+        lambda: matrix_to_csv(mat),
+    )
+
+
+def _mub_basis(b: OrthonormalBasis) -> dict:
+    if b.label == "computational":
+        return {"label": b.label, "identity": True}
+    # built while rendering, one table at a time, rather than kept on the basis
+    table = basis_exponent_table(b.d, int(b.label)).tolist()
+    return {"label": b.label, "normalization": "1/sqrt(p)", "tau_exponents": table}
+
+
+def export_mub_family(bases: list[OrthonormalBasis], deviations: dict, tolerance: float) -> str:
+    """The family's exponent tables and the symmetric matrix of pairwise deviations."""
+    matrix = [[0.0] * len(bases) for _ in bases]
+    for (i, j), value in deviations.items():
+        matrix[i][j] = matrix[j][i] = value
+    worst = max(deviations.values())
+    return _json(
+        {
+            "type": "mub-family",
+            "p": bases[0].d,
+            "basis_labels": [b.label for b in bases],
+            "bases": [_mub_basis(b) for b in bases],
+            "pairwise_deviation_matrix": matrix,
+            "max_deviation": worst,
+            "tolerance": tolerance,
+            "status": "pass" if worst <= tolerance else "fail",
+        }
+    )
 
 
 def matrix_to_csv(mat: np.ndarray) -> str:
@@ -164,40 +392,3 @@ def matrix_to_csv(mat: np.ndarray) -> str:
             cells.append(f"{value.real + 0.0:.17g},{value.imag + 0.0:.17g}")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def import_exact(text: str) -> Any:
-    """Inverse of export(..., "json") for exact payloads."""
-    payload = json.loads(text)
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema {payload.get('schema')!r}")
-    kind = payload.get("type")
-    if kind == "phase":
-        return PhaseExponent.from_json(payload)
-    if kind == "monomial":
-        return MonomialOperator.from_json(payload)
-    if kind == "hadamard":
-        return HadamardMatrix(
-            d=payload["d"],
-            a=payload["a"],
-            exponents=np.array(payload["tau_exponents"], dtype=np.int64),
-        )
-    if kind == "partition":
-        return partition_from_payload(payload)
-    raise ValueError(f"unknown payload type {kind!r}")
-
-
-def parse_index(label: str) -> tuple[int, ...]:
-    body = label.strip("()")
-    if "," in body:
-        return tuple(int(x) for x in body.split(","))
-    return tuple(int(ch) for ch in body)
-
-
-def partition_from_payload(payload: dict) -> CartanPartition:
-    return CartanPartition(
-        dimension=payload["dimension"],
-        classes=[[parse_index(label) for label in cls] for cls in payload["classes"]],
-        complete=payload["complete"],
-        tensor_dims=tuple(payload["tensor_dims"]) if payload["tensor_dims"] else None,
-    )

@@ -464,36 +464,7 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
 
     _run(report, "fourier_identities", 1e-10, fourier_identities)
 
-    def su2_commutations() -> float:
-        worst = 0.0
-        for r in (0, 1):
-            for a in range(d):
-                jp, jm, jz = op_mod.polar_su2_ops(d, r, a)
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(jz @ jp - jp @ jz - jp))),
-                    float(np.max(np.abs(jz @ jm - jm @ jz + jm))),
-                    float(np.max(np.abs(jp @ jm - jm @ jp - 2 * jz))),
-                )
-        return worst
-
-    _run(report, "su2_polar_commutations", tolerance, su2_commutations)
-
-    def su2_ladder_phases() -> float:
-        worst = 0.0
-        for r in (0, 1):
-            for a in range(d):
-                jp, jm, jz = op_mod.polar_su2_ops(d, r, a)
-                lp, lm = op_mod.ladder_matrices(d, a)
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(jp - lp))),
-                    float(np.max(np.abs(jm - lm))),
-                    float(np.max(np.abs(jz - op_mod.jz_matrix(d)))),
-                )
-        return worst
-
-    _run(report, "su2_ladder_actions", tolerance, su2_ladder_phases)
+    _su2_checks(report, d, tolerance)
 
     def sine_bracket_zv() -> float:
         worst = 0.0
@@ -546,11 +517,43 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
     return report
 
 
+def _su2_checks(report: VerificationReport, d: int, tolerance: float) -> None:
+    def su2_commutations() -> float:
+        worst = 0.0
+        for r in (0, 1):
+            for a in range(d):
+                jp, jm, jz = op_mod.polar_su2_ops(d, r, a)
+                worst = max(
+                    worst,
+                    float(np.max(np.abs(jz @ jp - jp @ jz - jp))),
+                    float(np.max(np.abs(jz @ jm - jm @ jz + jm))),
+                    float(np.max(np.abs(jp @ jm - jm @ jp - 2 * jz))),
+                )
+        return worst
+
+    _run(report, "su2_polar_commutations", tolerance, su2_commutations)
+
+    def su2_ladder_phases() -> float:
+        worst = 0.0
+        for r in (0, 1):
+            for a in range(d):
+                jp, jm, jz = op_mod.polar_su2_ops(d, r, a)
+                lp, lm = op_mod.ladder_matrices(d, a)
+                worst = max(
+                    worst,
+                    float(np.max(np.abs(jp - lp))),
+                    float(np.max(np.abs(jm - lm))),
+                    float(np.max(np.abs(jz - op_mod.jz_matrix(d)))),
+                )
+        return worst
+
+    _run(report, "su2_ladder_actions", tolerance, su2_ladder_phases)
+
+
 def suite_su2(d: int, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Just the angular-momentum polar-decomposition checks, for `weyl su2-check`."""
-    full = suite_weyl(d, tolerance)
     report = VerificationReport("su2")
-    report.checks = [c for c in full.checks if c.name.startswith("su2_")]
+    _su2_checks(report, d, tolerance)
     return report
 
 
@@ -559,26 +562,22 @@ def suite_su2(d: int, tolerance: float = DEFAULT_TOLERANCE) -> VerificationRepor
 # ---------------------------------------------------------------------------
 
 
-def suite_mub(
-    p: int | None = None,
-    d: int | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
+def suite_mub(d: int = 3, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
+    """The complete family for prime d, the minimal triple otherwise."""
     report = VerificationReport("mub")
-    dim = p if p is not None else (d if d is not None else 3)
 
     def orthonormal() -> float:
-        return max(mub_mod.basis_b0a(dim, a).gram_defect() for a in range(dim))
+        return max(mub_mod.basis_b0a(d, a).gram_defect() for a in range(d))
 
     _run(report, "bases_orthonormal", 1e-10, orthonormal)
 
     def eigen_relation() -> float:
         worst = 0.0
-        for a in range(dim):
-            v = op_mod.v_ra_matrix(dim, 0, a)
-            vectors = mub_mod.basis_b0a(dim, a).vectors
-            for alpha in range(dim):
-                lam = op_mod.v_ra_eigenvalue(dim, 0, a, alpha)
+        for a in range(d):
+            v = op_mod.v_ra_matrix(d, 0, a)
+            vectors = mub_mod.basis_b0a(d, a).vectors
+            for alpha in range(d):
+                lam = op_mod.v_ra_eigenvalue(d, 0, a, alpha)
                 worst = max(
                     worst,
                     float(np.max(np.abs(v @ vectors[:, alpha] - lam * vectors[:, alpha]))),
@@ -589,19 +588,19 @@ def suite_mub(
 
     def hadamard_identities() -> float:
         worst = 0.0
-        for a in range(dim):
-            h = mub_mod.hadamard_h_a(dim, a)
+        for a in range(d):
+            h = mub_mod.hadamard_h_a(d, a)
             worst = max(worst, h.gram_defect())
             worst = max(worst, float(np.max(np.abs(np.abs(h.to_matrix()) - 1.0))))
-            worst = max(worst, mub_mod.hadamard_reduction_defect(dim, a))
+            worst = max(worst, mub_mod.hadamard_reduction_defect(d, a))
         return worst
 
     _run(report, "hadamard_identities", tolerance, hadamard_identities)
 
     def hadamard_columns() -> bool:
-        for a in range(dim):
-            h = mub_mod.hadamard_h_a(dim, a)
-            table = mub_mod.basis_exponent_table(dim, a)
+        for a in range(d):
+            h = mub_mod.hadamard_h_a(d, a)
+            table = mub_mod.basis_exponent_table(d, a)
             if not np.array_equal(h.exponents, table):
                 return False
         return True
@@ -611,14 +610,14 @@ def suite_mub(
         report,
         "fourier_hadamard_clock_corrected",
         1e-10,
-        lambda: mub_mod.fourier_hadamard_corrected_residual(dim),
+        lambda: mub_mod.fourier_hadamard_corrected_residual(d),
     )
 
-    if mub_mod.is_prime(dim):
-        bases = mub_mod.mub_family(dim)
+    if mub_mod.is_prime(d):
+        bases = mub_mod.mub_family(d)
         prefix = "family_unbiased"
     else:
-        bases = mub_mod.minimal_triple(dim)
+        bases = mub_mod.minimal_triple(d)
         prefix = "minimal_triple_unbiased"
     t0 = time.perf_counter()
     deviations = mub_mod.pairwise_deviations(bases)
@@ -807,7 +806,7 @@ def run_suite(
     if name == "weyl":
         return suite_weyl(d, tolerance)
     if name == "mub":
-        return suite_mub(p=p, d=d if p is None else None, tolerance=tolerance)
+        return suite_mub(d if p is None else p, tolerance)
     if name == "basis":
         tensor = (p, e) if p is not None and e is not None else None
         return suite_basis(d, tensor, tolerance)
@@ -816,7 +815,7 @@ def run_suite(
         combined.extend(suite_hw(tolerance))
         combined.extend(suite_group(d, cap, tolerance))
         combined.extend(suite_weyl(d, tolerance))
-        combined.extend(suite_mub(p=d if mub_mod.is_prime(d) else None, d=d, tolerance=tolerance))
+        combined.extend(suite_mub(d, tolerance))
         combined.extend(suite_basis(d, None, tolerance))
         return combined
     raise ValueError(f"unknown suite {name!r}")

@@ -464,3 +464,9 @@ def test_cli_fuzzed_arguments_exit_cleanly(argv):
         one_line_error = err.startswith("error: ") and err.count("\n") == 1
         usage_error = err.startswith("usage: ") and ": error: " in err
         assert one_line_error or usage_error, (argv, err)
+
+
+def test_verify_basis_enforces_structure_table_cap(capsys):
+    code, out, err = run_cli(capsys, "verify", "basis", "--d", "17")
+    assert (code, out) == (2, "")
+    assert err == "error: d=17 exceeds the structure-table cap 16\n"

@@ -1,10 +1,12 @@
 import cmath
+import json
 import random
 
 import numpy as np
 import pytest
 
 from finiteweyl.phases import PhaseExponent, tau_powers
+from finiteweyl.serialize import export, import_exact
 
 
 def test_product_adds_exponents():
@@ -94,12 +96,13 @@ def test_q_has_order_d():
 def test_power_and_conjugate():
     p = PhaseExponent(3, 7)
     assert (p**5).t == 15 % 14
-    assert p.conjugate() == p.inverse()
     assert (p**0).is_one
 
 
 def test_json_round_trip():
     p = PhaseExponent(9, 6)
-    payload = p.to_json()
-    assert payload == {"tau_exp": 9, "tau_denominator": 12}
-    assert PhaseExponent.from_json(payload) == p
+    text = export(p)
+    assert json.loads(text) == {"schema": 1, "type": "phase", "tau_exp": 9, "tau_denominator": 12}
+    assert import_exact(text) == p
+    with pytest.raises(ValueError, match="tau_denominator must be even, got 13"):
+        import_exact(text.replace("12", "13"))

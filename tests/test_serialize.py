@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import finiteweyl.cli as cli_mod
+import finiteweyl.serialize as serialize_mod
 
 from finiteweyl.basis import cartan_partition_prime, cartan_partition_prime_power
 from finiteweyl.mub import hadamard_h_a
@@ -178,7 +179,7 @@ def test_json_dumps_type_error_matches_stdlib(payload):
 
 def test_json_dumps_matches_stdlib_on_mub_family_payload(monkeypatch, capsys):
     payloads = []
-    monkeypatch.setattr(cli_mod, "_emit", payloads.append)
+    monkeypatch.setattr(serialize_mod, "json_dumps", lambda payload: payloads.append(payload) or "")
     assert cli_mod.main(["mub", "family", "--p", "97"]) == 0
     (payload,) = payloads
     assert json_dumps(payload) == stdlib_dumps(payload)

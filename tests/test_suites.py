@@ -52,21 +52,21 @@ def test_su2_subset(d):
 
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_mub_suite_prime(p):
-    report = suite_mub(p=p)
+    report = suite_mub(p)
     assert report.overall, failing_names(report)
     pair_checks = [c for c in report.checks if c.name.startswith("family_unbiased_")]
     assert len(pair_checks) == (p + 1) * p // 2
 
 
 def test_mub_suite_p11_has_66_pair_checks():
-    report = suite_mub(p=11)
+    report = suite_mub(11)
     pair_checks = [c for c in report.checks if c.name.startswith("family_unbiased_")]
     assert len(pair_checks) == 66 and report.overall
 
 
 @pytest.mark.parametrize("d", [4, 6, 10])
 def test_mub_suite_composite(d):
-    report = suite_mub(d=d)
+    report = suite_mub(d)
     assert report.overall, failing_names(report)
     pair_checks = [c for c in report.checks if c.name.startswith("minimal_triple_unbiased_")]
     assert len(pair_checks) == 3
@@ -147,3 +147,9 @@ def test_run_suite_dispatch():
 def test_run_suite_all_composite_d():
     combined = run_suite("all", d=4)
     assert set(failing_names(combined)) == {"group.class_count_formula"}
+
+
+def test_su2_suite_runs_only_its_own_checks(monkeypatch):
+    monkeypatch.setattr(suites, "suite_weyl", lambda *args: pytest.fail("suite_weyl ran"))
+    report = suite_su2(9)
+    assert [c.name for c in report.checks] == ["su2_polar_commutations", "su2_ladder_actions"]
