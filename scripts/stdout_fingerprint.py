@@ -72,6 +72,11 @@ COMMANDS = [
     "basis partition --d 9",
     "basis partition --d 10",
     "basis partition --d 12",
+    # families whose p + 1 bases end in a partial block of the blocked
+    # unbiasedness products
+    "mub family --p 11",
+    "mub family --p 13",
+    "verify mub --p 7",
 ]
 
 

@@ -10,6 +10,7 @@ exceeded, or a partition is incomplete, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -194,23 +195,49 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+# the options a command takes that one of its actions does not read; giving
+# one of them is a usage error rather than silently ignored
+_UNREAD = {
+    ("weyl", "pair"): ("--a", "--r", "--tolerance"),
+    ("weyl", "vra"): ("--tolerance",),
+    ("weyl", "fourier"): ("--a", "--r", "--tolerance"),
+    ("weyl", "su2-check"): ("--a", "--r", "--format"),
+    ("mub", "family"): ("--d", "--a", "--format"),
+    ("mub", "hadamard"): ("--p", "--tolerance"),
+}
+
+
+class _Given(argparse.Action):
+    """Store the value and record on the namespace that the option was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
+
+
+def _check_unread(args: argparse.Namespace) -> None:
+    unread = _UNREAD.get((args.command, getattr(args, "action", None)), ())
+    for option in getattr(args, "given", ()):
+        if option in unread:
+            raise ValueError(f"{args.command} {args.action} does not take {option}")
+
+
 def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+    add = functools.partial(parser.add_argument, action=_Given)
     if "d" in names:
-        parser.add_argument("--d", type=int, default=3, help="dimension / modulus")
+        add("--d", type=int, default=3, help="dimension / modulus")
     if "p" in names:
-        parser.add_argument("--p", type=int, default=None, help="prime dimension")
+        add("--p", type=int, default=None, help="prime dimension")
     if "e" in names:
-        parser.add_argument("--e", type=int, default=None, help="tensor exponent")
+        add("--e", type=int, default=None, help="tensor exponent")
     if "a" in names:
-        parser.add_argument("--a", type=int, default=0, help="clock power")
+        add("--a", type=int, default=0, help="clock power")
     if "r" in names:
-        parser.add_argument("--r", type=float, default=0.0, help="corner phase parameter")
+        add("--r", type=float, default=0.0, help="corner phase parameter")
     if "tolerance" in names:
-        parser.add_argument(
-            "--tolerance", type=float, default=DEFAULT_TOLERANCE, help="check tolerance"
-        )
+        add("--tolerance", type=float, default=DEFAULT_TOLERANCE, help="check tolerance")
     if "max-d" in names:
-        parser.add_argument(
+        add(
             "--max-d",
             dest="max_d",
             type=int,
@@ -218,7 +245,7 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
             help="brute-force cap override",
         )
     if "format" in names:
-        parser.add_argument(
+        add(
             "--format",
             choices=["json", "exact-json", "dense-csv"],
             default="json",
@@ -254,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     mub = sub.add_parser("mub", help="mutually unbiased bases")
     mub.add_argument("action", choices=["family", "hadamard"])
     _add_common(mub, "d", "a", "tolerance", "format")
-    mub.add_argument("--p", type=int, default=3, help="prime dimension for the family")
+    mub.add_argument(
+        "--p", type=int, default=3, action=_Given, help="prime dimension for the family"
+    )
     mub.set_defaults(func=cmd_mub)
 
     basis = sub.add_parser("basis", help="operator basis of u(d) and partitions")
@@ -277,6 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        _check_unread(args)
         # NaN is not < 0; it keeps its own error, raised when the payload is rendered
         if getattr(args, "tolerance", 0.0) < 0:
             raise ValueError(f"tolerance must be >= 0, got {args.tolerance}")

@@ -12,9 +12,11 @@ non-finite entries are rejected.
 `json_dumps` is the one renderer of payload text.  Its output is
 byte-identical to `json.dumps(payload, indent=2, separators=(",", ": "),
 allow_nan=False) + "\n"`, but each list of plain ints and floats (a row of
-an exponent table or deviation matrix) is encoded by the C encoder in one
-call; the indented `json.dumps` would fall back to the pure-Python encoder
-and yield every number separately.
+a deviation matrix) is encoded by the C encoder in one call; the indented
+`json.dumps` would fall back to the pure-Python encoder and yield every
+number separately.  An integer ndarray (an exponent table) is written as
+its `.tolist()` would be, in one join over a lookup of number strings;
+float and bool arrays are not JSON here, as in `json.dumps`.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ _NUMBER_TYPES = {int, float}
 
 def _render(value: Any, indent: str) -> str:
     """Indented JSON for value nested at indent; its closing bracket lines up with indent."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        return _render_int_array(value, indent)
     inner = indent + "  "
     if isinstance(value, dict):
         opening, closing = "{", "}"
@@ -70,7 +74,40 @@ def _render(value: Any, indent: str) -> str:
         return _render_scalar(value)
     if not items:
         return opening + closing
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+    # the brackets go onto the end items, so the join is the only full-length copy
+    items[0] = f"{opening}\n{inner}{items[0]}"
+    items[-1] += f"\n{indent}{closing}"
+    return f",\n{inner}".join(items)
+
+
+def _render_int_array(value: np.ndarray, indent: str) -> str:
+    """`_render(value.tolist(), indent)` for an integer array, in one join over its entries.
+
+    Each entry is followed by the text that closes the m innermost lists
+    ending at it and opens the next ones, so the text is one lookup of
+    (entry, m) per entry.
+    """
+    if value.ndim == 0 or value.size == 0:
+        return _render(value.tolist(), indent)
+    depth = value.ndim
+    # the closing bracket of a list at nesting level q sits at pads[q], its entries at pads[q + 1]
+    pads = [indent + "  " * q for q in range(depth + 1)]
+
+    def opening(q: int) -> str:
+        return "".join(f"[\n{pads[level + 1]}" for level in range(q, depth))
+
+    def gap(m: int) -> str:
+        closing = "".join(f"\n{pads[level]}]" for level in range(depth - 1, depth - 1 - m, -1))
+        return closing if m == depth else f"{closing},\n{pads[depth - m]}{opening(depth - m)}"
+
+    # m counts the trailing axes whose last index the entry sits at
+    position = np.arange(1, value.size + 1)
+    ends = sum(position % math.prod(value.shape[q:]) == 0 for q in range(depth))
+    numbers, codes = np.unique(value.ravel(), return_inverse=True)
+    gaps = [gap(m) for m in range(depth + 1)]
+    lookup = [int.__repr__(number) + g for number in numbers.tolist() for g in gaps]
+    keys = codes * (depth + 1) + ends
+    return opening(0) + "".join(map(lookup.__getitem__, keys.tolist()))
 
 
 def _render_scalar(value: Any) -> str:
@@ -354,7 +391,7 @@ def _mub_basis(b: OrthonormalBasis) -> dict:
     if b.label == "computational":
         return {"label": b.label, "identity": True}
     # built while rendering, one table at a time, rather than kept on the basis
-    table = basis_exponent_table(b.d, int(b.label)).tolist()
+    table = basis_exponent_table(b.d, int(b.label))
     return {"label": b.label, "normalization": "1/sqrt(p)", "tau_exponents": table}
 
 

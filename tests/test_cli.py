@@ -260,6 +260,7 @@ def test_degenerate_dimensions_rejected(capsys, argv):
         ["weyl", "vra", "--r", "nan"],
         ["weyl", "vra", "--r", "inf"],
         ["verify", "all", "--tolerance", "nan"],
+        ["mub", "family", "--p", "7", "--tolerance", "nan"],
     ],
 )
 def test_non_finite_floats_rejected(capsys, argv):
@@ -291,6 +292,32 @@ def test_negative_tolerance_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: tolerance must be >= 0, got -") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["mub", "family", "--d", "5"], "--d"),
+        (["mub", "family", "--p", "3", "--a", "1"], "--a"),
+        (["mub", "family", "--p", "2", "--format", "dense-csv"], "--format"),
+        (["mub", "hadamard", "--d", "4", "--p", "5"], "--p"),
+        (["mub", "hadamard", "--tol", "1e-3"], "--tolerance"),
+        (["weyl", "pair", "--r", "1"], "--r"),
+        (["weyl", "pair", "--d", "3", "--a", "2"], "--a"),
+        (["weyl", "pair", "--tolerance", "1e-3"], "--tolerance"),
+        (["weyl", "vra", "--d", "3", "--tolerance", "1e-3"], "--tolerance"),
+        (["weyl", "fourier", "--r=-1e-3"], "--r"),
+        (["weyl", "fourier", "--a", "1"], "--a"),
+        (["weyl", "fourier", "--tolerance", "1e-3"], "--tolerance"),
+        (["weyl", "su2-check", "--r", "1"], "--r"),
+        (["weyl", "su2-check", "--a", "1"], "--a"),
+        (["weyl", "su2-check", "--form", "json"], "--format"),
+    ],
+)
+def test_options_an_action_does_not_read_are_rejected(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} {argv[1]} does not take {option}\n"
 
 
 def test_negative_float_in_exponent_form_is_a_value(capsys, monkeypatch):

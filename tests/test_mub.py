@@ -5,7 +5,9 @@ import pytest
 
 from conftest import max_abs
 from finiteweyl.mub import (
+    UNBIASEDNESS_BLOCK,
     HadamardMatrix,
+    OrthonormalBasis,
     basis_b0a,
     basis_exponent_table,
     computational_basis,
@@ -21,6 +23,7 @@ from finiteweyl.mub import (
     unbiasedness,
 )
 from finiteweyl.operators import v_ra_eigenvalue, v_ra_matrix
+from finiteweyl.phases import tau_powers
 
 
 def test_is_prime():
@@ -151,6 +154,61 @@ def test_composite_triples():
         devs = pairwise_deviations(triple)
         assert len(devs) == 3
         assert max(devs.values()) < 1e-9
+
+
+def per_pair_deviations(bases):
+    n = len(bases)
+    return {(i, j): unbiasedness(bases[i], bases[j]) for i in range(n) for j in range(i + 1, n)}
+
+
+@pytest.mark.parametrize(
+    "build, d",
+    [(mub_family, p) for p in (2, 3, 5, 7, 11, 13, 31, 97)]
+    + [(minimal_triple, d) for d in (4, 6, 12)],
+)
+def test_blocked_deviations_match_per_pair_form(build, d):
+    # families of p + 1 bases with p + 1 not a multiple of the block end in a
+    # partial block; the last basis of a family is the computational one
+    bases = build(d)
+    blocked = pairwise_deviations(bases)
+    reference = per_pair_deviations(bases)
+    assert list(blocked) == list(reference)
+    assert all(type(value) is float for value in blocked.values())
+    assert all(abs(blocked[pair] - reference[pair]) <= 1e-15 for pair in reference)
+
+
+def test_blocked_deviations_match_per_pair_form_on_random_bases():
+    # far from unbiased, every pair has its own deviation, so a pair that is
+    # dropped or read from the wrong slice shows
+    rng = np.random.default_rng(5)
+    bases = []
+    for k in range(2 * UNBIASEDNESS_BLOCK + 3):
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        bases.append(OrthonormalBasis(5, str(k), q))
+    blocked = pairwise_deviations(bases)
+    reference = per_pair_deviations(bases)
+    assert list(blocked) == list(reference)
+    assert all(abs(blocked[pair] - reference[pair]) <= 1e-15 for pair in reference)
+    assert len(set(reference.values())) == len(reference)
+
+
+def test_blocked_deviations_flag_a_corrupted_vector_at_the_same_pairs():
+    p, corrupted = 13, UNBIASEDNESS_BLOCK + 1
+    bases = mub_family(p)
+    table = basis_exponent_table(p, corrupted)
+    table[2, 4] += 1
+    bases[corrupted] = OrthonormalBasis(p, str(corrupted), tau_powers(table, p) / math.sqrt(p))
+    flagged = {pair for pair, value in pairwise_deviations(bases).items() if value > 1e-3}
+    expected = {pair for pair, value in per_pair_deviations(bases).items() if value > 1e-3}
+    assert flagged == expected
+    # as a later partner of the first block and as a row of the second
+    assert (0, corrupted) in flagged and (corrupted, corrupted + 1) in flagged
+
+
+def test_pairwise_deviations_rejects_mixed_dimensions():
+    with pytest.raises(ValueError):
+        pairwise_deviations([computational_basis(2), computational_basis(3)])
+    assert pairwise_deviations([computational_basis(2)]) == {}
 
 
 def test_qubit_family_structure():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import finiteweyl.cli as cli_mod
 import finiteweyl.serialize as serialize_mod
@@ -112,8 +113,9 @@ def test_json_dumps_deterministic():
     assert json_dumps(payload).endswith("\n")
 
 
-def stdlib_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, separators=(",", ": "), allow_nan=False) + "\n"
+def stdlib_dumps(payload, **kwargs) -> str:
+    text = json.dumps(payload, indent=2, separators=(",", ": "), allow_nan=False, **kwargs)
+    return text + "\n"
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -182,7 +184,26 @@ def test_json_dumps_matches_stdlib_on_mub_family_payload(monkeypatch, capsys):
     monkeypatch.setattr(serialize_mod, "json_dumps", lambda payload: payloads.append(payload) or "")
     assert cli_mod.main(["mub", "family", "--p", "97"]) == 0
     (payload,) = payloads
-    assert json_dumps(payload) == stdlib_dumps(payload)
+    # the exponent tables reach the renderer as int64 arrays
+    assert json_dumps(payload) == stdlib_dumps(payload, default=np.ndarray.tolist)
+
+
+int64_arrays = arrays(
+    np.int64,
+    array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+    elements=st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3),
+)
+
+
+@given(int64_arrays, st.text(alphabet=" ", max_size=8))
+def test_integer_array_renders_like_its_list(array, indent):
+    assert serialize_mod._render(array, indent) == serialize_mod._render(array.tolist(), indent)
+
+
+@pytest.mark.parametrize("array", [np.zeros((2, 2)), np.ones(3, dtype=bool), np.array(1.5)])
+def test_float_and_bool_arrays_are_not_rendered_as_integers(array):
+    with pytest.raises(TypeError, match="Object of type ndarray is not JSON serializable"):
+        json_dumps({"table": array})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
