@@ -51,10 +51,10 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"dimension must be >= 2, got {d}")
 
 
-def _check_table_dimension(d: int, cap: int) -> None:
+def _check_table_dimension(d: int) -> None:
     _check_dimension(d)
-    if d > cap:
-        raise ValueError(f"d={d} exceeds the structure-table cap {cap}")
+    if d > STRUCTURE_TABLE_CAP:
+        raise ValueError(f"d={d} exceeds the structure-table cap {STRUCTURE_TABLE_CAP}")
 
 
 def u_ab(d: int, a: int, b: int) -> MonomialOperator:
@@ -129,7 +129,7 @@ class CommutatorTable:
 
 def commutator_table(d: int) -> CommutatorTable:
     """The exponents and targets of `pauli_commutator` for all d^4 label pairs."""
-    _check_table_dimension(d, STRUCTURE_TABLE_CAP)
+    _check_table_dimension(d)
     a, b = np.divmod(np.arange(d * d, dtype=np.int64), d)
     return CommutatorTable(
         d=d,
@@ -139,11 +139,9 @@ def commutator_table(d: int) -> CommutatorTable:
     )
 
 
-def structure_constants(
-    d: int, cap: int = STRUCTURE_TABLE_CAP
-) -> dict[tuple[PauliIndex, PauliIndex], tuple[PauliIndex, complex]]:
+def structure_constants(d: int) -> dict[tuple[PauliIndex, PauliIndex], tuple[PauliIndex, complex]]:
     """Nonzero structure constants of u(d) in the X^a Z^b basis."""
-    _check_table_dimension(d, cap)
+    _check_table_dimension(d)
     table: dict[tuple[PauliIndex, PauliIndex], tuple[PauliIndex, complex]] = {}
     for ab in pauli_indices(d, include_identity=True):
         for ab2 in pauli_indices(d, include_identity=True):
@@ -220,7 +218,7 @@ def cartan_partition_prime(p: int) -> CartanPartition:
     return CartanPartition(dimension=p, classes=classes, complete=True)
 
 
-def commuting_class_search(d: int, cap: int = SEARCH_CAP) -> CartanPartition:
+def commuting_class_search(d: int) -> CartanPartition:
     """Exhaustive search for d+1 classes of d-1 commuting single-qudit labels.
 
     Returns a complete partition when one exists (always, for prime d);
@@ -228,8 +226,8 @@ def commuting_class_search(d: int, cap: int = SEARCH_CAP) -> CartanPartition:
     failed search having proved that no full partition exists.
     """
     _check_dimension(d)
-    if d > cap:
-        raise ValueError(f"d={d} exceeds the search cap {cap}")
+    if d > SEARCH_CAP:
+        raise ValueError(f"d={d} exceeds the search cap {SEARCH_CAP}")
     vertices = pauli_indices(d)
     # one table serves both searches; each reads every pair once
     commutes = _table_lookup(vertices, tensor_commutation_table((d,), vertices))
@@ -376,14 +374,13 @@ def tensor_trace_pairing(u: TensorMonomial, v: TensorMonomial) -> complex:
     return (u.adjoint() @ v).trace()
 
 
-def cartan_partition_prime_power(
-    p: int, e: int, cap: int = TENSOR_SEARCH_CAP, verify_dense: bool = True
-) -> CartanPartition:
+def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
     """Partition the p^2e - 1 tensor labels into p^e + 1 commuting classes.
 
     Found by the same deterministic backtracking used for single qudits;
     a failure would contradict the existence of the decomposition at this
-    size and is raised rather than ignored.
+    size and is raised rather than ignored, as is a nonzero dense
+    commutator in the found classes (`partition_dense_commutation_defect`).
     """
     from .mub import is_prime
 
@@ -392,8 +389,8 @@ def cartan_partition_prime_power(
     if e < 2:
         raise ValueError(f"tensor exponent must be >= 2, got {e}")
     d = p**e
-    if d > cap:
-        raise ValueError(f"p^e={d} exceeds the tensor search cap {cap}")
+    if d > TENSOR_SEARCH_CAP:
+        raise ValueError(f"p^e={d} exceeds the tensor search cap {TENSOR_SEARCH_CAP}")
     dims = (p,) * e
     vertices = tensor_indices(dims)
     commutes = _table_lookup(vertices, tensor_commutation_table(dims, vertices))
@@ -406,10 +403,9 @@ def cartan_partition_prime_power(
     partition = CartanPartition(
         dimension=d, classes=solution, complete=True, tensor_dims=dims
     )
-    if verify_dense:
-        defect = partition_dense_commutation_defect(partition)
-        if defect > 1e-12:
-            raise RuntimeError(f"dense recheck failed with defect {defect}")
+    defect = partition_dense_commutation_defect(partition)
+    if defect > 1e-12:
+        raise RuntimeError(f"dense recheck failed with defect {defect}")
     return partition
 
 

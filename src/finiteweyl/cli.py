@@ -10,12 +10,10 @@ exceeded, or a partition is incomplete, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from . import __version__
 from .basis import (
-    SEARCH_CAP,
     cartan_partition_prime,
     cartan_partition_prime_power,
     commutator_table,
@@ -24,6 +22,7 @@ from .basis import (
 from .group import (
     DEFAULT_BRUTE_FORCE_CAP,
     PdElement,
+    check_cap,
     irrep_character_norm,
     pd_centralizer_size,
     pd_conjugacy_classes,
@@ -72,11 +71,12 @@ def _report_exit(report) -> int:
 
 
 def cmd_hw(args: argparse.Namespace) -> int:
-    return _report_exit(suite_hw(args.tolerance))
+    return _report_exit(suite_hw())
 
 
 def cmd_group(args: argparse.Namespace) -> int:
     d, cap = args.d, args.max_d
+    check_cap(d, cap)
     if args.action == "classes":
         text = export(pd_conjugacy_classes(d, cap))
     elif args.action == "centralizer":
@@ -112,7 +112,7 @@ def cmd_mub(args: argparse.Namespace) -> int:
     if args.action == "hadamard":
         sys.stdout.write(export(hadamard_h_a(args.d, args.a), args.format))
         return 0
-    p = args.p
+    p = 3 if args.p is None else args.p
     bases = mub_family(p)
     deviations = pairwise_deviations(bases)
     sys.stdout.write(export_mub_family(bases, deviations, args.tolerance))
@@ -131,8 +131,10 @@ def cmd_basis(args: argparse.Namespace) -> int:
         return 0
     if args.tensor:
         p, e = _int_fields("--tensor", args.tensor, "p,e")
+        if "--d" in args.given and d != p**e:
+            raise ValueError(f"--d {d} contradicts --tensor {args.tensor}: d must be p^e")
         partition = cartan_partition_prime_power(p, e)
-    elif is_prime(d) and d > SEARCH_CAP:
+    elif is_prime(d):
         partition = cartan_partition_prime(d)
     else:
         partition = commuting_class_search(d)
@@ -147,7 +149,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(
-        args.suite,
+        args.action,
         d=args.d,
         p=args.p,
         e=args.e,
@@ -195,15 +197,54 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-# the options a command takes that one of its actions does not read; giving
-# one of them is a usage error rather than silently ignored
-_UNREAD = {
-    ("weyl", "pair"): ("--a", "--r", "--tolerance"),
-    ("weyl", "vra"): ("--tolerance",),
-    ("weyl", "fourier"): ("--a", "--r", "--tolerance"),
-    ("weyl", "su2-check"): ("--a", "--r", "--format"),
-    ("mub", "family"): ("--d", "--a", "--format"),
-    ("mub", "hadamard"): ("--p", "--tolerance"),
+# every option's argparse spec
+_OPTIONS = {
+    "--d": dict(type=int, default=3, help="dimension / modulus"),
+    "--p": dict(type=int, default=None, help="prime dimension (mub family: default 3)"),
+    "--e": dict(type=int, default=None, help="tensor exponent"),
+    "--a": dict(type=int, default=0, help="clock power"),
+    "--r": dict(type=float, default=0.0, help="corner phase parameter"),
+    "--elem": dict(type=str, default=None, help="element a,b,c"),
+    "--tensor": dict(type=str, default=None, help="tensor partition parameters p,e"),
+    "--tolerance": dict(type=float, default=DEFAULT_TOLERANCE, help="check tolerance"),
+    "--max-d": dict(type=int, default=DEFAULT_BRUTE_FORCE_CAP, help="brute-force cap override"),
+    "--format": dict(
+        choices=["json", "exact-json", "dense-csv"], default="json", help="output encoding"
+    ),
+}
+
+# each command's handler and help; the suite of `verify` is its action
+_COMMANDS = {
+    "hw": (cmd_hw, "continuous-group identities"),
+    "group": (cmd_group, "finite Heisenberg group of order d^3"),
+    "weyl": (cmd_weyl, "clock/shift operators and relatives"),
+    "mub": (cmd_mub, "mutually unbiased bases"),
+    "basis": (cmd_basis, "operator basis of u(d) and partitions"),
+    "verify": (cmd_verify, "run a named verification suite"),
+}
+
+# the options each action reads; a command defines the union over its
+# actions, and giving an option its action does not read is a usage error
+_READS = {
+    ("hw", "check"): (),
+    ("group", "classes"): ("--d", "--max-d"),
+    ("group", "centralizer"): ("--d", "--elem", "--max-d"),
+    ("group", "subgroups"): ("--d", "--max-d"),
+    ("group", "irreps"): ("--d", "--max-d"),
+    ("weyl", "pair"): ("--d", "--format"),
+    ("weyl", "vra"): ("--d", "--a", "--r", "--format"),
+    ("weyl", "fourier"): ("--d", "--format"),
+    ("weyl", "su2-check"): ("--d", "--tolerance"),
+    ("mub", "family"): ("--p", "--tolerance"),
+    ("mub", "hadamard"): ("--d", "--a", "--format"),
+    ("basis", "partition"): ("--d", "--tensor"),
+    ("basis", "structure"): ("--d",),
+    ("verify", "hw"): (),
+    ("verify", "group"): ("--d", "--max-d"),
+    ("verify", "weyl"): ("--d", "--tolerance"),
+    ("verify", "mub"): ("--d", "--p", "--tolerance"),
+    ("verify", "basis"): ("--d", "--p", "--e", "--tolerance"),
+    ("verify", "all"): ("--d", "--tolerance", "--max-d"),
 }
 
 
@@ -212,45 +253,14 @@ class _Given(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
-        namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
+        namespace.given = (*namespace.given, self.option_strings[0])
 
 
 def _check_unread(args: argparse.Namespace) -> None:
-    unread = _UNREAD.get((args.command, getattr(args, "action", None)), ())
-    for option in getattr(args, "given", ()):
-        if option in unread:
+    reads = _READS[args.command, args.action]
+    for option in args.given:
+        if option not in reads:
             raise ValueError(f"{args.command} {args.action} does not take {option}")
-
-
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    add = functools.partial(parser.add_argument, action=_Given)
-    if "d" in names:
-        add("--d", type=int, default=3, help="dimension / modulus")
-    if "p" in names:
-        add("--p", type=int, default=None, help="prime dimension")
-    if "e" in names:
-        add("--e", type=int, default=None, help="tensor exponent")
-    if "a" in names:
-        add("--a", type=int, default=0, help="clock power")
-    if "r" in names:
-        add("--r", type=float, default=0.0, help="corner phase parameter")
-    if "tolerance" in names:
-        add("--tolerance", type=float, default=DEFAULT_TOLERANCE, help="check tolerance")
-    if "max-d" in names:
-        add(
-            "--max-d",
-            dest="max_d",
-            type=int,
-            default=DEFAULT_BRUTE_FORCE_CAP,
-            help="brute-force cap override",
-        )
-    if "format" in names:
-        add(
-            "--format",
-            choices=["json", "exact-json", "dense-csv"],
-            default="json",
-            help="output encoding",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,44 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    hw = sub.add_parser("hw", help="continuous-group identities")
-    hw.add_argument("action", choices=["check"])
-    _add_common(hw, "tolerance")
-    hw.set_defaults(func=cmd_hw)
-
-    group = sub.add_parser("group", help="finite Heisenberg group of order d^3")
-    group.add_argument("action", choices=["classes", "centralizer", "subgroups", "irreps"])
-    _add_common(group, "d", "max-d")
-    group.add_argument("--elem", type=str, default=None, help="element a,b,c")
-    group.set_defaults(func=cmd_group)
-
-    weyl = sub.add_parser("weyl", help="clock/shift operators and relatives")
-    weyl.add_argument("action", choices=["pair", "vra", "fourier", "su2-check"])
-    _add_common(weyl, "d", "a", "r", "tolerance", "format")
-    weyl.set_defaults(func=cmd_weyl)
-
-    mub = sub.add_parser("mub", help="mutually unbiased bases")
-    mub.add_argument("action", choices=["family", "hadamard"])
-    _add_common(mub, "d", "a", "tolerance", "format")
-    mub.add_argument(
-        "--p", type=int, default=3, action=_Given, help="prime dimension for the family"
-    )
-    mub.set_defaults(func=cmd_mub)
-
-    basis = sub.add_parser("basis", help="operator basis of u(d) and partitions")
-    basis.add_argument("action", choices=["partition", "structure"])
-    _add_common(basis, "d")
-    basis.add_argument(
-        "--tensor", type=str, default=None, help="tensor partition parameters p,e"
-    )
-    basis.set_defaults(func=cmd_basis)
-
-    verify = sub.add_parser("verify", help="run a named verification suite")
-    verify.add_argument("suite", choices=["hw", "group", "weyl", "mub", "basis", "all"])
-    _add_common(verify, "d", "p", "e", "tolerance", "max-d")
-    verify.set_defaults(func=cmd_verify)
-
+    for command, (func, help_text) in _COMMANDS.items():
+        actions = [action for name, action in _READS if name == command]
+        read = {option for action in actions for option in _READS[command, action]}
+        command_parser = sub.add_parser(command, help=help_text)
+        command_parser.add_argument("action", choices=actions)
+        for option, spec in _OPTIONS.items():
+            if option in read:
+                command_parser.add_argument(option, action=_Given, **spec)
+        command_parser.set_defaults(func=func, given=())
     return parser
 
 
@@ -311,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "tolerance", 0.0) < 0:
             raise ValueError(f"tolerance must be >= 0, got {args.tolerance}")
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

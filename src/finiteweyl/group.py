@@ -113,7 +113,8 @@ def _element_codes(g: np.ndarray, d: int) -> np.ndarray:
     return (g[..., 0] * d + g[..., 1]) * d + g[..., 2]
 
 
-def _check_cap(d: int, cap: int) -> None:
+def check_cap(d: int, cap: int) -> None:
+    """Reject a modulus below 2 or above the brute-force cap."""
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")
     if d > cap:
@@ -139,7 +140,7 @@ def pd_conjugacy_classes(d: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> Conjugac
     The conjugate of (a, b, c) by (a', b', c') is (a + cb' - bc', b, c), so
     each orbit is swept by running (b', c') over Z_d^2.
     """
-    _check_cap(d, cap)
+    check_cap(d, cap)
     classes: list[list[PdElement]] = []
     seen: set[tuple[int, int, int]] = set()
     for a, b, c in product(range(d), repeat=3):
@@ -276,7 +277,7 @@ def _isomorphism_tag(elements: list[PdElement], d: int) -> str:
 
 def pd_named_subgroups(d: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> list[Subgroup]:
     """The six listed subgroups, with closure/normality verified."""
-    _check_cap(d, cap)
+    check_cap(d, cap)
     rng = range(d)
     subsets: list[tuple[str, list[PdElement]]] = [
         ("center", [PdElement(a, 0, 0, d) for a in rng]),

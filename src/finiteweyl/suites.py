@@ -55,7 +55,7 @@ def _dyadic_grid() -> list[hw_mod.HWElement]:
     return [hw_mod.HWElement(x, y, z) for x, y, z in product(values, repeat=3)]
 
 
-def suite_hw(tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
+def suite_hw() -> VerificationReport:
     report = VerificationReport("hw")
     grid = _dyadic_grid()
     pairs = hw_mod.random_dyadic_elements(200, seed=11)
@@ -156,11 +156,7 @@ def suite_hw(tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def suite_group(
-    d: int = 3,
-    cap: int = group_mod.DEFAULT_BRUTE_FORCE_CAP,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
+def suite_group(d: int = 3, cap: int = group_mod.DEFAULT_BRUTE_FORCE_CAP) -> VerificationReport:
     report = VerificationReport("group")
     elements = group_mod.pd_elements(d)
     rng = random.Random(17)
@@ -806,20 +802,21 @@ def run_suite(
     cap: int = group_mod.DEFAULT_BRUTE_FORCE_CAP,
 ) -> VerificationReport:
     if name == "hw":
-        return suite_hw(tolerance)
+        return suite_hw()
     if name == "group":
-        return suite_group(d, cap, tolerance)
+        return suite_group(d, cap)
     if name == "weyl":
         return suite_weyl(d, tolerance)
     if name == "mub":
         return suite_mub(d if p is None else p, tolerance)
     if name == "basis":
-        tensor = (p, e) if p is not None and e is not None else None
-        return suite_basis(d, tensor, tolerance)
+        if (p is None) != (e is None):
+            raise ValueError(f"the tensor checks need both p and e, got p={p}, e={e}")
+        return suite_basis(d, None if p is None else (p, e), tolerance)
     if name == "all":
         combined = VerificationReport("all")
-        combined.extend(suite_hw(tolerance))
-        combined.extend(suite_group(d, cap, tolerance))
+        combined.extend(suite_hw())
+        combined.extend(suite_group(d, cap))
         combined.extend(suite_weyl(d, tolerance))
         combined.extend(suite_mub(d, tolerance))
         combined.extend(suite_basis(d, None, tolerance))

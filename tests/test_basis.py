@@ -34,7 +34,7 @@ from finiteweyl.basis import (
     u_ab,
     validate_cartan_partition,
 )
-from finiteweyl.mub import OrthonormalBasis, pairwise_deviations
+from finiteweyl.mub import OrthonormalBasis, is_prime, pairwise_deviations
 from finiteweyl.operators import MonomialOperator
 from finiteweyl.search import (
     find_commuting_partition,
@@ -215,7 +215,8 @@ def test_prime_partitions_validate():
 
 
 def test_search_rediscovers_prime_partition():
-    for p in (2, 3, 5, 7):
+    # `basis partition` prints the closed form; the search rechecks it at every searchable prime
+    for p in filter(is_prime, range(2, basis_mod.SEARCH_CAP + 1)):
         found = commuting_class_search(p)
         assert found.complete
         assert found.classes == cartan_partition_prime(p).classes
@@ -429,7 +430,7 @@ def test_dense_stack_is_bit_equal_to_kron(dims):
 
 
 def test_dense_recheck_catches_a_non_commuting_pair():
-    good = cartan_partition_prime_power(2, 3, verify_dense=False)
+    good = cartan_partition_prime_power(2, 3)
     assert partition_dense_commutation_defect(good) <= 1e-12
     # swap one label between two classes: each class now holds a non-commuting pair
     classes = [list(cls) for cls in good.classes]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -283,8 +284,8 @@ def test_dense_csv_rejects_non_finite(capsys):
         ["mub", "family", "--p", "7", "--tolerance", "-1"],
         ["verify", "all", "--d", "3", "--tolerance", "-0.5"],
         ["weyl", "su2-check", "--tolerance=-1e-9"],
-        ["hw", "check", "--tolerance=-1"],
-        ["hw", "check", "--tolerance", "-1e-9"],
+        ["verify", "weyl", "--tolerance=-1"],
+        ["verify", "weyl", "--tolerance", "-1e-9"],
         ["verify", "all", "--d", "3", "--tol", "-1e-9"],
     ],
 )
@@ -312,12 +313,118 @@ def test_negative_tolerance_rejected(capsys, argv):
         (["weyl", "su2-check", "--r", "1"], "--r"),
         (["weyl", "su2-check", "--a", "1"], "--a"),
         (["weyl", "su2-check", "--form", "json"], "--format"),
+        (["group", "classes", "--d", "2", "--elem", "1,1,1"], "--elem"),
+        (["basis", "structure", "--d", "2", "--tensor", "2,2"], "--tensor"),
+        (["verify", "hw", "--d", "5", "--p", "7", "--e", "2"], "--d"),
+        (["verify", "group", "--d", "3", "--tolerance", "1e-3"], "--tolerance"),
+        (["verify", "weyl", "--d", "3", "--p", "3"], "--p"),
+        (["verify", "all", "--d", "3", "--e", "2"], "--e"),
     ],
 )
 def test_options_an_action_does_not_read_are_rejected(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {argv[0]} {argv[1]} does not take {option}\n"
+
+
+def test_hw_check_defines_no_tolerance(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hw", "check", "--tolerance", "1e-3"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --tolerance 1e-3" in captured.err
+
+
+# one value that parses for each option
+OPTION_VALUES = {
+    "--d": "3", "--p": "3", "--e": "2", "--a": "1", "--r": "1", "--elem": "0,1,0",
+    "--tensor": "2,2", "--tolerance": "1e-9", "--max-d": "16", "--format": "json",
+}
+
+
+def _defined_options():
+    """(command, action, option) for every action of `build_parser()` and option of its command."""
+    parser = cli_mod.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, command_parser in commands.choices.items():
+        arguments = command_parser._actions
+        actions = next(a for a in arguments if a.dest == "action").choices
+        options = [a.option_strings[0] for a in arguments if a.dest not in ("help", "action")]
+        for action in actions:
+            for option in options:
+                yield command, action, option
+
+
+DEFINED_OPTIONS = list(_defined_options())
+
+
+def test_every_action_of_the_parser_has_an_entry_in_reads():
+    assert {(command, action) for command, action, _ in DEFINED_OPTIONS} <= set(cli_mod._READS)
+    assert sum(option in cli_mod._READS[c, a] for c, a, option in DEFINED_OPTIONS) == 41
+
+
+@pytest.mark.parametrize("command, action, option", DEFINED_OPTIONS)
+def test_an_action_takes_exactly_the_options_it_reads(capsys, command, action, option):
+    argv = [command, action, option, OPTION_VALUES[option]]
+    if option in cli_mod._READS[command, action]:
+        cli_mod._check_unread(cli_mod.build_parser().parse_args(argv))
+    else:
+        # rejected before the handler runs
+        error = f"error: {command} {action} does not take {option}\n"
+        assert run_cli(capsys, *argv) == (2, "", error)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["basis", "partition", "--d", "5", "--tensor", "2,2"],
+            "--d 5 contradicts --tensor 2,2: d must be p^e",
+        ),
+        (
+            ["verify", "basis", "--d", "3", "--p", "3"],
+            "the tensor checks need both p and e, got p=3, e=None",
+        ),
+        (["verify", "basis", "--e", "2"], "the tensor checks need both p and e, got p=None, e=2"),
+    ],
+)
+def test_contradicting_options_rejected(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "classes", "--d", "17"],
+        ["group", "centralizer", "--d", "17", "--elem", "0,1,0"],
+        ["group", "subgroups", "--d", "17"],
+        ["group", "irreps", "--d", "3000"],
+        ["group", "irreps", "--d", "3", "--max-d", "2"],
+    ],
+)
+def test_every_group_action_enforces_the_brute_force_cap(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: d={argv[3]} exceeds the brute-force cap ")
+    assert err.count("\n") == 1
+
+
+def test_group_cap_override_reaches_centralizer_and_irreps(capsys):
+    argv = ["--d", "17", "--max-d", "17"]
+    code, out, _ = run_cli(capsys, "group", "centralizer", *argv, "--elem", "0,1,0")
+    assert code == 0 and json.loads(out)["centralizer_size"] == 17 * 17
+    code, out, _ = run_cli(capsys, "group", "irreps", *argv)
+    assert code == 0 and json.loads(out)["claimed_d_dimensional"] == 16
+
+
+def test_failed_allocation_exits_2(capsys, monkeypatch):
+    def failing_fourier(d):
+        raise MemoryError(f"Unable to allocate 65.5 TiB for an array with shape ({d}, {d})")
+
+    monkeypatch.setattr(cli_mod, "fourier_matrix", failing_fourier)
+    code, out, err = run_cli(capsys, "weyl", "fourier", "--d", "3000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 def test_negative_float_in_exponent_form_is_a_value(capsys, monkeypatch):
