@@ -77,6 +77,11 @@ COMMANDS = [
     "mub family --p 11",
     "mub family --p 13",
     "verify mub --p 7",
+    # rejected before any work: a tensor exponent far over the cap, and a
+    # --d that contradicts --p
+    "basis partition --tensor 2,20000",
+    "verify basis --p 2 --e 20000",
+    "verify mub --d 5 --p 7",
 ]
 
 

@@ -374,6 +374,21 @@ def tensor_trace_pairing(u: TensorMonomial, v: TensorMonomial) -> complex:
     return (u.adjoint() @ v).trace()
 
 
+def tensor_dimension(p: int, e: int) -> int:
+    """p^e for a tensor partition: p prime, e >= 2 and p^e within TENSOR_SEARCH_CAP."""
+    from .mub import is_prime
+
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if e < 2:
+        raise ValueError(f"tensor exponent must be >= 2, got {e}")
+    # p >= 2, so a larger e than the cap's bit length exceeds the cap; the
+    # test on e comes first, so a huge e never builds a huge power
+    if e > TENSOR_SEARCH_CAP.bit_length() or p**e > TENSOR_SEARCH_CAP:
+        raise ValueError(f"p^e={p}^{e} exceeds the tensor search cap {TENSOR_SEARCH_CAP}")
+    return p**e
+
+
 def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
     """Partition the p^2e - 1 tensor labels into p^e + 1 commuting classes.
 
@@ -382,15 +397,7 @@ def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
     size and is raised rather than ignored, as is a nonzero dense
     commutator in the found classes (`partition_dense_commutation_defect`).
     """
-    from .mub import is_prime
-
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if e < 2:
-        raise ValueError(f"tensor exponent must be >= 2, got {e}")
-    d = p**e
-    if d > TENSOR_SEARCH_CAP:
-        raise ValueError(f"p^e={d} exceeds the tensor search cap {TENSOR_SEARCH_CAP}")
+    d = tensor_dimension(p, e)
     dims = (p,) * e
     vertices = tensor_indices(dims)
     commutes = _table_lookup(vertices, tensor_commutation_table(dims, vertices))

@@ -1,16 +1,19 @@
 """Command-line entry point: parses arguments, calls the library and hands
 each result to one `serialize` function, which builds the payload.
 
-JSON payloads go to stdout (deterministic: fixed orderings, no timestamps);
-human-readable diagnostics and timings go to stderr.  Exit codes: 0 on
-success / all checks passing, 1 when a verification fails, a tolerance is
-exceeded, or a partition is incomplete, 2 for usage errors.
+JSON payloads go to stdout (deterministic: fixed orderings, no timestamps),
+written in chunks by `_write`; human-readable diagnostics and timings go to
+stderr.  Exit codes: 0 on success / all checks passing, 1 when a
+verification fails, a tolerance is exceeded, or a partition is incomplete,
+2 for usage errors and for a stdout closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections.abc import Iterable
 
 from . import __version__
 from .basis import (
@@ -18,6 +21,7 @@ from .basis import (
     cartan_partition_prime_power,
     commutator_table,
     commuting_class_search,
+    tensor_dimension,
 )
 from .group import (
     DEFAULT_BRUTE_FORCE_CAP,
@@ -32,8 +36,8 @@ from .group import (
 from .mub import hadamard_h_a, is_prime, mub_family, pairwise_deviations
 from .operators import fourier_matrix, v_ra_matrix, weyl_pair
 from .serialize import (
-    export,
     export_centralizer,
+    export_chunks,
     export_dense,
     export_irreps,
     export_mub_family,
@@ -58,8 +62,14 @@ def _int_fields(option: str, text: str, form: str) -> tuple[int, ...]:
     return values
 
 
+def _write(chunks: Iterable[str]) -> None:
+    """The one writer of stdout: each chunk as soon as it is rendered."""
+    for chunk in chunks:
+        sys.stdout.write(chunk)
+
+
 def _report_exit(report) -> int:
-    sys.stdout.write(export(report))
+    _write(export_chunks(report))
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     return 0 if report.overall else 1
@@ -78,18 +88,18 @@ def cmd_group(args: argparse.Namespace) -> int:
     d, cap = args.d, args.max_d
     check_cap(d, cap)
     if args.action == "classes":
-        text = export(pd_conjugacy_classes(d, cap))
+        chunks = export_chunks(pd_conjugacy_classes(d, cap))
     elif args.action == "centralizer":
         if args.elem is None:
             raise ValueError("--elem a,b,c is required for the centralizer command")
         element = PdElement(*_int_fields("--elem", args.elem, "a,b,c"), d)
-        text = export_centralizer(element, pd_centralizer_size(element))
+        chunks = export_centralizer(element, pd_centralizer_size(element))
     elif args.action == "subgroups":
-        text = export_subgroups(d, pd_named_subgroups(d, cap))
+        chunks = export_subgroups(d, pd_named_subgroups(d, cap))
     else:
         counts = pd_irrep_counts(d)
-        text = export_irreps(d, counts, [irrep_character_norm(k, d) for k in range(1, d)])
-    sys.stdout.write(text)
+        chunks = export_irreps(d, counts, [irrep_character_norm(k, d) for k in range(1, d)])
+    _write(chunks)
     return 0
 
 
@@ -98,24 +108,27 @@ def cmd_weyl(args: argparse.Namespace) -> int:
     if args.action == "su2-check":
         return _report_exit(suite_su2(d, args.tolerance))
     if args.action == "pair":
-        text = export_weyl_pair(*weyl_pair(d), args.format)
+        chunks = export_weyl_pair(*weyl_pair(d), args.format)
     elif args.action == "vra":
         mat = v_ra_matrix(d, args.r, args.a)
-        text = export_dense("vra", mat, args.format, d=d, r=args.r, a=args.a)
+        chunks = export_dense("vra", mat, args.format, d=d, r=args.r, a=args.a)
     else:
-        text = export_dense("fourier", fourier_matrix(d), args.format, d=d)
-    sys.stdout.write(text)
+        chunks = export_dense("fourier", fourier_matrix(d), args.format, d=d)
+    _write(chunks)
     return 0
 
 
 def cmd_mub(args: argparse.Namespace) -> int:
     if args.action == "hadamard":
-        sys.stdout.write(export(hadamard_h_a(args.d, args.a), args.format))
+        _write(export_chunks(hadamard_h_a(args.d, args.a), args.format))
         return 0
     p = 3 if args.p is None else args.p
     bases = mub_family(p)
     deviations = pairwise_deviations(bases)
-    sys.stdout.write(export_mub_family(bases, deviations, args.tolerance))
+    labels = [b.label for b in bases]
+    # the payload is rebuilt from p and the labels, so the dense vectors go first
+    del bases
+    _write(export_mub_family(p, labels, deviations, args.tolerance))
     worst = max(deviations.values())
     print(
         f"mub family p={p}: max deviation {worst:.3e} (tolerance {args.tolerance:.1e})",
@@ -127,18 +140,18 @@ def cmd_mub(args: argparse.Namespace) -> int:
 def cmd_basis(args: argparse.Namespace) -> int:
     d = args.d
     if args.action == "structure":
-        sys.stdout.write(export(commutator_table(d)))
+        _write(export_chunks(commutator_table(d)))
         return 0
     if args.tensor:
         p, e = _int_fields("--tensor", args.tensor, "p,e")
-        if "--d" in args.given and d != p**e:
+        if "--d" in args.given and d != tensor_dimension(p, e):
             raise ValueError(f"--d {d} contradicts --tensor {args.tensor}: d must be p^e")
         partition = cartan_partition_prime_power(p, e)
     elif is_prime(d):
         partition = cartan_partition_prime(d)
     else:
         partition = commuting_class_search(d)
-    sys.stdout.write(export(partition))
+    _write(export_chunks(partition))
     status = "complete" if partition.complete else "incomplete"
     print(
         f"partition d={partition.dimension}: {partition.class_count} classes, {status}",
@@ -148,6 +161,8 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.action == "mub" and "--d" in args.given and args.p is not None and args.d != args.p:
+        raise ValueError(f"--d {args.d} contradicts --p {args.p}: d must equal p")
     report = run_suite(
         args.action,
         d=args.d,
@@ -288,12 +303,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_unread(args)
-        # NaN is not < 0; it keeps its own error, raised when the payload is rendered
+        # NaN is not < 0; it keeps its own error, raised when the payload's
+        # skeleton is rendered, before the first byte is written
         if getattr(args, "tolerance", 0.0) < 0:
             raise ValueError(f"tolerance must be >= 0, got {args.tolerance}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout; pointing it at devnull lets the flush at
+        # exit succeed instead of printing a second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
         return 2
 
 

@@ -1,29 +1,35 @@
 """The output format: every JSON payload encoder, the renderer, dense CSV.
 
-No other module knows the shape of a payload.  `export(obj, fmt)` writes
-one library object, each `export_*` function the results of one CLI
-command, and `_document` adds the top-level "schema": 1.  Exact objects
-(phases, monomials, Hadamard exponent tables, partitions) serialize
-through integer tau exponents and read back bit-identically through
-`import_exact`, whose decoders sit next to their encoders.  Dense
-matrices serialize as CSV rows of re,im pairs with 17 significant digits;
-non-finite entries are rejected.
+No other module knows the shape of a payload.  `export(obj, fmt)` returns
+the text of one library object, `export_chunks` the same text in chunks,
+each `export_*` function the chunks of the results of one CLI command, and
+`_document` adds the top-level "schema": 1.  Exact objects (phases,
+monomials, Hadamard exponent tables, partitions) serialize through integer
+tau exponents and read back bit-identically through `import_exact`, whose
+decoders sit next to their encoders.  Dense matrices serialize as CSV rows
+of re,im pairs with 17 significant digits; non-finite entries are rejected.
 
-`json_dumps` is the one renderer of payload text.  Its output is
-byte-identical to `json.dumps(payload, indent=2, separators=(",", ": "),
-allow_nan=False) + "\n"`, but each list of plain ints and floats (a row of
-a deviation matrix) is encoded by the C encoder in one call; the indented
-`json.dumps` would fall back to the pure-Python encoder and yield every
-number separately.  An integer ndarray (an exponent table) is written as
-its `.tolist()` would be, in one join over a lookup of number strings;
-float and bool arrays are not JSON here, as in `json.dumps`.
+`json_chunks` is the one renderer of payload text, and `json_dumps` joins
+its chunks.  The text is byte-identical to `json.dumps(payload, indent=2,
+separators=(",", ": "), allow_nan=False) + "\n"`.  The payload is rendered
+as a skeleton first, with a NUL placeholder where each integer ndarray (an
+exponent table) goes; every error (a non-finite float, a value that is not
+JSON) is raised while the skeleton is built, before the first chunk is
+yielded, so a writer never leaves a partial document.  The chunks are the
+skeleton pieces with the text of each deferred array between them, so at
+most one table's text exists at a time.  Each list of plain ints and floats
+(a row of a deviation matrix) is encoded by the C encoder in one call; the
+indented `json.dumps` would fall back to the pure-Python encoder and yield
+every number separately.  An integer ndarray is written as its `.tolist()`
+would be, in one join over a lookup of number strings; float and bool
+arrays are not JSON here, as in `json.dumps`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -32,7 +38,7 @@ import numpy as np
 
 from .basis import CartanPartition, CommutatorTable, format_index
 from .group import ConjugacyClassReport, PdElement, Subgroup
-from .mub import HadamardMatrix, OrthonormalBasis, basis_exponent_table
+from .mub import HadamardMatrix, basis_exponent_table
 from .operators import MonomialOperator
 from .phases import PhaseExponent
 from .report import VerificationReport
@@ -40,26 +46,50 @@ from .report import VerificationReport
 SCHEMA_VERSION = 1
 
 
-def json_dumps(payload: dict) -> str:
-    """Deterministic rendering: fixed key order, fixed separators.
+def json_chunks(payload: dict) -> Iterator[str]:
+    """Deterministic rendering in chunks: fixed key order, fixed separators.
 
-    Non-finite floats raise ValueError rather than emitting NaN/Infinity,
-    which are not standard JSON.
+    Every check runs before this returns, so a failure leaves nothing
+    written.  Non-finite floats raise ValueError rather than emitting
+    NaN/Infinity, which are not standard JSON.
     """
-    return _render(payload, "") + "\n"
+    deferred: list[tuple[np.ndarray, str]] = []
+    pieces = (_render(payload, "", deferred) + "\n").split(_DEFERRED)
+    return _interleave(pieces, deferred)
+
+
+def json_dumps(payload: dict) -> str:
+    """The text of `json_chunks(payload)`."""
+    return "".join(json_chunks(payload))
+
+
+def _interleave(pieces: list[str], deferred: list[tuple[np.ndarray, str]]) -> Iterator[str]:
+    yield pieces[0]
+    for (array, indent), piece in zip(deferred, pieces[1:]):
+        yield _render_int_array(array, indent)
+        yield piece
 
 
 _NUMBER_TYPES = {int, float}
+# encode_basestring_ascii escapes NUL, so rendered text never contains it
+_DEFERRED = "\0"
 
 
-def _render(value: Any, indent: str) -> str:
-    """Indented JSON for value nested at indent; its closing bracket lines up with indent."""
+def _render(value: Any, indent: str, deferred: list[tuple[np.ndarray, str]]) -> str:
+    """Indented JSON for value nested at indent; its closing bracket lines up with indent.
+
+    A nonempty integer ndarray is appended to deferred with its indent, and
+    _DEFERRED stands in its place.
+    """
     if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
-        return _render_int_array(value, indent)
+        if value.ndim and value.size:
+            deferred.append((value, indent))
+            return _DEFERRED
+        value = value.tolist()
     inner = indent + "  "
     if isinstance(value, dict):
         opening, closing = "{", "}"
-        items = [f"{_render_key(k)}: {_render(v, inner)}" for k, v in value.items()]
+        items = [f"{_render_key(k)}: {_render(v, inner, deferred)}" for k, v in value.items()]
     elif isinstance(value, (list, tuple)):
         opening, closing = "[", "]"
         if value and set(map(type, value)) <= _NUMBER_TYPES:
@@ -69,7 +99,7 @@ def _render(value: Any, indent: str) -> str:
             except ValueError:
                 items = [_render_scalar(x) for x in value]  # raises json's own message
         else:
-            items = [_render(x, inner) for x in value]
+            items = [_render(x, inner, deferred) for x in value]
     else:
         return _render_scalar(value)
     if not items:
@@ -81,14 +111,12 @@ def _render(value: Any, indent: str) -> str:
 
 
 def _render_int_array(value: np.ndarray, indent: str) -> str:
-    """`_render(value.tolist(), indent)` for an integer array, in one join over its entries.
+    """`_render(value.tolist(), indent, [])` for a nonempty integer array of at least one axis.
 
     Each entry is followed by the text that closes the m innermost lists
     ending at it and opens the next ones, so the text is one lookup of
     (entry, m) per entry.
     """
-    if value.ndim == 0 or value.size == 0:
-        return _render(value.tolist(), indent)
     depth = value.ndim
     # the closing bracket of a list at nesting level q sits at pads[q], its entries at pads[q + 1]
     pads = [indent + "  " * q for q in range(depth + 1)]
@@ -141,16 +169,16 @@ def _document(payload: dict) -> dict:
     return {"schema": SCHEMA_VERSION, **payload}
 
 
-def _json(payload: dict) -> str:
-    return json_dumps(_document(payload))
+def _json(payload: dict) -> Iterator[str]:
+    return json_chunks(_document(payload))
 
 
-def _text(fmt: str, payload: Callable[[], dict], dense: Callable[[], str]) -> str:
+def _text(fmt: str, payload: Callable[[], dict], dense: Callable[[], str]) -> Iterator[str]:
     """The one format switch: the JSON document of payload() or the CSV text dense()."""
     if fmt in ("json", "exact-json"):
         return _json(payload())
     if fmt in ("csv", "dense-csv"):
-        return dense()
+        return iter([dense()])
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -308,15 +336,20 @@ def dense_matrix_of(obj: Any) -> np.ndarray:
     raise TypeError(f"cannot render {type(obj).__name__} as a dense matrix")
 
 
-def export(obj: Any, fmt: str = "json") -> str:
-    """Render a library object as exact JSON or dense CSV text.
+def export_chunks(obj: Any, fmt: str = "json") -> Iterator[str]:
+    """Render a library object as exact JSON or dense CSV text, in chunks.
 
     A `CommutatorTable` renders as the structure constants of u(d).
     """
     return _text(fmt, lambda: _payload(obj), lambda: matrix_to_csv(dense_matrix_of(obj)))
 
 
-def export_centralizer(element: PdElement, size: int) -> str:
+def export(obj: Any, fmt: str = "json") -> str:
+    """The text of `export_chunks(obj, fmt)`."""
+    return "".join(export_chunks(obj, fmt))
+
+
+def export_centralizer(element: PdElement, size: int) -> Iterator[str]:
     d = element.d
     return _json(
         {
@@ -329,7 +362,7 @@ def export_centralizer(element: PdElement, size: int) -> str:
     )
 
 
-def export_subgroups(d: int, subgroups: list[Subgroup]) -> str:
+def export_subgroups(d: int, subgroups: list[Subgroup]) -> Iterator[str]:
     entries = [
         {
             "name": s.name,
@@ -343,7 +376,7 @@ def export_subgroups(d: int, subgroups: list[Subgroup]) -> str:
     return _json({"type": "subgroups", "d": d, "subgroups": entries})
 
 
-def export_irreps(d: int, counts: tuple[int, int], norms: list[Fraction]) -> str:
+def export_irreps(d: int, counts: tuple[int, int], norms: list[Fraction]) -> Iterator[str]:
     """The claimed census and the character norm of rho_k for k = 1..d-1."""
     representations = [
         {
@@ -364,7 +397,7 @@ def export_irreps(d: int, counts: tuple[int, int], norms: list[Fraction]) -> str
     )
 
 
-def export_weyl_pair(x: MonomialOperator, z: MonomialOperator, fmt: str) -> str:
+def export_weyl_pair(x: MonomialOperator, z: MonomialOperator, fmt: str) -> Iterator[str]:
     """Both monomials as nested exact documents, or as two labelled CSV blocks."""
     return _text(
         fmt,
@@ -378,7 +411,7 @@ def export_weyl_pair(x: MonomialOperator, z: MonomialOperator, fmt: str) -> str:
     )
 
 
-def export_dense(kind: str, mat: np.ndarray, fmt: str, **fields: Any) -> str:
+def export_dense(kind: str, mat: np.ndarray, fmt: str, **fields: Any) -> Iterator[str]:
     """A dense matrix as its re and im rows after fields, or as CSV."""
     return _text(
         fmt,
@@ -387,26 +420,32 @@ def export_dense(kind: str, mat: np.ndarray, fmt: str, **fields: Any) -> str:
     )
 
 
-def _mub_basis(b: OrthonormalBasis) -> dict:
-    if b.label == "computational":
-        return {"label": b.label, "identity": True}
-    # built while rendering, one table at a time, rather than kept on the basis
-    table = basis_exponent_table(b.d, int(b.label))
-    return {"label": b.label, "normalization": "1/sqrt(p)", "tau_exponents": table}
+def _mub_basis(p: int, label: str) -> dict:
+    if label == "computational":
+        return {"label": label, "identity": True}
+    # built from p and the label, so the family's dense vectors can be freed first
+    table = basis_exponent_table(p, int(label))
+    return {"label": label, "normalization": "1/sqrt(p)", "tau_exponents": table}
 
 
-def export_mub_family(bases: list[OrthonormalBasis], deviations: dict, tolerance: float) -> str:
-    """The family's exponent tables and the symmetric matrix of pairwise deviations."""
-    matrix = [[0.0] * len(bases) for _ in bases]
+def export_mub_family(
+    p: int, labels: list[str], deviations: dict, tolerance: float
+) -> Iterator[str]:
+    """The family's exponent tables and the symmetric matrix of pairwise deviations.
+
+    Every table is built before the first chunk; the chunks hold the text of
+    one table at a time.
+    """
+    matrix = [[0.0] * len(labels) for _ in labels]
     for (i, j), value in deviations.items():
         matrix[i][j] = matrix[j][i] = value
     worst = max(deviations.values())
     return _json(
         {
             "type": "mub-family",
-            "p": bases[0].d,
-            "basis_labels": [b.label for b in bases],
-            "bases": [_mub_basis(b) for b in bases],
+            "p": p,
+            "basis_labels": labels,
+            "bases": [_mub_basis(p, label) for label in labels],
             "pairwise_deviation_matrix": matrix,
             "max_deviation": worst,
             "tolerance": tolerance,

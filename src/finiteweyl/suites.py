@@ -812,6 +812,8 @@ def run_suite(
     if name == "basis":
         if (p is None) != (e is None):
             raise ValueError(f"the tensor checks need both p and e, got p={p}, e={e}")
+        if p is not None:
+            basis_mod.tensor_dimension(p, e)  # a bad p or e fails before the suite runs
         return suite_basis(d, None if p is None else (p, e), tolerance)
     if name == "all":
         combined = VerificationReport("all")

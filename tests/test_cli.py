@@ -386,10 +386,31 @@ def test_an_action_takes_exactly_the_options_it_reads(capsys, command, action, o
             "the tensor checks need both p and e, got p=3, e=None",
         ),
         (["verify", "basis", "--e", "2"], "the tensor checks need both p and e, got p=None, e=2"),
+        (["verify", "mub", "--d", "5", "--p", "7"], "--d 5 contradicts --p 7: d must equal p"),
     ],
 )
 def test_contradicting_options_rejected(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_verify_mub_accepts_a_d_equal_to_p(capsys):
+    assert run_cli(capsys, "verify", "mub", "--d", "7", "--p", "7")[:2] == run_cli(
+        capsys, "verify", "mub", "--p", "7"
+    )[:2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "partition", "--tensor", "2,20000"],
+        ["basis", "partition", "--d", "4", "--tensor", "2,20000"],
+        ["verify", "basis", "--p", "2", "--e", "20000"],
+    ],
+)
+def test_tensor_cap_is_checked_before_the_power(capsys, argv):
+    # 2^20000 has more digits than Python converts to a string
+    error = "error: p^e=2^20000 exceeds the tensor search cap 16\n"
+    assert run_cli(capsys, *argv) == (2, "", error)
 
 
 @pytest.mark.parametrize(
@@ -505,6 +526,21 @@ def test_console_entry_point_subprocess():
         text=True,
     )
     assert again.stdout == result.stdout  # byte-identical across processes
+
+
+def test_closed_stdout_exits_2_with_one_line():
+    import subprocess
+    import sys
+
+    # about 1 MB of text, far more than a pipe buffers
+    argv = [sys.executable, "-m", "finiteweyl.cli", "mub", "family", "--p", "47"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(20) == b'{\n  "schema": 1,\n  "'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: stdout was closed before the output was written\n"
 
 
 def test_stdout_fingerprint_script_is_stable():

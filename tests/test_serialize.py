@@ -1,4 +1,6 @@
+import contextlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from finiteweyl.phases import PhaseExponent
 from finiteweyl.serialize import (
     export,
     import_exact,
+    json_chunks,
     json_dumps,
     matrix_to_csv,
     parse_index,
@@ -181,9 +184,10 @@ def test_json_dumps_type_error_matches_stdlib(payload):
 
 def test_json_dumps_matches_stdlib_on_mub_family_payload(monkeypatch, capsys):
     payloads = []
-    monkeypatch.setattr(serialize_mod, "json_dumps", lambda payload: payloads.append(payload) or "")
+    monkeypatch.setattr(serialize_mod, "json_chunks", lambda payload: payloads.append(payload) or [])
     assert cli_mod.main(["mub", "family", "--p", "97"]) == 0
     (payload,) = payloads
+    monkeypatch.undo()  # json_dumps renders through json_chunks
     # the exponent tables reach the renderer as int64 arrays
     assert json_dumps(payload) == stdlib_dumps(payload, default=np.ndarray.tolist)
 
@@ -197,7 +201,64 @@ int64_arrays = arrays(
 
 @given(int64_arrays, st.text(alphabet=" ", max_size=8))
 def test_integer_array_renders_like_its_list(array, indent):
-    assert serialize_mod._render(array, indent) == serialize_mod._render(array.tolist(), indent)
+    deferred = []
+    skeleton = serialize_mod._render(array, indent, deferred)
+    text = "".join(serialize_mod._interleave(skeleton.split(serialize_mod._DEFERRED), deferred))
+    assert text == serialize_mod._render(array.tolist(), indent, [])
+
+
+payloads_with_tables = st.recursive(
+    st.one_of(scalars, number_rows, int64_arrays),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(keys, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@given(payloads_with_tables)
+def test_chunks_join_to_the_stdlib_text(payload):
+    text = "".join(json_chunks(payload))
+    assert text == json_dumps(payload)
+    assert text == stdlib_dumps(payload, default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), object()])
+def test_an_error_after_a_table_raises_before_any_chunk(bad):
+    payload = {"tau_exponents": np.arange(6).reshape(2, 3), "rows": [[1, 2], [bad]]}
+    with pytest.raises((ValueError, TypeError)):
+        json_chunks(payload)
+
+
+class _CountingStdout:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def flush(self):
+        pass
+
+
+def test_mub_family_renders_in_less_memory_than_its_text(monkeypatch):
+    def traced_export(*args):
+        tracemalloc.start()
+        return serialize_mod.export_mub_family(*args)
+
+    # tracing starts after the family and its deviations, and before the tables
+    monkeypatch.setattr(cli_mod, "export_mub_family", traced_export)
+    out = _CountingStdout()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert cli_mod.main(["mub", "family", "--p", "97"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.size
 
 
 @pytest.mark.parametrize("array", [np.zeros((2, 2)), np.ones(3, dtype=bool), np.array(1.5)])
