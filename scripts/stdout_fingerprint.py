@@ -82,6 +82,13 @@ COMMANDS = [
     "basis partition --tensor 2,20000",
     "verify basis --p 2 --e 20000",
     "verify mub --d 5 --p 7",
+    # outputs that carry tau powers formed outside the monomial route before
+    # they all went through phases: the Fourier matrix and the two suites
+    # that check it, then a prime over the cap of the closed-form partition
+    "weyl fourier --d 2",
+    "verify weyl --d 5",
+    "verify mub --d 6",
+    "basis partition --d 101",
 ]
 
 

@@ -117,13 +117,11 @@ class CommutatorTable:
         """
         if sign not in ("-", "+"):
             raise ValueError(f"sign must be '-' or '+', got {sign!r}")
-        # exponents lie in Z_2d, so look each one up among the 2d powers
-        powers = tau_powers(np.arange(2 * self.d), self.d)
-        out = powers[self.first[index]]
+        out = tau_powers(self.first[index], self.d)
         if sign == "-":
-            out -= powers[self.second[index]]
+            out -= tau_powers(self.second[index], self.d)
         else:
-            out += powers[self.second[index]]
+            out += tau_powers(self.second[index], self.d)
         return out
 
 
@@ -208,8 +206,12 @@ def cartan_partition_prime(p: int) -> CartanPartition:
     Class 0 is the pure clock class {(0, b)}; class i >= 1 collects
     {(x, (i-1) x mod p)}, running the slope over 0..p-1.
     """
-    from .mub import is_prime
+    from .mub import MUB_PRIME_CAP, is_prime
 
+    # the p+1 classes are the eigenbasis classes of the p+1 MUBs, whose cap
+    # they share; their p^2 - 1 labels would otherwise grow without bound
+    if p > MUB_PRIME_CAP:
+        raise ValueError(f"p={p} exceeds the cap {MUB_PRIME_CAP}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     classes: list[list[tuple]] = [[(0, b) for b in range(1, p)]]
@@ -240,25 +242,16 @@ def commuting_class_search(d: int) -> CartanPartition:
 
 def validate_cartan_partition(partition: CartanPartition) -> bool:
     """Recheck disjointness, covering and intra-class commutation."""
-    if partition.tensor_dims is None:
-        d = partition.dimension
-        vertices = pauli_indices(d)
-
-        def commutes(u, v):
-            return indices_commute(d, u, v)
-
-        size = d - 1 if partition.complete else None
-    else:
-        dims = partition.tensor_dims
-        vertices = tensor_indices(dims)
-
-        def commutes(u, v):
-            return tensor_indices_commute(dims, u, v)
-
-        size = partition.dimension - 1 if partition.complete else None
+    dims = partition.tensor_dims or (partition.dimension,)
+    size = partition.dimension - 1 if partition.complete else None
     if partition.complete and len(partition.classes) != partition.dimension + 1:
         return False
-    return validate_partition(partition.classes, vertices, commutes, size)
+    return validate_partition(
+        partition.classes,
+        tensor_indices(dims),
+        lambda u, v: tensor_indices_commute(dims, u, v),
+        size,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import fourier_matrix, v_ra_matrix
+from .operators import fourier_matrix, v_ra_matrix, weyl_pair
 from .phases import tau_powers
 
 MUB_PRIME_CAP = 97
@@ -103,8 +103,7 @@ def hadamard_reduction_defect(d: int, a: int) -> float:
     """Residual of H_a^dagger V_0a H_a against its diagonal closed form."""
     h = hadamard_h_a(d, a).to_matrix()
     v = v_ra_matrix(d, 0.0, a)
-    alphas = np.arange(d)
-    eigenvalues = np.exp(1j * np.pi * ((d - 1) * a - 2 * alphas) / d)
+    eigenvalues = tau_powers((d - 1) * a - 2 * np.arange(d), d)
     expected = d * np.diag(eigenvalues)
     return float(np.max(np.abs(h.conj().T @ v @ h - expected)))
 
@@ -125,14 +124,14 @@ def fourier_hadamard_residual(d: int) -> float:
 
 
 def fourier_hadamard_corrected_residual(d: int) -> float:
-    """Residual of F = diag(q^k) (H_0 S)^dagger.
+    """Residual of F = Z (H_0 S)^dagger, with the clock Z = diag(q^k).
 
     (H_0 S)^dagger reproduces the Fourier matrix only up to a diagonal
     clock-phase factor on the left; this measures the corrected identity.
     """
     h0 = hadamard_h_a(d, 0).to_matrix()
     candidate = (h0 @ s_permutation(d)).conj().T
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    clock = weyl_pair(d)[1].to_matrix()
     return float(np.max(np.abs(fourier_matrix(d) - clock @ candidate)))
 
 

@@ -10,9 +10,10 @@ so XZ = q ZX and X^d = Z^d = I.  A monomial operator tau^t X^b Z^c is
 stored by its exact phase exponent and the two powers; its matrix has one
 nonzero entry per column, namely tau^(t+2ck) at row (k-b) mod d.  Products,
 adjoints, traces and determinants of monomials are computed in integer
-arithmetic.  Everything without monomial structure (v_ra for real r, the
-Fourier matrix, the angular-momentum polar triple) is a dense complex
-matrix.
+arithmetic.  Every exact phase, the entries of the Fourier matrix included,
+goes through `phases.tau_powers` or `PhaseExponent.to_complex`; only
+phases with real parameters (v_ra for real r and a, the ladder matrices)
+are formed here directly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phases import PhaseExponent
+from .phases import PhaseExponent, tau_powers
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,9 @@ class MonomialOperator:
 
     def to_matrix(self) -> np.ndarray:
         d = self.d
+        k = np.arange(d)
         mat = np.zeros((d, d), dtype=complex)
-        for k in range(d):
-            mat[(k - self.shift) % d, k] = PhaseExponent(
-                self.phase.t + 2 * self.clock * k, d
-            ).to_complex()
+        mat[(k - self.shift) % d, k] = tau_powers(self.phase.t + 2 * self.clock * k, d)
         return mat
 
     def trace_exact(self) -> PhaseExponent | None:
@@ -121,15 +120,9 @@ def weyl_pair(d: int) -> tuple[MonomialOperator, MonomialOperator]:
     return x, z
 
 
-def trace_pairing_exact(u: MonomialOperator, v: MonomialOperator) -> PhaseExponent | None:
-    """Tr(u^dagger v) / d as an exact phase, or None when the trace vanishes."""
-    return monomial_mul(u.adjoint(), v).trace_exact()
-
-
 def w_abc_trace_pairing(u: MonomialOperator, v: MonomialOperator) -> complex:
     """Tr(u^dagger v); equals q^(a'-a) d when powers match, else 0."""
-    scalar = trace_pairing_exact(u, v)
-    return 0j if scalar is None else u.d * scalar.to_complex()
+    return monomial_mul(u.adjoint(), v).trace()
 
 
 def v_ra_matrix(d: int, r: float = 0.0, a: float = 0.0) -> np.ndarray:
@@ -170,7 +163,7 @@ def fourier_matrix(d: int) -> np.ndarray:
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     k = np.arange(d)
-    return np.exp(-2j * np.pi * np.outer(k, k) / d) / math.sqrt(d)
+    return tau_powers(-2 * np.outer(k, k), d) / math.sqrt(d)
 
 
 def h_matrix(d: int) -> np.ndarray:
@@ -234,7 +227,7 @@ def t_operator(
     z = weyl_pair(d)[1].to_matrix()
     vm = np.linalg.matrix_power(v, m1)
     zm = np.linalg.matrix_power(z, m2)
-    scalar = cmath.exp(1j * cmath.pi * m1 * m2 / d)
+    scalar = PhaseExponent(m1 * m2, d).to_complex()
     return scalar * (vm @ zm) if ordering == "vz" else scalar * (zm @ vm)
 
 

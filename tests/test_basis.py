@@ -34,7 +34,7 @@ from finiteweyl.basis import (
     u_ab,
     validate_cartan_partition,
 )
-from finiteweyl.mub import OrthonormalBasis, is_prime, pairwise_deviations
+from finiteweyl.mub import MUB_PRIME_CAP, OrthonormalBasis, is_prime, pairwise_deviations
 from finiteweyl.operators import MonomialOperator
 from finiteweyl.search import (
     find_commuting_partition,
@@ -195,6 +195,21 @@ def test_prime_partitions_match_slope_listing():
     assert part2.classes == [[(0, 1)], [(1, 0)], [(1, 1)]]
     with pytest.raises(ValueError):
         cartan_partition_prime(4)
+
+
+def test_prime_partition_cap_is_the_mub_cap():
+    assert cartan_partition_prime(MUB_PRIME_CAP).class_count == MUB_PRIME_CAP + 1
+    with pytest.raises(ValueError, match=f"p=101 exceeds the cap {MUB_PRIME_CAP}"):
+        cartan_partition_prime(101)
+
+
+def test_single_qudit_labels_are_one_factor_tensor_labels():
+    # validate_cartan_partition checks a single qudit as the tensor dims (d,)
+    for d in range(2, 14):
+        labels = pauli_indices(d)
+        assert tensor_indices((d,)) == labels
+        for u, v in product(labels, repeat=2):
+            assert tensor_indices_commute((d,), u, v) == indices_commute(d, u, v)
 
 
 def test_prime_partitions_validate():

@@ -198,6 +198,12 @@ def test_basis_partition_large_prime_closed_form(capsys):
     assert payload["complete"] is True and len(payload["classes"]) == 14
 
 
+def test_basis_partition_prime_shares_the_mub_cap(capsys):
+    # the p^2 - 1 labels are never built above the cap
+    error = "error: p=101 exceeds the cap 97\n"
+    assert run_cli(capsys, "basis", "partition", "--d", "101") == (2, "", error)
+
+
 def test_basis_structure(capsys):
     code, out, _ = run_cli(capsys, "basis", "structure", "--d", "2")
     assert code == 0

@@ -107,6 +107,9 @@ def test_fourier_hadamard_factorization_needs_clock_correction():
     # the corrected form holds to machine precision
     for d in range(2, 9):
         assert fourier_hadamard_corrected_residual(d) < 1e-10
+        if d in (2, 4):
+            # quarter-turn entries: the corrected identity holds exactly
+            assert fourier_hadamard_corrected_residual(d) == 0.0
         # the literal residual is the largest clock-phase defect over the
         # unit-modulus entries scaled by 1/sqrt(d)
         literal = fourier_hadamard_residual(d)

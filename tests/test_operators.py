@@ -119,6 +119,38 @@ def test_monomial_mul_matches_dense_product(pair):
         assert np.array_equal(dense, exact)
 
 
+def to_matrix_by_entries(u: MonomialOperator) -> np.ndarray:
+    """One PhaseExponent per column k: tau^(t + 2ck) at row (k - b) mod d."""
+    d = u.d
+    mat = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        mat[(k - u.shift) % d, k] = PhaseExponent(u.phase.t + 2 * u.clock * k, d).to_complex()
+    return mat
+
+
+def test_to_matrix_is_the_per_entry_route_exhaustively():
+    for d in range(2, 7):
+        for t, b, c in product(range(2 * d), range(d), range(d)):
+            u = MonomialOperator.from_tau_exponent(d, t, b, c)
+            assert u.to_matrix().tobytes() == to_matrix_by_entries(u).tobytes()
+
+
+@st.composite
+def monomials_up_to_64(draw):
+    d = draw(st.integers(2, 64))
+    t, b, c = draw(
+        st.tuples(
+            st.integers(-4 * d, 4 * d), st.integers(-2 * d, 2 * d), st.integers(-2 * d, 2 * d)
+        )
+    )
+    return MonomialOperator.from_tau_exponent(d, t, b, c)
+
+
+@given(monomials_up_to_64())
+def test_to_matrix_is_the_per_entry_route(u):
+    assert u.to_matrix().tobytes() == to_matrix_by_entries(u).tobytes()
+
+
 def test_monomial_unitary():
     rng = random.Random(43)
     for d in (2, 3, 6, 11):
@@ -283,6 +315,18 @@ def test_fourier_identities():
         assert unitary_defect(f) < 1e-12
         assert max_abs(np.linalg.matrix_power(f, 4) - np.eye(d)) < 1e-10
         assert max_abs(f @ x.to_matrix() @ f.conj().T - z.to_matrix()) < 1e-10
+
+
+def test_fourier_matrix_exact_at_d4():
+    # every entry is a quarter turn over sqrt(4) = 2, so no rounding enters
+    f = fourier_matrix(4)
+    twice = 2 * f
+    assert set(twice.real.ravel().tolist()) <= {-1.0, 0.0, 1.0}
+    assert set(twice.imag.ravel().tolist()) <= {-1.0, 0.0, 1.0}
+    assert np.array_equal(np.abs(twice), np.ones((4, 4)))
+    assert np.array_equal(np.linalg.matrix_power(f, 4), np.eye(4))
+    x, z = weyl_pair(4)
+    assert np.array_equal(f @ x.to_matrix() @ f.conj().T, z.to_matrix())
 
 
 # ---------------------------------------------------------------------------
