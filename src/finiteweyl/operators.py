@@ -78,9 +78,11 @@ class MonomialOperator:
 
     def to_matrix(self) -> np.ndarray:
         d = self.d
-        k = np.arange(d)
         mat = np.zeros((d, d), dtype=complex)
-        mat[(k - self.shift) % d, k] = tau_powers(self.phase.t + 2 * self.clock * k, d)
+        for k in range(d):
+            mat[(k - self.shift) % d, k] = PhaseExponent(
+                self.phase.t + 2 * self.clock * k, d
+            ).to_complex()
         return mat
 
     def trace_exact(self) -> PhaseExponent | None:

@@ -7,12 +7,12 @@ show up in Hadamard exponents are integer powers of tau, which is why tau
 (and not q) is the base phase.  Exponents live in Z_{2d}, so products and
 inverses involve no floating point at all.
 
-One scalar formula, `_tau_power`, is the only route from a tau exponent to
-a complex number: it takes the quarter turns 1, i, -1, -i from an exact
-table and every other power from cmath.exp(i*pi*t/d).
-`PhaseExponent.to_complex` returns its value, and `tau_powers` (an array of
-exponents) evaluates it once for each of the 2d residues and looks every
-exponent up among them, so the two agree bit for bit by construction.
+One scalar formula, `PhaseExponent.to_complex`, is the only route from a
+tau exponent to a complex number: it takes the quarter turns 1, i, -1, -i
+from an exact table and every other power from cmath.exp(i*pi*t/d).
+`tau_powers` (an array of exponents) evaluates it once for each of the 2d
+residues and looks every exponent up among them, so the two agree bit for
+bit by construction.
 """
 
 from __future__ import annotations
@@ -64,17 +64,12 @@ class PhaseExponent:
         return self.t == 0
 
     def to_complex(self) -> complex:
-        return _tau_power(self.t, self.d)
-
-
-def _tau_power(t: int, d: int) -> complex:
-    """tau^t for t in 0..2d-1."""
-    if (2 * t) % d == 0:
-        return _QUARTER_TURNS[2 * t // d]
-    return cmath.exp(1j * cmath.pi * t / d)
+        if (2 * self.t) % self.d == 0:
+            return _QUARTER_TURNS[2 * self.t // self.d]
+        return cmath.exp(1j * cmath.pi * self.t / self.d)
 
 
 def tau_powers(exponents, d: int) -> np.ndarray:
     """tau^t for every t in an integer array, equal to PhaseExponent(t, d).to_complex()."""
-    powers = np.array([_tau_power(t, d) for t in range(2 * d)])
+    powers = np.array([PhaseExponent(t, d).to_complex() for t in range(2 * d)])
     return powers[np.asarray(exponents) % (2 * d)]

@@ -25,7 +25,7 @@ from finiteweyl.operators import (
     w_abc_trace_pairing,
     weyl_pair,
 )
-from finiteweyl.phases import PhaseExponent
+from finiteweyl.phases import PhaseExponent, tau_powers
 
 
 def random_monomial(rng: random.Random, d: int) -> MonomialOperator:
@@ -119,20 +119,20 @@ def test_monomial_mul_matches_dense_product(pair):
         assert np.array_equal(dense, exact)
 
 
-def to_matrix_by_entries(u: MonomialOperator) -> np.ndarray:
-    """One PhaseExponent per column k: tau^(t + 2ck) at row (k - b) mod d."""
+def to_matrix_by_lookup(u: MonomialOperator) -> np.ndarray:
+    """One scatter of tau_powers(t + 2ck, d) into rows (k - b) mod d."""
     d = u.d
+    k = np.arange(d)
     mat = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        mat[(k - u.shift) % d, k] = PhaseExponent(u.phase.t + 2 * u.clock * k, d).to_complex()
+    mat[(k - u.shift) % d, k] = tau_powers(u.phase.t + 2 * u.clock * k, d)
     return mat
 
 
-def test_to_matrix_is_the_per_entry_route_exhaustively():
+def test_to_matrix_is_the_tau_powers_lookup_exhaustively():
     for d in range(2, 7):
         for t, b, c in product(range(2 * d), range(d), range(d)):
             u = MonomialOperator.from_tau_exponent(d, t, b, c)
-            assert u.to_matrix().tobytes() == to_matrix_by_entries(u).tobytes()
+            assert u.to_matrix().tobytes() == to_matrix_by_lookup(u).tobytes()
 
 
 @st.composite
@@ -147,8 +147,8 @@ def monomials_up_to_64(draw):
 
 
 @given(monomials_up_to_64())
-def test_to_matrix_is_the_per_entry_route(u):
-    assert u.to_matrix().tobytes() == to_matrix_by_entries(u).tobytes()
+def test_to_matrix_is_the_tau_powers_lookup(u):
+    assert u.to_matrix().tobytes() == to_matrix_by_lookup(u).tobytes()
 
 
 def test_monomial_unitary():
