@@ -2,8 +2,9 @@
 
 Each command runs as `python -m finiteweyl.cli ...` in a fresh process with
 `<root>/src` on PYTHONPATH.  One line per command: exit code, sha256 of the
-stdout bytes, command.  Run it on two checkouts and diff the output to
-check that a change keeps every byte of stdout:
+stdout bytes, command.  A command still running after 60 s is killed and
+reads `timeout` in place of its exit code.  Run it on two checkouts and
+diff the output to check that a change keeps every byte of stdout:
 
     python scripts/stdout_fingerprint.py > after.txt
     python scripts/stdout_fingerprint.py --root ../parent > before.txt
@@ -89,17 +90,32 @@ COMMANDS = [
     "verify weyl --d 5",
     "verify mub --d 6",
     "basis partition --d 101",
+    # the exhaustive paths of the group suite: every triple for d <= 3,
+    # every pair for d <= 4
+    "verify group --d 2",
+    "verify group --d 3",
+    "verify group --d 4",
+    # rejected before any work: a huge d before the primality test, a d over
+    # the structure-table cap before any label is built, and a d whose dense
+    # check cannot be allocated once x**d has run
+    "basis partition --d 1000000000000000003",
+    "verify basis --d 1000",
+    "verify weyl --d 100000000",
 ]
 
 
 def fingerprint(root: Path, command: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "finiteweyl.cli", *shlex.split(command)],
-        capture_output=True,
-        env=env,
-    )
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "finiteweyl.cli", *shlex.split(command)],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+    except subprocess.TimeoutExpired as exc:
+        return f"timeout {hashlib.sha256(exc.stdout or b'').hexdigest()} {command}"
     return f"{result.returncode} {hashlib.sha256(result.stdout).hexdigest()} {command}"
 
 

@@ -17,6 +17,7 @@ from collections.abc import Iterable
 
 from . import __version__
 from .basis import (
+    SEARCH_CAP,
     cartan_partition_prime,
     cartan_partition_prime_power,
     commutator_table,
@@ -33,7 +34,7 @@ from .group import (
     pd_irrep_counts,
     pd_named_subgroups,
 )
-from .mub import hadamard_h_a, is_prime, mub_family, pairwise_deviations
+from .mub import MUB_PRIME_CAP, hadamard_h_a, is_prime, mub_family, pairwise_deviations
 from .operators import fourier_matrix, v_ra_matrix, weyl_pair
 from .serialize import (
     export_centralizer,
@@ -147,6 +148,11 @@ def cmd_basis(args: argparse.Namespace) -> int:
         if "--d" in args.given and d != tensor_dimension(p, e):
             raise ValueError(f"--d {d} contradicts --tensor {args.tensor}: d must be p^e")
         partition = cartan_partition_prime_power(p, e)
+    elif d > max(SEARCH_CAP, MUB_PRIME_CAP):
+        # over both caps whether prime or not, so the primality test is skipped
+        raise ValueError(
+            f"d={d} exceeds the search cap {SEARCH_CAP} and the prime cap {MUB_PRIME_CAP}"
+        )
     elif is_prime(d):
         partition = cartan_partition_prime(d)
     else:

@@ -15,6 +15,10 @@ centralizer computations grow like d^4.  Normality of a named subgroup is
 tested by conjugating it with the generators (1,0,0), (0,1,0) and (0,0,1)
 only, at a cost of at most 3|H| conjugations.
 
+The scalar forms share one law on (a, b, c) keys, `pd_compose_key`:
+`PdElement.compose` calls it, and the bracket accumulates its products
+straight into one dict of terms.
+
 Array forms sit next to the scalar forms they mirror and take int arrays
 whose last axis holds (a, b, c): `pd_element_array` (the elements in
 `pd_elements` order), `pd_compose_array` and `pd_inverse_array` (the group
@@ -41,29 +45,35 @@ from .phases import PhaseExponent
 DEFAULT_BRUTE_FORCE_CAP = 16
 
 
-@dataclass(frozen=True)
+PdKey = tuple[int, int, int]
+
+
+def pd_compose_key(g: PdKey, h: PdKey, d: int) -> PdKey:
+    """The group law on (a, b, c) keys, reduced mod d."""
+    a, b, c = g
+    a2, b2, c2 = h
+    return ((a + a2 - c * b2) % d, (b + b2) % d, (c + c2) % d)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PdElement:
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.d}")
-        object.__setattr__(self, "a", self.a % self.d)
-        object.__setattr__(self, "b", self.b % self.d)
-        object.__setattr__(self, "c", self.c % self.d)
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        if d < 2:
+            raise ValueError(f"modulus must be >= 2, got {d}")
+        object.__setattr__(self, "a", a % d)
+        object.__setattr__(self, "b", b % d)
+        object.__setattr__(self, "c", c % d)
+        object.__setattr__(self, "d", d)
 
     def compose(self, other: "PdElement") -> "PdElement":
         if self.d != other.d:
             raise ValueError(f"modulus mismatch: {self.d} != {other.d}")
-        return PdElement(
-            self.a + other.a - self.c * other.b,
-            self.b + other.b,
-            self.c + other.c,
-            self.d,
-        )
+        return PdElement(*pd_compose_key(self.key(), other.key(), self.d), self.d)
 
     def inverse(self) -> "PdElement":
         return PdElement(-self.a - self.b * self.c, -self.b, -self.c, self.d)
@@ -71,7 +81,7 @@ class PdElement:
     def commutes_with(self, other: "PdElement") -> bool:
         return (self.c * other.b - self.b * other.c) % self.d == 0
 
-    def key(self) -> tuple[int, int, int]:
+    def key(self) -> PdKey:
         return (self.a, self.b, self.c)
 
 
@@ -142,7 +152,7 @@ def pd_conjugacy_classes(d: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> Conjugac
     """
     check_cap(d, cap)
     classes: list[list[PdElement]] = []
-    seen: set[tuple[int, int, int]] = set()
+    seen: set[PdKey] = set()
     for a, b, c in product(range(d), repeat=3):
         if (a, b, c) in seen:
             continue
@@ -393,7 +403,7 @@ def irrep_character_norm(k: int, d: int) -> Fraction:
 class FormalCombination:
     """Finitely supported integer combination of group elements."""
 
-    def __init__(self, terms: dict[tuple[int, int, int], int], d: int):
+    def __init__(self, terms: dict[PdKey, int], d: int):
         self.d = d
         self.terms = {k: v for k, v in terms.items() if v != 0}
 
@@ -435,23 +445,33 @@ class FormalCombination:
         return f"FormalCombination({body or '0'}, d={self.d})"
 
 
+def _add_bracket(terms: dict[PdKey, int], g: PdKey, h: PdKey, d: int, coeff: int) -> None:
+    """Accumulate coeff * (gh - hg) into terms."""
+    gh, hg = pd_compose_key(g, h, d), pd_compose_key(h, g, d)
+    terms[gh] = terms.get(gh, 0) + coeff
+    terms[hg] = terms.get(hg, 0) - coeff
+
+
 def pd_lie_bracket(g: PdElement, h: PdElement) -> FormalCombination:
     """The bracket <g, h> = gh - hg in the group algebra."""
     if g.d != h.d:
         raise ValueError(f"modulus mismatch: {g.d} != {h.d}")
-    return FormalCombination.single(g.compose(h)) - FormalCombination.single(h.compose(g))
+    terms: dict[PdKey, int] = {}
+    _add_bracket(terms, g.key(), h.key(), g.d, 1)
+    return FormalCombination(terms, g.d)
 
 
 def pd_lie_bracket_combinations(
     f: FormalCombination, g: FormalCombination
 ) -> FormalCombination:
     """Bilinear extension of the bracket to formal combinations."""
-    out = FormalCombination.zero(f.d)
+    if f.d != g.d:
+        raise ValueError(f"modulus mismatch: {f.d} != {g.d}")
+    terms: dict[PdKey, int] = {}
     for key1, coeff1 in f.terms.items():
         for key2, coeff2 in g.terms.items():
-            bracket = pd_lie_bracket(PdElement(*key1, f.d), PdElement(*key2, g.d))
-            out = out + bracket.scale(coeff1 * coeff2)
-    return out
+            _add_bracket(terms, key1, key2, f.d, coeff1 * coeff2)
+    return FormalCombination(terms, f.d)
 
 
 def bracket_matches_monomial_commutator(g: PdElement, h: PdElement) -> bool:

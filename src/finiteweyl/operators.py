@@ -27,7 +27,7 @@ import numpy as np
 from .phases import PhaseExponent, tau_powers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MonomialOperator:
     """Exact representation of tau^t X^shift Z^clock in dimension d."""
 
@@ -35,10 +35,11 @@ class MonomialOperator:
     shift: int
     clock: int
 
-    def __post_init__(self) -> None:
-        d = self.phase.d
-        object.__setattr__(self, "shift", self.shift % d)
-        object.__setattr__(self, "clock", self.clock % d)
+    def __init__(self, phase: PhaseExponent, shift: int, clock: int) -> None:
+        d = phase.d
+        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "shift", shift % d)
+        object.__setattr__(self, "clock", clock % d)
 
     @property
     def d(self) -> int:
@@ -63,9 +64,15 @@ class MonomialOperator:
     def __pow__(self, n: int) -> "MonomialOperator":
         if n < 0:
             return self.adjoint() ** (-n)
-        out = MonomialOperator.identity(self.d)
-        for _ in range(n):
-            out = monomial_mul(out, self)
+        # repeated squaring: the powers of one monomial commute, so the
+        # product is exactly the n-fold one
+        out, square = MonomialOperator.identity(self.d), self
+        while n:
+            if n & 1:
+                out = monomial_mul(out, square)
+            n >>= 1
+            if n:
+                square = monomial_mul(square, square)
         return out
 
     def adjoint(self) -> "MonomialOperator":

@@ -10,15 +10,16 @@ inverses involve no floating point at all.
 One scalar formula, `PhaseExponent.to_complex`, is the only route from a
 tau exponent to a complex number: it takes the quarter turns 1, i, -1, -i
 from an exact table and every other power from cmath.exp(i*pi*t/d).
-`tau_powers` (an array of exponents) evaluates it once for each of the 2d
-residues and looks every exponent up among them, so the two agree bit for
-bit by construction.
+`tau_powers` (an array of exponents) looks every exponent up in a read-only
+table of its 2d values, built once per d, so the two agree bit for bit by
+construction.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,17 +28,18 @@ import numpy as np
 _QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PhaseExponent:
     """The complex number tau^t, tau = exp(i*pi/d), stored as t mod 2d."""
 
     t: int
     d: int
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.d}")
-        object.__setattr__(self, "t", self.t % (2 * self.d))
+    def __init__(self, t: int, d: int) -> None:
+        if d < 2:
+            raise ValueError(f"dimension must be >= 2, got {d}")
+        object.__setattr__(self, "t", t % (2 * d))
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def one(cls, d: int) -> "PhaseExponent":
@@ -69,7 +71,14 @@ class PhaseExponent:
         return cmath.exp(1j * cmath.pi * self.t / self.d)
 
 
+@lru_cache(maxsize=32)
+def tau_table(d: int) -> np.ndarray:
+    """The read-only array of PhaseExponent(t, d).to_complex() for t = 0..2d-1."""
+    powers = np.array([PhaseExponent(t, d).to_complex() for t in range(2 * d)])
+    powers.flags.writeable = False
+    return powers
+
+
 def tau_powers(exponents, d: int) -> np.ndarray:
     """tau^t for every t in an integer array, equal to PhaseExponent(t, d).to_complex()."""
-    powers = np.array([PhaseExponent(t, d).to_complex() for t in range(2 * d)])
-    return powers[np.asarray(exponents) % (2 * d)]
+    return tau_table(d)[np.asarray(exponents) % (2 * d)]

@@ -158,6 +158,8 @@ def suite_hw() -> VerificationReport:
 
 def suite_group(d: int = 3, cap: int = group_mod.DEFAULT_BRUTE_FORCE_CAP) -> VerificationReport:
     report = VerificationReport("group")
+    # applies the brute-force cap before any of the d^3 elements is built
+    group_mod.check_cap(d, cap)
     elements = group_mod.pd_elements(d)
     rng = random.Random(17)
 
@@ -642,6 +644,8 @@ def suite_basis(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     report = VerificationReport("basis")
+    # applies the structure-table cap before any of the d^2 labels is built
+    table = basis_mod.commutator_table(d)
     labels = basis_mod.pauli_indices(d, include_identity=True)
 
     _run(report, "hilbert_schmidt_orthogonality", 0.0, lambda: basis_mod.hs_orthogonality(d))
@@ -656,30 +660,29 @@ def suite_basis(
     _run(report, "odd_dimension_special_unitary", 0.0, determinants)
 
     def structure_closure() -> float:
-        # dense products, one row of label pairs at a time in batches of d,
-        # so the work arrays hold d^3 numbers: an independent float recheck
-        # of the exact table
-        table = basis_mod.commutator_table(d)
+        # dense products, one whole row of label pairs at a time, in two work
+        # arrays of d^4 numbers reused for every row (the magnitudes go to the
+        # real parts of the spent one): an independent float recheck of the
+        # exact table
         mats = np.empty((d * d, d, d), dtype=complex)
         for i, ab in enumerate(labels):
             mats[i] = basis_mod.u_ab(d, *ab).to_matrix()
+        defect, work = np.empty_like(mats), np.empty_like(mats)
         worst = 0.0
         for i, left in enumerate(mats):
+            np.matmul(left, mats, out=defect)
+            defect -= np.matmul(mats, left, out=work)
+            # the targets are in range; mode="clip" only spares take's buffered copy
+            expected = np.take(mats, table.target[i], axis=0, out=work, mode="clip")
+            # coefficient first: numpy's c * M and M * c can differ in the last bit
             coefficients = table.coefficients("-", i)[:, None, None]
-            for j in range(0, d * d, d):
-                right = mats[j : j + d]
-                defect = left @ right
-                defect -= right @ left
-                expected = mats[table.target[i, j : j + d]]
-                # coefficient first: numpy's c * M and M * c can differ in the last bit
-                defect -= np.multiply(coefficients[j : j + d], expected, out=expected)
-                worst = max(worst, float(np.max(np.abs(defect))))
+            defect -= np.multiply(coefficients, expected, out=expected)
+            worst = max(worst, float(np.max(np.abs(defect, out=work.real))))
         return worst
 
     _run(report, "structure_constants_close_dense_commutators", 1e-12, structure_closure)
 
     def antisymmetry_and_vanishing() -> bool:
-        table = basis_mod.commutator_table(d)
         coefficients = table.coefficients("-")
         return bool(
             np.array_equal(table.target, table.target.T)
@@ -696,7 +699,7 @@ def suite_basis(
 
     def anticommutators() -> bool:
         # the identity label 0 is left out
-        small = np.abs(basis_mod.commutator_table(d).coefficients("+")[1:, 1:]) < 1e-12
+        small = np.abs(table.coefficients("+")[1:, 1:]) < 1e-12
         # ab' - ba' comes reduced mod d, which leaves (2 form - d) mod 2d as it is
         form = basis_mod.tensor_commutation_table((d,), labels[1:])
         vanish = (2 * form - d) % (2 * d) == 0

@@ -199,8 +199,9 @@ def test_basis_partition_large_prime_closed_form(capsys):
 
 
 def test_basis_partition_prime_shares_the_mub_cap(capsys):
-    # the p^2 - 1 labels are never built above the cap
-    error = "error: p=101 exceeds the cap 97\n"
+    # the p^2 - 1 labels are never built above the cap; any d over it is
+    # over the search cap too, so it is rejected before the primality test
+    error = "error: d=101 exceeds the search cap 12 and the prime cap 97\n"
     assert run_cli(capsys, "basis", "partition", "--d", "101") == (2, "", error)
 
 
@@ -640,6 +641,40 @@ def test_cli_fuzzed_arguments_exit_cleanly(argv):
         one_line_error = err.startswith("error: ") and err.count("\n") == 1
         usage_error = err.startswith("usage: ") and ": error: " in err
         assert one_line_error or usage_error, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # trial division up to 10^9 for this prime
+        (
+            ["basis", "partition", "--d", "1000000000000000003"],
+            "error: d=1000000000000000003 exceeds the search cap 12 and the prime cap 97\n",
+        ),
+        # 10^36 labels
+        (
+            ["verify", "basis", "--d", "1000000000000000000"],
+            "error: d=1000000000000000000 exceeds the structure-table cap 16\n",
+        ),
+        # x**d and z**d, then a dense d x d matrix that cannot be allocated
+        (["verify", "weyl", "--d", "100000000"], None),
+        # 10^27 group elements
+        (
+            ["verify", "group", "--d", "1000000000"],
+            "error: d=1000000000 exceeds the brute-force cap 16\n",
+        ),
+    ],
+)
+def test_huge_d_exits_2_before_the_work_it_would_take(argv, error):
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [sys.executable, "-m", "finiteweyl.cli", *argv], capture_output=True, text=True, timeout=10
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert error is None or result.stderr == error
 
 
 def test_verify_basis_enforces_structure_table_cap(capsys):

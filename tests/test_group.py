@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 
@@ -23,6 +24,7 @@ from finiteweyl.group import (
     pd_character,
     pd_character_exponents,
     pd_compose_array,
+    pd_compose_key,
     pd_conjugacy_classes,
     pd_conjugate,
     pd_element_array,
@@ -530,3 +532,69 @@ def test_group_law_properties(case):
     assert g.compose(g.inverse()) == identity == g.inverse().compose(g)
     # the monomial realisation w(a, b, c) = q^a X^b Z^c is a homomorphism
     assert monomial_mul(w_of(g), w_of(h)) == w_of(g.compose(h))
+
+
+@given(elements_mod_d(1), st.integers(-3, 3))
+def test_pd_element_value_semantics(case, shift):
+    d, (g,) = case
+    a, b, c = g.key()
+    assert all(0 <= x < d for x in (a, b, c))
+    assert repr(g) == f"PdElement(a={a}, b={b}, c={c}, d={d})"
+    same = PdElement(a=a + shift * d, b=b + d, c=c - 2 * d, d=d)
+    assert same == g and hash(same) == hash(g) == hash((a, b, c, d))
+    assert g != PdElement(a + 1, b, c, d) and g != PdElement(a, b, c, d + 1)
+    with pytest.raises(FrozenInstanceError):
+        g.a = 0
+    with pytest.raises(FrozenInstanceError):
+        del g.a
+    assert not hasattr(g, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# The bracket against its single/scale/add form
+# ---------------------------------------------------------------------------
+
+
+def bracket_by_single_scale_add(g: PdElement, h: PdElement) -> FormalCombination:
+    """gh - hg built from one-term combinations, as the bracket once was."""
+    return FormalCombination.single(g.compose(h)) - FormalCombination.single(h.compose(g))
+
+
+def bracket_combinations_by_single_scale_add(
+    f: FormalCombination, g: FormalCombination
+) -> FormalCombination:
+    out = FormalCombination.zero(f.d)
+    for key1, coeff1 in f.terms.items():
+        for key2, coeff2 in g.terms.items():
+            bracket = bracket_by_single_scale_add(PdElement(*key1, f.d), PdElement(*key2, g.d))
+            out = out + bracket.scale(coeff1 * coeff2)
+    return out
+
+
+@st.composite
+def combinations_mod_d(draw):
+    """d in 2..16 and two combinations whose keys need not be reduced."""
+    d = draw(st.integers(2, 16))
+    keys = st.tuples(*[st.integers(-2 * d, 2 * d)] * 3)
+    terms = st.dictionaries(keys, st.integers(-3, 3), max_size=5)
+    return d, FormalCombination(draw(terms), d), FormalCombination(draw(terms), d)
+
+
+@given(elements_mod_d(2))
+def test_bracket_is_the_single_scale_add_form(case):
+    d, (g, h) = case
+    assert pd_compose_key(g.key(), h.key(), d) == tuple(pd_compose_array(g.key(), h.key(), d))
+    assert pd_lie_bracket(g, h) == bracket_by_single_scale_add(g, h)
+
+
+@given(combinations_mod_d())
+def test_bracket_combinations_are_the_single_scale_add_form(case):
+    _, f, g = case
+    assert pd_lie_bracket_combinations(f, g) == bracket_combinations_by_single_scale_add(f, g)
+
+
+def test_bracket_combinations_reject_mixed_moduli():
+    f = FormalCombination.single(PdElement(0, 1, 0, 3))
+    g = FormalCombination.single(PdElement(0, 0, 1, 4))
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        pd_lie_bracket_combinations(f, g)

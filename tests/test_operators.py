@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import numpy as np
@@ -117,6 +118,38 @@ def test_monomial_mul_matches_dense_product(pair):
     if u.d <= 4 and all(np.isin(m, quarter_turns).all() for m in (u.to_matrix(), v.to_matrix())):
         # each entry of the product is one product of quarter turns
         assert np.array_equal(dense, exact)
+
+
+@given(monomial_pairs())
+def test_monomial_value_semantics(pair):
+    u, _ = pair
+    d, t, b, c = u.d, u.phase.t, u.shift, u.clock
+    assert 0 <= t < 2 * d and 0 <= b < d and 0 <= c < d
+    assert repr(u) == (
+        f"MonomialOperator(phase=PhaseExponent(t={t}, d={d}), shift={b}, clock={c})"
+    )
+    same = MonomialOperator(phase=PhaseExponent(t + 2 * d, d), shift=b - d, clock=c + 3 * d)
+    assert same == u and hash(same) == hash(u) == hash((u.phase, b, c))
+    assert u != MonomialOperator(u.phase, b + 1, c) and u != MonomialOperator(u.phase, b, c + 1)
+    with pytest.raises(FrozenInstanceError):
+        u.shift = 0
+    with pytest.raises(FrozenInstanceError):
+        del u.shift
+    assert not hasattr(u, "__dict__")
+
+
+@given(monomial_pairs())
+def test_power_is_the_repeated_product(pair):
+    u, _ = pair
+    d = u.d
+    power = MonomialOperator.identity(d)
+    for n in range(3 * d + 1):
+        assert u**n == power
+        power = monomial_mul(power, u)
+    power = MonomialOperator.identity(d)
+    for n in range(1, 3 * d + 1):
+        power = monomial_mul(power, u.adjoint())
+        assert u ** (-n) == power
 
 
 def to_matrix_by_lookup(u: MonomialOperator) -> np.ndarray:

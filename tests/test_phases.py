@@ -1,11 +1,14 @@
 import cmath
 import json
 import random
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from finiteweyl.phases import PhaseExponent, tau_powers
+from finiteweyl.phases import PhaseExponent, tau_powers, tau_table
 from finiteweyl.serialize import export, import_exact
 
 
@@ -63,6 +66,37 @@ def test_tau_powers_is_to_complex_bit_for_bit():
     got = tau_powers([-3, 15, -1], 6)
     expected = np.array([PhaseExponent(t, 6).to_complex() for t in (-3, 15, -1)])
     assert got.tobytes() == expected.tobytes()
+
+
+def test_tau_table_is_cached_and_read_only():
+    for d in (2, 7, 16):
+        table = tau_table(d)
+        assert tau_table(d) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+        # the lookup hands out a fresh, writable copy
+        got = tau_powers(np.arange(2 * d), d)
+        assert got.flags.writeable and not np.shares_memory(got, table)
+        got[0] = 5
+        assert table[0] == 1
+
+
+@given(st.integers(2, 16).flatmap(lambda d: st.tuples(st.just(d), st.integers(-8 * d, 8 * d))))
+def test_phase_exponent_value_semantics(case):
+    d, t = case
+    p = PhaseExponent(t, d)
+    r = t % (2 * d)
+    assert (p.t, p.d) == (r, d)
+    assert repr(p) == f"PhaseExponent(t={r}, d={d})"
+    same = PhaseExponent(t=t - 6 * d, d=d)
+    assert same == p and hash(same) == hash(p) == hash((r, d))
+    assert p != PhaseExponent(t + 1, d) and p != PhaseExponent(r, d + 1) and p != (r, d)
+    with pytest.raises(FrozenInstanceError):
+        p.t = 0
+    with pytest.raises(FrozenInstanceError):
+        del p.t
+    assert not hasattr(p, "__dict__")
 
 
 def test_inverse_cancels():
