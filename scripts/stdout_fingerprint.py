@@ -101,6 +101,15 @@ COMMANDS = [
     "basis partition --d 1000000000000000003",
     "verify basis --d 1000",
     "verify weyl --d 100000000",
+    # rejected before any work: a huge prime p with a tensor exponent over
+    # the cap, the dense single-qudit suites just over the cap 97, and a d
+    # over the structure-table cap that `verify all` meets in its last suite
+    "basis partition --tensor 1000000000000000003,2",
+    "verify basis --p 1000000000000000003 --e 2",
+    "verify weyl --d 98",
+    "verify mub --d 98",
+    "weyl su2-check --d 98",
+    "verify all --d 17 --max-d 17",
 ]
 
 

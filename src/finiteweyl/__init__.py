@@ -39,12 +39,12 @@ from .heisenberg import (
     hw_lie_check,
     hw_matrix,
 )
+from .limits import is_prime
 from .mub import (
     HadamardMatrix,
     OrthonormalBasis,
     basis_b0a,
     hadamard_h_a,
-    is_prime,
     mub_family,
     unbiasedness,
 )

@@ -31,6 +31,7 @@ from types import EllipsisType
 
 import numpy as np
 
+from .limits import check_prime, check_search, check_structure_table, check_tensor
 from .operators import MonomialOperator, monomial_mul
 from .phases import PhaseExponent, tau_powers
 from .search import (
@@ -39,22 +40,7 @@ from .search import (
     validate_partition,
 )
 
-STRUCTURE_TABLE_CAP = 16
-SEARCH_CAP = 12
-TENSOR_SEARCH_CAP = 16
-
 PauliIndex = tuple[int, int]
-
-
-def _check_dimension(d: int) -> None:
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-
-
-def _check_table_dimension(d: int) -> None:
-    _check_dimension(d)
-    if d > STRUCTURE_TABLE_CAP:
-        raise ValueError(f"d={d} exceeds the structure-table cap {STRUCTURE_TABLE_CAP}")
 
 
 def u_ab(d: int, a: int, b: int) -> MonomialOperator:
@@ -127,7 +113,7 @@ class CommutatorTable:
 
 def commutator_table(d: int) -> CommutatorTable:
     """The exponents and targets of `pauli_commutator` for all d^4 label pairs."""
-    _check_table_dimension(d)
+    check_structure_table(d)
     a, b = np.divmod(np.arange(d * d, dtype=np.int64), d)
     return CommutatorTable(
         d=d,
@@ -139,7 +125,7 @@ def commutator_table(d: int) -> CommutatorTable:
 
 def structure_constants(d: int) -> dict[tuple[PauliIndex, PauliIndex], tuple[PauliIndex, complex]]:
     """Nonzero structure constants of u(d) in the X^a Z^b basis."""
-    _check_table_dimension(d)
+    check_structure_table(d)
     table: dict[tuple[PauliIndex, PauliIndex], tuple[PauliIndex, complex]] = {}
     for ab in pauli_indices(d, include_identity=True):
         for ab2 in pauli_indices(d, include_identity=True):
@@ -204,16 +190,10 @@ def cartan_partition_prime(p: int) -> CartanPartition:
     """The p+1 slope classes of su(p), p prime.
 
     Class 0 is the pure clock class {(0, b)}; class i >= 1 collects
-    {(x, (i-1) x mod p)}, running the slope over 0..p-1.
+    {(x, (i-1) x mod p)}, running the slope over 0..p-1, for p within the
+    cap of the MUBs whose eigenbasis classes they are (`limits.check_prime`).
     """
-    from .mub import MUB_PRIME_CAP, is_prime
-
-    # the p+1 classes are the eigenbasis classes of the p+1 MUBs, whose cap
-    # they share; their p^2 - 1 labels would otherwise grow without bound
-    if p > MUB_PRIME_CAP:
-        raise ValueError(f"p={p} exceeds the cap {MUB_PRIME_CAP}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     classes: list[list[tuple]] = [[(0, b) for b in range(1, p)]]
     for slope in range(p):
         classes.append([(x, (slope * x) % p) for x in range(1, p)])
@@ -227,9 +207,7 @@ def commuting_class_search(d: int) -> CartanPartition:
     otherwise the first-found disjoint classes with complete=False, the
     failed search having proved that no full partition exists.
     """
-    _check_dimension(d)
-    if d > SEARCH_CAP:
-        raise ValueError(f"d={d} exceeds the search cap {SEARCH_CAP}")
+    check_search(d)
     vertices = pauli_indices(d)
     # one table serves both searches; each reads every pair once
     commutes = _table_lookup(vertices, tensor_commutation_table((d,), vertices))
@@ -367,21 +345,6 @@ def tensor_trace_pairing(u: TensorMonomial, v: TensorMonomial) -> complex:
     return (u.adjoint() @ v).trace()
 
 
-def tensor_dimension(p: int, e: int) -> int:
-    """p^e for a tensor partition: p prime, e >= 2 and p^e within TENSOR_SEARCH_CAP."""
-    from .mub import is_prime
-
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if e < 2:
-        raise ValueError(f"tensor exponent must be >= 2, got {e}")
-    # p >= 2, so a larger e than the cap's bit length exceeds the cap; the
-    # test on e comes first, so a huge e never builds a huge power
-    if e > TENSOR_SEARCH_CAP.bit_length() or p**e > TENSOR_SEARCH_CAP:
-        raise ValueError(f"p^e={p}^{e} exceeds the tensor search cap {TENSOR_SEARCH_CAP}")
-    return p**e
-
-
 def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
     """Partition the p^2e - 1 tensor labels into p^e + 1 commuting classes.
 
@@ -390,7 +353,7 @@ def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
     size and is raised rather than ignored, as is a nonzero dense
     commutator in the found classes (`partition_dense_commutation_defect`).
     """
-    d = tensor_dimension(p, e)
+    d = check_tensor(p, e)
     dims = (p,) * e
     vertices = tensor_indices(dims)
     commutes = _table_lookup(vertices, tensor_commutation_table(dims, vertices))

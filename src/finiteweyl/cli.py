@@ -15,26 +15,22 @@ import os
 import sys
 from collections.abc import Iterable
 
-from . import __version__
+from . import __version__, limits
 from .basis import (
-    SEARCH_CAP,
     cartan_partition_prime,
     cartan_partition_prime_power,
     commutator_table,
     commuting_class_search,
-    tensor_dimension,
 )
 from .group import (
-    DEFAULT_BRUTE_FORCE_CAP,
     PdElement,
-    check_cap,
     irrep_character_norm,
     pd_centralizer_size,
     pd_conjugacy_classes,
     pd_irrep_counts,
     pd_named_subgroups,
 )
-from .mub import MUB_PRIME_CAP, hadamard_h_a, is_prime, mub_family, pairwise_deviations
+from .mub import hadamard_h_a, mub_family, pairwise_deviations
 from .operators import fourier_matrix, v_ra_matrix, weyl_pair
 from .serialize import (
     export_centralizer,
@@ -87,7 +83,7 @@ def cmd_hw(args: argparse.Namespace) -> int:
 
 def cmd_group(args: argparse.Namespace) -> int:
     d, cap = args.d, args.max_d
-    check_cap(d, cap)
+    limits.check_brute_force(d, cap)
     if args.action == "classes":
         chunks = export_chunks(pd_conjugacy_classes(d, cap))
     elif args.action == "centralizer":
@@ -145,18 +141,12 @@ def cmd_basis(args: argparse.Namespace) -> int:
         return 0
     if args.tensor:
         p, e = _int_fields("--tensor", args.tensor, "p,e")
-        if "--d" in args.given and d != tensor_dimension(p, e):
+        if "--d" in args.given and d != limits.check_tensor(p, e):
             raise ValueError(f"--d {d} contradicts --tensor {args.tensor}: d must be p^e")
         partition = cartan_partition_prime_power(p, e)
-    elif d > max(SEARCH_CAP, MUB_PRIME_CAP):
-        # over both caps whether prime or not, so the primality test is skipped
-        raise ValueError(
-            f"d={d} exceeds the search cap {SEARCH_CAP} and the prime cap {MUB_PRIME_CAP}"
-        )
-    elif is_prime(d):
-        partition = cartan_partition_prime(d)
     else:
-        partition = commuting_class_search(d)
+        limits.check_partition(d)
+        partition = cartan_partition_prime(d) if limits.is_prime(d) else commuting_class_search(d)
     _write(export_chunks(partition))
     status = "complete" if partition.complete else "incomplete"
     print(
@@ -228,7 +218,9 @@ _OPTIONS = {
     "--elem": dict(type=str, default=None, help="element a,b,c"),
     "--tensor": dict(type=str, default=None, help="tensor partition parameters p,e"),
     "--tolerance": dict(type=float, default=DEFAULT_TOLERANCE, help="check tolerance"),
-    "--max-d": dict(type=int, default=DEFAULT_BRUTE_FORCE_CAP, help="brute-force cap override"),
+    "--max-d": dict(
+        type=int, default=limits.DEFAULT_BRUTE_FORCE_CAP, help="brute-force cap override"
+    ),
     "--format": dict(
         choices=["json", "exact-json", "dense-csv"], default="json", help="output encoding"
     ),

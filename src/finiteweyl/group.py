@@ -10,10 +10,10 @@ handful of named subgroups, one-dimensional characters, the monomial
 representations rho_k, and the d^3-dimensional bracket on the group
 algebra.
 
-Brute-force enumerations are capped (default d <= 16) since class and
-centralizer computations grow like d^4.  Normality of a named subgroup is
-tested by conjugating it with the generators (1,0,0), (0,1,0) and (0,0,1)
-only, at a cost of at most 3|H| conjugations.
+Brute-force enumerations are capped by `limits` (default d <= 16) since
+class and centralizer computations grow like d^4.  Normality of a named
+subgroup is tested by conjugating it with the generators (1,0,0), (0,1,0)
+and (0,0,1) only, at a cost of at most 3|H| conjugations.
 
 The scalar forms share one law on (a, b, c) keys, `pd_compose_key`:
 `PdElement.compose` calls it, and the bracket accumulates its products
@@ -39,11 +39,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .limits import DEFAULT_BRUTE_FORCE_CAP, check_brute_force, check_dimension
 from .operators import MonomialOperator, monomial_mul
 from .phases import PhaseExponent
-
-DEFAULT_BRUTE_FORCE_CAP = 16
-
 
 PdKey = tuple[int, int, int]
 
@@ -100,8 +98,7 @@ def pd_elements(d: int) -> list[PdElement]:
 
 def pd_element_array(d: int) -> np.ndarray:
     """The d^3 elements as a (d^3, 3) int64 array, in `pd_elements` order."""
-    if d < 2:
-        raise ValueError(f"modulus must be >= 2, got {d}")
+    check_dimension(d)
     return np.indices((d, d, d), dtype=np.int64).reshape(3, -1).T
 
 
@@ -123,14 +120,6 @@ def _element_codes(g: np.ndarray, d: int) -> np.ndarray:
     return (g[..., 0] * d + g[..., 1]) * d + g[..., 2]
 
 
-def check_cap(d: int, cap: int) -> None:
-    """Reject a modulus below 2 or above the brute-force cap."""
-    if d < 2:
-        raise ValueError(f"modulus must be >= 2, got {d}")
-    if d > cap:
-        raise ValueError(f"d={d} exceeds the brute-force cap {cap}")
-
-
 @dataclass
 class ConjugacyClassReport:
     d: int
@@ -150,7 +139,7 @@ def pd_conjugacy_classes(d: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> Conjugac
     The conjugate of (a, b, c) by (a', b', c') is (a + cb' - bc', b, c), so
     each orbit is swept by running (b', c') over Z_d^2.
     """
-    check_cap(d, cap)
+    check_brute_force(d, cap)
     classes: list[list[PdElement]] = []
     seen: set[PdKey] = set()
     for a, b, c in product(range(d), repeat=3):
@@ -170,7 +159,7 @@ def pd_conjugacy_classes(d: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> Conjugac
         d=d,
         classes=classes,
         singleton_count=histogram.get(1, 0),
-        size_d_count=histogram.get(d, 0) if d > 1 else 0,
+        size_d_count=histogram.get(d, 0),
         size_histogram=dict(sorted(histogram.items())),
     )
 
@@ -287,7 +276,7 @@ def _isomorphism_tag(elements: list[PdElement], d: int) -> str:
 
 def pd_named_subgroups(d: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> list[Subgroup]:
     """The six listed subgroups, with closure/normality verified."""
-    check_cap(d, cap)
+    check_brute_force(d, cap)
     rng = range(d)
     subsets: list[tuple[str, list[PdElement]]] = [
         ("center", [PdElement(a, 0, 0, d) for a in rng]),
@@ -340,8 +329,7 @@ def pd_irrep_counts(d: int) -> tuple[int, int]:
     arithmetically; the census itself is verified elsewhere only for prime
     d (rho_k is irreducible exactly when gcd(k, d) = 1).
     """
-    if d < 2:
-        raise ValueError(f"modulus must be >= 2, got {d}")
+    check_dimension(d)
     one_dim, d_dim = d * d, d - 1
     if one_dim + d_dim * d * d != d**3:
         raise RuntimeError("squared-dimension identity failed")

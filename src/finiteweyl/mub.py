@@ -20,27 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .limits import check_dimension, check_prime
 from .operators import fourier_matrix, v_ra_matrix, weyl_pair
 from .phases import tau_powers
 
-MUB_PRIME_CAP = 97
 # bases per stacked left operand in pairwise_deviations
 UNBIASEDNESS_BLOCK = 8
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 @dataclass
@@ -56,8 +41,7 @@ class OrthonormalBasis:
 
 def basis_exponent_table(d: int, a: int) -> np.ndarray:
     """Integer tau exponents: entry (k, alpha) of the a-th eigenbasis."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    check_dimension(d)
     # a only matters mod 2d; reducing it first keeps every product in int64
     k1 = np.arange(1, d + 1, dtype=np.int64)[:, None]  # k + 1
     alpha = np.arange(d, dtype=np.int64)[None, :]
@@ -144,11 +128,8 @@ def unbiasedness(b1: OrthonormalBasis, b2: OrthonormalBasis) -> float:
 
 
 def mub_family(p: int) -> list[OrthonormalBasis]:
-    """The p+1 bases {a = 0..p-1} plus the computational one, p prime."""
-    if p > MUB_PRIME_CAP:
-        raise ValueError(f"p={p} exceeds the cap {MUB_PRIME_CAP}")
-    if not is_prime(p):
-        raise ValueError(f"complete families are built for prime dimension, got {p}")
+    """The p+1 bases {a = 0..p-1} plus the computational one, p prime <= `limits.MUB_PRIME_CAP`."""
+    check_prime(p)
     return [basis_b0a(p, a) for a in range(p)] + [computational_basis(p)]
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .limits import check_dimension
 from .phases import PhaseExponent, tau_powers
 
 
@@ -122,8 +123,7 @@ def monomial_mul(u: MonomialOperator, v: MonomialOperator) -> MonomialOperator:
 
 def weyl_pair(d: int) -> tuple[MonomialOperator, MonomialOperator]:
     """The shift X and the clock Z as exact monomials."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    check_dimension(d)
     x = MonomialOperator(PhaseExponent.one(d), 1, 0)
     z = MonomialOperator(PhaseExponent.one(d), 0, 1)
     return x, z
@@ -140,8 +140,7 @@ def v_ra_matrix(d: int, r: float = 0.0, a: float = 0.0) -> np.ndarray:
     Here j = (d-1)/2.  For integer r and a the matrix is monomial with
     root-of-unity entries; both parameters are accepted as floats.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    check_dimension(d)
     mat = np.zeros((d, d), dtype=complex)
     for k in range(1, d):
         mat[k - 1, k] = cmath.exp(2j * cmath.pi * k * a / d)
@@ -169,8 +168,7 @@ def v_ra_eigenvector(d: int, r: float, a: float, alpha: int) -> np.ndarray:
 
 def fourier_matrix(d: int) -> np.ndarray:
     """Symmetric unitary with entries q^(-kk')/sqrt(d); satisfies F^4 = I."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    check_dimension(d)
     k = np.arange(d)
     return tau_powers(-2 * np.outer(k, k), d) / math.sqrt(d)
 

@@ -25,6 +25,7 @@ import numpy as np
 from . import basis as basis_mod
 from . import group as group_mod
 from . import heisenberg as hw_mod
+from . import limits
 from . import mub as mub_mod
 from . import operators as op_mod
 from .report import VerificationReport
@@ -156,10 +157,8 @@ def suite_hw() -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def suite_group(d: int = 3, cap: int = group_mod.DEFAULT_BRUTE_FORCE_CAP) -> VerificationReport:
+def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> VerificationReport:
     report = VerificationReport("group")
-    # applies the brute-force cap before any of the d^3 elements is built
-    group_mod.check_cap(d, cap)
     elements = group_mod.pd_elements(d)
     rng = random.Random(17)
 
@@ -556,6 +555,7 @@ def _su2_checks(report: VerificationReport, d: int, tolerance: float) -> None:
 
 def suite_su2(d: int, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Just the angular-momentum polar-decomposition checks, for `weyl su2-check`."""
+    limits.check_dense(d)
     report = VerificationReport("su2")
     _su2_checks(report, d, tolerance)
     return report
@@ -617,7 +617,7 @@ def suite_mub(d: int = 3, tolerance: float = DEFAULT_TOLERANCE) -> VerificationR
         lambda: mub_mod.fourier_hadamard_corrected_residual(d),
     )
 
-    if mub_mod.is_prime(d):
+    if limits.is_prime(d):
         bases = mub_mod.mub_family(d)
         prefix = "family_unbiased"
     else:
@@ -644,7 +644,6 @@ def suite_basis(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     report = VerificationReport("basis")
-    # applies the structure-table cap before any of the d^2 labels is built
     table = basis_mod.commutator_table(d)
     labels = basis_mod.pauli_indices(d, include_identity=True)
 
@@ -707,7 +706,7 @@ def suite_basis(
 
     _run(report, "anticommutator_vanishing_rule", 0.0, anticommutators)
 
-    if mub_mod.is_prime(d):
+    if limits.is_prime(d):
         partition = basis_mod.cartan_partition_prime(d)
         _run(
             report,
@@ -723,7 +722,7 @@ def suite_basis(
             1e-12,
             lambda: basis_mod.partition_dense_commutation_defect(partition),
         )
-        if d <= basis_mod.SEARCH_CAP:
+        if limits.searchable(d):
             _run(
                 report,
                 "search_rediscovers_prime_partition",
@@ -742,7 +741,7 @@ def suite_basis(
                 return max(mub_mod.pairwise_deviations(bases).values())
 
             _run(report, "class_eigenbases_mutually_unbiased", tolerance, joint_eigenbases)
-    elif d <= basis_mod.SEARCH_CAP:
+    elif limits.searchable(d):
         def incomplete_search() -> bool:
             result = basis_mod.commuting_class_search(d)
             if result.complete:
@@ -802,8 +801,21 @@ def run_suite(
     p: int | None = None,
     e: int | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    cap: int = group_mod.DEFAULT_BRUTE_FORCE_CAP,
+    cap: int = limits.DEFAULT_BRUTE_FORCE_CAP,
 ) -> VerificationReport:
+    """Run one suite, or each in turn for "all", once every limit of the request is checked."""
+    if name == "mub" and p is not None:
+        d = p
+    if name == "basis" and (p is None) != (e is None):
+        raise ValueError(f"the tensor checks need both p and e, got p={p}, e={e}")
+    if name == "basis" and p is not None:
+        limits.check_tensor(p, e)
+    if name in ("group", "all"):
+        limits.check_brute_force(d, cap)
+    if name in ("weyl", "mub", "all"):
+        limits.check_dense(d)
+    if name in ("basis", "all"):
+        limits.check_structure_table(d)
     if name == "hw":
         return suite_hw()
     if name == "group":
@@ -811,12 +823,8 @@ def run_suite(
     if name == "weyl":
         return suite_weyl(d, tolerance)
     if name == "mub":
-        return suite_mub(d if p is None else p, tolerance)
+        return suite_mub(d, tolerance)
     if name == "basis":
-        if (p is None) != (e is None):
-            raise ValueError(f"the tensor checks need both p and e, got p={p}, e={e}")
-        if p is not None:
-            basis_mod.tensor_dimension(p, e)  # a bad p or e fails before the suite runs
         return suite_basis(d, None if p is None else (p, e), tolerance)
     if name == "all":
         combined = VerificationReport("all")

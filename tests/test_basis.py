@@ -34,7 +34,8 @@ from finiteweyl.basis import (
     u_ab,
     validate_cartan_partition,
 )
-from finiteweyl.mub import MUB_PRIME_CAP, OrthonormalBasis, is_prime, pairwise_deviations
+from finiteweyl.limits import MUB_PRIME_CAP, SEARCH_CAP, is_prime
+from finiteweyl.mub import OrthonormalBasis, pairwise_deviations
 from finiteweyl.operators import MonomialOperator
 from finiteweyl.search import (
     find_commuting_partition,
@@ -231,7 +232,7 @@ def test_prime_partitions_validate():
 
 def test_search_rediscovers_prime_partition():
     # `basis partition` prints the closed form; the search rechecks it at every searchable prime
-    for p in filter(is_prime, range(2, basis_mod.SEARCH_CAP + 1)):
+    for p in filter(is_prime, range(2, SEARCH_CAP + 1)):
         found = commuting_class_search(p)
         assert found.complete
         assert found.classes == cartan_partition_prime(p).classes

@@ -656,12 +656,32 @@ def test_cli_fuzzed_arguments_exit_cleanly(argv):
             ["verify", "basis", "--d", "1000000000000000000"],
             "error: d=1000000000000000000 exceeds the structure-table cap 16\n",
         ),
-        # x**d and z**d, then a dense d x d matrix that cannot be allocated
-        (["verify", "weyl", "--d", "100000000"], None),
+        # 300 products of dense d x d monomials
+        (["verify", "weyl", "--d", "100000000"], "error: d=100000000 exceeds the cap 97\n"),
         # 10^27 group elements
         (
             ["verify", "group", "--d", "1000000000"],
             "error: d=1000000000 exceeds the brute-force cap 16\n",
+        ),
+        # the dense single-qudit suites just over the cap
+        (["verify", "weyl", "--d", "98"], "error: d=98 exceeds the cap 97\n"),
+        (["weyl", "su2-check", "--d", "98"], "error: d=98 exceeds the cap 97\n"),
+        # d bases of d x d, composite or prime
+        (["verify", "mub", "--d", "98"], "error: d=98 exceeds the cap 97\n"),
+        (["verify", "mub", "--d", "101"], "error: d=101 exceeds the cap 97\n"),
+        # trial division up to 10^9 before the tensor cap
+        (
+            ["basis", "partition", "--tensor", "1000000000000000003,2"],
+            "error: p^e=1000000000000000003^2 exceeds the tensor search cap 16\n",
+        ),
+        (
+            ["verify", "basis", "--p", "1000000000000000003", "--e", "2"],
+            "error: p^e=1000000000000000003^2 exceeds the tensor search cap 16\n",
+        ),
+        # the hw, group, weyl and mub suites before the basis suite's cap
+        (
+            ["verify", "all", "--d", "17", "--max-d", "17"],
+            "error: d=17 exceeds the structure-table cap 16\n",
         ),
     ],
 )
@@ -672,9 +692,7 @@ def test_huge_d_exits_2_before_the_work_it_would_take(argv, error):
     result = subprocess.run(
         [sys.executable, "-m", "finiteweyl.cli", *argv], capture_output=True, text=True, timeout=10
     )
-    assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-    assert error is None or result.stderr == error
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", error)
 
 
 def test_verify_basis_enforces_structure_table_cap(capsys):

@@ -15,13 +15,13 @@ from finiteweyl.mub import (
     fourier_hadamard_residual,
     hadamard_h_a,
     hadamard_reduction_defect,
-    is_prime,
     minimal_triple,
     mub_family,
     pairwise_deviations,
     s_permutation,
     unbiasedness,
 )
+from finiteweyl.limits import is_prime
 from finiteweyl.operators import v_ra_eigenvalue, v_ra_matrix
 from finiteweyl.phases import tau_powers
 

@@ -153,3 +153,21 @@ def test_su2_suite_runs_only_its_own_checks(monkeypatch):
     monkeypatch.setattr(suites, "suite_weyl", lambda *args: pytest.fail("suite_weyl ran"))
     report = suite_su2(9)
     assert [c.name for c in report.checks] == ["su2_polar_commutations", "su2_ladder_actions"]
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, error",
+    [
+        ("all", dict(d=17, cap=17), "d=17 exceeds the structure-table cap 16"),
+        ("all", dict(d=98, cap=98), "d=98 exceeds the cap 97"),
+        ("all", dict(d=1), "dimension must be >= 2, got 1"),
+        ("weyl", dict(d=98), "d=98 exceeds the cap 97"),
+        ("mub", dict(p=101), "d=101 exceeds the cap 97"),
+        ("basis", dict(d=3, p=6, e=2), r"p\^e=6\^2 exceeds the tensor search cap 16"),
+    ],
+)
+def test_run_suite_checks_every_limit_before_any_suite_runs(monkeypatch, name, kwargs, error):
+    for suite in ("suite_hw", "suite_group", "suite_weyl", "suite_mub", "suite_basis"):
+        monkeypatch.setattr(suites, suite, lambda *args, suite=suite: pytest.fail(f"{suite} ran"))
+    with pytest.raises(ValueError, match=error):
+        run_suite(name, **kwargs)
