@@ -110,6 +110,14 @@ COMMANDS = [
     "verify mub --d 98",
     "weyl su2-check --d 98",
     "verify all --d 17 --max-d 17",
+    # the heaviest payload of each shape the JSON encoder meets: dicts of
+    # labels, lists of element triples, dense re and im rows, int tables
+    "basis structure --d 16",
+    "group classes --d 16",
+    "group subgroups --d 16",
+    "weyl fourier --d 97",
+    "weyl vra --d 97 --r 0.37 --a 3",
+    "mub hadamard --d 97 --a 5",
 ]
 
 

@@ -15,7 +15,6 @@ from .basis import (
     commuting_class_search,
     hs_orthogonality,
     pauli_commutator,
-    structure_constants,
     su4_spread_check,
     tensor_pauli,
     u_ab,
@@ -98,7 +97,6 @@ __all__ = [
     "pd_named_subgroups",
     "polar_su2_ops",
     "run_suite",
-    "structure_constants",
     "su4_spread_check",
     "t_operator",
     "tensor_pauli",

@@ -123,19 +123,6 @@ def commutator_table(d: int) -> CommutatorTable:
     )
 
 
-def structure_constants(d: int) -> dict[tuple[PauliIndex, PauliIndex], tuple[PauliIndex, complex]]:
-    """Nonzero structure constants of u(d) in the X^a Z^b basis."""
-    check_structure_table(d)
-    table: dict[tuple[PauliIndex, PauliIndex], tuple[PauliIndex, complex]] = {}
-    for ab in pauli_indices(d, include_identity=True):
-        for ab2 in pauli_indices(d, include_identity=True):
-            if indices_commute(d, ab, ab2):
-                continue
-            coeff, target = pauli_commutator(d, ab, ab2, "-")
-            table[(ab, ab2)] = (target, coeff)
-    return table
-
-
 def hs_orthogonality(d: int) -> float:
     """Max deviation of Tr(u^dagger u') from d delta delta, exactly 0.0.
 

@@ -192,9 +192,8 @@ def pd_centralizer_sizes(g: np.ndarray, d: int) -> np.ndarray:
     return table[g[..., 1], g[..., 2]]
 
 
-def pd_is_ambivalent(d: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> bool:
-    """Whether every conjugacy class is closed under inversion."""
-    report = pd_conjugacy_classes(d, cap)
+def pd_is_ambivalent(report: ConjugacyClassReport) -> bool:
+    """Whether every conjugacy class of the census is closed under inversion."""
     for cls in report.classes:
         members = {g.key() for g in cls}
         if any(g.inverse().key() not in members for g in cls):

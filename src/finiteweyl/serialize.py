@@ -11,18 +11,16 @@ of re,im pairs with 17 significant digits; non-finite entries are rejected.
 
 `json_chunks` is the one renderer of payload text, and `json_dumps` joins
 its chunks.  The text is byte-identical to `json.dumps(payload, indent=2,
-separators=(",", ": "), allow_nan=False) + "\n"`.  The payload is rendered
-as a skeleton first, with a NUL placeholder where each integer ndarray (an
-exponent table) goes; every error (a non-finite float, a value that is not
-JSON) is raised while the skeleton is built, before the first chunk is
-yielded, so a writer never leaves a partial document.  The chunks are the
-skeleton pieces with the text of each deferred array between them, so at
-most one table's text exists at a time.  Each list of plain ints and floats
-(a row of a deviation matrix) is encoded by the C encoder in one call; the
-indented `json.dumps` would fall back to the pure-Python encoder and yield
-every number separately.  An integer ndarray is written as its `.tolist()`
-would be, in one join over a lookup of number strings; float and bool
-arrays are not JSON here, as in `json.dumps`.
+separators=(",", ": "), allow_nan=False) + "\n"`, with each numeric ndarray
+written as its `.tolist()` would be.  The stdlib encodes the skeleton of the
+payload, with a NUL placeholder string where each nonempty int or float
+ndarray goes; every error (a non-finite float, a value that is not JSON) is
+raised while the skeleton is built, before the first chunk is yielded, so a
+writer never leaves a partial document.  The chunks are the skeleton pieces
+with the text of each deferred array between them, so at most one table's
+text exists at a time.  An integer array is written in one join over a
+lookup of number strings, a float array one innermost row per call of the
+C encoder; bool and complex arrays are not JSON here, as in `json.dumps`.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import json
 import math
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -53,9 +50,23 @@ def json_chunks(payload: dict) -> Iterator[str]:
     written.  Non-finite floats raise ValueError rather than emitting
     NaN/Infinity, which are not standard JSON.
     """
-    deferred: list[tuple[np.ndarray, str]] = []
-    pieces = (_render(payload, "", deferred) + "\n").split(_DEFERRED)
-    return _interleave(pieces, deferred)
+    arrays: list[np.ndarray] = []
+
+    def defer(value: Any) -> Any:
+        # a longdouble array's .tolist() holds numpy scalars, which are not JSON
+        if isinstance(value, np.ndarray) and value.dtype.kind in "iuf" and value.itemsize <= 8:
+            if value.ndim and value.size and np.isfinite(value).all():
+                arrays.append(value)
+                return _DEFERRED
+            # the stdlib renders an empty or 0-d array and raises on NaN or infinity
+            return value.tolist()
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    text = json.dumps(payload, indent=2, allow_nan=False, default=defer) + "\n"
+    pieces = text.split(json.dumps(_DEFERRED))
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError("a payload string reads as the NUL placeholder of a table")
+    return _interleave(pieces, arrays)
 
 
 def json_dumps(payload: dict) -> str:
@@ -63,55 +74,23 @@ def json_dumps(payload: dict) -> str:
     return "".join(json_chunks(payload))
 
 
-def _interleave(pieces: list[str], deferred: list[tuple[np.ndarray, str]]) -> Iterator[str]:
-    yield pieces[0]
-    for (array, indent), piece in zip(deferred, pieces[1:]):
-        yield _render_int_array(array, indent)
-        yield piece
-
-
-_NUMBER_TYPES = {int, float}
-# encode_basestring_ascii escapes NUL, so rendered text never contains it
+# json.dumps writes it as "\u0000", which a payload string writes only when it
+# is NUL or ends in a quote and NUL; json_chunks rejects such a payload
 _DEFERRED = "\0"
 
 
-def _render(value: Any, indent: str, deferred: list[tuple[np.ndarray, str]]) -> str:
-    """Indented JSON for value nested at indent; its closing bracket lines up with indent.
-
-    A nonempty integer ndarray is appended to deferred with its indent, and
-    _DEFERRED stands in its place.
-    """
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
-        if value.ndim and value.size:
-            deferred.append((value, indent))
-            return _DEFERRED
-        value = value.tolist()
-    inner = indent + "  "
-    if isinstance(value, dict):
-        opening, closing = "{", "}"
-        items = [f"{_render_key(k)}: {_render(v, inner, deferred)}" for k, v in value.items()]
-    elif isinstance(value, (list, tuple)):
-        opening, closing = "[", "]"
-        if value and set(map(type, value)) <= _NUMBER_TYPES:
-            try:
-                # the C encoder writes "[1, 2.5]"; numbers never contain ", "
-                items = [json.dumps(value, allow_nan=False)[1:-1].replace(", ", ",\n" + inner)]
-            except ValueError:
-                items = [_render_scalar(x) for x in value]  # raises json's own message
-        else:
-            items = [_render(x, inner, deferred) for x in value]
-    else:
-        return _render_scalar(value)
-    if not items:
-        return opening + closing
-    # the brackets go onto the end items, so the join is the only full-length copy
-    items[0] = f"{opening}\n{inner}{items[0]}"
-    items[-1] += f"\n{indent}{closing}"
-    return f",\n{inner}".join(items)
+def _interleave(pieces: list[str], arrays: list[np.ndarray]) -> Iterator[str]:
+    yield pieces[0]
+    for array, before, piece in zip(arrays, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        indent = line[: len(line) - len(line.lstrip(" "))]
+        render = _render_int_array if array.dtype.kind in "iu" else _render_float_array
+        yield render(array, indent)
+        yield piece
 
 
 def _render_int_array(value: np.ndarray, indent: str) -> str:
-    """`_render(value.tolist(), indent, [])` for a nonempty integer array of at least one axis.
+    """The text of `value.tolist()` at indent, for a nonempty integer array of at least one axis.
 
     Each entry is followed by the text that closes the m innermost lists
     ending at it and opens the next ones, so the text is one lookup of
@@ -138,31 +117,18 @@ def _render_int_array(value: np.ndarray, indent: str) -> str:
     return opening(0) + "".join(map(lookup.__getitem__, keys.tolist()))
 
 
-def _render_scalar(value: Any) -> str:
-    """One JSON scalar, tested in the order of the stdlib encoder."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _render_float_array(value: np.ndarray, indent: str) -> str:
+    """The text of `value.tolist()` at indent, for a nonempty finite float array of at least one axis.
 
-
-def _render_key(key: Any) -> str:
-    if isinstance(key, (float, int)) or key is None:
-        key = _render_scalar(key)
-    elif not isinstance(key, str):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(key)
+    Each innermost row is one call of the C encoder, which writes "[1.5, -0.0]";
+    numbers never contain ", ", so its separators become the indented ones.
+    """
+    inner = indent + "  "
+    if value.ndim == 1:
+        rows = [json.dumps(value.tolist())[1:-1].replace(", ", ",\n" + inner)]
+    else:
+        rows = [_render_float_array(row, inner) for row in value]
+    return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{indent}]"
 
 
 def _document(payload: dict) -> dict:
@@ -204,12 +170,15 @@ def _monomial_from(payload: dict) -> MonomialOperator:
 
 
 def _hadamard(h: HadamardMatrix) -> dict:
-    return {"type": "hadamard", "d": h.d, "a": h.a, "tau_exponents": h.exponents.tolist()}
+    return {"type": "hadamard", "d": h.d, "a": h.a, "tau_exponents": h.exponents}
 
 
 def _hadamard_from(payload: dict) -> HadamardMatrix:
+    d = payload["d"]
     exponents = np.array(payload["tau_exponents"], dtype=np.int64)
-    return HadamardMatrix(d=payload["d"], a=payload["a"], exponents=exponents)
+    if exponents.shape != (d, d):
+        raise ValueError(f"hadamard tau_exponents must be {d} x {d}, got shape {exponents.shape}")
+    return HadamardMatrix(d=d, a=payload["a"], exponents=exponents)
 
 
 def _partition(p: CartanPartition) -> dict:
@@ -250,12 +219,17 @@ _DECODERS = {
 def import_exact(text: str) -> Any:
     """Inverse of export(..., "json") for exact payloads."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"an exact document is a JSON object, got {type(payload).__name__}")
     if payload.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {payload.get('schema')!r}")
     kind = payload.get("type")
     if kind not in _DECODERS:
         raise ValueError(f"unknown payload type {kind!r}")
-    return _DECODERS[kind](payload)
+    try:
+        return _DECODERS[kind](payload)
+    except KeyError as missing:
+        raise ValueError(f"{kind} document has no field {missing}") from None
 
 
 def _report(report: VerificationReport) -> dict:
@@ -415,7 +389,7 @@ def export_dense(kind: str, mat: np.ndarray, fmt: str, **fields: Any) -> Iterato
     """A dense matrix as its re and im rows after fields, or as CSV."""
     return _text(
         fmt,
-        lambda: {"type": kind, **fields, "re": mat.real.tolist(), "im": mat.imag.tolist()},
+        lambda: {"type": kind, **fields, "re": mat.real, "im": mat.imag},
         lambda: matrix_to_csv(mat),
     )
 
@@ -436,9 +410,9 @@ def export_mub_family(
     Every table is built before the first chunk; the chunks hold the text of
     one table at a time.
     """
-    matrix = [[0.0] * len(labels) for _ in labels]
+    matrix = np.zeros((len(labels), len(labels)))
     for (i, j), value in deviations.items():
-        matrix[i][j] = matrix[j][i] = value
+        matrix[i, j] = matrix[j, i] = value
     worst = max(deviations.values())
     return _json(
         {

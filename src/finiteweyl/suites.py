@@ -222,7 +222,7 @@ def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> Verifi
         return bool((sizes % d**2 == 0).all() and np.array_equal(sizes == d**3, central))
 
     _run(report, "centralizers_multiple_of_d_squared", 0.0, centralizers)
-    _run(report, "ambivalent_only_for_d2", 0.0, lambda: group_mod.pd_is_ambivalent(d, cap) == (d == 2))
+    _run(report, "ambivalent_only_for_d2", 0.0, lambda: group_mod.pd_is_ambivalent(census) == (d == 2))
 
     def burnside() -> bool:
         one_dim, d_dim = group_mod.pd_irrep_counts(d)

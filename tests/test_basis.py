@@ -24,7 +24,6 @@ from finiteweyl.basis import (
     partition_dense_commutation_defect,
     pauli_commutator,
     pauli_indices,
-    structure_constants,
     su4_spread_check,
     tensor_commutation_table,
     tensor_indices,
@@ -98,19 +97,20 @@ def test_odd_dimension_anticommutators_nonzero():
 
 
 def test_structure_table():
-    table = structure_constants(3)
-    assert (((1, 0)), ((0, 1))) in table
-    target, coeff = table[((1, 0), (0, 1))]
-    assert target == (1, 1)
+    d = 3
+    table = commutator_table(d)
+    labels = pauli_indices(d, include_identity=True)
+    assert labels[table.target[labels.index((1, 0)), labels.index((0, 1))]] == (1, 1)
     # antisymmetry across the table
-    for (ab, ab2), (target, coeff) in table.items():
-        other_target, other_coeff = table[(ab2, ab)]
-        assert other_target == target
-        assert abs(coeff + other_coeff) < 1e-15
-    # commuting pairs are omitted
-    assert ((1, 1), (2, 2)) not in table
+    assert np.array_equal(table.first, table.second.T)
+    assert np.array_equal(table.target, table.target.T)
+    minus = table.coefficients("-")
+    assert np.abs(minus + minus.T).max() < 1e-15
+    # commuting pairs, such as ((1, 1), (2, 2)), are exactly those with equal exponents
+    for (i, ab), (j, ab2) in product(enumerate(labels), repeat=2):
+        assert (table.first[i, j] == table.second[i, j]) == indices_commute(d, ab, ab2)
     with pytest.raises(ValueError):
-        structure_constants(17)
+        commutator_table(17)
 
 
 def test_hs_orthogonality():

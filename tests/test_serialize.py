@@ -110,6 +110,24 @@ def test_export_rejects_unknown():
         import_exact(json.dumps({"schema": 99, "type": "phase"}))
 
 
+def test_import_rejects_a_document_that_is_not_an_object():
+    for text in ("[]", '"x"', "3"):
+        with pytest.raises(ValueError, match="is a JSON object"):
+            import_exact(text)
+
+
+def test_import_rejects_a_document_without_a_field():
+    text = json.dumps({"schema": 1, "type": "phase", "tau_exp": 1})
+    with pytest.raises(ValueError, match="phase document has no field 'tau_denominator'"):
+        import_exact(text)
+
+
+def test_import_rejects_a_hadamard_table_of_the_wrong_shape():
+    payload = {"schema": 1, "type": "hadamard", "d": 3, "a": 0, "tau_exponents": [[1]]}
+    with pytest.raises(ValueError, match=r"must be 3 x 3, got shape \(1, 1\)"):
+        import_exact(json.dumps(payload))
+
+
 def test_json_dumps_deterministic():
     payload = {"schema": 1, "b": [1, 2], "a": "x"}
     assert json_dumps(payload) == json_dumps(payload)
@@ -197,18 +215,27 @@ int64_arrays = arrays(
     array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
     elements=st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3),
 )
+float64_arrays = arrays(
+    np.float64,
+    array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+    elements=finite_floats | st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324]),
+)
 
 
-@given(int64_arrays, st.text(alphabet=" ", max_size=8))
-def test_integer_array_renders_like_its_list(array, indent):
-    deferred = []
-    skeleton = serialize_mod._render(array, indent, deferred)
-    text = "".join(serialize_mod._interleave(skeleton.split(serialize_mod._DEFERRED), deferred))
-    assert text == serialize_mod._render(array.tolist(), indent, [])
+@given(int64_arrays, st.text(alphabet=" ", max_size=8), st.integers(0, 3))
+def test_integer_array_renders_like_its_list(array, indent, depth):
+    if array.ndim and array.size:
+        expected = json.dumps(array.tolist(), indent=2).replace("\n", "\n" + indent)
+        assert serialize_mod._render_int_array(array, indent) == expected
+    # the table's indent is read off the text around it, at any nesting
+    payload = array
+    for _ in range(depth):
+        payload = {"table": payload}
+    assert json_dumps(payload) == stdlib_dumps(payload, default=np.ndarray.tolist)
 
 
 payloads_with_tables = st.recursive(
-    st.one_of(scalars, number_rows, int64_arrays),
+    st.one_of(scalars, number_rows, int64_arrays, float64_arrays),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.dictionaries(keys, children, max_size=4),
@@ -261,10 +288,34 @@ def test_mub_family_renders_in_less_memory_than_its_text(monkeypatch):
     assert peak < out.size
 
 
-@pytest.mark.parametrize("array", [np.zeros((2, 2)), np.ones(3, dtype=bool), np.array(1.5)])
-def test_float_and_bool_arrays_are_not_rendered_as_integers(array):
-    with pytest.raises(TypeError, match="Object of type ndarray is not JSON serializable"):
-        json_dumps({"table": array})
+@pytest.mark.parametrize(
+    "array", [np.ones(3, dtype=bool), np.array(True), np.zeros((2, 2), dtype=complex)]
+)
+def test_bool_and_complex_arrays_raise_the_stdlib_type_error(array):
+    payload = {"table": np.arange(4), "rows": [array]}
+    with pytest.raises(TypeError) as ours:
+        json_chunks(payload)
+    with pytest.raises(TypeError) as theirs:
+        stdlib_dumps(payload)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_float_arrays_raise_the_stdlib_value_error_before_any_chunk(bad):
+    table = np.zeros((3, 2))
+    table[1, 1] = bad
+    payload = {"before": np.ones((2, 2)), "table": table}
+    with pytest.raises(ValueError) as ours:
+        json_chunks(payload)
+    with pytest.raises(ValueError) as theirs:
+        stdlib_dumps(payload, default=np.ndarray.tolist)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("text", ["\0", 'a"\0'])
+def test_a_payload_string_like_the_placeholder_raises_before_any_chunk(text):
+    with pytest.raises(ValueError, match="placeholder"):
+        json_chunks({"table": np.arange(6).reshape(2, 3), "label": text})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
