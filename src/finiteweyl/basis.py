@@ -209,7 +209,11 @@ def validate_cartan_partition(partition: CartanPartition) -> bool:
     """Recheck disjointness, covering and intra-class commutation."""
     dims = partition.tensor_dims or (partition.dimension,)
     size = partition.dimension - 1 if partition.complete else None
-    if partition.complete and len(partition.classes) != partition.dimension + 1:
+    # sizes first: the d^2 - 1 labels are listed only for classes that hold as many
+    if partition.complete and (
+        len(partition.classes) != partition.dimension + 1
+        or any(len(cls) != size for cls in partition.classes)
+    ):
         return False
     return validate_partition(
         partition.classes,

@@ -1,6 +1,12 @@
 """Command-line entry point: parses arguments, calls the library and hands
 each result to one `serialize` function, which builds the payload.
 
+A request loads only the modules its command runs: `basis`, `mub`,
+`operators` and `serialize` at import, `group` inside `cmd_group`, and
+`suites` (with `group` and `heisenberg`) inside the commands that run a
+suite.  `run` is the process entry point; `main` is the same request for
+in-process callers.
+
 JSON payloads go to stdout (deterministic: fixed orderings, no timestamps),
 written in chunks by `_write`; human-readable diagnostics and timings go to
 stderr.  Exit codes: 0 on success / all checks passing, 1 when a
@@ -11,9 +17,11 @@ verification fails, a tolerance is exceeded, or a partition is incomplete,
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 from collections.abc import Iterable
+from typing import NoReturn
 
 from . import __version__, limits
 from .basis import (
@@ -22,16 +30,9 @@ from .basis import (
     commutator_table,
     commuting_class_search,
 )
-from .group import (
-    PdElement,
-    irrep_character_norm,
-    pd_centralizer_size,
-    pd_conjugacy_classes,
-    pd_irrep_counts,
-    pd_named_subgroups,
-)
 from .mub import hadamard_h_a, mub_family, pairwise_deviations
 from .operators import fourier_matrix, v_ra_matrix, weyl_pair
+from .report import DEFAULT_TOLERANCE
 from .serialize import (
     export_centralizer,
     export_chunks,
@@ -41,7 +42,6 @@ from .serialize import (
     export_subgroups,
     export_weyl_pair,
 )
-from .suites import DEFAULT_TOLERANCE, run_suite, suite_hw, suite_su2
 
 
 def _int_list(text: str) -> list[int]:
@@ -78,10 +78,21 @@ def _report_exit(report) -> int:
 
 
 def cmd_hw(args: argparse.Namespace) -> int:
+    from .suites import suite_hw
+
     return _report_exit(suite_hw())
 
 
 def cmd_group(args: argparse.Namespace) -> int:
+    from .group import (
+        PdElement,
+        irrep_character_norm,
+        pd_centralizer_size,
+        pd_conjugacy_classes,
+        pd_irrep_counts,
+        pd_named_subgroups,
+    )
+
     d, cap = args.d, args.max_d
     limits.check_brute_force(d, cap)
     if args.action == "classes":
@@ -103,6 +114,8 @@ def cmd_group(args: argparse.Namespace) -> int:
 def cmd_weyl(args: argparse.Namespace) -> int:
     d = args.d
     if args.action == "su2-check":
+        from .suites import suite_su2
+
         return _report_exit(suite_su2(d, args.tolerance))
     if args.action == "pair":
         chunks = export_weyl_pair(*weyl_pair(d), args.format)
@@ -157,6 +170,8 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .suites import run_suite
+
     if args.action == "mub" and "--d" in args.given and args.p is not None and args.d != args.p:
         raise ValueError(f"--d {args.d} contradicts --p {args.p}: d must equal p")
     report = run_suite(
@@ -312,14 +327,37 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # the reader closed stdout; pointing it at devnull lets the flush at
-        # exit succeed instead of printing a second error
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("error: stdout was closed before the output was written", file=sys.stderr)
-        return 2
+        return _closed_stdout()
+
+
+def _closed_stdout() -> int:
+    # the reader closed stdout; pointing it at devnull lets a later flush
+    # succeed instead of raising a second error
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    print("error: stdout was closed before the output was written", file=sys.stderr)
+    return 2
+
+
+def run() -> NoReturn:
+    """The process entry point of `finiteweyl` and `python -m finiteweyl.cli`.
+
+    Runs `main()`, then ends the process as the interpreter would, minus its
+    teardown: the `atexit` handlers run, stdout and stderr are flushed, and
+    `os._exit` skips freeing every module and object one by one, work that
+    a process about to exit does not need.  An exception from `main()`,
+    argparse's SystemExit included, leaves through the normal exit.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _closed_stdout()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# the default of `--tolerance` and of the suites that take a tolerance
+DEFAULT_TOLERANCE = 1e-9
+
 
 @dataclass
 class Check:

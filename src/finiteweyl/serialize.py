@@ -6,8 +6,11 @@ each `export_*` function the chunks of the results of one CLI command, and
 `_document` adds the top-level "schema": 1.  Exact objects (phases,
 monomials, Hadamard exponent tables, partitions) serialize through integer
 tau exponents and read back bit-identically through `import_exact`, whose
-decoders sit next to their encoders.  Dense matrices serialize as CSV rows
-of re,im pairs with 17 significant digits; non-finite entries are rejected.
+decoders sit next to their encoders; a Hadamard table must be the table of
+H_a for its d and a, a partition label must fit the dimension, and a
+partition marked complete must pass `validate_cartan_partition`.  Dense
+matrices serialize as CSV rows of re,im pairs with 17 significant digits;
+non-finite entries are rejected.
 
 `json_chunks` is the one renderer of payload text, and `json_dumps` joins
 its chunks.  The text is byte-identical to `json.dumps(payload, indent=2,
@@ -28,17 +31,20 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Iterator
-from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .basis import CartanPartition, CommutatorTable, format_index
-from .group import ConjugacyClassReport, PdElement, Subgroup
-from .mub import HadamardMatrix, basis_exponent_table
+from .basis import CartanPartition, CommutatorTable, format_index, validate_cartan_partition
+from .mub import HadamardMatrix, basis_exponent_table, hadamard_h_a
 from .operators import MonomialOperator
 from .phases import PhaseExponent
 from .report import VerificationReport
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .group import ConjugacyClassReport, PdElement, Subgroup
 
 SCHEMA_VERSION = 1
 
@@ -174,11 +180,15 @@ def _hadamard(h: HadamardMatrix) -> dict:
 
 
 def _hadamard_from(payload: dict) -> HadamardMatrix:
-    d = payload["d"]
+    d, a = payload["d"], payload["a"]
     exponents = np.array(payload["tau_exponents"], dtype=np.int64)
     if exponents.shape != (d, d):
         raise ValueError(f"hadamard tau_exponents must be {d} x {d}, got shape {exponents.shape}")
-    return HadamardMatrix(d=d, a=payload["a"], exponents=exponents)
+    # the table is a function of d and a, so the document must hold that table
+    h = hadamard_h_a(d, a)
+    if not np.array_equal(exponents, h.exponents):
+        raise ValueError(f"hadamard tau_exponents are not the table of H_a for d={d}, a={a}")
+    return h
 
 
 def _partition(p: CartanPartition) -> dict:
@@ -193,12 +203,22 @@ def _partition(p: CartanPartition) -> dict:
 
 
 def _partition_from(payload: dict) -> CartanPartition:
-    return CartanPartition(
-        dimension=payload["dimension"],
-        classes=[[parse_index(label) for label in cls] for cls in payload["classes"]],
-        complete=payload["complete"],
-        tensor_dims=tuple(payload["tensor_dims"]) if payload["tensor_dims"] else None,
-    )
+    dims = tuple(payload["tensor_dims"]) if payload["tensor_dims"] else None
+    partition = CartanPartition(payload["dimension"], [], payload["complete"], dims)
+    if dims is not None and math.prod(dims) != partition.dimension:
+        raise ValueError(f"tensor_dims {list(dims)} do not multiply to {partition.dimension}")
+    moduli = partition.label_moduli()
+    partition.classes = [[_label_from(text, moduli) for text in cls] for cls in payload["classes"]]
+    if partition.complete and not validate_cartan_partition(partition):
+        raise ValueError("partition document is marked complete but is not a Cartan partition")
+    return partition
+
+
+def _label_from(label: str, moduli: tuple[int, ...]) -> tuple[int, ...]:
+    idx = parse_index(label)
+    if len(idx) != len(moduli) or not all(0 <= x < m for x, m in zip(idx, moduli)):
+        raise ValueError(f"partition label {label} does not fit moduli {moduli}")
+    return idx
 
 
 def parse_index(label: str) -> tuple[int, ...]:
@@ -285,21 +305,28 @@ def _structure_constants(table: CommutatorTable) -> dict:
     return {"type": "structure-constants", "d": d, "nonzero_count": len(rows), "entries": rows}
 
 
-_ENCODERS: dict[type, Callable[[Any], dict]] = {
-    PhaseExponent: _phase,
-    MonomialOperator: _monomial,
-    HadamardMatrix: _hadamard,
-    CartanPartition: _partition,
-    VerificationReport: _report,
-    ConjugacyClassReport: _conjugacy_classes,
-    CommutatorTable: _structure_constants,
+def _key(cls: type) -> tuple[str, str]:
+    return cls.__module__, cls.__qualname__
+
+
+# keyed by the exact type's module and name, so that `group`, whose reports
+# only a `group` request builds, is not imported to encode the others
+_ENCODERS: dict[tuple[str, str], Callable[[Any], dict]] = {
+    _key(PhaseExponent): _phase,
+    _key(MonomialOperator): _monomial,
+    _key(HadamardMatrix): _hadamard,
+    _key(CartanPartition): _partition,
+    _key(VerificationReport): _report,
+    (f"{__package__}.group", "ConjugacyClassReport"): _conjugacy_classes,
+    _key(CommutatorTable): _structure_constants,
 }
 
 
 def _payload(obj: Any) -> dict:
-    if type(obj) not in _ENCODERS:
+    encode = _ENCODERS.get(_key(type(obj)))
+    if encode is None:
         raise TypeError(f"no exact JSON encoding for {type(obj).__name__}")
-    return _ENCODERS[type(obj)](obj)
+    return encode(obj)
 
 
 def dense_matrix_of(obj: Any) -> np.ndarray:

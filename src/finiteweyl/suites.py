@@ -28,9 +28,7 @@ from . import heisenberg as hw_mod
 from . import limits
 from . import mub as mub_mod
 from . import operators as op_mod
-from .report import VerificationReport
-
-DEFAULT_TOLERANCE = 1e-9
+from .report import DEFAULT_TOLERANCE, VerificationReport
 
 
 def _run(

@@ -510,7 +510,7 @@ def test_group_irreps_identity_failure_exits_2(capsys, monkeypatch):
     def failing_counts(d):
         raise RuntimeError("squared-dimension identity failed")
 
-    monkeypatch.setattr(cli_mod, "pd_irrep_counts", failing_counts)
+    monkeypatch.setattr(group_mod, "pd_irrep_counts", failing_counts)
     code, out, err = run_cli(capsys, "group", "irreps", "--d", "3")
     assert (code, out, err) == (2, "", "error: squared-dimension identity failed\n")
 
@@ -548,6 +548,107 @@ def test_closed_stdout_exits_2_with_one_line():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err == "error: stdout was closed before the output was written\n"
+
+
+# the modules of P_d and of the suites, which only `group` and the suite runs load
+_HEAVY = {"finiteweyl.group", "finiteweyl.heisenberg", "finiteweyl.suites"}
+
+
+@pytest.mark.parametrize(
+    "argv, heavy",
+    [
+        (["basis", "partition", "--tensor", "2,2"], set()),
+        (["mub", "family", "--p", "3"], set()),
+        (["group", "classes", "--d", "2"], {"finiteweyl.group"}),
+        (["verify", "weyl", "--d", "3"], _HEAVY),
+    ],
+)
+def test_a_request_loads_only_the_modules_its_command_runs(argv, heavy):
+    import subprocess
+    import sys
+
+    code = (
+        "import json, sys\n"
+        "from finiteweyl.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(json.dumps([name for name in sys.modules if name.startswith('finiteweyl')]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(result.stdout.splitlines()[-1]))
+    assert "finiteweyl.serialize" in loaded and loaded & _HEAVY == heavy
+
+
+def _without_unbuffered_stdout() -> dict:
+    import os
+
+    # so that a handler's print is still buffered when the handlers end
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_atexit_handlers_run_before_the_process_ends():
+    import subprocess
+    import sys
+
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'handler ran')\n"
+        "sys.argv = ['finiteweyl', 'weyl', 'pair', '--d', '2']\n"
+        "runpy.run_module('finiteweyl.cli', run_name='__main__', alter_sys=True)\n"
+        "print('after run')\n"
+    )
+    argv = [sys.executable, "-c", code]
+    env = _without_unbuffered_stdout()
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.endswith("}\nhandler ran\n")
+
+
+def test_a_late_closed_stdout_exits_2_with_one_line():
+    import subprocess
+    import sys
+
+    # the handler points stdout at a pipe nobody reads, so the last flush fails
+    code = (
+        "import atexit, os, sys\n"
+        "from finiteweyl.cli import run\n"
+        "def close():\n"
+        "    r, w = os.pipe()\n"
+        "    os.close(r)\n"
+        "    os.dup2(w, sys.stdout.fileno())\n"
+        "    print('late')\n"
+        "atexit.register(close)\n"
+        "run()\n"
+    )
+    argv = [sys.executable, "-c", code, "weyl", "pair", "--d", "2"]
+    env = _without_unbuffered_stdout()
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == "error: stdout was closed before the output was written\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weyl", "pair", "--d", "2"],
+        ["basis", "partition", "--d", "6"],
+        ["weyl", "pair", "--d", "1"],
+        ["weyl", "bogus"],
+        ["--version"],
+    ],
+)
+def test_run_exits_with_the_code_and_output_of_main(capsys, argv):
+    import subprocess
+    import sys
+
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    entry = [sys.executable, "-c", "from finiteweyl.cli import run; run()"]
+    result = subprocess.run([*entry, *argv], capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (code, captured.out, captured.err)
 
 
 def test_stdout_fingerprint_script_is_stable():

@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -128,6 +130,51 @@ def test_import_rejects_a_hadamard_table_of_the_wrong_shape():
         import_exact(json.dumps(payload))
 
 
+def test_import_rejects_a_hadamard_document_that_is_not_h_a():
+    payload = {"schema": 1, "type": "hadamard", "d": 3, "a": 7, "tau_exponents": [[0] * 3] * 3}
+    with pytest.raises(ValueError, match=r"^a must lie in 0..2, got 7$"):
+        import_exact(json.dumps(payload))
+    payload["a"] = 1
+    with pytest.raises(ValueError, match="are not the table of H_a for d=3, a=1"):
+        import_exact(json.dumps(payload))
+
+
+def _partition_document(classes, complete, dimension=3, tensor_dims=None) -> str:
+    payload = {"schema": 1, "type": "partition", "dimension": dimension, "classes": classes}
+    return json.dumps({**payload, "complete": complete, "tensor_dims": tensor_dims})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_partition_document([["(12)", "(9)"]], True), r"\(9\) does not fit moduli \(3, 3\)"),
+        (_partition_document([["(12)", "(31)"]], False), r"label \(31\) does not fit"),
+        (_partition_document([["(121)"]], False), r"label \(121\) does not fit"),
+        (_partition_document([["(1011)"]], False, 4, [2, 3]), r"\[2, 3\] do not multiply to 4"),
+        (_partition_document([["(1011)", "(1,2,0,1)"]], False, 4, [2, 2]), r"label \(1,2,0,1\)"),
+        # disjoint and fitting, but neither covering nor commuting
+        (_partition_document([["(01)", "(10)"]], True), "marked complete but is not"),
+    ],
+)
+def test_import_rejects_partition_labels_that_do_not_fit(text, message):
+    with pytest.raises(ValueError, match=message):
+        import_exact(text)
+
+
+def test_every_partition_and_hadamard_the_cli_prints_reads_back(capsys):
+    commands = [["basis", "partition", "--d", str(d)] for d in range(2, 13)]
+    commands += [["basis", "partition", "--tensor", t] for t in ("2,2", "2,3", "2,4", "3,2")]
+    commands += [["mub", "hadamard", "--d", "2", "--a", str(a)] for a in range(2)]
+    commands += [["mub", "hadamard", "--d", "6", "--a", str(a)] for a in range(6)]
+    codes = set()
+    for argv in commands:
+        codes.add(cli_mod.main(argv))
+        text = capsys.readouterr().out
+        assert export(import_exact(text)) == text, argv
+    # complete partitions exit 0, the incomplete ones of composite d exit 1
+    assert codes == {0, 1}
+
+
 def test_json_dumps_deterministic():
     payload = {"schema": 1, "b": [1, 2], "a": "x"}
     assert json_dumps(payload) == json_dumps(payload)
@@ -207,7 +254,17 @@ def test_json_dumps_matches_stdlib_on_mub_family_payload(monkeypatch, capsys):
     (payload,) = payloads
     monkeypatch.undo()  # json_dumps renders through json_chunks
     # the exponent tables reach the renderer as int64 arrays
-    assert json_dumps(payload) == stdlib_dumps(payload, default=np.ndarray.tolist)
+    ours, theirs = json_dumps(payload), stdlib_dumps(payload, default=np.ndarray.tolist)
+    # digests, since a failing == on two 13.6 MB texts makes pytest diff them for minutes
+    assert _sha256(ours) == _sha256(theirs), _first_difference(ours, theirs)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _first_difference(a: str, b: str) -> str:
+    return f"the texts first differ at offset {len(os.path.commonprefix([a, b]))}"
 
 
 int64_arrays = arrays(
