@@ -118,6 +118,10 @@ COMMANDS = [
     "weyl fourier --d 97",
     "weyl vra --d 97 --r 0.37 --a 3",
     "mub hadamard --d 97 --a 5",
+    # the tensor partition validator at p^e = 4 and at the cap 16; every
+    # `verify basis` also checks the two-qubit spread
+    "verify basis --p 2 --e 2",
+    "verify basis --p 2 --e 4",
 ]
 
 

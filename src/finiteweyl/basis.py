@@ -17,8 +17,11 @@ turns the exponents into the complex coefficients through
 `hs_orthogonality` reads the trace pairings off the same table.
 `tensor_commutation_table(dims, labels)` is the array form of
 `tensor_indices_commute` (and, with dims = (d,), of `indices_commute`):
-the symplectic form of every label pair, from which both searches read
-their commutation graph.
+the symplectic form of every label pair.  Both searches read their
+commutation graph off it, and `validate_cartan_partition` the commutation
+within each class of every partition, the two-qubit spread
+`TWO_QUBIT_SPREAD` (the p^e = 4 case) included.  `pauli_stack(dims,
+labels)` is the one builder of dense Pauli matrices.
 """
 
 from __future__ import annotations
@@ -34,11 +37,7 @@ import numpy as np
 from .limits import check_prime, check_search, check_structure_table, check_tensor
 from .operators import MonomialOperator, monomial_mul
 from .phases import PhaseExponent, tau_powers
-from .search import (
-    find_commuting_partition,
-    greedy_commuting_classes,
-    validate_partition,
-)
+from .search import find_commuting_partition, greedy_commuting_classes
 
 PauliIndex = tuple[int, int]
 
@@ -197,7 +196,7 @@ def commuting_class_search(d: int) -> CartanPartition:
     check_search(d)
     vertices = pauli_indices(d)
     # one table serves both searches; each reads every pair once
-    commutes = _table_lookup(vertices, tensor_commutation_table((d,), vertices))
+    commutes = _table_lookup((d,), vertices)
     solution = find_commuting_partition(vertices, commutes, d - 1)
     if solution is not None:
         return CartanPartition(dimension=d, classes=solution, complete=True)
@@ -206,21 +205,28 @@ def commuting_class_search(d: int) -> CartanPartition:
 
 
 def validate_cartan_partition(partition: CartanPartition) -> bool:
-    """Recheck disjointness, covering and intra-class commutation."""
+    """Recheck disjointness, covering and intra-class commutation.
+
+    A complete partition also needs d + 1 classes of d - 1 labels.
+    """
     dims = partition.tensor_dims or (partition.dimension,)
-    size = partition.dimension - 1 if partition.complete else None
+    classes = partition.classes
     # sizes first: the d^2 - 1 labels are listed only for classes that hold as many
     if partition.complete and (
-        len(partition.classes) != partition.dimension + 1
-        or any(len(cls) != size for cls in partition.classes)
+        len(classes) != partition.dimension + 1
+        or any(len(cls) != partition.dimension - 1 for cls in classes)
     ):
         return False
-    return validate_partition(
-        partition.classes,
-        tensor_indices(dims),
-        lambda u, v: tensor_indices_commute(dims, u, v),
-        size,
-    )
+    flat = [label for cls in classes for label in cls]
+    # covering first: the commutation table reads only labels that fit dims
+    if len(flat) != len(set(flat)) or set(flat) != set(tensor_indices(dims)):
+        return False
+    return _classes_commute(dims, classes)
+
+
+def _classes_commute(dims: tuple[int, ...], classes: list) -> bool:
+    """Exact: every pair within each class commutes, read off its commutation table."""
+    return all(not tensor_commutation_table(dims, cls).any() for cls in classes)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +253,6 @@ class TensorMonomial:
 
     def adjoint(self) -> "TensorMonomial":
         return TensorMonomial(tuple(f.adjoint() for f in self.factors))
-
-    def to_matrix(self) -> np.ndarray:
-        out = self.factors[0].to_matrix()
-        for f in self.factors[1:]:
-            out = np.kron(out, f.to_matrix())
-        return out
 
     def trace(self) -> complex:
         """prod(d_j) times the product of the factor phases tau_j^t_j.
@@ -321,10 +321,10 @@ def tensor_commutation_table(dims: tuple[int, ...], labels: list[tuple]) -> np.n
     return (half - half.T) % lcm
 
 
-def _table_lookup(labels: list[tuple], form: np.ndarray) -> Callable[[tuple, tuple], bool]:
-    """A `commutes(u, v)` that reads labels u and v off their commutation table."""
+def _table_lookup(dims: tuple[int, ...], labels: list[tuple]) -> Callable[[tuple, tuple], bool]:
+    """A `commutes(u, v)` that reads labels u and v off their `tensor_commutation_table`."""
     position = {label: i for i, label in enumerate(labels)}
-    commuting = (form == 0).tolist()
+    commuting = (tensor_commutation_table(dims, labels) == 0).tolist()
 
     def commutes(u: tuple, v: tuple) -> bool:
         return commuting[position[u]][position[v]]
@@ -347,7 +347,7 @@ def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
     d = check_tensor(p, e)
     dims = (p,) * e
     vertices = tensor_indices(dims)
-    commutes = _table_lookup(vertices, tensor_commutation_table(dims, vertices))
+    commutes = _table_lookup(dims, vertices)
     solution = find_commuting_partition(vertices, commutes, d - 1)
     if solution is None:
         raise RuntimeError(
@@ -363,12 +363,12 @@ def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
     return partition
 
 
-def _dense_stack(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
-    """`tensor_pauli(dims, idx).to_matrix()` for every label, stacked, bit for bit.
+def pauli_stack(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
+    """The dense `tensor_pauli(dims, idx)` of every label, stacked, bit for bit.
 
     Each distinct factor matrix u_ab(p, a, b) is built once, and the
     Kronecker products of all labels are one broadcast per factor, with the
-    same elementwise products as `np.kron`.
+    same elementwise products as `np.kron` of the factor matrices.
     """
     factors: dict[tuple[int, int, int], np.ndarray] = {}
 
@@ -396,7 +396,7 @@ def partition_dense_commutation_defect(partition: CartanPartition) -> float:
     dims = partition.tensor_dims or (partition.dimension,)
     worst = 0.0
     for cls in partition.classes:
-        mats = _dense_stack(dims, cls)
+        mats = pauli_stack(dims, cls)
         for i in range(len(mats) - 1):
             later = mats[i + 1 :]
             comm = mats[i] @ later
@@ -441,24 +441,18 @@ class SpreadReport:
 
 
 def su4_spread_check() -> SpreadReport:
-    """Verify the five commuting triples spanning su(4)."""
+    """Verify the five commuting triples spanning su(4).
+
+    The spread is the p^e = 4 tensor partition: its classes commute exactly
+    by the commutation table and, as a recheck, by the dense commutators,
+    which are exact for qubit entries 0 and +-1.
+    """
     dims = (2, 2)
-
-    def pair_commutes(u: tuple, v: tuple) -> bool:
-        if not tensor_indices_commute(dims, u, v):
-            return False
-        mu = tensor_pauli(dims, u).to_matrix()
-        mv = tensor_pauli(dims, v).to_matrix()
-        # qubit monomial entries are 0 or +-1, so this comparison is exact
-        return bool(np.array_equal(mu @ mv, mv @ mu))
-
-    sets_commute = all(
-        pair_commutes(u, v)
-        for cls in TWO_QUBIT_SPREAD
-        for i, u in enumerate(cls)
-        for v in cls[i + 1 :]
+    spread = CartanPartition(4, [list(cls) for cls in TWO_QUBIT_SPREAD], tensor_dims=dims)
+    sets_commute = _classes_commute(dims, spread.classes) and (
+        partition_dense_commutation_defect(spread) == 0.0
     )
-    union = [idx for cls in TWO_QUBIT_SPREAD for idx in cls]
+    union = [idx for cls in spread.classes for idx in cls]
     union_set = set(union)
     covers = union_set == set(tensor_indices(dims))
 
@@ -467,19 +461,17 @@ def su4_spread_check() -> SpreadReport:
         [[tensor_trace_pairing(u, v) for v in operators] for u in operators]
     )
     gram_defect = float(np.max(np.abs(gram - 4.0 * np.eye(15))))
-    stacked = np.array([op.to_matrix().reshape(-1) for op in operators])
-    gram_rank = int(np.linalg.matrix_rank(stacked))
-    with_identity = np.vstack(
-        [stacked, tensor_pauli(dims, (0, 0, 0, 0)).to_matrix().reshape(-1)]
-    )
-    spans_u4 = int(np.linalg.matrix_rank(with_identity)) == 16
+    # the 15 labels, then the identity
+    stacked = pauli_stack(dims, [*union, (0, 0, 0, 0)]).reshape(16, -1)
+    gram_rank = int(np.linalg.matrix_rank(stacked[:15]))
+    spans_u4 = int(np.linalg.matrix_rank(stacked)) == 16
 
     return SpreadReport(
         sets=TWO_QUBIT_SPREAD,
-        sets_commute=bool(sets_commute),
+        sets_commute=sets_commute,
         union_size=len(union_set),
-        covers_all_nonidentity=bool(covers),
+        covers_all_nonidentity=covers,
         gram_defect=gram_defect,
         gram_rank=gram_rank,
-        spans_u4=bool(spans_u4),
+        spans_u4=spans_u4,
     )

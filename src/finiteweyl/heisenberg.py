@@ -110,8 +110,8 @@ def generator_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h3, q3, p3
 
 
-def series_exponential(g: HWElement, terms: int = 12) -> np.ndarray:
-    """Truncated series for exp(i(x H3 + y Q3 + z P3)).
+def series_exponential(g: HWElement) -> np.ndarray:
+    """The 12-term truncated series for exp(i(x H3 + y Q3 + z P3)).
 
     The argument is nilpotent (cube zero), so the series is exact after
     three terms; extra terms only exercise the generic path.
@@ -121,7 +121,7 @@ def series_exponential(g: HWElement, terms: int = 12) -> np.ndarray:
     out = np.eye(3, dtype=complex)
     power = np.eye(3, dtype=complex)
     fact = 1.0
-    for n in range(1, terms):
+    for n in range(1, 12):
         power = power @ arg
         fact *= n
         out = out + power / fact

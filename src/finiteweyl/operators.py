@@ -211,15 +211,8 @@ def jz_matrix(d: int) -> np.ndarray:
     return np.diag((d - 1) / 2 - k).astype(complex)
 
 
-def t_operator(
-    d: int,
-    m1: int,
-    m2: int,
-    r: float = 0.0,
-    a: float = 0.0,
-    ordering: str = "zv",
-) -> np.ndarray:
-    """tau^(m1 m2) v_ra^m1 z^m2 in either operator ordering.
+def t_operator(d: int, m1: int, m2: int, ordering: str = "zv") -> np.ndarray:
+    """tau^(m1 m2) v_00^m1 z^m2 in either operator ordering.
 
     ordering "vz" is the v-then-z product as one would read it; "zv" puts
     the clock factor first and is the ordering under which the sine-bracket
@@ -230,7 +223,7 @@ def t_operator(
         raise ValueError("t-operator digits must be >= 0")
     if ordering not in ("vz", "zv"):
         raise ValueError(f"ordering must be 'vz' or 'zv', got {ordering!r}")
-    v = v_ra_matrix(d, r, a)
+    v = v_ra_matrix(d)
     z = weyl_pair(d)[1].to_matrix()
     vm = np.linalg.matrix_power(v, m1)
     zm = np.linalg.matrix_power(z, m2)

@@ -116,22 +116,3 @@ def greedy_commuting_classes(
             uncovered &= ~clique
     return classes
 
-
-def validate_partition(
-    classes: Sequence[Sequence[Vertex]],
-    vertices: Sequence[Vertex],
-    commutes: Callable[[Vertex, Vertex], bool],
-    class_size: int | None = None,
-) -> bool:
-    """Disjoint, covering, pairwise commuting (and sized, when requested)."""
-    flat = [v for cls in classes for v in cls]
-    if len(flat) != len(set(flat)) or set(flat) != set(vertices):
-        return False
-    for cls in classes:
-        if class_size is not None and len(cls) != class_size:
-            return False
-        for i, u in enumerate(cls):
-            for v in cls[i + 1 :]:
-                if not commutes(u, v):
-                    return False
-    return True

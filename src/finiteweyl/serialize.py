@@ -7,8 +7,9 @@ each `export_*` function the chunks of the results of one CLI command, and
 monomials, Hadamard exponent tables, partitions) serialize through integer
 tau exponents and read back bit-identically through `import_exact`, whose
 decoders sit next to their encoders; a Hadamard table must be the table of
-H_a for its d and a, a partition label must fit the dimension, and a
-partition marked complete must pass `validate_cartan_partition`.  Dense
+H_a for its d and a, a partition label must fit the dimension, a
+partition marked complete must pass `validate_cartan_partition`, and a
+field of the wrong type is a ValueError that names the document type.  Dense
 matrices serialize as CSV rows of re,im pairs with 17 significant digits;
 non-finite entries are rejected.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING, Any
 
@@ -149,7 +151,7 @@ def _text(fmt: str, payload: Callable[[], dict], dense: Callable[[], str]) -> It
     """The one format switch: the JSON document of payload() or the CSV text dense()."""
     if fmt in ("json", "exact-json"):
         return _json(payload())
-    if fmt in ("csv", "dense-csv"):
+    if fmt == "dense-csv":
         return iter([dense()])
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -182,7 +184,8 @@ def _hadamard(h: HadamardMatrix) -> dict:
 def _hadamard_from(payload: dict) -> HadamardMatrix:
     d, a = payload["d"], payload["a"]
     exponents = np.array(payload["tau_exponents"], dtype=np.int64)
-    if exponents.shape != (d, d):
+    # a d that is not an int is a type error, not a shape that cannot match
+    if exponents.shape != (operator.index(d),) * 2:
         raise ValueError(f"hadamard tau_exponents must be {d} x {d}, got shape {exponents.shape}")
     # the table is a function of d and a, so the document must hold that table
     h = hadamard_h_a(d, a)
@@ -250,6 +253,9 @@ def import_exact(text: str) -> Any:
         return _DECODERS[kind](payload)
     except KeyError as missing:
         raise ValueError(f"{kind} document has no field {missing}") from None
+    # a field of the wrong type, or an integer too large for a table entry
+    except (TypeError, AttributeError, OverflowError) as error:
+        raise ValueError(f"{kind} document has a malformed field: {error}") from None
 
 
 def _report(report: VerificationReport) -> dict:

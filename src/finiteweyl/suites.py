@@ -661,9 +661,7 @@ def suite_basis(
         # arrays of d^4 numbers reused for every row (the magnitudes go to the
         # real parts of the spent one): an independent float recheck of the
         # exact table
-        mats = np.empty((d * d, d, d), dtype=complex)
-        for i, ab in enumerate(labels):
-            mats[i] = basis_mod.u_ab(d, *ab).to_matrix()
+        mats = basis_mod.pauli_stack((d,), labels)
         defect, work = np.empty_like(mats), np.empty_like(mats)
         worst = 0.0
         for i, left in enumerate(mats):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from conftest import commutator, max_abs
 import finiteweyl.basis as basis_mod
 from finiteweyl.basis import (
     TWO_QUBIT_SPREAD,
+    CartanPartition,
     TensorMonomial,
     cartan_partition_prime,
     cartan_partition_prime_power,
@@ -24,6 +26,7 @@ from finiteweyl.basis import (
     partition_dense_commutation_defect,
     pauli_commutator,
     pauli_indices,
+    pauli_stack,
     su4_spread_check,
     tensor_commutation_table,
     tensor_indices,
@@ -36,11 +39,12 @@ from finiteweyl.basis import (
 from finiteweyl.limits import MUB_PRIME_CAP, SEARCH_CAP, is_prime
 from finiteweyl.mub import OrthonormalBasis, pairwise_deviations
 from finiteweyl.operators import MonomialOperator
-from finiteweyl.search import (
-    find_commuting_partition,
-    greedy_commuting_classes,
-    validate_partition,
-)
+from finiteweyl.search import find_commuting_partition, greedy_commuting_classes
+
+
+def kron_matrix(u: TensorMonomial) -> np.ndarray:
+    """The dense reference of a tensor monomial: np.kron of its factor matrices."""
+    return functools.reduce(np.kron, [f.to_matrix() for f in u.factors])
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +279,10 @@ def test_generic_search_engine():
     vertices = list(range(6))
     part = find_commuting_partition(vertices, lambda u, v: u // 2 == v // 2, 2)
     assert part == [[0, 1], [2, 3], [4, 5]]
-    assert validate_partition(part, vertices, lambda u, v: u // 2 == v // 2, 2)
+    assert per_pair_partition_valid(part, vertices, lambda u, v: u // 2 == v // 2, 2)
+    assert not per_pair_partition_valid(part, vertices, lambda u, v: u + v < 5, 2)
+    assert not per_pair_partition_valid([[0, 1], [2, 3]], vertices, lambda u, v: True, 2)
+    assert not per_pair_partition_valid([[0, 1, 2], [3, 4, 5]], vertices, lambda u, v: True, 2)
     assert find_commuting_partition(vertices, lambda u, v: False, 2) is None
     greedy = greedy_commuting_classes(vertices, lambda u, v: u // 2 == v // 2, 2)
     assert greedy == [[0, 1], [2, 3], [4, 5]]
@@ -369,7 +376,8 @@ def test_bitset_search_matches_set_search(graph):
 def test_tensor_pauli_matches_kron():
     x = u_ab(2, 1, 0).to_matrix()
     z = u_ab(2, 0, 1).to_matrix()
-    got = tensor_pauli((2, 2), (1, 0, 0, 1)).to_matrix()
+    assert tensor_pauli((2, 2), (1, 0, 0, 1)).factors == (u_ab(2, 1, 0), u_ab(2, 0, 1))
+    got = pauli_stack((2, 2), [(1, 0, 0, 1)])[0]
     assert max_abs(got - np.kron(x, z)) == 0.0
     with pytest.raises(ValueError):
         tensor_pauli((2, 2), (1, 0, 0))
@@ -378,8 +386,8 @@ def test_tensor_pauli_matches_kron():
 def test_tensor_commutation_rule():
     dims = (2, 2)
     assert tensor_indices_commute(dims, (1, 0, 1, 0), (0, 1, 0, 1))
-    xx = tensor_pauli(dims, (1, 0, 1, 0)).to_matrix()
-    zz = tensor_pauli(dims, (0, 1, 0, 1)).to_matrix()
+    xx = kron_matrix(tensor_pauli(dims, (1, 0, 1, 0)))
+    zz = kron_matrix(tensor_pauli(dims, (0, 1, 0, 1)))
     assert max_abs(commutator(xx, zz)) == 0.0
     # single-factor mismatch does not commute
     assert not tensor_indices_commute(dims, (1, 0, 0, 0), (0, 1, 0, 0))
@@ -411,7 +419,7 @@ def test_tensor_commutation_matches_dense():
             u_idx, v_idx = rng.choice(labels), rng.choice(labels)
             u = tensor_pauli(dims, u_idx)
             v = tensor_pauli(dims, v_idx)
-            dense_commutes = max_abs(commutator(u.to_matrix(), v.to_matrix())) < 1e-12
+            dense_commutes = max_abs(commutator(kron_matrix(u), kron_matrix(v))) < 1e-12
             assert dense_commutes == tensor_indices_commute(dims, u_idx, v_idx)
 
 
@@ -439,8 +447,8 @@ def test_single_qudit_commutation_table_is_the_form():
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2), (5,), (2, 2, 2, 2)])
 def test_dense_stack_is_bit_equal_to_kron(dims):
     labels = tensor_indices(dims)
-    stack = basis_mod._dense_stack(dims, labels)
-    expected = np.stack([tensor_pauli(dims, idx).to_matrix() for idx in labels])
+    stack = pauli_stack(dims, labels)
+    expected = np.stack([kron_matrix(tensor_pauli(dims, idx)) for idx in labels])
     assert stack.dtype == expected.dtype and stack.shape == expected.shape
     assert np.array_equal(stack.view(np.uint64), expected.view(np.uint64))
 
@@ -482,7 +490,7 @@ def test_tensor_trace_equals_product_of_factor_traces():
             u_idx, v_idx = rng.choice(labels), rng.choice(labels)
             u = tensor_pauli(dims, u_idx)
             v = tensor_pauli(dims, v_idx)
-            dense = complex(np.trace(u.adjoint().to_matrix() @ v.to_matrix()))
+            dense = complex(np.trace(kron_matrix(u.adjoint()) @ kron_matrix(v)))
             assert abs(tensor_trace_pairing(u, v) - dense) < 1e-10
 
 
@@ -517,7 +525,7 @@ def test_phased_tensor_trace(u):
     s = fraction_trace_phase(u)
     reference = 0j if s is None else size * complex(math.cos(math.pi * s), math.sin(math.pi * s))
     assert abs(got - reference) <= 1e-12
-    assert abs(got - complex(np.trace(u.to_matrix()))) <= 1e-12
+    assert abs(got - complex(np.trace(kron_matrix(u)))) <= 1e-12
     if s is not None and (2 * s).denominator == 1:
         assert got == size * (1, 1j, -1, -1j)[int(2 * s)]
 
@@ -528,8 +536,8 @@ def test_qutrit_pair_anticommutators_never_vanish():
     labels = tensor_indices(dims)
     for _ in range(200):
         u_idx, v_idx = rng.choice(labels), rng.choice(labels)
-        u = tensor_pauli(dims, u_idx).to_matrix()
-        v = tensor_pauli(dims, v_idx).to_matrix()
+        u = kron_matrix(tensor_pauli(dims, u_idx))
+        v = kron_matrix(tensor_pauli(dims, v_idx))
         assert max_abs(u @ v + v @ u) > 1e-9
 
 
@@ -558,14 +566,88 @@ def test_tensor_partitions():
 
 
 def test_printed_spread_is_a_valid_partition():
-    dims = (2, 2)
-    classes = [list(cls) for cls in TWO_QUBIT_SPREAD]
-    assert validate_partition(
-        classes,
+    spread = CartanPartition(4, [list(cls) for cls in TWO_QUBIT_SPREAD], tensor_dims=(2, 2))
+    assert validate_cartan_partition(spread)
+    assert per_pair_cartan_valid(spread)
+
+
+def per_pair_partition_valid(classes, vertices, commutes, class_size=None) -> bool:
+    """The per-pair validator that the commutation table replaced, kept as an oracle.
+
+    Disjoint, covering, sized when class_size is given, and commutes(u, v)
+    for every pair within a class.
+    """
+    flat = [v for cls in classes for v in cls]
+    if len(flat) != len(set(flat)) or set(flat) != set(vertices):
+        return False
+    return all(
+        (class_size is None or len(cls) == class_size)
+        and all(commutes(u, v) for i, u in enumerate(cls) for v in cls[i + 1 :])
+        for cls in classes
+    )
+
+
+def per_pair_cartan_valid(partition: CartanPartition) -> bool:
+    """`validate_cartan_partition` by `tensor_indices_commute`, one pair at a time."""
+    dims = partition.tensor_dims or (partition.dimension,)
+    d = partition.dimension
+    if partition.complete and len(partition.classes) != d + 1:
+        return False
+    return per_pair_partition_valid(
+        partition.classes,
         tensor_indices(dims),
         lambda u, v: tensor_indices_commute(dims, u, v),
-        3,
+        d - 1 if partition.complete else None,
     )
+
+
+@functools.cache
+def valid_and_searched_partitions() -> tuple[CartanPartition, ...]:
+    """The slope classes at p = 2, 3, 5, 7, the tensor partitions (2,2), (2,2,2)
+    and (3,3), the two-qubit spread, and the searched classes at d = 4 and 6."""
+    return (
+        *(cartan_partition_prime(p) for p in (2, 3, 5, 7)),
+        *(cartan_partition_prime_power(p, e) for p, e in ((2, 2), (2, 3), (3, 2))),
+        CartanPartition(4, [list(cls) for cls in TWO_QUBIT_SPREAD], tensor_dims=(2, 2)),
+        commuting_class_search(4),
+        commuting_class_search(6),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_validator_matches_the_per_pair_oracle(data):
+    bases = valid_and_searched_partitions()
+    base = bases[data.draw(st.integers(0, len(bases) - 1), label="base")]
+    classes = [list(cls) for cls in base.classes]
+    index = st.integers(0, 10**6)
+    for kind in data.draw(
+        st.lists(st.sampled_from(["swap", "drop", "duplicate", "split", "reorder"]), max_size=3),
+        label="mutations",
+    ):
+        full = [i for i, cls in enumerate(classes) if cls]
+        if kind == "reorder":
+            classes = data.draw(st.permutations(classes))
+            continue
+        if not full:
+            continue
+        i = full[data.draw(index) % len(full)]
+        k = data.draw(index) % len(classes[i])
+        if kind == "swap":
+            j = full[data.draw(index) % len(full)]
+            m = data.draw(index) % len(classes[j])
+            classes[i][k], classes[j][m] = classes[j][m], classes[i][k]
+        elif kind == "drop":
+            del classes[i][k]
+        elif kind == "split":
+            classes.append(classes[i][k:])
+            del classes[i][k:]
+        else:
+            classes[data.draw(index) % len(classes)].append(classes[i][k])
+    partition = CartanPartition(
+        base.dimension, classes, data.draw(st.booleans(), label="complete"), base.tensor_dims
+    )
+    assert validate_cartan_partition(partition) == per_pair_cartan_valid(partition)
 
 
 def test_su4_spread_report():

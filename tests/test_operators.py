@@ -451,12 +451,18 @@ def test_t_operator_printed_order_proportionality():
 
 
 def test_t_operator_clock_first_identity_other_parameters():
-    # the sine bracket survives nonzero corner and clock parameters
+    # the sine bracket survives nonzero corner and clock parameters of v_ra
+    def t_ra(d, m1, m2, r, a):
+        zm = np.linalg.matrix_power(weyl_pair(d)[1].to_matrix(), m2)
+        vm = np.linalg.matrix_power(v_ra_matrix(d, r, a), m1)
+        return PhaseExponent(m1 * m2, d).to_complex() * (zm @ vm)
+
+    assert np.array_equal(t_ra(4, 2, 3, 0.0, 0.0), t_operator(4, 2, 3))
     for d, r, a in ((5, 0.0, 2), (5, 1.0, 1), (4, 0.37, 3)):
         for m1, m2, n1, n2 in product(range(1, 4), repeat=4):
-            tm = t_operator(d, m1, m2, r, a)
-            tn = t_operator(d, n1, n2, r, a)
-            tmn = t_operator(d, m1 + n1, m2 + n2, r, a)
+            tm = t_ra(d, m1, m2, r, a)
+            tn = t_ra(d, n1, n2, r, a)
+            tmn = t_ra(d, m1 + n1, m2 + n2, r, a)
             rhs = 2j * math.sin(math.pi * (m1 * n2 - m2 * n1) / d) * tmn
             assert max_abs(commutator(tm, tn) - rhs) < 1e-9
 

@@ -81,8 +81,10 @@ def test_hadamard_round_trip():
 
 def test_csv_format():
     _, z = weyl_pair(2)
-    text = export(z, "csv")
+    text = export(z, "dense-csv")
     assert text == "1,0,0,0\n0,0,-1,0\n"
+    with pytest.raises(ValueError, match="unknown format 'csv'"):
+        export(z, "csv")
     # row 0 of the a=1 qubit Hadamard is (i, -i), row 1 is (1, 1)
     h = hadamard_h_a(2, 1)
     lines = export(h, "dense-csv").strip().split("\n")
@@ -137,6 +139,38 @@ def test_import_rejects_a_hadamard_document_that_is_not_h_a():
     payload["a"] = 1
     with pytest.raises(ValueError, match="are not the table of H_a for d=3, a=1"):
         import_exact(json.dumps(payload))
+
+
+def _document_with(obj, **fields) -> str:
+    """The exact document of obj with fields replaced."""
+    return json.dumps({**json.loads(export(obj)), **fields})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            _document_with(hadamard_h_a(3, 1), tau_exponents=[[2**70, 0, 0], [0] * 3, [0] * 3]),
+            "hadamard document has a malformed field: Python int too large",
+        ),
+        (
+            _document_with(cartan_partition_prime(3), classes=[[12]]),
+            "partition document has a malformed field: 'int' object has no attribute",
+        ),
+        (_document_with(cartan_partition_prime(3), dimension="3"), "partition document has"),
+        (_document_with(PhaseExponent(1, 3), tau_denominator="6"), "phase document has"),
+        (_document_with(cartan_partition_prime(3), classes=5), "partition document has"),
+        (
+            _document_with(hadamard_h_a(3, 1), d="3"),
+            "hadamard document has a malformed field: 'str' object cannot be interpreted",
+        ),
+    ],
+)
+def test_import_rejects_a_field_of_the_wrong_type_in_one_line(text, message):
+    with pytest.raises(ValueError, match=message) as caught:
+        import_exact(text)
+    assert "\n" not in str(caught.value)
+    assert caught.value.__cause__ is None and caught.value.__suppress_context__
 
 
 def _partition_document(classes, complete, dimension=3, tensor_dims=None) -> str:
