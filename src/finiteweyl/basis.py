@@ -391,11 +391,14 @@ def pauli_stack(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
 def partition_dense_commutation_defect(partition: CartanPartition) -> float:
     """Max norm of dense intra-class commutators, an independent recheck.
 
-    One row of a class at a time: mats[i] against every later member.
+    One row of a class at a time: mats[i] against every later member.  A
+    class with fewer than two members has no commutator and adds nothing.
     """
     dims = partition.tensor_dims or (partition.dimension,)
     worst = 0.0
     for cls in partition.classes:
+        if len(cls) < 2:
+            continue
         mats = pauli_stack(dims, cls)
         for i in range(len(mats) - 1):
             later = mats[i + 1 :]

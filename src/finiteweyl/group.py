@@ -22,11 +22,16 @@ straight into one dict of terms.
 Array forms sit next to the scalar forms they mirror and take int arrays
 whose last axis holds (a, b, c): `pd_element_array` (the elements in
 `pd_elements` order), `pd_compose_array` and `pd_inverse_array` (the group
-law), `pd_centralizer_sizes`, `pd_character_exponents` (tau exponents of
-`pd_character`) and `pd_irrep_trace_exponents` (`rho_k(g).trace_exact()`).
+law), `pd_centralizer_sizes`, `pd_element_orders` (`_element_order`),
+`pd_character_exponents` (tau exponents of `pd_character`), `pd_irrep_array`
+(`pd_irrep` as (t, shift, clock) rows for `operators.monomial_mul_array`),
+`pd_irrep_trace_exponents` (`rho_k(g).trace_exact()`) and
+`pd_lie_bracket_terms` (the signed terms of `pd_lie_bracket_combinations`).
 They evaluate the same integer formulas mod d or mod 2d, so they agree
-exactly with the scalar forms; closure, commutativity, the centre, the
-quotient law and the character norms are evaluated with them.
+exactly with the scalar forms; closure, commutativity, element orders, the
+centre, the quotient law and the character norms are evaluated with them,
+and so are the sampled group-law, representation and bracket checks of
+`suites.suite_group`.  Normality stays on the scalar `pd_conjugate`.
 """
 
 from __future__ import annotations
@@ -105,14 +110,19 @@ def pd_element_array(d: int) -> np.ndarray:
 def pd_compose_array(g: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
     """`PdElement.compose` on (..., 3) int arrays, broadcast, reduced mod d."""
     g, h = np.asarray(g, dtype=np.int64), np.asarray(h, dtype=np.int64)
-    a = g[..., 0] + h[..., 0] - g[..., 2] * h[..., 1]
-    return np.stack([a, g[..., 1] + h[..., 1], g[..., 2] + h[..., 2]], axis=-1) % d
+    out = g + h
+    out[..., 0] -= g[..., 2] * h[..., 1]
+    out %= d
+    return out
 
 
 def pd_inverse_array(g: np.ndarray, d: int) -> np.ndarray:
     """`PdElement.inverse` on a (..., 3) int array, reduced mod d."""
     g = np.asarray(g, dtype=np.int64)
-    return np.stack([-g[..., 0] - g[..., 1] * g[..., 2], -g[..., 1], -g[..., 2]], axis=-1) % d
+    out = -g
+    out[..., 0] -= g[..., 1] * g[..., 2]
+    out %= d
+    return out
 
 
 def _element_codes(g: np.ndarray, d: int) -> np.ndarray:
@@ -218,10 +228,11 @@ def _is_closed(elements: Iterable[PdElement]) -> bool:
     array, d = _as_array(elements)
     member = np.zeros(d**3, dtype=bool)
     member[_element_codes(array, d)] = True
-    # one left factor at a time keeps the work arrays at |H| elements
-    return all(
-        member[_element_codes(pd_compose_array(g, array, d), d)].all() for g in array
-    ) and bool(member[_element_codes(pd_inverse_array(array, d), d)].all())
+    products = pd_compose_array(array[:, None, :], array[None, :, :], d)
+    return bool(
+        member[_element_codes(products, d)].all()
+        and member[_element_codes(pd_inverse_array(array, d), d)].all()
+    )
 
 
 def _is_normal(elements: Iterable[PdElement], d: int) -> bool:
@@ -254,21 +265,36 @@ def _element_order(g: PdElement) -> int:
     return order
 
 
+def pd_element_orders(g: np.ndarray, d: int) -> np.ndarray:
+    """`_element_order` of each element of a (..., 3) int array.
+
+    The powers g^n come from repeated `pd_compose_array`, all elements at
+    once; each order is the first n at which g^n is the identity.
+    """
+    g = np.asarray(g, dtype=np.int64) % d
+    orders = np.zeros(g.shape[:-1], dtype=np.int64)
+    power, n = g, 1
+    while not orders.all():
+        orders[(orders == 0) & ~power.any(axis=-1)] = n
+        power, n = pd_compose_array(power, g, d), n + 1
+    return orders
+
+
 def _isomorphism_tag(elements: list[PdElement], d: int) -> str:
     if not _is_abelian(elements):
         return "nonabelian"
-    orders = [_element_order(g) for g in elements]
+    orders = pd_element_orders(_as_array(elements)[0], d)
     n = len(elements)
-    if n == d and max(orders) == d:
+    if n == d and orders.max() == d:
         return f"cyclic-Z{d}"
     if n == d * d:
         # Z_d x Z_d is pinned down by its order-divisor counts.
         looks_like_product = all(
-            sum(1 for g, o in zip(elements, orders) if m % o == 0) == math.gcd(m, d) ** 2
+            np.count_nonzero(m % orders == 0) == math.gcd(m, d) ** 2
             for m in range(1, d + 1)
             if d % m == 0
         )
-        if looks_like_product and max(orders) == d:
+        if looks_like_product and orders.max() == d:
             return f"Z{d}xZ{d}"
     return "generic-abelian"
 
@@ -359,6 +385,18 @@ def pd_irrep(k: int, d: int) -> Callable[[PdElement], MonomialOperator]:
         return MonomialOperator(PhaseExponent.q_power(k * g.a, d), g.b, k * g.c)
 
     return rho
+
+
+def pd_irrep_array(k: int, g: np.ndarray, d: int) -> np.ndarray:
+    """`pd_irrep(k, d)(g)` for a (..., 3) int array, as (..., 3) monomial rows.
+
+    Each row is (t, shift, clock) = (2ka mod 2d, b mod d, kc mod d), the
+    tau exponent and powers of q^(ka) X^b Z^(kc), in the layout of
+    `operators.monomial_mul_array`.
+    """
+    if not 1 <= k <= d - 1:
+        raise ValueError(f"k must lie in 1..{d - 1}, got {k}")
+    return np.asarray(g, dtype=np.int64) * (2 * k, 1, k) % (2 * d, d, d)
 
 
 def pd_irrep_trace_exponents(k: int, g: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -459,6 +497,26 @@ def pd_lie_bracket_combinations(
         for key2, coeff2 in g.terms.items():
             _add_bracket(terms, key1, key2, f.d, coeff1 * coeff2)
     return FormalCombination(terms, f.d)
+
+
+def pd_lie_bracket_terms(
+    f: np.ndarray, f_coeffs: np.ndarray, g: np.ndarray, g_coeffs: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`pd_lie_bracket_combinations` on arrays of terms, left unmerged.
+
+    f holds (..., n, 3) keys with (..., n) integer coefficients and g holds
+    (..., m, 3) keys with (..., m) coefficients.  Returns the (..., 2nm, 3)
+    keys and (..., 2nm) coefficients of the bracket's signed terms, in the
+    order of the scalar loop: for each pair of terms, +f_i g_j at f_i g_j,
+    then -f_i g_j at g_j f_i.  Summing the coefficients per key gives the
+    terms of the scalar combination.
+    """
+    left, right = np.asarray(f)[..., :, None, :], np.asarray(g)[..., None, :, :]
+    keys = np.stack([pd_compose_array(left, right, d), pd_compose_array(right, left, d)], axis=-2)
+    coeffs = np.asarray(f_coeffs)[..., :, None, None] * np.asarray(g_coeffs)[..., None, :, None]
+    coeffs = np.broadcast_to(coeffs * np.array([1, -1]), keys.shape[:-1])
+    batch = keys.shape[:-4]
+    return keys.reshape(*batch, -1, 3), coeffs.reshape(*batch, -1)
 
 
 def bracket_matches_monomial_commutator(g: PdElement, h: PdElement) -> bool:

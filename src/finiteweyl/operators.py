@@ -10,10 +10,11 @@ so XZ = q ZX and X^d = Z^d = I.  A monomial operator tau^t X^b Z^c is
 stored by its exact phase exponent and the two powers; its matrix has one
 nonzero entry per column, namely tau^(t+2ck) at row (k-b) mod d.  Products,
 adjoints, traces and determinants of monomials are computed in integer
-arithmetic.  Every exact phase, the entries of the Fourier matrix included,
-goes through `phases.tau_powers` or `PhaseExponent.to_complex`; only
-phases with real parameters (v_ra for real r and a, the ladder matrices)
-are formed here directly.
+arithmetic; `monomial_mul_array` evaluates the product law on int arrays
+of (t, shift, clock) rows.  Every exact phase, the entries of the Fourier
+matrix included, goes through `phases.tau_powers` or
+`PhaseExponent.to_complex`; only phases with real parameters (v_ra for
+real r and a, the ladder matrices) are formed here directly.
 """
 
 from __future__ import annotations
@@ -119,6 +120,19 @@ def monomial_mul(u: MonomialOperator, v: MonomialOperator) -> MonomialOperator:
     d = u.d
     t = u.phase.t + v.phase.t - 2 * u.clock * v.shift
     return MonomialOperator(PhaseExponent(t, d), u.shift + v.shift, u.clock + v.clock)
+
+
+def monomial_mul_array(u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+    """`monomial_mul` on (..., 3) int arrays of (t, shift, clock), broadcast.
+
+    The exponent t + t' - 2 clock shift' is reduced mod 2d and the powers
+    mod d, as `PhaseExponent` and `MonomialOperator` reduce them.
+    """
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    out = u + v
+    out[..., 0] -= 2 * u[..., 2] * v[..., 1]
+    out %= (2 * d, d, d)
+    return out
 
 
 def weyl_pair(d: int) -> tuple[MonomialOperator, MonomialOperator]:

@@ -5,6 +5,19 @@ reports one pass/fail check per identity.  Checks are deterministic:
 random sampling uses fixed seeds, orderings are fixed, and timing is kept
 out of the payload (it is reported on stderr only).
 
+The group suite evaluates its exact checks with the integer array laws of
+`group` and `operators` on (a, b, c) and (t, shift, clock) rows:
+associativity, inverses, the characters and the monomial representations
+rho_k as homomorphisms, the bracket's Jacobi identity (its signed terms
+cancel key by key) and the bracket's match with the monomial product law.
+Its samples are indices drawn with `rng.randrange`, the call `rng.choice`
+makes, so they are the elements the scalar loops drew, in the same order,
+from the one shared generator; a failing check may stop drawing at a
+different point than the scalar loop did.  Normality of the named
+subgroups stays on the scalar `pd_conjugate`, and the antisymmetry check
+on `pd_lie_bracket`.  The Weyl suite's sine-bracket checks build each
+t-operator they use once per check.
+
 One check is a verdict on a claim that is false in general and fails by
 design when exercised in the failing regime: the class-count formula
 d(d+1)-1 holds only for prime modulus, so `group.class_count_formula`
@@ -17,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import islice, product
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -158,22 +171,26 @@ def suite_hw() -> VerificationReport:
 def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> VerificationReport:
     report = VerificationReport("group")
     elements = group_mod.pd_elements(d)
+    array = group_mod.pd_element_array(d)
+    compose = group_mod.pd_compose_array
     rng = random.Random(17)
 
+    def draw(count: int) -> np.ndarray:
+        # rng.randrange(n) is the call rng.choice makes on n elements, so every
+        # check, the ones that keep rng.choice included, sees the same samples
+        randrange, n = rng.randrange, len(array)
+        return array[[randrange(n) for _ in range(count)]]
+
     def associativity() -> bool:
+        # 1,000 triples at a time, which keeps every work array small; the
+        # samples are drawn a chunk at a time, as the scalar loop drew them
         if d <= 3:
-            triples = product(elements, repeat=3)
+            triples = array[np.indices((len(array),) * 3).reshape(3, -1).T]
+            chunks = (triples[i : i + 1_000] for i in range(0, len(triples), 1_000))
         else:
-            triples = (
-                (rng.choice(elements), rng.choice(elements), rng.choice(elements))
-                for _ in range(10_000)
-            )
-        # the same draws as the scalar loop, evaluated with the array group law
-        # 1,000 triples at a time, which keeps every work array small
-        entries = (v for triple in triples for x in triple for v in x.key())
-        compose = group_mod.pd_compose_array
-        while (keys := np.fromiter(islice(entries, 9_000), dtype=np.int64)).size:
-            g, h, k = keys.reshape(-1, 3, 3).transpose(1, 0, 2)
+            chunks = (draw(3_000).reshape(-1, 3, 3) for _ in range(10))
+        for chunk in chunks:
+            g, h, k = chunk.transpose(1, 0, 2)
             if not np.array_equal(compose(compose(g, h, d), k, d), compose(g, compose(h, k, d), d)):
                 return False
         return True
@@ -181,8 +198,7 @@ def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> Verifi
     _run(report, "associativity", 0.0, associativity)
 
     def inverses() -> bool:
-        ident = group_mod.pd_identity(d)
-        return all(g.compose(g.inverse()) == ident for g in elements)
+        return not compose(array, group_mod.pd_inverse_array(array, d), d).any()
 
     _run(report, "inverses", 0.0, inverses)
 
@@ -257,7 +273,7 @@ def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> Verifi
         sample = elements if d <= 3 else [rng.choice(elements) for _ in range(40)]
         keys = np.array([x.key() for x in sample], dtype=np.int64)
         g, h = keys[:, None, :], keys[None, :10, :]
-        products = group_mod.pd_compose_array(g, h, d)
+        products = compose(g, h, d)
         for m, n in product(range(d), repeat=2):
             chi_g, chi_h, chi_gh = (
                 group_mod.pd_character_exponents(m, n, x, d) for x in (g, h, products)
@@ -269,13 +285,13 @@ def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> Verifi
     _run(report, "characters_are_homomorphisms", 0.0, characters)
 
     def irreps() -> bool:
-        sample = elements if d <= 3 else [rng.choice(elements) for _ in range(30)]
+        sample = array if d <= 3 else draw(30)
+        g, h = sample[:, None, :], sample[None, :10, :]
+        products = compose(g, h, d)
         for k in range(1, d):
-            rho = group_mod.pd_irrep(k, d)
-            for g in sample:
-                for h in sample[:10]:
-                    if op_mod.monomial_mul(rho(g), rho(h)) != rho(g.compose(h)):
-                        return False
+            rho_g, rho_h, rho_gh = (group_mod.pd_irrep_array(k, x, d) for x in (g, h, products))
+            if not np.array_equal(op_mod.monomial_mul_array(rho_g, rho_h, d), rho_gh):
+                return False
         return True
 
     _run(report, "monomial_representations_are_homomorphisms", 0.0, irreps)
@@ -308,31 +324,35 @@ def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> Verifi
     _run(report, "bracket_antisymmetry", 0.0, bracket_properties)
 
     def jacobi() -> bool:
-        for _ in range(1000):
-            g, h, k = (rng.choice(elements) for _ in range(3))
-            total = (
-                group_mod.pd_lie_bracket_combinations(
-                    group_mod.pd_lie_bracket(g, h), group_mod.FormalCombination.single(k)
-                )
-                + group_mod.pd_lie_bracket_combinations(
-                    group_mod.pd_lie_bracket(h, k), group_mod.FormalCombination.single(g)
-                )
-                + group_mod.pd_lie_bracket_combinations(
-                    group_mod.pd_lie_bracket(k, g), group_mod.FormalCombination.single(h)
-                )
-            )
-            if not total.is_zero:
-                return False
-        return True
+        g, h, k = draw(3_000).reshape(-1, 3, 1, 3).transpose(1, 0, 2, 3)
+        one, bracket = np.ones(1, dtype=np.int64), group_mod.pd_lie_bracket_terms
+        # [[g, h], k] + [[h, k], g] + [[k, g], h]: 12 signed terms per triple
+        nested = [
+            bracket(*bracket(x, one, y, one, d), z, one, d)
+            for x, y, z in ((g, h, k), (h, k, g), (k, g, h))
+        ]
+        keys, coeffs = (np.concatenate(parts, axis=1) for parts in zip(*nested))
+        # the terms cancel when every (triple, element) key sums to zero
+        triple = np.arange(len(keys))[:, None]
+        codes = ((triple * d + keys[..., 0]) * d + keys[..., 1]) * d + keys[..., 2]
+        _, slots = np.unique(codes, return_inverse=True)
+        return not np.bincount(slots.ravel(), weights=coeffs.ravel()).any()
 
     _run(report, "bracket_jacobi", 0.0, jacobi)
 
     def bracket_monomial() -> bool:
+        # the bracket's terms gh and hg are the monomials w(g) w(h) and
+        # w(h) w(g), with w(a, b, c) = q^a X^b Z^c = rho_1(a, b, c): the
+        # monomial law on the left, the group law on the right
         if d <= 4:
-            pairs = product(elements, repeat=2)
+            g, h = array[:, None, :], array[None, :, :]
         else:
-            pairs = ((rng.choice(elements), rng.choice(elements)) for _ in range(2000))
-        return all(group_mod.bracket_matches_monomial_commutator(g, h) for g, h in pairs)
+            g, h = draw(4_000).reshape(-1, 2, 3).transpose(1, 0, 2)
+        wg, wh = group_mod.pd_irrep_array(1, g, d), group_mod.pd_irrep_array(1, h, d)
+        return all(
+            np.array_equal(op_mod.monomial_mul_array(wx, wy, d), group_mod.pd_irrep_array(1, xy, d))
+            for wx, wy, xy in ((wg, wh, compose(g, h, d)), (wh, wg, compose(h, g, d)))
+        )
 
     _run(report, "bracket_matches_monomial_commutator", 0.0, bracket_monomial)
 
@@ -467,12 +487,18 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
 
     _su2_checks(report, d, tolerance)
 
+    def t_operators(ordering: str) -> dict[tuple[int, int], np.ndarray]:
+        # every t-operator the sine checks use: digits 1..3 and their sums
+        return {
+            (m1, m2): op_mod.t_operator(d, m1, m2, ordering)
+            for m1, m2 in product(range(1, 7), repeat=2)
+        }
+
     def sine_bracket_zv() -> float:
         worst = 0.0
+        t = t_operators("zv")
         for m1, m2, n1, n2 in product(range(1, 4), repeat=4):
-            tm = op_mod.t_operator(d, m1, m2)
-            tn = op_mod.t_operator(d, n1, n2)
-            tmn = op_mod.t_operator(d, m1 + n1, m2 + n2)
+            tm, tn, tmn = t[m1, m2], t[n1, n2], t[m1 + n1, m2 + n2]
             wedge = m1 * n2 - m2 * n1
             rhs = 2j * math.sin(math.pi * wedge / d) * tmn
             worst = max(worst, float(np.max(np.abs(tm @ tn - tn @ tm - rhs))))
@@ -482,10 +508,9 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
 
     def sine_bracket_vz_modulus() -> float:
         worst = 0.0
+        t = t_operators("vz")
         for m1, m2, n1, n2 in product(range(1, 4), repeat=4):
-            tm = op_mod.t_operator(d, m1, m2, ordering="vz")
-            tn = op_mod.t_operator(d, n1, n2, ordering="vz")
-            tmn = op_mod.t_operator(d, m1 + n1, m2 + n2, ordering="vz")
+            tm, tn, tmn = t[m1, m2], t[n1, n2], t[m1 + n1, m2 + n2]
             comm = tm @ tn - tn @ tm
             wedge = m1 * n2 - m2 * n1
             target = 2 * abs(math.sin(math.pi * wedge / d))

@@ -469,6 +469,14 @@ def test_dense_recheck_catches_a_non_commuting_pair():
     assert partition_dense_commutation_defect(prime) > 1e-12
 
 
+def test_dense_recheck_reads_zero_for_classes_without_pairs():
+    assert partition_dense_commutation_defect(CartanPartition(3, [[(0, 1)], []], False)) == 0.0
+    assert partition_dense_commutation_defect(CartanPartition(3, [], False)) == 0.0
+    # a short class is skipped, a non-commuting pair elsewhere still shows
+    mixed = CartanPartition(3, [[], [(0, 1), (1, 0)]], False)
+    assert partition_dense_commutation_defect(mixed) > 1e-12
+
+
 def test_tensor_trace_pairing():
     for dims in ((2, 2), (2, 3), (3, 3)):
         labels = tensor_indices(dims)[:10]

@@ -13,6 +13,7 @@ import finiteweyl.group as group_mod
 from finiteweyl.group import (
     FormalCombination,
     PdElement,
+    _element_order,
     _is_abelian,
     _is_closed,
     _is_normal,
@@ -28,19 +29,22 @@ from finiteweyl.group import (
     pd_conjugacy_classes,
     pd_conjugate,
     pd_element_array,
+    pd_element_orders,
     pd_elements,
     pd_identity,
     pd_inverse_array,
     pd_irrep,
+    pd_irrep_array,
     pd_irrep_counts,
     pd_irrep_trace_exponents,
     pd_is_ambivalent,
     pd_lie_bracket,
     pd_lie_bracket_combinations,
+    pd_lie_bracket_terms,
     pd_named_subgroups,
     pd_quotient_is_double_cyclic,
 )
-from finiteweyl.operators import MonomialOperator, monomial_mul
+from finiteweyl.operators import MonomialOperator, monomial_mul, monomial_mul_array
 from finiteweyl.phases import PhaseExponent
 
 SMALL_D = range(2, 7)
@@ -477,6 +481,97 @@ def test_character_and_trace_exponents_match_scalar_forms_on_samples(case, m, n,
         assert exponent == trace.t
 
 
+def monomial_row(u: MonomialOperator) -> tuple[int, int, int]:
+    return (u.phase.t, u.shift, u.clock)
+
+
+def twin_samples(d: int) -> list[PdElement]:
+    """Every element for d <= 4, else 300 fixed draws."""
+    elems = pd_elements(d)
+    if d <= 4:
+        return elems
+    rng = random.Random(47)
+    return [rng.choice(elems) for _ in range(300)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 12])
+def test_irrep_array_matches_pd_irrep(d):
+    elems = twin_samples(d)
+    array = keys_of(elems)
+    for k in range(1, d):
+        rows = pd_irrep_array(k, array, d)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [list(monomial_row(pd_irrep(k, d)(g))) for g in elems]
+        # unreduced keys give the same rows
+        assert np.array_equal(pd_irrep_array(k, array - 5 * d, d), rows)
+    with pytest.raises(ValueError, match="k must lie"):
+        pd_irrep_array(d, array, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 12])
+def test_irrep_array_is_a_homomorphism_under_the_array_laws(d):
+    elems = twin_samples(d)
+    g, h = keys_of(elems)[:, None, :], keys_of(elems[:10])[None, :, :]
+    for k in range(1, d):
+        rho_g, rho_h, rho_gh = (pd_irrep_array(k, x, d) for x in (g, h, pd_compose_array(g, h, d)))
+        assert np.array_equal(monomial_mul_array(rho_g, rho_h, d), rho_gh)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 12])
+def test_element_orders_match_element_order(d):
+    elems = twin_samples(d)
+    orders = pd_element_orders(keys_of(elems), d)
+    assert orders.dtype == np.int64
+    assert orders.tolist() == [_element_order(g) for g in elems]
+
+
+def merged_terms(keys: np.ndarray, coeffs: np.ndarray) -> dict:
+    """The signed terms summed per key, zero sums dropped, as FormalCombination keeps them."""
+    terms: dict = {}
+    for key, coeff in zip(map(tuple, keys.tolist()), coeffs.tolist()):
+        terms[key] = terms.get(key, 0) + coeff
+    return {key: coeff for key, coeff in terms.items() if coeff}
+
+
+def single_terms(g: PdElement) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([g.key()]), np.ones(1, dtype=np.int64)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 12])
+def test_bracket_terms_match_pd_lie_bracket(d):
+    elems = twin_samples(d)
+    pairs = list(product(elems, repeat=2)) if d <= 4 else list(zip(elems, elems[::-1]))
+    g = keys_of(g for g, _ in pairs)[:, None, :]
+    h = keys_of(h for _, h in pairs)[:, None, :]
+    one = np.ones(1, dtype=np.int64)
+    keys, coeffs = pd_lie_bracket_terms(g, one, h, one, d)
+    assert keys.shape == (len(pairs), 2, 3) and coeffs.shape == (len(pairs), 2)
+    # +gh then -hg, in the order of the scalar loop
+    assert np.array_equal(keys[:, 0], pd_compose_array(g[:, 0], h[:, 0], d))
+    assert np.array_equal(keys[:, 1], pd_compose_array(h[:, 0], g[:, 0], d))
+    assert (coeffs == [1, -1]).all()
+    for (x, y), k, c in zip(pairs, keys, coeffs):
+        assert merged_terms(k, c) == pd_lie_bracket(x, y).terms
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 12])
+def test_nested_bracket_terms_match_pd_lie_bracket_combinations(d):
+    elems = twin_samples(d)
+    if d == 2:
+        triples = list(product(elems, repeat=3))
+    else:
+        rng = random.Random(53)
+        triples = [tuple(rng.choice(elems) for _ in range(3)) for _ in range(500)]
+    for g, h, k in triples:
+        inner = pd_lie_bracket_terms(*single_terms(g), *single_terms(h), d)
+        keys, coeffs = pd_lie_bracket_terms(*inner, *single_terms(k), d)
+        expected = pd_lie_bracket_combinations(
+            pd_lie_bracket(g, h), FormalCombination.single(k)
+        )
+        assert keys.shape == (4, 3)
+        assert merged_terms(keys, coeffs) == expected.terms
+
+
 def test_centralizer_sizes_match_brute_force_count():
     for d in SMALL_D:
         elems = pd_elements(d)
@@ -595,3 +690,16 @@ def test_bracket_combinations_reject_mixed_moduli():
     g = FormalCombination.single(PdElement(0, 0, 1, 4))
     with pytest.raises(ValueError, match="modulus mismatch"):
         pd_lie_bracket_combinations(f, g)
+
+
+@given(combinations_mod_d())
+def test_bracket_terms_match_combinations_on_samples(case):
+    d, f, g = case
+
+    def as_terms(combination):
+        keys = np.array(list(combination.terms), dtype=np.int64).reshape(-1, 3)
+        return keys, np.array(list(combination.terms.values()), dtype=np.int64)
+
+    keys, coeffs = pd_lie_bracket_terms(*as_terms(f), *as_terms(g), d)
+    assert keys.shape == (2 * len(f.terms) * len(g.terms), 3)
+    assert merged_terms(keys, coeffs) == pd_lie_bracket_combinations(f, g).terms

@@ -17,6 +17,7 @@ from finiteweyl.operators import (
     jz_matrix,
     ladder_matrices,
     monomial_mul,
+    monomial_mul_array,
     polar_su2_ops,
     t_operator,
     unitary_defect,
@@ -76,6 +77,37 @@ def test_monomial_mul_matches_group_law():
                 MonomialOperator.w(d, a, b, c), MonomialOperator.w(d, a2, b2, c2)
             )
             assert got == MonomialOperator.w(d, (a + a2 - c * b2) % d, b + b2, c + c2)
+
+
+def monomial_rows(monomials) -> np.ndarray:
+    return np.array(
+        [(u.phase.t, u.shift, u.clock) for u in monomials], dtype=np.int64
+    ).reshape(-1, 3)
+
+
+def test_monomial_mul_array_matches_monomial_mul_exhaustively():
+    for d in (2, 3, 4):
+        monomials = [
+            MonomialOperator.from_tau_exponent(d, t, b, c)
+            for t, b, c in product(range(2 * d), range(d), range(d))
+        ]
+        rows = monomial_rows(monomials)
+        products = monomial_mul_array(rows[:, None, :], rows[None, :, :], d)
+        expected = monomial_rows(monomial_mul(u, v) for u in monomials for v in monomials)
+        assert products.dtype == np.int64
+        assert np.array_equal(products, expected.reshape(products.shape))
+
+
+def test_monomial_mul_array_matches_monomial_mul_on_samples():
+    rng = random.Random(43)
+    d = 12
+    pairs = [(random_monomial(rng, d), random_monomial(rng, d)) for _ in range(2000)]
+    u, v = (monomial_rows(side) for side in zip(*pairs))
+    expected = monomial_rows(monomial_mul(x, y) for x, y in pairs)
+    assert np.array_equal(monomial_mul_array(u, v, d), expected)
+    # unreduced rows reduce as PhaseExponent and MonomialOperator reduce them
+    offsets = np.array([2 * d, d, d]) * np.random.default_rng(43).integers(-3, 4, u.shape)
+    assert np.array_equal(monomial_mul_array(u + offsets, v - offsets, d), expected)
 
 
 def test_identity_neutral():

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from finiteweyl import suites
@@ -36,6 +39,35 @@ def test_group_suite_prime(d):
 def test_group_suite_composite_fails_only_the_count_claim(d):
     report = suite_group(d)
     assert failing_names(report) == ["class_count_formula"]
+
+
+@pytest.mark.parametrize("n", [8, 27, 64, 1000, 1728, 4096])
+def test_randrange_draws_what_choice_draws(n):
+    # some group checks draw indices with randrange and others draw elements
+    # with choice from the same generator; both must see the same samples
+    seq = [object() for _ in range(n)]
+    by_choice, by_index = random.Random(17), random.Random(17)
+    for _ in range(5000):
+        assert seq[by_index.randrange(len(seq))] is by_choice.choice(seq)
+    assert by_index.getstate() == by_choice.getstate()
+
+
+def flipped_group_law(g, h, d):
+    """`pd_compose_array` with the sign of -c b' flipped: the opposite group."""
+    g, h = np.asarray(g, dtype=np.int64), np.asarray(h, dtype=np.int64)
+    out = g + h
+    out[..., 0] += g[..., 2] * h[..., 1]
+    return out % d
+
+
+@pytest.mark.parametrize("d", [4, 12])
+def test_group_suite_catches_a_flipped_array_group_law(monkeypatch, d):
+    monkeypatch.setattr(suites.group_mod, "pd_compose_array", flipped_group_law)
+    failing = set(failing_names(suite_group(d)))
+    assert {
+        "bracket_matches_monomial_commutator",
+        "monomial_representations_are_homomorphisms",
+    } <= failing
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
