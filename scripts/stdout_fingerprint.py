@@ -122,6 +122,11 @@ COMMANDS = [
     # `verify basis` also checks the two-qubit spread
     "verify basis --p 2 --e 2",
     "verify basis --p 2 --e 4",
+    # the float rechecks at d = 2, where the quarter-turn entries make many
+    # residuals exactly +-0.0
+    "verify weyl --d 2",
+    "weyl su2-check --d 2",
+    "verify mub --d 2",
 ]
 
 

@@ -35,7 +35,7 @@ from types import EllipsisType
 import numpy as np
 
 from .limits import check_prime, check_search, check_structure_table, check_tensor
-from .operators import MonomialOperator, monomial_mul
+from .operators import MonomialOperator, monomial_mul, residual_norm
 from .phases import PhaseExponent, tau_powers
 from .search import find_commuting_partition, greedy_commuting_classes
 
@@ -139,11 +139,9 @@ def hs_orthogonality(d: int) -> float:
     exponents %= 2 * d
     scalar = table.target[negated] == 0
     diagonal = np.eye(d * d, dtype=bool)
-    worst = 0.0 if (scalar[diagonal] & (exponents[diagonal] == 0)).all() else 1.0
+    diagonal_defect = 0.0 if (scalar[diagonal] & (exponents[diagonal] == 0)).all() else 1.0
     off_diagonal = scalar & ~diagonal
-    if off_diagonal.any():
-        worst = max(worst, float(np.max(np.abs(d * tau_powers(exponents[off_diagonal], d)))))
-    return worst
+    return residual_norm([diagonal_defect, d * tau_powers(exponents[off_diagonal], d)])
 
 
 @dataclass
@@ -395,17 +393,19 @@ def partition_dense_commutation_defect(partition: CartanPartition) -> float:
     class with fewer than two members has no commutator and adds nothing.
     """
     dims = partition.tensor_dims or (partition.dimension,)
-    worst = 0.0
-    for cls in partition.classes:
-        if len(cls) < 2:
-            continue
-        mats = pauli_stack(dims, cls)
-        for i in range(len(mats) - 1):
-            later = mats[i + 1 :]
-            comm = mats[i] @ later
-            comm -= later @ mats[i]
-            worst = max(worst, float(np.max(np.abs(comm))))
-    return worst
+
+    def commutators():
+        for cls in partition.classes:
+            if len(cls) < 2:
+                continue
+            mats = pauli_stack(dims, cls)
+            for i in range(len(mats) - 1):
+                later = mats[i + 1 :]
+                comm = mats[i] @ later
+                comm -= later @ mats[i]
+                yield comm
+
+    return residual_norm(commutators())
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +463,7 @@ def su4_spread_check() -> SpreadReport:
     gram = np.array(
         [[tensor_trace_pairing(u, v) for v in operators] for u in operators]
     )
-    gram_defect = float(np.max(np.abs(gram - 4.0 * np.eye(15))))
+    gram_defect = residual_norm([gram - 4.0 * np.eye(15)])
     # the 15 labels, then the identity
     stacked = pauli_stack(dims, [*union, (0, 0, 0, 0)]).reshape(16, -1)
     gram_rank = int(np.linalg.matrix_rank(stacked[:15]))

@@ -30,8 +30,9 @@ law), `pd_centralizer_sizes`, `pd_element_orders` (`_element_order`),
 They evaluate the same integer formulas mod d or mod 2d, so they agree
 exactly with the scalar forms; closure, commutativity, element orders, the
 centre, the quotient law and the character norms are evaluated with them,
-and so are the sampled group-law, representation and bracket checks of
-`suites.suite_group`.  Normality stays on the scalar `pd_conjugate`.
+and so is every group-law, census, representation and bracket check of
+`suites.suite_group`.  Normality stays on the scalar `pd_conjugate`; the
+scalar forms stay as the references the tests pin the arrays to.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limits import check_dimension, check_prime
-from .operators import fourier_matrix, v_ra_matrix, weyl_pair
+from .operators import fourier_matrix, residual_norm, v_ra_matrix, weyl_pair
 from .phases import tau_powers
 
 # bases per stacked left operand in pairwise_deviations
@@ -35,8 +35,7 @@ class OrthonormalBasis:
     vectors: np.ndarray  # d x d, columns are the basis vectors
 
     def gram_defect(self) -> float:
-        gram = self.vectors.conj().T @ self.vectors
-        return float(np.max(np.abs(gram - np.eye(self.d))))
+        return residual_norm([self.vectors.conj().T @ self.vectors - np.eye(self.d)])
 
 
 def basis_exponent_table(d: int, a: int) -> np.ndarray:
@@ -73,7 +72,7 @@ class HadamardMatrix:
 
     def gram_defect(self) -> float:
         h = self.to_matrix()
-        return float(np.max(np.abs(h.conj().T @ h - self.d * np.eye(self.d))))
+        return residual_norm([h.conj().T @ h - self.d * np.eye(self.d)])
 
 
 def hadamard_h_a(d: int, a: int) -> HadamardMatrix:
@@ -89,7 +88,7 @@ def hadamard_reduction_defect(d: int, a: int) -> float:
     v = v_ra_matrix(d, 0.0, a)
     eigenvalues = tau_powers((d - 1) * a - 2 * np.arange(d), d)
     expected = d * np.diag(eigenvalues)
-    return float(np.max(np.abs(h.conj().T @ v @ h - expected)))
+    return residual_norm([h.conj().T @ v @ h - expected])
 
 
 def s_permutation(d: int) -> np.ndarray:
@@ -104,7 +103,7 @@ def fourier_hadamard_residual(d: int) -> float:
     """Literal residual of the factorization F = (H_0 S)^dagger."""
     h0 = hadamard_h_a(d, 0).to_matrix()
     candidate = (h0 @ s_permutation(d)).conj().T
-    return float(np.max(np.abs(fourier_matrix(d) - candidate)))
+    return residual_norm([fourier_matrix(d) - candidate])
 
 
 def fourier_hadamard_corrected_residual(d: int) -> float:
@@ -116,7 +115,7 @@ def fourier_hadamard_corrected_residual(d: int) -> float:
     h0 = hadamard_h_a(d, 0).to_matrix()
     candidate = (h0 @ s_permutation(d)).conj().T
     clock = weyl_pair(d)[1].to_matrix()
-    return float(np.max(np.abs(fourier_matrix(d) - clock @ candidate)))
+    return residual_norm([fourier_matrix(d) - clock @ candidate])
 
 
 def unbiasedness(b1: OrthonormalBasis, b2: OrthonormalBasis) -> float:
@@ -124,7 +123,7 @@ def unbiasedness(b1: OrthonormalBasis, b2: OrthonormalBasis) -> float:
     if b1.d != b2.d:
         raise ValueError(f"dimension mismatch: {b1.d} != {b2.d}")
     overlaps = np.abs(b1.vectors.conj().T @ b2.vectors)
-    return float(np.max(np.abs(overlaps - 1.0 / math.sqrt(b1.d))))
+    return residual_norm([overlaps - 1.0 / math.sqrt(b1.d)])
 
 
 def mub_family(p: int) -> list[OrthonormalBasis]:

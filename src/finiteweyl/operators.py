@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +42,8 @@ class MonomialOperator:
     def __init__(self, phase: PhaseExponent, shift: int, clock: int) -> None:
         d = phase.d
         object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "shift", shift % d)
-        object.__setattr__(self, "clock", clock % d)
+        object.__setattr__(self, "shift", operator.index(shift) % d)
+        object.__setattr__(self, "clock", operator.index(clock) % d)
 
     @property
     def d(self) -> int:
@@ -245,7 +247,16 @@ def t_operator(d: int, m1: int, m2: int, ordering: str = "zv") -> np.ndarray:
     return scalar * (vm @ zm) if ordering == "vz" else scalar * (zm @ vm)
 
 
+def residual_norm(residuals: Iterable[np.ndarray | complex]) -> float:
+    """Largest |entry| over every residual array or scalar, 0.0 for none.
+
+    The measure of every float recheck.  The per-residual maxima are
+    reduced with np.max, so one NaN entry makes the norm NaN and the check
+    fails; an empty array adds nothing.
+    """
+    return float(np.max([np.max(np.abs(r), initial=0.0) for r in residuals], initial=0.0))
+
+
 def unitary_defect(mat: np.ndarray) -> float:
     """Max-norm of M^dagger M - I."""
-    d = mat.shape[0]
-    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(d))))
+    return residual_norm([mat.conj().T @ mat - np.eye(mat.shape[0])])

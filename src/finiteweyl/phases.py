@@ -18,6 +18,7 @@ construction.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,9 +37,10 @@ class PhaseExponent:
     d: int
 
     def __init__(self, t: int, d: int) -> None:
+        d = operator.index(d)
         if d < 2:
             raise ValueError(f"dimension must be >= 2, got {d}")
-        object.__setattr__(self, "t", t % (2 * d))
+        object.__setattr__(self, "t", operator.index(t) % (2 * d))
         object.__setattr__(self, "d", d)
 
     @classmethod

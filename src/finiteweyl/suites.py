@@ -7,16 +7,20 @@ out of the payload (it is reported on stderr only).
 
 The group suite evaluates its exact checks with the integer array laws of
 `group` and `operators` on (a, b, c) and (t, shift, clock) rows:
-associativity, inverses, the characters and the monomial representations
-rho_k as homomorphisms, the bracket's Jacobi identity (its signed terms
-cancel key by key) and the bracket's match with the monomial product law.
-Its samples are indices drawn with `rng.randrange`, the call `rng.choice`
+associativity, inverses, orbit-stabilizer, the characters and the
+monomial representations rho_k as homomorphisms, the bracket's
+antisymmetry and Jacobi identity (signed terms that cancel key by key,
+row by row) and the bracket's match with the monomial product law.  Its
+samples are indices drawn with `rng.randrange`, the call `rng.choice`
 makes, so they are the elements the scalar loops drew, in the same order,
 from the one shared generator; a failing check may stop drawing at a
 different point than the scalar loop did.  Normality of the named
-subgroups stays on the scalar `pd_conjugate`, and the antisymmetry check
-on `pd_lie_bracket`.  The Weyl suite's sine-bracket checks build each
-t-operator they use once per check.
+subgroups stays on the scalar `pd_conjugate`.  The Weyl suite's
+sine-bracket checks build each t-operator they use once per check.
+
+Every float recheck reports `operators.residual_norm` of the residuals it
+forms, the largest |entry| over all of them, which is NaN (and fails the
+check) when any entry is NaN.
 
 One check is a verdict on a claim that is false in general and fails by
 design when exercised in the failing regime: the class-count formula
@@ -141,14 +145,10 @@ def suite_hw() -> VerificationReport:
     _run(report, "lie_brackets", 0.0, lambda: hw_mod.hw_lie_check()["overall"])
 
     def exp_series() -> float:
-        worst = 0.0
-        for g in pairs[:50]:
-            scaled = hw_mod.HWElement(g.x / 4, g.y / 4, g.z / 4)
-            closed = hw_mod.hw_matrix(scaled)
-            worst = max(
-                worst, float(np.max(np.abs(hw_mod.series_exponential(scaled) - closed)))
-            )
-        return worst
+        scaled = (hw_mod.HWElement(g.x / 4, g.y / 4, g.z / 4) for g in pairs[:50])
+        return op_mod.residual_norm(
+            hw_mod.series_exponential(s) - hw_mod.hw_matrix(s) for s in scaled
+        )
 
     _run(report, "exponential_matches_series", 1e-10, exp_series)
 
@@ -170,16 +170,24 @@ def suite_hw() -> VerificationReport:
 
 def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> VerificationReport:
     report = VerificationReport("group")
-    elements = group_mod.pd_elements(d)
     array = group_mod.pd_element_array(d)
-    compose = group_mod.pd_compose_array
+    compose, bracket = group_mod.pd_compose_array, group_mod.pd_lie_bracket_terms
+    one = np.ones(1, dtype=np.int64)
     rng = random.Random(17)
 
     def draw(count: int) -> np.ndarray:
-        # rng.randrange(n) is the call rng.choice makes on n elements, so every
-        # check, the ones that keep rng.choice included, sees the same samples
+        # rng.randrange(n) is the call rng.choice makes on n elements, so the
+        # samples are the elements the scalar loops drew with rng.choice
         randrange, n = rng.randrange, len(array)
         return array[[randrange(n) for _ in range(count)]]
+
+    def cancels(keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        # row by row, whether the signed terms sum to zero on every key
+        rows = np.arange(len(keys))[:, None]
+        codes = ((rows * d + keys[..., 0]) * d + keys[..., 1]) * d + keys[..., 2]
+        unique, slots = np.unique(codes, return_inverse=True)
+        sums = np.bincount(slots.ravel(), weights=coeffs.ravel())
+        return np.bincount(unique[sums != 0] // d**3, minlength=len(keys)) == 0
 
     def associativity() -> bool:
         # 1,000 triples at a time, which keeps every work array small; the
@@ -209,10 +217,9 @@ def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> Verifi
         if total != d**3 or census.singleton_count != d:
             return False
         # orbit-stabilizer: |class| * |centralizer| = |group|
-        return all(
-            len(cls) * group_mod.pd_centralizer_size(cls[0]) == d**3
-            for cls in census.classes
-        )
+        sizes = np.array([len(cls) for cls in census.classes])
+        representatives = np.array([cls[0].key() for cls in census.classes])
+        return bool((sizes * group_mod.pd_centralizer_sizes(representatives, d) == d**3).all())
 
     _run(report, "class_census_brute_force", 0.0, census_consistent)
     _run(
@@ -230,7 +237,6 @@ def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> Verifi
         ),
     )
     def centralizers() -> bool:
-        array = group_mod.pd_element_array(d)
         sizes = group_mod.pd_centralizer_sizes(array, d)
         central = (array[:, 1] == 0) & (array[:, 2] == 0)
         return bool((sizes % d**2 == 0).all() and np.array_equal(sizes == d**3, central))
@@ -270,9 +276,8 @@ def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> Verifi
     _run(report, "named_subgroups", 0.0, subgroups)
 
     def characters() -> bool:
-        sample = elements if d <= 3 else [rng.choice(elements) for _ in range(40)]
-        keys = np.array([x.key() for x in sample], dtype=np.int64)
-        g, h = keys[:, None, :], keys[None, :10, :]
+        sample = array if d <= 3 else draw(40)
+        g, h = sample[:, None, :], sample[None, :10, :]
         products = compose(g, h, d)
         for m, n in product(range(d), repeat=2):
             chi_g, chi_h, chi_gh = (
@@ -308,35 +313,26 @@ def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> Verifi
     _run(report, "character_norms_count_components", 0.0, irrep_norms)
 
     def bracket_properties() -> bool:
-        for _ in range(300):
-            g, h = rng.choice(elements), rng.choice(elements)
-            if group_mod.pd_lie_bracket(g, g).is_zero is False:
-                return False
-            lhs = group_mod.pd_lie_bracket(g, h)
-            rhs = group_mod.pd_lie_bracket(h, g).scale(-1)
-            if lhs != rhs:
-                return False
-            vanishes = (g.c * h.b - g.b * h.c) % d == 0
-            if lhs.is_zero != vanishes:
-                return False
-        return True
+        g, h = draw(600).reshape(-1, 2, 1, 3).transpose(1, 0, 2, 3)
+        gh, hg = bracket(g, one, h, one, d), bracket(h, one, g, one, d)
+        # [g, g] = 0, [g, h] + [h, g] = 0, and [g, h] = 0 iff c b' - b c' = 0
+        vanishes = (g[:, 0, 2] * h[:, 0, 1] - g[:, 0, 1] * h[:, 0, 2]) % d == 0
+        return bool(
+            cancels(*bracket(g, one, g, one, d)).all()
+            and cancels(*(np.concatenate(parts, axis=1) for parts in zip(gh, hg))).all()
+            and np.array_equal(cancels(*gh), vanishes)
+        )
 
     _run(report, "bracket_antisymmetry", 0.0, bracket_properties)
 
     def jacobi() -> bool:
         g, h, k = draw(3_000).reshape(-1, 3, 1, 3).transpose(1, 0, 2, 3)
-        one, bracket = np.ones(1, dtype=np.int64), group_mod.pd_lie_bracket_terms
         # [[g, h], k] + [[h, k], g] + [[k, g], h]: 12 signed terms per triple
         nested = [
             bracket(*bracket(x, one, y, one, d), z, one, d)
             for x, y, z in ((g, h, k), (h, k, g), (k, g, h))
         ]
-        keys, coeffs = (np.concatenate(parts, axis=1) for parts in zip(*nested))
-        # the terms cancel when every (triple, element) key sums to zero
-        triple = np.arange(len(keys))[:, None]
-        codes = ((triple * d + keys[..., 0]) * d + keys[..., 1]) * d + keys[..., 2]
-        _, slots = np.unique(codes, return_inverse=True)
-        return not np.bincount(slots.ravel(), weights=coeffs.ravel()).any()
+        return bool(cancels(*(np.concatenate(parts, axis=1) for parts in zip(*nested))).all())
 
     _run(report, "bracket_jacobi", 0.0, jacobi)
 
@@ -392,51 +388,38 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
         )
 
     def monomial_vs_dense() -> float:
-        worst = 0.0
-        for _ in range(300):
-            u, v = random_monomial(), random_monomial()
-            dense = u.to_matrix() @ v.to_matrix()
-            worst = max(
-                worst, float(np.max(np.abs(dense - op_mod.monomial_mul(u, v).to_matrix())))
-            )
-        return worst
+        pairs = ((random_monomial(), random_monomial()) for _ in range(300))
+        return op_mod.residual_norm(
+            u.to_matrix() @ v.to_matrix() - op_mod.monomial_mul(u, v).to_matrix() for u, v in pairs
+        )
 
     _run(report, "monomial_product_matches_dense", 1e-12, monomial_vs_dense)
 
     def monomial_unitary() -> float:
-        worst = 0.0
-        for _ in range(100):
-            worst = max(worst, op_mod.unitary_defect(random_monomial().to_matrix()))
-        return worst
+        return op_mod.residual_norm(
+            op_mod.unitary_defect(random_monomial().to_matrix()) for _ in range(100)
+        )
 
     _run(report, "monomials_unitary", 1e-12, monomial_unitary)
 
     def vra_cyclic() -> float:
-        worst = 0.0
-        for r in (0.0, 1.0, 0.37):
-            for a in range(d):
-                v = op_mod.v_ra_matrix(d, r, a)
-                scalar = np.exp(1j * np.pi * (d - 1) * (a + r))
-                worst = max(
-                    worst,
-                    float(
-                        np.max(np.abs(np.linalg.matrix_power(v, d) - scalar * np.eye(d)))
-                    ),
-                )
-        return worst
+        return op_mod.residual_norm(
+            np.linalg.matrix_power(op_mod.v_ra_matrix(d, r, a), d)
+            - np.exp(1j * np.pi * (d - 1) * (a + r)) * np.eye(d)
+            for r, a in product((0.0, 1.0, 0.37), range(d))
+        )
 
     _run(report, "vra_cyclic_power", 1e-10, vra_cyclic)
 
     def vra_eigensystem() -> float:
-        worst = 0.0
-        for r in (0, 1):
-            for a in range(d):
+        def residuals():
+            for r, a in product((0, 1), range(d)):
                 v = op_mod.v_ra_matrix(d, r, a)
                 for alpha in range(d):
                     vec = op_mod.v_ra_eigenvector(d, r, a, alpha)
-                    lam = op_mod.v_ra_eigenvalue(d, r, a, alpha)
-                    worst = max(worst, float(np.max(np.abs(v @ vec - lam * vec))))
-        return worst
+                    yield v @ vec - op_mod.v_ra_eigenvalue(d, r, a, alpha) * vec
+
+        return op_mod.residual_norm(residuals())
 
     _run(report, "vra_eigenvectors", 1e-10, vra_eigensystem)
 
@@ -453,35 +436,30 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
     _run(report, "vra_spectrum_nondegenerate", 0.0, vra_spectrum_nondegenerate)
 
     def vra_factorization() -> float:
-        worst = 0.0
         zmat = z.to_matrix()
-        for r in (0.0, 1.0, 0.37):
-            for a in range(d):
-                lhs = op_mod.v_ra_matrix(d, r, a)
-                rhs = op_mod.v_ra_matrix(d, r, 0) @ np.linalg.matrix_power(zmat, a)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
+        return op_mod.residual_norm(
+            op_mod.v_ra_matrix(d, r, a)
+            - op_mod.v_ra_matrix(d, r, 0) @ np.linalg.matrix_power(zmat, a)
+            for r, a in product((0.0, 1.0, 0.37), range(d))
+        )
 
     _run(report, "vra_equals_vr0_clock_power", 1e-12, vra_factorization)
 
     def shift_clock_isospectral() -> bool:
         xs = np.sort_complex(np.round(np.linalg.eigvals(x.to_matrix()), 9))
         zs = np.sort_complex(np.round(np.linalg.eigvals(z.to_matrix()), 9))
-        return bool(np.max(np.abs(xs - zs)) < 1e-8)
+        return op_mod.residual_norm([xs - zs]) < 1e-8
 
     _run(report, "shift_and_clock_isospectral", 0.0, shift_clock_isospectral)
 
     def fourier_identities() -> float:
         f = op_mod.fourier_matrix(d)
-        worst = op_mod.unitary_defect(f)
-        worst = max(
-            worst, float(np.max(np.abs(np.linalg.matrix_power(f, 4) - np.eye(d))))
-        )
-        worst = max(
-            worst,
-            float(np.max(np.abs(f @ x.to_matrix() @ f.conj().T - z.to_matrix()))),
-        )
-        return worst
+        residuals = [
+            op_mod.unitary_defect(f),
+            np.linalg.matrix_power(f, 4) - np.eye(d),
+            f @ x.to_matrix() @ f.conj().T - z.to_matrix(),
+        ]
+        return op_mod.residual_norm(residuals)
 
     _run(report, "fourier_identities", 1e-10, fourier_identities)
 
@@ -495,33 +473,34 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
         }
 
     def sine_bracket_zv() -> float:
-        worst = 0.0
-        t = t_operators("zv")
-        for m1, m2, n1, n2 in product(range(1, 4), repeat=4):
-            tm, tn, tmn = t[m1, m2], t[n1, n2], t[m1 + n1, m2 + n2]
-            wedge = m1 * n2 - m2 * n1
-            rhs = 2j * math.sin(math.pi * wedge / d) * tmn
-            worst = max(worst, float(np.max(np.abs(tm @ tn - tn @ tm - rhs))))
-        return worst
+        def residuals():
+            t = t_operators("zv")
+            for m1, m2, n1, n2 in product(range(1, 4), repeat=4):
+                tm, tn, tmn = t[m1, m2], t[n1, n2], t[m1 + n1, m2 + n2]
+                wedge = m1 * n2 - m2 * n1
+                yield tm @ tn - tn @ tm - 2j * math.sin(math.pi * wedge / d) * tmn
+
+        return op_mod.residual_norm(residuals())
 
     _run(report, "sine_bracket_clock_first", tolerance, sine_bracket_zv)
 
     def sine_bracket_vz_modulus() -> float:
-        worst = 0.0
-        t = t_operators("vz")
-        for m1, m2, n1, n2 in product(range(1, 4), repeat=4):
-            tm, tn, tmn = t[m1, m2], t[n1, n2], t[m1 + n1, m2 + n2]
-            comm = tm @ tn - tn @ tm
-            wedge = m1 * n2 - m2 * n1
-            target = 2 * abs(math.sin(math.pi * wedge / d))
-            if target < 1e-12:
-                worst = max(worst, float(np.max(np.abs(comm))))
-                continue
-            pivot = np.unravel_index(np.argmax(np.abs(tmn)), tmn.shape)
-            lam = comm[pivot] / tmn[pivot]
-            worst = max(worst, abs(abs(lam) - target))
-            worst = max(worst, float(np.max(np.abs(comm - lam * tmn))))
-        return worst
+        def residuals():
+            t = t_operators("vz")
+            for m1, m2, n1, n2 in product(range(1, 4), repeat=4):
+                tm, tn, tmn = t[m1, m2], t[n1, n2], t[m1 + n1, m2 + n2]
+                comm = tm @ tn - tn @ tm
+                wedge = m1 * n2 - m2 * n1
+                target = 2 * abs(math.sin(math.pi * wedge / d))
+                if target < 1e-12:
+                    yield comm
+                    continue
+                pivot = np.unravel_index(np.argmax(np.abs(tmn)), tmn.shape)
+                lam = comm[pivot] / tmn[pivot]
+                yield abs(abs(lam) - target)
+                yield comm - lam * tmn
+
+        return op_mod.residual_norm(residuals())
 
     _run(report, "sine_bracket_printed_order_modulus", tolerance, sine_bracket_vz_modulus)
 
@@ -545,33 +524,27 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
 
 def _su2_checks(report: VerificationReport, d: int, tolerance: float) -> None:
     def su2_commutations() -> float:
-        worst = 0.0
-        for r in (0, 1):
-            for a in range(d):
+        def residuals():
+            for r, a in product((0, 1), range(d)):
                 jp, jm, jz = op_mod.polar_su2_ops(d, r, a)
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(jz @ jp - jp @ jz - jp))),
-                    float(np.max(np.abs(jz @ jm - jm @ jz + jm))),
-                    float(np.max(np.abs(jp @ jm - jm @ jp - 2 * jz))),
-                )
-        return worst
+                yield jz @ jp - jp @ jz - jp
+                yield jz @ jm - jm @ jz + jm
+                yield jp @ jm - jm @ jp - 2 * jz
+
+        return op_mod.residual_norm(residuals())
 
     _run(report, "su2_polar_commutations", tolerance, su2_commutations)
 
     def su2_ladder_phases() -> float:
-        worst = 0.0
-        for r in (0, 1):
-            for a in range(d):
+        def residuals():
+            for r, a in product((0, 1), range(d)):
                 jp, jm, jz = op_mod.polar_su2_ops(d, r, a)
                 lp, lm = op_mod.ladder_matrices(d, a)
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(jp - lp))),
-                    float(np.max(np.abs(jm - lm))),
-                    float(np.max(np.abs(jz - op_mod.jz_matrix(d)))),
-                )
-        return worst
+                yield jp - lp
+                yield jm - lm
+                yield jz - op_mod.jz_matrix(d)
+
+        return op_mod.residual_norm(residuals())
 
     _run(report, "su2_ladder_actions", tolerance, su2_ladder_phases)
 
@@ -594,33 +567,32 @@ def suite_mub(d: int = 3, tolerance: float = DEFAULT_TOLERANCE) -> VerificationR
     report = VerificationReport("mub")
 
     def orthonormal() -> float:
-        return max(mub_mod.basis_b0a(d, a).gram_defect() for a in range(d))
+        return op_mod.residual_norm(mub_mod.basis_b0a(d, a).gram_defect() for a in range(d))
 
     _run(report, "bases_orthonormal", 1e-10, orthonormal)
 
     def eigen_relation() -> float:
-        worst = 0.0
-        for a in range(d):
-            v = op_mod.v_ra_matrix(d, 0, a)
-            vectors = mub_mod.basis_b0a(d, a).vectors
-            for alpha in range(d):
-                lam = op_mod.v_ra_eigenvalue(d, 0, a, alpha)
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(v @ vectors[:, alpha] - lam * vectors[:, alpha]))),
-                )
-        return worst
+        def residuals():
+            for a in range(d):
+                v = op_mod.v_ra_matrix(d, 0, a)
+                vectors = mub_mod.basis_b0a(d, a).vectors
+                for alpha in range(d):
+                    lam = op_mod.v_ra_eigenvalue(d, 0, a, alpha)
+                    yield v @ vectors[:, alpha] - lam * vectors[:, alpha]
+
+        return op_mod.residual_norm(residuals())
 
     _run(report, "bases_diagonalize_weighted_shift", 1e-10, eigen_relation)
 
     def hadamard_identities() -> float:
-        worst = 0.0
-        for a in range(d):
-            h = mub_mod.hadamard_h_a(d, a)
-            worst = max(worst, h.gram_defect())
-            worst = max(worst, float(np.max(np.abs(np.abs(h.to_matrix()) - 1.0))))
-            worst = max(worst, mub_mod.hadamard_reduction_defect(d, a))
-        return worst
+        def residuals():
+            for a in range(d):
+                h = mub_mod.hadamard_h_a(d, a)
+                yield h.gram_defect()
+                yield np.abs(h.to_matrix()) - 1.0
+                yield mub_mod.hadamard_reduction_defect(d, a)
+
+        return op_mod.residual_norm(residuals())
 
     _run(report, "hadamard_identities", tolerance, hadamard_identities)
 
@@ -686,19 +658,20 @@ def suite_basis(
         # arrays of d^4 numbers reused for every row (the magnitudes go to the
         # real parts of the spent one): an independent float recheck of the
         # exact table
-        mats = basis_mod.pauli_stack((d,), labels)
-        defect, work = np.empty_like(mats), np.empty_like(mats)
-        worst = 0.0
-        for i, left in enumerate(mats):
-            np.matmul(left, mats, out=defect)
-            defect -= np.matmul(mats, left, out=work)
-            # the targets are in range; mode="clip" only spares take's buffered copy
-            expected = np.take(mats, table.target[i], axis=0, out=work, mode="clip")
-            # coefficient first: numpy's c * M and M * c can differ in the last bit
-            coefficients = table.coefficients("-", i)[:, None, None]
-            defect -= np.multiply(coefficients, expected, out=expected)
-            worst = max(worst, float(np.max(np.abs(defect, out=work.real))))
-        return worst
+        def row_maxima():
+            mats = basis_mod.pauli_stack((d,), labels)
+            defect, work = np.empty_like(mats), np.empty_like(mats)
+            for i, left in enumerate(mats):
+                np.matmul(left, mats, out=defect)
+                defect -= np.matmul(mats, left, out=work)
+                # the targets are in range; mode="clip" only spares take's buffered copy
+                expected = np.take(mats, table.target[i], axis=0, out=work, mode="clip")
+                # coefficient first: numpy's c * M and M * c can differ in the last bit
+                coefficients = table.coefficients("-", i)[:, None, None]
+                defect -= np.multiply(coefficients, expected, out=expected)
+                yield np.max(np.abs(defect, out=work.real))
+
+        return op_mod.residual_norm(row_maxima())
 
     _run(report, "structure_constants_close_dense_commutators", 1e-12, structure_closure)
 
@@ -759,7 +732,7 @@ def suite_basis(
                     bases.append(
                         mub_mod.OrthonormalBasis(d=d, label=str(cls[0]), vectors=vectors)
                     )
-                return max(mub_mod.pairwise_deviations(bases).values())
+                return op_mod.residual_norm(mub_mod.pairwise_deviations(bases).values())
 
             _run(report, "class_eigenbases_mutually_unbiased", tolerance, joint_eigenbases)
     elif limits.searchable(d):

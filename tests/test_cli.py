@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import finiteweyl.cli as cli_mod
 import finiteweyl.group as group_mod
+import finiteweyl.operators as op_mod
 from finiteweyl.cli import main
 
 
@@ -513,6 +514,24 @@ def test_group_irreps_identity_failure_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(group_mod, "pd_irrep_counts", failing_counts)
     code, out, err = run_cli(capsys, "group", "irreps", "--d", "3")
     assert (code, out, err) == (2, "", "error: squared-dimension identity failed\n")
+
+
+def test_a_nan_residual_fails_its_float_recheck(capsys, monkeypatch):
+    # one NaN among the eigenvector residuals of vra_eigenvectors, not the first
+    eigenvector = op_mod.v_ra_eigenvector
+
+    def poisoned(d, r, a, alpha):
+        vec = eigenvector(d, r, a, alpha)
+        if alpha == 1:
+            vec[0] = np.nan
+        return vec
+
+    monkeypatch.setattr(op_mod, "v_ra_eigenvector", poisoned)
+    assert run_cli(capsys, "verify", "weyl", "--d", "3") == (
+        2,
+        "",
+        "error: Out of range float values are not JSON compliant: nan\n",
+    )
 
 
 def test_console_entry_point_subprocess():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import commutator, max_abs
 from finiteweyl.operators import (
@@ -19,6 +20,7 @@ from finiteweyl.operators import (
     monomial_mul,
     monomial_mul_array,
     polar_su2_ops,
+    residual_norm,
     t_operator,
     unitary_defect,
     v_ra_eigenvalue,
@@ -511,3 +513,50 @@ def test_t_operator_validation():
         t_operator(3, -1, 1)
     with pytest.raises(ValueError):
         t_operator(3, 1, 1, ordering="xy")
+
+
+# ---------------------------------------------------------------------------
+# The measure of the float rechecks
+# ---------------------------------------------------------------------------
+
+# 0-d arrays included; np.max of an empty array raises, so the old fold had none
+shapes = array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4)
+residual_lists = st.lists(
+    st.one_of(
+        arrays(np.float64, shapes, elements=st.floats(allow_nan=False)),
+        arrays(np.complex128, shapes, elements=st.complex_numbers(allow_nan=False)),
+        st.floats(allow_nan=False),
+        st.complex_numbers(allow_nan=False),
+    ),
+    max_size=6,
+)
+
+
+def folded_max_norm(residuals) -> float:
+    """The hand-written fold the float rechecks used before `residual_norm`."""
+    worst = 0.0
+    for r in residuals:
+        worst = max(worst, float(np.max(np.abs(r))))
+    return worst
+
+
+@given(residual_lists)
+def test_residual_norm_is_the_folded_max_norm(residuals):
+    # bit for bit, so every recheck prints the deviation it printed before
+    assert residual_norm(residuals).hex() == folded_max_norm(residuals).hex()
+
+
+@given(residual_lists.filter(bool), st.data())
+def test_residual_norm_is_nan_when_any_entry_is_nan(residuals, data):
+    position = data.draw(st.integers(0, len(residuals) - 1))
+    poisoned = np.array(residuals[position], dtype=complex)
+    poisoned.flat[data.draw(st.integers(0, poisoned.size - 1))] = np.nan
+    residuals[position] = poisoned
+    assert math.isnan(residual_norm(residuals))
+    assert math.isnan(residual_norm(iter(residuals)))
+
+
+def test_residual_norm_of_nothing_is_zero():
+    assert residual_norm([]) == 0.0
+    assert residual_norm([np.zeros((0, 3)), -0.0]) == 0.0
+    assert residual_norm([np.zeros((0, 3)), 2.5]) == 2.5

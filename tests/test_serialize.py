@@ -164,6 +164,18 @@ def _document_with(obj, **fields) -> str:
             _document_with(hadamard_h_a(3, 1), d="3"),
             "hadamard document has a malformed field: 'str' object cannot be interpreted",
         ),
+        (
+            _document_with(weyl_pair(3)[0], shift=1.5),
+            "monomial document has a malformed field: 'float' object cannot be interpreted",
+        ),
+        (
+            _document_with(weyl_pair(3)[0], d=3.0),
+            "monomial document has a malformed field: 'float' object cannot be interpreted",
+        ),
+        (
+            _document_with(PhaseExponent(1, 3), tau_exp=1.5),
+            "phase document has a malformed field: 'float' object cannot be interpreted",
+        ),
     ],
 )
 def test_import_rejects_a_field_of_the_wrong_type_in_one_line(text, message):
@@ -171,6 +183,12 @@ def test_import_rejects_a_field_of_the_wrong_type_in_one_line(text, message):
         import_exact(text)
     assert "\n" not in str(caught.value)
     assert caught.value.__cause__ is None and caught.value.__suppress_context__
+
+
+def test_import_reads_a_bool_field_as_the_int_it_is():
+    # operator.index accepts bool, an int subclass: true is 1, false is 0
+    assert import_exact(_document_with(PhaseExponent(1, 3), tau_exp=True)) == PhaseExponent(1, 3)
+    assert import_exact(_document_with(weyl_pair(3)[1], shift=False)) == weyl_pair(3)[1]
 
 
 def _partition_document(classes, complete, dimension=3, tensor_dims=None) -> str:

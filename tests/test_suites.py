@@ -30,7 +30,9 @@ def test_hw_suite_passes():
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
-def test_group_suite_prime(d):
+def test_group_suite_prime(monkeypatch, d):
+    # every check runs on the integer array laws
+    monkeypatch.setattr(suites.group_mod, "pd_elements", lambda d: pytest.fail("pd_elements ran"))
     report = suite_group(d)
     assert report.overall, failing_names(report)
 
@@ -68,6 +70,36 @@ def test_group_suite_catches_a_flipped_array_group_law(monkeypatch, d):
         "bracket_matches_monomial_commutator",
         "monomial_representations_are_homomorphisms",
     } <= failing
+
+
+bracket_terms = suites.group_mod.pd_lie_bracket_terms
+
+
+def symmetric_bracket(f, f_coeffs, g, g_coeffs, d):
+    """`pd_lie_bracket_terms` of gh + hg in place of gh - hg."""
+    keys, coeffs = bracket_terms(f, f_coeffs, g, g_coeffs, d)
+    return keys, np.abs(coeffs)
+
+
+def vanishing_bracket(f, f_coeffs, g, g_coeffs, d):
+    """`pd_lie_bracket_terms` with each -hg term moved onto its gh: always zero."""
+    keys, coeffs = bracket_terms(f, f_coeffs, g, g_coeffs, d)
+    keys = keys.copy()
+    keys[..., 1::2, :] = keys[..., 0::2, :]
+    return keys, coeffs
+
+
+@pytest.mark.parametrize(
+    "bracket, caught",
+    [
+        (symmetric_bracket, {"bracket_antisymmetry", "bracket_jacobi"}),
+        (vanishing_bracket, {"bracket_antisymmetry"}),
+    ],
+)
+@pytest.mark.parametrize("d", [3, 12])
+def test_group_suite_catches_a_wrong_bracket(monkeypatch, d, bracket, caught):
+    monkeypatch.setattr(suites.group_mod, "pd_lie_bracket_terms", bracket)
+    assert caught <= set(failing_names(suite_group(d)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
