@@ -21,7 +21,9 @@ the symplectic form of every label pair.  Both searches read their
 commutation graph off it, and `validate_cartan_partition` the commutation
 within each class of every partition, the two-qubit spread
 `TWO_QUBIT_SPREAD` (the p^e = 4 case) included.  `pauli_stack(dims,
-labels)` is the one builder of dense Pauli matrices.
+labels)` is the one builder of dense Pauli matrices.  The trace pairings
+of tensor monomials, the Gram of the spread included, are
+`operators.trace_gram`; the text form of a label is `serialize`'s.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from types import EllipsisType
 import numpy as np
 
 from .limits import check_prime, check_search, check_structure_table, check_tensor
-from .operators import MonomialOperator, monomial_mul, residual_norm
+from .operators import MonomialOperator, monomial_mul, residual_norm, trace_gram
 from .phases import PhaseExponent, tau_powers
 from .search import find_commuting_partition, greedy_commuting_classes
 
@@ -161,13 +163,6 @@ class CartanPartition:
         if self.tensor_dims is None:
             return (self.dimension, self.dimension)
         return tuple(x for p in self.tensor_dims for x in (p, p))
-
-
-def format_index(idx: tuple, moduli: tuple[int, ...]) -> str:
-    """Digit string "(ab)" / "(a1b1a2b2)"; commas once any modulus passes 10."""
-    if all(m <= 10 for m in moduli):
-        return "(" + "".join(str(x) for x in idx) + ")"
-    return "(" + ",".join(str(x) for x in idx) + ")"
 
 
 def cartan_partition_prime(p: int) -> CartanPartition:
@@ -330,10 +325,6 @@ def _table_lookup(dims: tuple[int, ...], labels: list[tuple]) -> Callable[[tuple
     return commutes
 
 
-def tensor_trace_pairing(u: TensorMonomial, v: TensorMonomial) -> complex:
-    return (u.adjoint() @ v).trace()
-
-
 def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
     """Partition the p^2e - 1 tensor labels into p^e + 1 commuting classes.
 
@@ -459,10 +450,7 @@ def su4_spread_check() -> SpreadReport:
     union_set = set(union)
     covers = union_set == set(tensor_indices(dims))
 
-    operators = [tensor_pauli(dims, idx) for idx in union]
-    gram = np.array(
-        [[tensor_trace_pairing(u, v) for v in operators] for u in operators]
-    )
+    gram = trace_gram([tensor_pauli(dims, idx) for idx in union])
     gram_defect = residual_norm([gram - 4.0 * np.eye(15)])
     # the 15 labels, then the identity
     stacked = pauli_stack(dims, [*union, (0, 0, 0, 0)]).reshape(16, -1)

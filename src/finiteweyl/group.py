@@ -38,6 +38,7 @@ scalar forms stay as the references the tests pin the arrays to.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -67,11 +68,12 @@ class PdElement:
     d: int
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        d = operator.index(d)
         if d < 2:
             raise ValueError(f"modulus must be >= 2, got {d}")
-        object.__setattr__(self, "a", a % d)
-        object.__setattr__(self, "b", b % d)
-        object.__setattr__(self, "c", c % d)
+        object.__setattr__(self, "a", operator.index(a) % d)
+        object.__setattr__(self, "b", operator.index(b) % d)
+        object.__setattr__(self, "c", operator.index(c) % d)
         object.__setattr__(self, "d", d)
 
     def compose(self, other: "PdElement") -> "PdElement":

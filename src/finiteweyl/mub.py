@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limits import check_dimension, check_prime
-from .operators import fourier_matrix, residual_norm, v_ra_matrix, weyl_pair
+from .operators import fourier_matrix, residual_norm, unitary_defect, v_ra_matrix, weyl_pair
 from .phases import tau_powers
 
 # bases per stacked left operand in pairwise_deviations
@@ -35,7 +35,7 @@ class OrthonormalBasis:
     vectors: np.ndarray  # d x d, columns are the basis vectors
 
     def gram_defect(self) -> float:
-        return residual_norm([self.vectors.conj().T @ self.vectors - np.eye(self.d)])
+        return unitary_defect(self.vectors)
 
 
 def basis_exponent_table(d: int, a: int) -> np.ndarray:

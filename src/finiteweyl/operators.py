@@ -11,10 +11,12 @@ stored by its exact phase exponent and the two powers; its matrix has one
 nonzero entry per column, namely tau^(t+2ck) at row (k-b) mod d.  Products,
 adjoints, traces and determinants of monomials are computed in integer
 arithmetic; `monomial_mul_array` evaluates the product law on int arrays
-of (t, shift, clock) rows.  Every exact phase, the entries of the Fourier
-matrix included, goes through `phases.tau_powers` or
-`PhaseExponent.to_complex`; only phases with real parameters (v_ra for
-real r and a, the ladder matrices) are formed here directly.
+of (t, shift, clock) rows, and `trace_gram` is the one form of the trace
+pairings Tr(u^dagger v), of monomials and tensor monomials alike.  Every
+exact phase, the entries of the Fourier matrix included, goes through
+`phases.tau_powers` or `PhaseExponent.to_complex`; only phases with real
+parameters (v_ra for real r and a, the ladder matrices) are formed here
+directly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,11 +147,6 @@ def weyl_pair(d: int) -> tuple[MonomialOperator, MonomialOperator]:
     return x, z
 
 
-def w_abc_trace_pairing(u: MonomialOperator, v: MonomialOperator) -> complex:
-    """Tr(u^dagger v); equals q^(a'-a) d when powers match, else 0."""
-    return monomial_mul(u.adjoint(), v).trace()
-
-
 def v_ra_matrix(d: int, r: float = 0.0, a: float = 0.0) -> np.ndarray:
     """Weighted cyclic shift: superdiagonal q^(ka), corner exp(2*pi*i*j*r).
 
@@ -245,6 +242,18 @@ def t_operator(d: int, m1: int, m2: int, ordering: str = "zv") -> np.ndarray:
     zm = np.linalg.matrix_power(z, m2)
     scalar = PhaseExponent(m1 * m2, d).to_complex()
     return scalar * (vm @ zm) if ordering == "vz" else scalar * (zm @ vm)
+
+
+def trace_gram(operators: Sequence) -> np.ndarray:
+    """The complex matrix of Tr(u^dagger v) over every pair of `operators`.
+
+    Exact pairings of monomials: any operators with `adjoint`, `@` and an
+    exact `trace` will do, `MonomialOperator` and `basis.TensorMonomial`
+    alike.  For w(a, b, c) and w(a', b', c') the entry is q^(a'-a) d when
+    the powers match, else 0.
+    """
+    adjoints = [u.adjoint() for u in operators]
+    return np.array([[(u @ v).trace() for v in operators] for u in adjoints])
 
 
 def residual_norm(residuals: Iterable[np.ndarray | complex]) -> float:

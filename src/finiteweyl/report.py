@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 # the default of `--tolerance` and of the suites that take a tolerance
@@ -33,6 +34,9 @@ class VerificationReport:
         tolerance: float,
         elapsed: float = 0.0,
     ) -> Check:
+        """Record one check; a NaN deviation is an error that names the check."""
+        if math.isnan(max_deviation):
+            raise ValueError(f"{self.suite}.{name}: deviation is NaN")
         check = Check(
             name=name,
             passed=max_deviation <= tolerance,

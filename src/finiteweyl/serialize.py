@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .basis import CartanPartition, CommutatorTable, format_index, validate_cartan_partition
+from .basis import CartanPartition, CommutatorTable, validate_cartan_partition
 from .mub import HadamardMatrix, basis_exponent_table, hadamard_h_a
 from .operators import MonomialOperator
 from .phases import PhaseExponent
@@ -224,7 +224,15 @@ def _label_from(label: str, moduli: tuple[int, ...]) -> tuple[int, ...]:
     return idx
 
 
+def format_index(idx: tuple, moduli: tuple[int, ...]) -> str:
+    """Digit string "(ab)" / "(a1b1a2b2)"; commas once any modulus passes 10."""
+    if all(m <= 10 for m in moduli):
+        return "(" + "".join(str(x) for x in idx) + ")"
+    return "(" + ",".join(str(x) for x in idx) + ")"
+
+
 def parse_index(label: str) -> tuple[int, ...]:
+    """The inverse of `format_index`."""
     body = label.strip("()")
     if "," in body:
         return tuple(int(x) for x in body.split(","))

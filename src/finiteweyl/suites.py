@@ -15,12 +15,14 @@ samples are indices drawn with `rng.randrange`, the call `rng.choice`
 makes, so they are the elements the scalar loops drew, in the same order,
 from the one shared generator; a failing check may stop drawing at a
 different point than the scalar loop did.  Normality of the named
-subgroups stays on the scalar `pd_conjugate`.  The Weyl suite's
-sine-bracket checks build each t-operator they use once per check.
+subgroups stays on the scalar `pd_conjugate`.  The hw suite's pair laws
+run through `on_pairs`, the two sine-bracket checks through `brackets`
+(each t-operator built once per check), and every trace pairing through
+`operators.trace_gram`.
 
-Every float recheck reports `operators.residual_norm` of the residuals it
-forms, the largest |entry| over all of them, which is NaN (and fails the
-check) when any entry is NaN.
+Every float recheck reports `operators.residual_norm` of its residuals,
+the largest |entry| over all of them; one NaN entry makes it NaN, which
+`VerificationReport.add` rejects with the name of the check.
 
 One check is a verdict on a claim that is false in general and fails by
 design when exercised in the failing regime: the class-count formula
@@ -34,8 +36,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import product
-from typing import Callable
+from itertools import combinations, product
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -76,39 +78,28 @@ def suite_hw() -> VerificationReport:
     grid = _dyadic_grid()
     pairs = hw_mod.random_dyadic_elements(200, seed=11)
 
+    def on_pairs(law: Callable[..., bool]) -> Callable[[], bool]:
+        # the law on the 100 sampled pairs (g, h), up to the first pair that breaks it
+        return lambda: all(law(g, h) for g, h in zip(pairs[:100], pairs[100:]))
+
     def composed_laws() -> bool:
         ident = hw_mod.HW_IDENTITY
-        for g in grid:
-            if g.compose(g.inverse()) != ident or ident.compose(g) != g:
-                return False
-        return True
+        return all(g.compose(g.inverse()) == ident and ident.compose(g) == g for g in grid)
 
     _run(report, "identity_and_inverse", 0.0, composed_laws)
 
-    def commutator_closed() -> bool:
-        for g, h in zip(pairs[:100], pairs[100:]):
-            if hw_mod.hw_commutator(g, h) != hw_mod.hw_commutator_closed(g, h):
-                return False
-        return True
+    def commutator_closed(g: hw_mod.HWElement, h: hw_mod.HWElement) -> bool:
+        return hw_mod.hw_commutator(g, h) == hw_mod.hw_commutator_closed(g, h)
 
-    _run(report, "commutator_closed_form", 0.0, commutator_closed)
+    def commute_iff(g: hw_mod.HWElement, h: hw_mod.HWElement) -> bool:
+        return (g.compose(h) == h.compose(g)) == hw_mod.hw_commutes(g, h)
 
-    def commute_iff() -> bool:
-        for g, h in zip(pairs[:100], pairs[100:]):
-            same = g.compose(h) == h.compose(g)
-            if same != hw_mod.hw_commutes(g, h):
-                return False
-        return True
+    def conjugation_closed(g: hw_mod.HWElement, h: hw_mod.HWElement) -> bool:
+        return hw_mod.hw_conjugate(g, h) == hw_mod.hw_conjugate_closed(g, h)
 
-    _run(report, "commute_iff_cross_term_vanishes", 0.0, commute_iff)
-
-    def conjugation_closed() -> bool:
-        for g, h in zip(pairs[:100], pairs[100:]):
-            if hw_mod.hw_conjugate(g, h) != hw_mod.hw_conjugate_closed(g, h):
-                return False
-        return True
-
-    _run(report, "conjugation_closed_form", 0.0, conjugation_closed)
+    _run(report, "commutator_closed_form", 0.0, on_pairs(commutator_closed))
+    _run(report, "commute_iff_cross_term_vanishes", 0.0, on_pairs(commute_iff))
+    _run(report, "conjugation_closed_form", 0.0, on_pairs(conjugation_closed))
 
     def associativity() -> bool:
         rng = random.Random(5)
@@ -120,27 +111,18 @@ def suite_hw() -> VerificationReport:
 
     _run(report, "associativity", 0.0, associativity)
 
-    def matrix_law() -> bool:
-        for g, h in zip(pairs[:100], pairs[100:]):
-            lhs = hw_mod.hw_matrix(g) @ hw_mod.hw_matrix(h)
-            rhs = hw_mod.hw_matrix(hw_mod.hw_matrix_law(g, h))
-            if not np.array_equal(lhs, rhs):
-                return False
-        return True
+    def matrix_law(g: hw_mod.HWElement, h: hw_mod.HWElement) -> bool:
+        lhs = hw_mod.hw_matrix(g) @ hw_mod.hw_matrix(h)
+        return np.array_equal(lhs, hw_mod.hw_matrix(hw_mod.hw_matrix_law(g, h)))
 
-    _run(report, "matrix_composition_law", 0.0, matrix_law)
+    _run(report, "matrix_composition_law", 0.0, on_pairs(matrix_law))
 
-    def bijection_homomorphism() -> bool:
-        for g, h in zip(pairs[:100], pairs[100:]):
-            lhs = hw_mod.hw_matrix(hw_mod.hw_to_matrix_params(g)) @ hw_mod.hw_matrix(
-                hw_mod.hw_to_matrix_params(h)
-            )
-            rhs = hw_mod.hw_matrix(hw_mod.hw_to_matrix_params(g.compose(h)))
-            if not np.array_equal(lhs, rhs):
-                return False
-        return True
+    def isomorphism(g: hw_mod.HWElement, h: hw_mod.HWElement) -> bool:
+        model = hw_mod.hw_to_matrix_params
+        lhs = hw_mod.hw_matrix(model(g)) @ hw_mod.hw_matrix(model(h))
+        return np.array_equal(lhs, hw_mod.hw_matrix(model(g.compose(h))))
 
-    _run(report, "matrix_model_isomorphism", 0.0, bijection_homomorphism)
+    _run(report, "matrix_model_isomorphism", 0.0, on_pairs(isomorphism))
 
     _run(report, "lie_brackets", 0.0, lambda: hw_mod.hw_lie_check()["overall"])
 
@@ -153,11 +135,7 @@ def suite_hw() -> VerificationReport:
     _run(report, "exponential_matches_series", 1e-10, exp_series)
 
     def ambivalence() -> bool:
-        for g in grid:
-            expected = (g.y, g.z) == (0.0, 0.0) and g.x == 0.0
-            if hw_mod.hw_class_is_ambivalent(g) != expected:
-                return False
-        return True
+        return all(hw_mod.hw_class_is_ambivalent(g) == (g == hw_mod.HW_IDENTITY) for g in grid)
 
     _run(report, "only_identity_class_ambivalent", 0.0, ambivalence)
     return report
@@ -302,13 +280,7 @@ def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> Verifi
     _run(report, "monomial_representations_are_homomorphisms", 0.0, irreps)
 
     def irrep_norms() -> bool:
-        for k in range(1, d):
-            norm = group_mod.irrep_character_norm(k, d)
-            if norm != math.gcd(k, d):
-                return False
-            if math.gcd(k, d) == 1 and norm != 1:
-                return False
-        return True
+        return all(group_mod.irrep_character_norm(k, d) == math.gcd(k, d) for k in range(1, d))
 
     _run(report, "character_norms_count_components", 0.0, irrep_norms)
 
@@ -424,13 +396,10 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
     _run(report, "vra_eigenvectors", 1e-10, vra_eigensystem)
 
     def vra_spectrum_nondegenerate() -> bool:
-        for r in (0, 1):
-            for a in range(d):
-                values = [op_mod.v_ra_eigenvalue(d, r, a, alpha) for alpha in range(d)]
-                for i in range(d):
-                    for j in range(i + 1, d):
-                        if abs(values[i] - values[j]) < 1e-9:
-                            return False
+        for r, a in product((0, 1), range(d)):
+            values = [op_mod.v_ra_eigenvalue(d, r, a, alpha) for alpha in range(d)]
+            if any(abs(u - v) < 1e-9 for u, v in combinations(values, 2)):
+                return False
         return True
 
     _run(report, "vra_spectrum_nondegenerate", 0.0, vra_spectrum_nondegenerate)
@@ -465,32 +434,23 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
 
     _su2_checks(report, d, tolerance)
 
-    def t_operators(ordering: str) -> dict[tuple[int, int], np.ndarray]:
-        # every t-operator the sine checks use: digits 1..3 and their sums
-        return {
-            (m1, m2): op_mod.t_operator(d, m1, m2, ordering)
-            for m1, m2 in product(range(1, 7), repeat=2)
-        }
+    def brackets(ordering: str) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+        # [t_m, t_n], t_(m+n) and m x n for the digits 1..3, each t-operator built once
+        t = {mn: op_mod.t_operator(d, *mn, ordering) for mn in product(range(1, 7), repeat=2)}
+        for m1, m2, n1, n2 in product(range(1, 4), repeat=4):
+            tm, tn = t[m1, m2], t[n1, n2]
+            yield tm @ tn - tn @ tm, t[m1 + n1, m2 + n2], m1 * n2 - m2 * n1
 
     def sine_bracket_zv() -> float:
-        def residuals():
-            t = t_operators("zv")
-            for m1, m2, n1, n2 in product(range(1, 4), repeat=4):
-                tm, tn, tmn = t[m1, m2], t[n1, n2], t[m1 + n1, m2 + n2]
-                wedge = m1 * n2 - m2 * n1
-                yield tm @ tn - tn @ tm - 2j * math.sin(math.pi * wedge / d) * tmn
-
-        return op_mod.residual_norm(residuals())
+        return op_mod.residual_norm(
+            comm - 2j * math.sin(math.pi * wedge / d) * tmn for comm, tmn, wedge in brackets("zv")
+        )
 
     _run(report, "sine_bracket_clock_first", tolerance, sine_bracket_zv)
 
     def sine_bracket_vz_modulus() -> float:
         def residuals():
-            t = t_operators("vz")
-            for m1, m2, n1, n2 in product(range(1, 4), repeat=4):
-                tm, tn, tmn = t[m1, m2], t[n1, n2], t[m1 + n1, m2 + n2]
-                comm = tm @ tn - tn @ tm
-                wedge = m1 * n2 - m2 * n1
+            for comm, tmn, wedge in brackets("vz"):
                 target = 2 * abs(math.sin(math.pi * wedge / d))
                 if target < 1e-12:
                     yield comm
@@ -505,18 +465,15 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
     _run(report, "sine_bracket_printed_order_modulus", tolerance, sine_bracket_vz_modulus)
 
     def trace_pairing() -> bool:
-        for a, b, c, a2, b2, c2 in product(range(min(d, 3)), repeat=6):
-            u = op_mod.MonomialOperator.w(d, a, b, c)
-            v = op_mod.MonomialOperator.w(d, a2, b2, c2)
-            got = op_mod.w_abc_trace_pairing(u, v)
-            expected = (
-                d * op_mod.PhaseExponent.q_power(a2 - a, d).to_complex()
-                if (b, c) == (b2, c2)
-                else 0j
-            )
-            if abs(got - expected) > 1e-12:
-                return False
-        return True
+        # Tr(w(a, b, c)^dagger w(a', b', c')) = d q^(a'-a) when the powers match, else 0
+        triples = list(product(range(min(d, 3)), repeat=3))
+        gram = op_mod.trace_gram([op_mod.MonomialOperator.w(d, *abc) for abc in triples])
+        q_power = op_mod.PhaseExponent.q_power
+        expected = [
+            [d * q_power(v[0] - u[0], d).to_complex() if u[1:] == v[1:] else 0j for v in triples]
+            for u in triples
+        ]
+        return op_mod.residual_norm([gram - np.array(expected)]) <= 1e-12
 
     _run(report, "w_trace_pairing", 0.0, trace_pairing)
     return report
@@ -597,12 +554,10 @@ def suite_mub(d: int = 3, tolerance: float = DEFAULT_TOLERANCE) -> VerificationR
     _run(report, "hadamard_identities", tolerance, hadamard_identities)
 
     def hadamard_columns() -> bool:
-        for a in range(d):
-            h = mub_mod.hadamard_h_a(d, a)
-            table = mub_mod.basis_exponent_table(d, a)
-            if not np.array_equal(h.exponents, table):
-                return False
-        return True
+        return all(
+            np.array_equal(mub_mod.hadamard_h_a(d, a).exponents, mub_mod.basis_exponent_table(d, a))
+            for a in range(d)
+        )
 
     _run(report, "hadamard_columns_share_basis_exponents", 0.0, hadamard_columns)
     _run(
@@ -764,19 +719,11 @@ def suite_basis(
         _run(report, "tensor_partition_found_and_valid", 0.0, tensor_partition)
 
         def tensor_traces() -> bool:
+            # twelve distinct labels and the identity: Tr(u^dagger v) = p^e delta
             dims = (p,) * e
-            labels = basis_mod.tensor_indices(dims)[:12] + [
-                tuple(0 for _ in range(2 * e))
-            ]
-            for u_idx in labels:
-                for v_idx in labels:
-                    u = basis_mod.tensor_pauli(dims, u_idx)
-                    v = basis_mod.tensor_pauli(dims, v_idx)
-                    got = basis_mod.tensor_trace_pairing(u, v)
-                    expected = float(math.prod(dims)) if u_idx == v_idx else 0.0
-                    if abs(got - expected) > 1e-12:
-                        return False
-            return True
+            labels = basis_mod.tensor_indices(dims)[:12] + [(0,) * (2 * e)]
+            gram = op_mod.trace_gram([basis_mod.tensor_pauli(dims, idx) for idx in labels])
+            return op_mod.residual_norm([gram - p**e * np.eye(len(labels))]) <= 1e-12
 
         _run(report, "tensor_trace_pairing", 0.0, tensor_traces)
 

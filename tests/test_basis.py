@@ -20,7 +20,6 @@ from finiteweyl.basis import (
     commutator_coefficient_exponents,
     commutator_table,
     commuting_class_search,
-    format_index,
     hs_orthogonality,
     indices_commute,
     partition_dense_commutation_defect,
@@ -32,13 +31,12 @@ from finiteweyl.basis import (
     tensor_indices,
     tensor_indices_commute,
     tensor_pauli,
-    tensor_trace_pairing,
     u_ab,
     validate_cartan_partition,
 )
 from finiteweyl.limits import MUB_PRIME_CAP, SEARCH_CAP, is_prime
 from finiteweyl.mub import OrthonormalBasis, pairwise_deviations
-from finiteweyl.operators import MonomialOperator
+from finiteweyl.operators import MonomialOperator, trace_gram
 from finiteweyl.search import find_commuting_partition, greedy_commuting_classes
 
 
@@ -477,17 +475,14 @@ def test_dense_recheck_reads_zero_for_classes_without_pairs():
     assert partition_dense_commutation_defect(mixed) > 1e-12
 
 
-def test_tensor_trace_pairing():
+def test_tensor_trace_gram():
     for dims in ((2, 2), (2, 3), (3, 3)):
         labels = tensor_indices(dims)[:10]
+        gram = trace_gram([tensor_pauli(dims, idx) for idx in labels])
         total = math.prod(dims)
-        for u_idx in labels:
-            for v_idx in labels:
-                got = tensor_trace_pairing(
-                    tensor_pauli(dims, u_idx), tensor_pauli(dims, v_idx)
-                )
-                expected = complex(total) if u_idx == v_idx else 0j
-                assert abs(got - expected) < 1e-12
+        for (i, u_idx), (j, v_idx) in product(enumerate(labels), repeat=2):
+            expected = complex(total) if u_idx == v_idx else 0j
+            assert abs(gram[i, j] - expected) < 1e-12
 
 
 def test_tensor_trace_equals_product_of_factor_traces():
@@ -499,7 +494,7 @@ def test_tensor_trace_equals_product_of_factor_traces():
             u = tensor_pauli(dims, u_idx)
             v = tensor_pauli(dims, v_idx)
             dense = complex(np.trace(kron_matrix(u.adjoint()) @ kron_matrix(v)))
-            assert abs(tensor_trace_pairing(u, v) - dense) < 1e-10
+            assert abs(trace_gram([u, v])[0, 1] - dense) < 1e-10
 
 
 @st.composite
@@ -678,12 +673,6 @@ def test_joint_eigenbases_of_classes_are_unbiased():
             _, vectors = np.linalg.eig(generator)
             bases.append(OrthonormalBasis(d=p, label=str(cls[0]), vectors=vectors))
         assert max(pairwise_deviations(bases).values()) < 1e-9
-
-
-def test_format_index():
-    assert format_index((1, 2), (7, 7)) == "(12)"
-    assert format_index((1, 0, 1, 1), (2, 2, 2, 2)) == "(1011)"
-    assert format_index((1, 11), (12, 12)) == "(1,11)"
 
 
 def test_determinants_special_unitary_odd():

@@ -530,7 +530,7 @@ def test_a_nan_residual_fails_its_float_recheck(capsys, monkeypatch):
     assert run_cli(capsys, "verify", "weyl", "--d", "3") == (
         2,
         "",
-        "error: Out of range float values are not JSON compliant: nan\n",
+        "error: weyl.vra_eigenvectors: deviation is NaN\n",
     )
 
 

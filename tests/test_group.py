@@ -80,6 +80,18 @@ def test_euler_decomposition():
             assert built == PdElement(a, b, c, d)
 
 
+def test_element_fields_are_integers():
+    with pytest.raises(TypeError):
+        PdElement(1.5, 0, 0, 3)
+    for fields in [(0, 2.0, 0, 3), (0, 0, 1.0, 3), (0, 0, 0, 3.0), ("1", 0, 0, 3)]:
+        with pytest.raises(TypeError):
+            PdElement(*fields)
+    g = PdElement(np.int64(4), np.int32(-1), np.uint8(2), np.int64(3))
+    assert g == PdElement(1, 2, 2, 3)
+    assert all(type(x) is int for x in (g.a, g.b, g.c, g.d))
+    assert PdElement(True, False, True, 2).key() == (1, 0, 1)
+
+
 def test_modulus_mismatch():
     with pytest.raises(ValueError):
         PdElement(0, 0, 0, 2).compose(PdElement(0, 0, 0, 3))

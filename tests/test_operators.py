@@ -22,11 +22,11 @@ from finiteweyl.operators import (
     polar_su2_ops,
     residual_norm,
     t_operator,
+    trace_gram,
     unitary_defect,
     v_ra_eigenvalue,
     v_ra_eigenvector,
     v_ra_matrix,
-    w_abc_trace_pairing,
     weyl_pair,
 )
 from finiteweyl.phases import PhaseExponent, tau_powers
@@ -232,27 +232,39 @@ def test_monomial_dimension_mismatch():
         monomial_mul(MonomialOperator.identity(2), MonomialOperator.identity(3))
 
 
-def test_trace_pairing():
+def test_trace_gram():
     x, z = weyl_pair(2)
-    assert w_abc_trace_pairing(x, z) == 0j
-    got = w_abc_trace_pairing(MonomialOperator.w(3, 0, 0, 0), MonomialOperator.w(3, 1, 0, 0))
+    assert trace_gram([x, z])[0, 1] == 0j
+    got = trace_gram([MonomialOperator.w(3, 0, 0, 0), MonomialOperator.w(3, 1, 0, 0)])[0, 1]
     assert abs(got - 3 * cmath.exp(2j * cmath.pi / 3)) < 1e-15
     rng = random.Random(47)
     for d in (2, 3, 4, 7):
-        for _ in range(100):
-            u = random_monomial(rng, d)
-            assert w_abc_trace_pairing(u, u) == d + 0j
+        monomials = [random_monomial(rng, d) for _ in range(100)]
+        gram = trace_gram(monomials)
+        assert gram.shape == (100, 100) and gram.dtype == complex
+        assert (np.diagonal(gram) == d + 0j).all()
     # full closed form on a small exhaustive grid
     for d in (2, 3):
-        for a, b, c, a2, b2, c2 in product(range(d), repeat=6):
-            got = w_abc_trace_pairing(
-                MonomialOperator.w(d, a, b, c), MonomialOperator.w(d, a2, b2, c2)
-            )
+        triples = list(product(range(d), repeat=3))
+        gram = trace_gram([MonomialOperator.w(d, *abc) for abc in triples])
+        for (i, (a, b, c)), (j, (a2, b2, c2)) in product(enumerate(triples), repeat=2):
             if (b, c) == (b2, c2):
                 expected = d * PhaseExponent.q_power(a2 - a, d).to_complex()
             else:
                 expected = 0j
-            assert abs(got - expected) < 1e-12
+            assert abs(gram[i, j] - expected) < 1e-12
+
+
+def test_trace_gram_entries_are_the_pairwise_traces():
+    # entry [i, j] is Tr(u_i^dagger u_j), the product taken in that order
+    rng = random.Random(53)
+    for d in (2, 5, 6):
+        monomials = [random_monomial(rng, d) for _ in range(12)]
+        gram = trace_gram(monomials)
+        for (i, u), (j, v) in product(enumerate(monomials), repeat=2):
+            assert gram[i, j] == monomial_mul(u.adjoint(), v).trace()
+            dense = np.trace(u.to_matrix().conj().T @ v.to_matrix())
+            assert abs(gram[i, j] - dense) < 1e-10
 
 
 def test_monomial_determinant():

@@ -19,6 +19,7 @@ from finiteweyl.operators import MonomialOperator, weyl_pair
 from finiteweyl.phases import PhaseExponent
 from finiteweyl.serialize import (
     export,
+    format_index,
     import_exact,
     json_chunks,
     json_dumps,
@@ -95,6 +96,12 @@ def test_csv_format():
 def test_csv_seventeen_digits():
     mat = np.array([[1 / 3 + 0j]])
     assert matrix_to_csv(mat) == "0.33333333333333331,0\n"
+
+
+def test_format_index():
+    assert format_index((1, 2), (7, 7)) == "(12)"
+    assert format_index((1, 0, 1, 1), (2, 2, 2, 2)) == "(1011)"
+    assert format_index((1, 11), (12, 12)) == "(1,11)"
 
 
 def test_parse_index():

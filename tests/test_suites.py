@@ -5,6 +5,7 @@ import pytest
 
 from finiteweyl import suites
 from finiteweyl.operators import MonomialOperator
+from finiteweyl.report import VerificationReport
 from finiteweyl.suites import (
     run_suite,
     suite_basis,
@@ -112,6 +113,50 @@ def test_weyl_suite(d):
 def test_su2_subset(d):
     report = suite_su2(d)
     assert report.overall and len(report.checks) == 2
+
+
+def test_weyl_suite_builds_each_t_operator_once_per_sine_check(monkeypatch):
+    t_operator, orderings = suites.op_mod.t_operator, []
+
+    def counting(d, m1, m2, ordering="zv"):
+        orderings.append(ordering)
+        return t_operator(d, m1, m2, ordering)
+
+    monkeypatch.setattr(suites.op_mod, "t_operator", counting)
+    report = suite_weyl(3)
+    assert report.overall, failing_names(report)
+    # digits 1..3 and their sums: 6 x 6 operators for each ordering
+    assert orderings == ["zv"] * 36 + ["vz"] * 36
+
+
+@pytest.mark.parametrize(
+    "suite, check",
+    [
+        (lambda: suite_weyl(3), "w_trace_pairing"),
+        (lambda: suite_basis(4, tensor=(2, 2)), "tensor_trace_pairing"),
+        (lambda: suite_basis(4, tensor=(2, 2)), "two_qubit_spread"),
+    ],
+)
+def test_a_nan_trace_pairing_fails_its_gram_check(monkeypatch, suite, check):
+    trace_gram = suites.op_mod.trace_gram
+
+    def poisoned(operators):
+        gram = trace_gram(operators)
+        gram[1, 0] = complex(np.nan, 0.0)
+        return gram
+
+    monkeypatch.setattr(suites.op_mod, "trace_gram", poisoned)
+    monkeypatch.setattr(suites.basis_mod, "trace_gram", poisoned)
+    assert check in failing_names(suite())
+
+
+def test_report_rejects_a_nan_deviation_by_name():
+    report = VerificationReport("weyl")
+    with pytest.raises(ValueError, match=r"^weyl\.vra_eigenvectors: deviation is NaN$"):
+        report.add("vra_eigenvectors", float("nan"), 1e-10)
+    assert report.checks == []
+    # a NaN tolerance is left to the JSON encoder, which rejects it by its own message
+    assert not report.add("bases_orthonormal", 0.0, float("nan")).passed
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
