@@ -159,10 +159,13 @@ class CartanPartition:
     def class_count(self) -> int:
         return len(self.classes)
 
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """The factor dimensions: `tensor_dims`, or (dimension,) for one qudit."""
+        return self.tensor_dims or (self.dimension,)
+
     def label_moduli(self) -> tuple[int, ...]:
-        if self.tensor_dims is None:
-            return (self.dimension, self.dimension)
-        return tuple(x for p in self.tensor_dims for x in (p, p))
+        return tuple(x for p in self.dims for x in (p, p))
 
 
 def cartan_partition_prime(p: int) -> CartanPartition:
@@ -202,7 +205,7 @@ def validate_cartan_partition(partition: CartanPartition) -> bool:
 
     A complete partition also needs d + 1 classes of d - 1 labels.
     """
-    dims = partition.tensor_dims or (partition.dimension,)
+    dims = partition.dims
     classes = partition.classes
     # sizes first: the d^2 - 1 labels are listed only for classes that hold as many
     if partition.complete and (
@@ -383,7 +386,7 @@ def partition_dense_commutation_defect(partition: CartanPartition) -> float:
     One row of a class at a time: mats[i] against every later member.  A
     class with fewer than two members has no commutator and adds nothing.
     """
-    dims = partition.tensor_dims or (partition.dimension,)
+    dims = partition.dims
 
     def commutators():
         for cls in partition.classes:

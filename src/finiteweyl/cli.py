@@ -139,7 +139,7 @@ def cmd_mub(args: argparse.Namespace) -> int:
     # the payload is rebuilt from p and the labels, so the dense vectors go first
     del bases
     _write(export_mub_family(p, labels, deviations, args.tolerance))
-    worst = max(deviations.values())
+    worst = float(deviations.max())
     print(
         f"mub family p={p}: max deviation {worst:.3e} (tolerance {args.tolerance:.1e})",
         file=sys.stderr,

@@ -7,10 +7,11 @@ complete family of d+1 mutually unbiased bases; for arbitrary d the triple
 {a=0, a=1, computational} is still mutually unbiased.  Unbiasedness is
 always measured, never assumed: `unbiasedness` takes one pair of bases,
 and `pairwise_deviations` measures every pair of a family the same way,
-each as its own dense float product B_i^H B_j, but made in blocks of
-UNBIASEDNESS_BLOCK bases per GEMM.  It does not use the fact that the
-overlaps of two eigenbases depend only on the difference of their labels,
-so it stays an independent float recheck of that structure.
+into one symmetric matrix, each as its own dense float product B_i^H B_j,
+but made in blocks of UNBIASEDNESS_BLOCK bases per GEMM.  It does not use
+the fact that the overlaps of two eigenbases depend only on the difference
+of their labels, so it stays an independent float recheck of that
+structure.
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ def basis_exponent_table(d: int, a: int) -> np.ndarray:
 
 
 def basis_b0a(d: int, a: int) -> OrthonormalBasis:
-    """Eigenbasis of X Z^a, built from the exact exponent table."""
-    if not 0 <= a <= d - 1:
-        raise ValueError(f"a must lie in 0..{d - 1}, got {a}")
-    vectors = tau_powers(basis_exponent_table(d, a), d) / math.sqrt(d)
+    """Eigenbasis of X Z^a: the columns of H_a / sqrt(d)."""
+    vectors = hadamard_h_a(d, a).to_matrix() / math.sqrt(d)
     return OrthonormalBasis(d=d, label=str(a), vectors=vectors)
 
 
@@ -132,19 +131,20 @@ def mub_family(p: int) -> list[OrthonormalBasis]:
     return [basis_b0a(p, a) for a in range(p)] + [computational_basis(p)]
 
 
-def pairwise_deviations(bases: list[OrthonormalBasis]) -> dict[tuple[int, int], float]:
-    """`unbiasedness(bases[i], bases[j])` for every pair i < j, in row-major order.
+def pairwise_deviations(bases: list[OrthonormalBasis]) -> np.ndarray:
+    """Symmetric (n, n) matrix of `unbiasedness(bases[i], bases[j])`, 0 on the diagonal.
 
     Each pair is still one dense product B_i^H B_j, but the products are
     made in blocks: the conjugate transposes of UNBIASEDNESS_BLOCK
     consecutive bases are stacked once into a (block d) x d matrix, which
     multiplies each later basis in one GEMM.  Row slice i of that product
-    is B_i^H B_j.
+    is B_i^H B_j, entry (i, j) for i < j; the lower triangle mirrors it.
     """
     n = len(bases)
     if any(b.d != bases[0].d for b in bases):
         raise ValueError("dimension mismatch in the family")
-    table = np.full((n, n), np.nan)  # a pair the blocks missed would stay NaN
+    table = np.full((n, n), np.nan)  # a pair the blocks missed stays NaN
+    np.fill_diagonal(table, 0.0)
     for start in range(0, n - 1, UNBIASEDNESS_BLOCK):
         stop = min(start + UNBIASEDNESS_BLOCK, n - 1)
         d = bases[start].d
@@ -155,8 +155,9 @@ def pairwise_deviations(bases: list[OrthonormalBasis]) -> dict[tuple[int, int], 
             overlaps -= 1.0 / math.sqrt(d)
             np.abs(overlaps, out=overlaps)
             table[start : start + rows, j] = overlaps.reshape(rows, -1).max(axis=1)
-    values = table.tolist()
-    return {(i, j): values[i][j] for i in range(n) for j in range(i + 1, n)}
+    lower = np.tril_indices(n, -1)
+    table[lower] = table.T[lower]
+    return table
 
 
 def minimal_triple(d: int) -> list[OrthonormalBasis]:

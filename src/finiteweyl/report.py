@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 # the default of `--tolerance` and of the suites that take a tolerance
 DEFAULT_TOLERANCE = 1e-9
@@ -48,16 +48,8 @@ class VerificationReport:
         return check
 
     def extend(self, other: "VerificationReport") -> None:
-        for check in other.checks:
-            self.checks.append(
-                Check(
-                    name=f"{other.suite}.{check.name}",
-                    passed=check.passed,
-                    max_deviation=check.max_deviation,
-                    tolerance=check.tolerance,
-                    elapsed=check.elapsed,
-                )
-            )
+        """Append the checks of `other`, each name prefixed with its suite."""
+        self.checks.extend(replace(c, name=f"{other.suite}.{c.name}") for c in other.checks)
 
     def summary_lines(self) -> list[str]:
         lines = []

@@ -218,7 +218,10 @@ def _partition_from(payload: dict) -> CartanPartition:
 
 
 def _label_from(label: str, moduli: tuple[int, ...]) -> tuple[int, ...]:
-    idx = parse_index(label)
+    try:
+        idx = parse_index(label)
+    except ValueError:
+        raise TypeError(f"label {label} is not a digit string") from None
     if len(idx) != len(moduli) or not all(0 <= x < m for x, m in zip(idx, moduli)):
         raise ValueError(f"partition label {label} does not fit moduli {moduli}")
     return idx
@@ -444,24 +447,21 @@ def _mub_basis(p: int, label: str) -> dict:
 
 
 def export_mub_family(
-    p: int, labels: list[str], deviations: dict, tolerance: float
+    p: int, labels: list[str], deviations: np.ndarray, tolerance: float
 ) -> Iterator[str]:
     """The family's exponent tables and the symmetric matrix of pairwise deviations.
 
     Every table is built before the first chunk; the chunks hold the text of
     one table at a time.
     """
-    matrix = np.zeros((len(labels), len(labels)))
-    for (i, j), value in deviations.items():
-        matrix[i, j] = matrix[j, i] = value
-    worst = max(deviations.values())
+    worst = float(deviations.max())
     return _json(
         {
             "type": "mub-family",
             "p": p,
             "basis_labels": labels,
             "bases": [_mub_basis(p, label) for label in labels],
-            "pairwise_deviation_matrix": matrix,
+            "pairwise_deviation_matrix": deviations,
             "max_deviation": worst,
             "tolerance": tolerance,
             "status": "pass" if worst <= tolerance else "fail",

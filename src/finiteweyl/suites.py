@@ -573,13 +573,13 @@ def suite_mub(d: int = 3, tolerance: float = DEFAULT_TOLERANCE) -> VerificationR
     else:
         bases = mub_mod.minimal_triple(d)
         prefix = "minimal_triple_unbiased"
+    pairs = list(combinations(range(len(bases)), 2))
     t0 = time.perf_counter()
     deviations = mub_mod.pairwise_deviations(bases)
-    elapsed = (time.perf_counter() - t0) / max(len(deviations), 1)
-    for (i, j), value in deviations.items():
-        report.add(
-            f"{prefix}_{bases[i].label}_{bases[j].label}", value, tolerance, elapsed
-        )
+    elapsed = (time.perf_counter() - t0) / max(len(pairs), 1)
+    for i, j in pairs:
+        name = f"{prefix}_{bases[i].label}_{bases[j].label}"
+        report.add(name, float(deviations[i, j]), tolerance, elapsed)
     return report
 
 
@@ -687,7 +687,7 @@ def suite_basis(
                     bases.append(
                         mub_mod.OrthonormalBasis(d=d, label=str(cls[0]), vectors=vectors)
                     )
-                return op_mod.residual_norm(mub_mod.pairwise_deviations(bases).values())
+                return op_mod.residual_norm([mub_mod.pairwise_deviations(bases)])
 
             _run(report, "class_eigenbases_mutually_unbiased", tolerance, joint_eigenbases)
     elif limits.searchable(d):

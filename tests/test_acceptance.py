@@ -156,11 +156,11 @@ def test_criterion_05_hadamard_relations():
 def test_criterion_06_mub_completeness():
     failures = []
     for p in (2, 3, 5, 7, 11, 13):
-        worst = max(pairwise_deviations(mub_family(p)).values())
+        worst = pairwise_deviations(mub_family(p)).max()
         if worst >= 1e-9:
             failures.append(f"p={p}: family deviation {worst:.3e}")
     for d in (4, 6, 8, 9, 10, 12):
-        worst = max(pairwise_deviations(minimal_triple(d)).values())
+        worst = pairwise_deviations(minimal_triple(d)).max()
         if worst >= 1e-9:
             failures.append(f"d={d}: triple deviation {worst:.3e}")
     conclude(6, "mub completeness", failures)

@@ -672,7 +672,7 @@ def test_joint_eigenbases_of_classes_are_unbiased():
             generator = u_ab(p, *cls[0]).to_matrix()
             _, vectors = np.linalg.eig(generator)
             bases.append(OrthonormalBasis(d=p, label=str(cls[0]), vectors=vectors))
-        assert max(pairwise_deviations(bases).values()) < 1e-9
+        assert pairwise_deviations(bases).max() < 1e-9
 
 
 def test_determinants_special_unitary_odd():

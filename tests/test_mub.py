@@ -141,13 +141,13 @@ def test_complete_families_prime():
         bases = mub_family(p)
         assert len(bases) == p + 1
         assert bases[-1].label == "computational"
-        worst = max(pairwise_deviations(bases).values())
+        worst = pairwise_deviations(bases).max()
         assert worst < 1e-9
 
 
 def test_larger_prime_family():
     bases = mub_family(31)
-    worst = max(pairwise_deviations(bases).values())
+    worst = pairwise_deviations(bases).max()
     assert worst < 1e-9
 
 
@@ -155,13 +155,19 @@ def test_composite_triples():
     for d in (4, 6, 8, 9, 10, 12):
         triple = minimal_triple(d)
         devs = pairwise_deviations(triple)
-        assert len(devs) == 3
-        assert max(devs.values()) < 1e-9
+        assert devs.shape == (3, 3)
+        assert devs.max() < 1e-9
 
 
 def per_pair_deviations(bases):
     n = len(bases)
     return {(i, j): unbiasedness(bases[i], bases[j]) for i in range(n) for j in range(i + 1, n)}
+
+
+def assert_symmetric_with_zero_diagonal(matrix, n):
+    assert matrix.shape == (n, n) and matrix.dtype == np.float64
+    assert np.array_equal(matrix, matrix.T)
+    assert not np.diagonal(matrix).any()
 
 
 @pytest.mark.parametrize(
@@ -175,8 +181,7 @@ def test_blocked_deviations_match_per_pair_form(build, d):
     bases = build(d)
     blocked = pairwise_deviations(bases)
     reference = per_pair_deviations(bases)
-    assert list(blocked) == list(reference)
-    assert all(type(value) is float for value in blocked.values())
+    assert_symmetric_with_zero_diagonal(blocked, len(bases))
     assert all(abs(blocked[pair] - reference[pair]) <= 1e-15 for pair in reference)
 
 
@@ -190,7 +195,7 @@ def test_blocked_deviations_match_per_pair_form_on_random_bases():
         bases.append(OrthonormalBasis(5, str(k), q))
     blocked = pairwise_deviations(bases)
     reference = per_pair_deviations(bases)
-    assert list(blocked) == list(reference)
+    assert_symmetric_with_zero_diagonal(blocked, len(bases))
     assert all(abs(blocked[pair] - reference[pair]) <= 1e-15 for pair in reference)
     assert len(set(reference.values())) == len(reference)
 
@@ -201,17 +206,28 @@ def test_blocked_deviations_flag_a_corrupted_vector_at_the_same_pairs():
     table = basis_exponent_table(p, corrupted)
     table[2, 4] += 1
     bases[corrupted] = OrthonormalBasis(p, str(corrupted), tau_powers(table, p) / math.sqrt(p))
-    flagged = {pair for pair, value in pairwise_deviations(bases).items() if value > 1e-3}
+    blocked = pairwise_deviations(bases)
+    assert_symmetric_with_zero_diagonal(blocked, p + 1)
+    flagged = {(int(i), int(j)) for i, j in np.argwhere(np.triu(blocked) > 1e-3)}
     expected = {pair for pair, value in per_pair_deviations(bases).items() if value > 1e-3}
     assert flagged == expected
     # as a later partner of the first block and as a row of the second
     assert (0, corrupted) in flagged and (corrupted, corrupted + 1) in flagged
 
 
+def test_a_nan_basis_reads_nan_in_both_triangles():
+    bases = minimal_triple(3)
+    bases[1].vectors[0, 0] = np.nan
+    deviations = pairwise_deviations(bases)
+    assert np.isnan(deviations[[0, 1, 1, 2], [1, 0, 2, 1]]).all()
+    assert deviations[0, 2] == deviations[2, 0] < 1e-9
+    assert not np.diagonal(deviations).any()
+
+
 def test_pairwise_deviations_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
         pairwise_deviations([computational_basis(2), computational_basis(3)])
-    assert pairwise_deviations([computational_basis(2)]) == {}
+    assert np.array_equal(pairwise_deviations([computational_basis(2)]), np.zeros((1, 1)))
 
 
 def test_qubit_family_structure():

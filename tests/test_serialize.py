@@ -165,6 +165,10 @@ def _document_with(obj, **fields) -> str:
             "partition document has a malformed field: 'int' object has no attribute",
         ),
         (_document_with(cartan_partition_prime(3), dimension="3"), "partition document has"),
+        (
+            _document_with(cartan_partition_prime(3), classes=[["(0x)"]]),
+            r"partition document has a malformed field: label \(0x\) is not a digit string",
+        ),
         (_document_with(PhaseExponent(1, 3), tau_denominator="6"), "phase document has"),
         (_document_with(cartan_partition_prime(3), classes=5), "partition document has"),
         (
