@@ -23,6 +23,11 @@ import sys
 from collections.abc import Iterable
 from typing import NoReturn
 
+# Set before numpy loads: a request's matrices are small or blocked by
+# `pairwise_deviations`, which spreads its blocks over the CPUs itself, so a
+# BLAS worker thread would only spin idle.  A value already set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__, limits
 from .basis import (
     cartan_partition_prime,

@@ -11,12 +11,16 @@ into one symmetric matrix, each as its own dense float product B_i^H B_j,
 but made in blocks of UNBIASEDNESS_BLOCK bases per GEMM.  It does not use
 the fact that the overlaps of two eigenbases depend only on the difference
 of their labels, so it stays an independent float recheck of that
-structure.
+structure.  The blocks run as tasks on a thread pool, one worker per
+usable CPU when BLAS is confined to one thread (OPENBLAS_NUM_THREADS=1, as
+the CLI sets it) and one worker otherwise, and a pair's deviation comes
+from the largest and smallest magnitude of its product alone.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,25 +143,57 @@ def pairwise_deviations(bases: list[OrthonormalBasis]) -> np.ndarray:
     consecutive bases are stacked once into a (block d) x d matrix, which
     multiplies each later basis in one GEMM.  Row slice i of that product
     is B_i^H B_j, entry (i, j) for i < j; the lower triangle mirrors it.
+
+    A block is one task on a thread pool and writes only its own rows of
+    the upper triangle.  The pool has one worker per usable CPU when
+    OPENBLAS_NUM_THREADS is "1" (the CLI's default), so the blocks, not
+    BLAS, use the cores; otherwise it has one worker, which leaves the
+    cores to a threaded BLAS.  Every GEMM has the same shape either way.
+    A pair's deviation is read off the largest and smallest magnitude of
+    its product, as max(hi - c, c - lo) with c = 1/sqrt(d): fl(x - c) is
+    monotone in x, so this is max |fl(|z| - c)| exactly.
     """
     n = len(bases)
     if any(b.d != bases[0].d for b in bases):
         raise ValueError("dimension mismatch in the family")
+    # loaded here: only the requests that measure a family pay for the import
+    from concurrent.futures import ThreadPoolExecutor
+
     table = np.full((n, n), np.nan)  # a pair the blocks missed stays NaN
     np.fill_diagonal(table, 0.0)
-    for start in range(0, n - 1, UNBIASEDNESS_BLOCK):
-        stop = min(start + UNBIASEDNESS_BLOCK, n - 1)
-        d = bases[start].d
-        left = np.concatenate([b.vectors.conj().T for b in bases[start:stop]])
-        for j in range(start + 1, n):
-            rows = min(j, stop) - start
-            overlaps = np.abs(left[: rows * d] @ bases[j].vectors)
-            overlaps -= 1.0 / math.sqrt(d)
-            np.abs(overlaps, out=overlaps)
-            table[start : start + rows, j] = overlaps.reshape(rows, -1).max(axis=1)
+    with ThreadPoolExecutor(_pool_workers()) as pool:
+        blocks = range(0, n - 1, UNBIASEDNESS_BLOCK)
+        for done in [pool.submit(_block_deviations, bases, start, table) for start in blocks]:
+            done.result()
     lower = np.tril_indices(n, -1)
     table[lower] = table.T[lower]
     return table
+
+
+def _pool_workers() -> int:
+    """Worker threads of `pairwise_deviations`: the CPUs when BLAS is confined to one thread."""
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_deviations(bases: list[OrthonormalBasis], start: int, table: np.ndarray) -> None:
+    """Rows start..stop-1 of the upper triangle of `pairwise_deviations`."""
+    n = len(bases)
+    stop = min(start + UNBIASEDNESS_BLOCK, n - 1)
+    d = bases[start].d
+    c = 1.0 / math.sqrt(d)
+    left = np.concatenate([b.vectors.conj().T for b in bases[start:stop]])
+    product = np.empty(left.shape, dtype=complex)
+    magnitudes = np.empty(left.shape)
+    for j in range(start + 1, n):
+        rows = min(j, stop) - start
+        np.matmul(left[: rows * d], bases[j].vectors, out=product[: rows * d])
+        mags = np.abs(product[: rows * d], out=magnitudes[: rows * d]).reshape(rows, -1)
+        hi, lo = mags.max(axis=1), mags.min(axis=1)
+        table[start : start + rows, j] = np.maximum(hi - c, c - lo)
 
 
 def minimal_triple(d: int) -> list[OrthonormalBasis]:

@@ -8,7 +8,8 @@ monomials, Hadamard exponent tables, partitions) serialize through integer
 tau exponents and read back bit-identically through `import_exact`, whose
 decoders sit next to their encoders; a Hadamard table must be the table of
 H_a for its d and a, a partition label must fit the dimension, a
-partition marked complete must pass `validate_cartan_partition`, and a
+partition marked complete must pass `validate_cartan_partition`, one that
+is not must have disjoint classes that commute within themselves, and a
 field of the wrong type is a ValueError that names the document type.  Dense
 matrices serialize as CSV rows of re,im pairs with 17 significant digits;
 non-finite entries are rejected.
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .basis import CartanPartition, CommutatorTable, validate_cartan_partition
+from .basis import CartanPartition, CommutatorTable, _classes_commute, validate_cartan_partition
 from .mub import HadamardMatrix, basis_exponent_table, hadamard_h_a
 from .operators import MonomialOperator
 from .phases import PhaseExponent
@@ -212,8 +213,13 @@ def _partition_from(payload: dict) -> CartanPartition:
         raise ValueError(f"tensor_dims {list(dims)} do not multiply to {partition.dimension}")
     moduli = partition.label_moduli()
     partition.classes = [[_label_from(text, moduli) for text in cls] for cls in payload["classes"]]
-    if partition.complete and not validate_cartan_partition(partition):
-        raise ValueError("partition document is marked complete but is not a Cartan partition")
+    if partition.complete:
+        if not validate_cartan_partition(partition):
+            raise ValueError("partition document is marked complete but is not a Cartan partition")
+        return partition
+    flat = [label for cls in partition.classes for label in cls]
+    if len(flat) != len(set(flat)) or not _classes_commute(partition.dims, partition.classes):
+        raise ValueError("partition document repeats a label or has a class that does not commute")
     return partition
 
 
@@ -235,10 +241,14 @@ def format_index(idx: tuple, moduli: tuple[int, ...]) -> str:
 
 
 def parse_index(label: str) -> tuple[int, ...]:
-    """The inverse of `format_index`."""
-    body = label.strip("()")
-    if "," in body:
-        return tuple(int(x) for x in body.split(","))
+    """The inverse of `format_index`: one pair of parentheses around ASCII
+    digits, one per entry or joined by single commas."""
+    body = label.removeprefix("(").removesuffix(")")
+    fields = body.split(",")
+    if len(body) + 2 != len(label) or not all(f.isascii() and f.isdigit() for f in fields):
+        raise ValueError(f"label {label} is not a digit string")
+    if len(fields) > 1:
+        return tuple(int(x) for x in fields)
     return tuple(int(ch) for ch in body)
 
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -598,6 +599,42 @@ def test_a_request_loads_only_the_modules_its_command_runs(argv, heavy):
     assert "finiteweyl.serialize" in loaded and loaded & _HEAVY == heavy
 
 
+def _with_blas_threads(value: str | None) -> dict:
+    """This process's environment with OPENBLAS_NUM_THREADS set to value, or unset."""
+    import os
+
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return env if value is None else {**env, "OPENBLAS_NUM_THREADS": value}
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
+def test_importing_the_cli_confines_blas_unless_the_user_chose(preset, seen):
+    import subprocess
+    import sys
+
+    code = "import finiteweyl.cli, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = _with_blas_threads(preset)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert (result.returncode, result.stdout) == (0, f"{seen}\n".encode())
+
+
+@pytest.mark.parametrize(
+    "command", ["mub family --p 31", "verify all --d 12", "basis partition --tensor 2,4"]
+)
+def test_stdout_does_not_depend_on_the_blas_thread_count(command):
+    import hashlib
+    import subprocess
+    import sys
+
+    argv = [sys.executable, "-m", "finiteweyl.cli", *command.split()]
+    digests = set()
+    for preset in (None, "1", "2"):
+        env = _with_blas_threads(preset)
+        result = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        digests.add((result.returncode, hashlib.sha256(result.stdout).hexdigest()))
+    assert len(digests) == 1
+
+
 def _without_unbuffered_stdout() -> dict:
     import os
 
@@ -688,6 +725,26 @@ def test_stdout_fingerprint_script_is_stable():
         ["1", "basis partition --d 4"],
     ]
     assert all(len(line.split(" ")[1]) == 64 for line in lines)
+
+
+def test_ab_pairs_script_compares_one_checkout_with_itself():
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    argv = [sys.executable, str(root / "scripts" / "ab_pairs.py"), "--parent", str(root)]
+    result = subprocess.run(
+        [*argv, "--pairs", "2", "weyl pair --d 2"], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("weyl pair --d 2: 2 pairs")
+    assert [line.split()[0] for line in lines[2:4]] == ["parent", "change"]
+    assert all(len(line.split()) == 6 for line in lines[2:4])
+    assert re.fullmatch(r"change won [0-2]/2 pairs on wall_s", lines[4])
+    assert re.fullmatch(r"change won [0-2]/2 pairs on cpu_s", lines[5])
+    assert len(lines) == 6
 
 
 def test_outputs_byte_identical(capsys):

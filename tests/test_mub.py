@@ -1,9 +1,12 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import max_abs
+from finiteweyl import mub as mub_module
 from finiteweyl.mub import (
     UNBIASEDNESS_BLOCK,
     HadamardMatrix,
@@ -222,6 +225,43 @@ def test_a_nan_basis_reads_nan_in_both_triangles():
     assert np.isnan(deviations[[0, 1, 1, 2], [1, 0, 2, 1]]).all()
     assert deviations[0, 2] == deviations[2, 0] < 1e-9
     assert not np.diagonal(deviations).any()
+
+
+def _pool_of(monkeypatch, blas_threads, cpus):
+    """Run pairwise_deviations as if OPENBLAS_NUM_THREADS were blas_threads on `cpus` CPUs."""
+    if blas_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize(
+    "blas_threads, cpus, workers", [(None, 8, 1), ("2", 8, 1), ("1", 8, 8), ("1", 1, 1)]
+)
+def test_the_pool_has_a_worker_per_cpu_only_when_blas_has_one_thread(
+    monkeypatch, blas_threads, cpus, workers
+):
+    _pool_of(monkeypatch, blas_threads, cpus)
+    assert mub_module._pool_workers() == workers
+
+
+@pytest.mark.parametrize(
+    "build, d", [(mub_family, p) for p in (2, 3, 5, 13, 31, 97)] + [(minimal_triple, 12)]
+)
+def test_blocks_on_the_pool_equal_a_one_worker_run_bit_for_bit(monkeypatch, build, d):
+    bases = build(d)
+    _pool_of(monkeypatch, None, 1)
+    one_worker = pairwise_deviations(bases)
+    # 8 workers, more than a small host has cores, switching threads often
+    _pool_of(monkeypatch, "1", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = pairwise_deviations(bases)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(pooled, one_worker)
 
 
 def test_pairwise_deviations_rejects_mixed_dimensions():

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,10 @@ def test_parse_index():
     assert parse_index("(12)") == (1, 2)
     assert parse_index("(1011)") == (1, 0, 1, 1)
     assert parse_index("(1,11)") == (1, 11)
+    assert parse_index("(1,2,0,1)") == (1, 2, 0, 1)
+    for label in ("01", "(((02)))", "(1_0,2)", "( 1,2)", "(1,,2)", "()", "(12", "(¹²)"):
+        with pytest.raises(ValueError, match="is not a digit string"):
+            parse_index(label)
 
 
 def test_export_rejects_unknown():
@@ -165,10 +170,15 @@ def _document_with(obj, **fields) -> str:
             "partition document has a malformed field: 'int' object has no attribute",
         ),
         (_document_with(cartan_partition_prime(3), dimension="3"), "partition document has"),
-        (
-            _document_with(cartan_partition_prime(3), classes=[["(0x)"]]),
-            r"partition document has a malformed field: label \(0x\) is not a digit string",
-        ),
+        *[
+            (
+                _document_with(cartan_partition_prime(3), classes=[[label]]),
+                "partition document has a malformed field: label "
+                + re.escape(label)
+                + " is not a digit string",
+            )
+            for label in ("(0x)", "01", "(((02)))", "(1_0,2)", "( 1,2)")
+        ],
         (_document_with(PhaseExponent(1, 3), tau_denominator="6"), "phase document has"),
         (_document_with(cartan_partition_prime(3), classes=5), "partition document has"),
         (
@@ -217,11 +227,26 @@ def _partition_document(classes, complete, dimension=3, tensor_dims=None) -> str
         (_partition_document([["(1011)", "(1,2,0,1)"]], False, 4, [2, 2]), r"label \(1,2,0,1\)"),
         # disjoint and fitting, but neither covering nor commuting
         (_partition_document([["(01)", "(10)"]], True), "marked complete but is not"),
+        # incomplete: a repeated label, then a class that does not commute
+        (_partition_document([["(01)", "(01)"]], False), "repeats a label or has a class"),
+        (_partition_document([["(01)"], ["(01)", "(02)"]], False), "repeats a label"),
+        (_partition_document([["(01)", "(02)"], ["(10)", "(01)"]], False), "repeats a label"),
+        (_partition_document([["(01)"], ["(10)", "(02)"]], False), "that does not commute"),
+        (
+            _partition_document([["(01)", "(01)"], ["(10)", "(02)"]], False),
+            "repeats a label or has a class that does not commute",
+        ),
     ],
 )
 def test_import_rejects_partition_labels_that_do_not_fit(text, message):
     with pytest.raises(ValueError, match=message):
         import_exact(text)
+
+
+def test_import_reads_an_incomplete_partition_of_disjoint_commuting_classes():
+    # an incomplete partition need not cover every label
+    partition = import_exact(_partition_document([["(01)", "(02)"], ["(10)"]], False))
+    assert partition.classes == [[(0, 1), (0, 2)], [(1, 0)]] and not partition.complete
 
 
 def test_every_partition_and_hadamard_the_cli_prints_reads_back(capsys):
