@@ -13,36 +13,40 @@ algebra.
 Brute-force enumerations are capped by `limits` (default d <= 16) since
 class and centralizer computations grow like d^4.  Normality of a named
 subgroup is tested by conjugating it with the generators (1,0,0), (0,1,0)
-and (0,0,1) only, at a cost of at most 3|H| conjugations.
+and (0,0,1) only, at a cost of 3|H| conjugations.
 
-The scalar forms share one law on (a, b, c) keys, `pd_compose_key`:
-`PdElement.compose` calls it, and the bracket accumulates its products
-straight into one dict of terms.
+At run time the module holds elements only as int arrays whose last axis
+holds (a, b, c): the census returns each class as a row-sorted (n, 3)
+int64 array and each named subgroup is one such array.  The array forms
+are `pd_element_array` (the elements in `pd_elements` order),
+`pd_compose_array` and `pd_inverse_array` (the group law),
+`pd_centralizer_sizes`, `pd_element_orders` (`_element_order`),
+`pd_character_exponents` (tau exponents of `pd_character`),
+`pd_irrep_array` (`pd_irrep` as (t, shift, clock) rows for
+`operators.monomial_mul_array`), `pd_irrep_trace_exponents`
+(`rho_k(g).trace_exact()`) and `pd_lie_bracket_terms` (the signed terms
+of `pd_lie_bracket_combinations`).  They evaluate the same integer
+formulas mod d or mod 2d, so they agree exactly with the scalar forms;
+the census, ambivalence, closure, normality, commutativity, element
+orders, the centre, the quotient law and the character norms are
+evaluated with them, and so is every check of `suites.suite_group`.
 
-Array forms sit next to the scalar forms they mirror and take int arrays
-whose last axis holds (a, b, c): `pd_element_array` (the elements in
-`pd_elements` order), `pd_compose_array` and `pd_inverse_array` (the group
-law), `pd_centralizer_sizes`, `pd_element_orders` (`_element_order`),
-`pd_character_exponents` (tau exponents of `pd_character`), `pd_irrep_array`
-(`pd_irrep` as (t, shift, clock) rows for `operators.monomial_mul_array`),
-`pd_irrep_trace_exponents` (`rho_k(g).trace_exact()`) and
-`pd_lie_bracket_terms` (the signed terms of `pd_lie_bracket_combinations`).
-They evaluate the same integer formulas mod d or mod 2d, so they agree
-exactly with the scalar forms; closure, commutativity, element orders, the
-centre, the quotient law and the character norms are evaluated with them,
-and so is every group-law, census, representation and bracket check of
-`suites.suite_group`.  Normality stays on the scalar `pd_conjugate`; the
-scalar forms stay as the references the tests pin the arrays to.
+The scalar forms (`PdElement`, `pd_conjugate`, `pd_centralizer_size`,
+`pd_character`, `pd_irrep`, the bracket) are the public single-element
+API and the references the tests pin the arrays to.  They share one law
+on (a, b, c) keys, `pd_compose_key`: `PdElement.compose` calls it, and
+the bracket accumulates its products straight into one dict of terms.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -135,46 +139,55 @@ def _element_codes(g: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass
 class ConjugacyClassReport:
+    """The classes as row-sorted (n, 3) int64 arrays, ordered by their first row."""
+
     d: int
-    classes: list[list[PdElement]]
-    singleton_count: int
-    size_d_count: int
-    size_histogram: dict[int, int] = field(default_factory=dict)
+    classes: list[np.ndarray]
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
+
+    @property
+    def size_histogram(self) -> dict[int, int]:
+        return dict(sorted(Counter(len(cls) for cls in self.classes).items()))
+
+    @property
+    def singleton_count(self) -> int:
+        return self.size_histogram.get(1, 0)
+
+    @property
+    def size_d_count(self) -> int:
+        return self.size_histogram.get(self.d, 0)
 
 
 def pd_conjugacy_classes(d: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> ConjugacyClassReport:
     """Exact classes by orbit enumeration.
 
     The conjugate of (a, b, c) by (a', b', c') is (a + cb' - bc', b, c), so
-    each orbit is swept by running (b', c') over Z_d^2.
+    each orbit is swept by running (b', c') over Z_d^2: the shifts of a it
+    reaches are marked per (b, c), and each element is filed under the
+    smallest element of its orbit.
     """
     check_brute_force(d, cap)
-    classes: list[list[PdElement]] = []
-    seen: set[PdKey] = set()
-    for a, b, c in product(range(d), repeat=3):
-        if (a, b, c) in seen:
-            continue
-        orbit = {
-            ((a + c * b2 - b * c2) % d, b, c)
-            for b2, c2 in product(range(d), repeat=2)
-        }
-        seen |= orbit
-        classes.append([PdElement(*t, d) for t in sorted(orbit)])
-    classes.sort(key=lambda cls: cls[0].key())
-    histogram: dict[int, int] = {}
-    for cls in classes:
-        histogram[len(cls)] = histogram.get(len(cls), 0) + 1
-    return ConjugacyClassReport(
-        d=d,
-        classes=classes,
-        singleton_count=histogram.get(1, 0),
-        size_d_count=histogram.get(d, 0),
-        size_histogram=dict(sorted(histogram.items())),
-    )
+    z = np.arange(d)
+    b, c, c2 = np.ix_(z, z, z)
+    # reachable[b, c, s]: some (b', c') shifts a by s; one b' at a time keeps memory at d^3
+    reachable = np.zeros((d, d, d), dtype=bool)
+    for b2 in range(d):
+        np.put_along_axis(reachable, (c * b2 - b * c2) % d, True, axis=2)
+    # smallest[b, c, a]: the smallest a + s mod d over the reachable shifts s
+    smallest = np.full((d, d, d), d)
+    for s in range(d):
+        np.minimum(smallest, np.where(reachable[:, :, s, None], (z + s) % d, d), out=smallest)
+    elements = pd_element_array(d)
+    first = elements.copy()
+    first[:, 0] = smallest.transpose(2, 0, 1).ravel()
+    labels = _element_codes(first, d)
+    # a stable sort keeps each class in `pd_elements` order
+    order = np.argsort(labels, kind="stable")
+    bounds = np.flatnonzero(np.diff(labels[order])) + 1
+    return ConjugacyClassReport(d=d, classes=np.split(elements[order], bounds))
 
 
 def pd_centralizer_size(g: PdElement) -> int:
@@ -195,42 +208,45 @@ def pd_centralizer_size(g: PdElement) -> int:
 def pd_centralizer_sizes(g: np.ndarray, d: int) -> np.ndarray:
     """`pd_centralizer_size` of each element of a (..., 3) int array.
 
-    The same brute-force count, once per coset label (b, c): the number of
-    (b', c') with c b' - b c' = 0 (mod d), times d.
+    The same brute-force count, once per coset label (b, c) that occurs:
+    the number of (b', c') with c b' - b c' = 0 (mod d), times d.
     """
     g = np.asarray(g, dtype=np.int64) % d
+    labels, index = np.unique(g[..., 1] * d + g[..., 2], return_inverse=True)
+    b, c = (x[:, None, None] for x in np.divmod(labels, d))
     z = np.arange(d)
-    b, c, b2, c2 = np.ix_(z, z, z, z)
-    table = d * np.count_nonzero((c * b2 - b * c2) % d == 0, axis=(2, 3))
-    return table[g[..., 1], g[..., 2]]
+    counts = d * np.count_nonzero((c * z[:, None] - b * z) % d == 0, axis=(1, 2))
+    return counts[index].reshape(g.shape[:-1])
 
 
 def pd_is_ambivalent(report: ConjugacyClassReport) -> bool:
     """Whether every conjugacy class of the census is closed under inversion."""
-    for cls in report.classes:
-        members = {g.key() for g in cls}
-        if any(g.inverse().key() not in members for g in cls):
-            return False
-    return True
+    d = report.d
+    members = np.concatenate(report.classes)
+    codes = _element_codes(members, d)
+    # the class of each element, indexed in `pd_elements` order
+    label = np.full(d**3, -1)
+    label[codes] = np.repeat(np.arange(report.class_count), [len(cls) for cls in report.classes])
+    return bool((label[_element_codes(pd_inverse_array(members, d), d)] == label[codes]).all())
 
 
 @dataclass(frozen=True)
 class Subgroup:
     name: str
-    elements: tuple[PdElement, ...]
+    elements: np.ndarray
     is_normal: bool
     isomorphism: str
 
 
-def _as_array(elements: Iterable[PdElement]) -> tuple[np.ndarray, int]:
-    elems = list(elements)
-    return np.array([g.key() for g in elems], dtype=np.int64).reshape(-1, 3), elems[0].d
-
-
-def _is_closed(elements: Iterable[PdElement]) -> bool:
-    array, d = _as_array(elements)
+def _members(array: np.ndarray, d: int) -> np.ndarray:
+    """The membership mask of the rows of a (n, 3) array, in `pd_elements` order."""
     member = np.zeros(d**3, dtype=bool)
     member[_element_codes(array, d)] = True
+    return member
+
+
+def _is_closed(array: np.ndarray, d: int) -> bool:
+    member = _members(array, d)
     products = pd_compose_array(array[:, None, :], array[None, :, :], d)
     return bool(
         member[_element_codes(products, d)].all()
@@ -238,24 +254,19 @@ def _is_closed(elements: Iterable[PdElement]) -> bool:
     )
 
 
-def _is_normal(elements: Iterable[PdElement], d: int) -> bool:
-    # (gk) H (gk)^-1 = g (k H k^-1) g^-1, so the generators of P_d suffice.
-    keys = {g.key() for g in elements}
-    for g in (PdElement(1, 0, 0, d), PdElement(0, 1, 0, d), PdElement(0, 0, 1, d)):
-        for h in elements:
-            if pd_conjugate(g, h).key() not in keys:
-                return False
-    return True
+def _is_normal(array: np.ndarray, d: int) -> bool:
+    # (gk) H (gk)^-1 = g (k H k^-1) g^-1, so the generators of P_d suffice
+    generators = np.eye(3, dtype=np.int64)[:, None, :]
+    conjugates = pd_compose_array(
+        pd_compose_array(generators, array, d), pd_inverse_array(generators, d), d
+    )
+    return bool(_members(array, d)[_element_codes(conjugates, d)].all())
 
 
-def _is_abelian(elements: Iterable[PdElement]) -> bool:
+def _is_abelian(array: np.ndarray, d: int) -> bool:
     # PdElement.commutes_with on every pair: c b' - b c' = 0 (mod d)
-    array, d = _as_array(elements)
     b, c = array[:, 1], array[:, 2]
-    cross = np.outer(c, b)
-    cross -= np.outer(b, c)
-    cross %= d
-    return not cross.any()
+    return not ((np.outer(c, b) - np.outer(b, c)) % d).any()
 
 
 def _element_order(g: PdElement) -> int:
@@ -283,11 +294,11 @@ def pd_element_orders(g: np.ndarray, d: int) -> np.ndarray:
     return orders
 
 
-def _isomorphism_tag(elements: list[PdElement], d: int) -> str:
-    if not _is_abelian(elements):
+def _isomorphism_tag(array: np.ndarray, d: int) -> str:
+    if not _is_abelian(array, d):
         return "nonabelian"
-    orders = pd_element_orders(_as_array(elements)[0], d)
-    n = len(elements)
+    orders = pd_element_orders(array, d)
+    n = len(array)
     if n == d and orders.max() == d:
         return f"cyclic-Z{d}"
     if n == d * d:
@@ -303,29 +314,27 @@ def _isomorphism_tag(elements: list[PdElement], d: int) -> str:
 
 
 def pd_named_subgroups(d: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> list[Subgroup]:
-    """The six listed subgroups, with closure/normality verified."""
+    """The six listed subgroups, with closure/normality verified.
+
+    Each subset holds x_1 r_1 + ... + x_k r_k for its rows r_i below, with
+    (x_1, ..., x_k) running over Z_d^k in lexicographic order.
+    """
     check_brute_force(d, cap)
-    rng = range(d)
-    subsets: list[tuple[str, list[PdElement]]] = [
-        ("center", [PdElement(a, 0, 0, d) for a in rng]),
-        ("shift-axis", [PdElement(0, b, 0, d) for b in rng]),
-        ("clock-axis", [PdElement(0, 0, c, d) for c in rng]),
-        ("phase-shift-plane", [PdElement(a, b, 0, d) for a in rng for b in rng]),
-        ("phase-clock-plane", [PdElement(a, 0, c, d) for a in rng for c in rng]),
-        ("diagonal-plane", [PdElement(a, b, b, d) for a in rng for b in rng]),
+    subsets = [
+        ("center", [(1, 0, 0)]),
+        ("shift-axis", [(0, 1, 0)]),
+        ("clock-axis", [(0, 0, 1)]),
+        ("phase-shift-plane", [(1, 0, 0), (0, 1, 0)]),
+        ("phase-clock-plane", [(1, 0, 0), (0, 0, 1)]),
+        ("diagonal-plane", [(1, 0, 0), (0, 1, 1)]),
     ]
     out = []
-    for name, elements in subsets:
-        if not _is_closed(elements):
+    for name, rows in subsets:
+        coordinates = np.indices((d,) * len(rows), dtype=np.int64).reshape(len(rows), -1).T
+        elements = coordinates @ np.array(rows, dtype=np.int64)
+        if not _is_closed(elements, d):
             raise RuntimeError(f"subset {name} is not closed under the group law")
-        out.append(
-            Subgroup(
-                name=name,
-                elements=tuple(elements),
-                is_normal=_is_normal(elements, d),
-                isomorphism=_isomorphism_tag(elements, d),
-            )
-        )
+        out.append(Subgroup(name, elements, _is_normal(elements, d), _isomorphism_tag(elements, d)))
     return out
 
 

@@ -8,9 +8,10 @@ monomials, Hadamard exponent tables, partitions) serialize through integer
 tau exponents and read back bit-identically through `import_exact`, whose
 decoders sit next to their encoders; a Hadamard table must be the table of
 H_a for its d and a, a partition label must fit the dimension, a
-partition marked complete must pass `validate_cartan_partition`, one that
-is not must have disjoint classes that commute within themselves, and a
-field of the wrong type is a ValueError that names the document type.  Dense
+partition's `complete` flag is recomputed by `validate_cartan_partition`
+(a document marked complete must pass it, one that fails it must have
+disjoint classes that commute within themselves), and a field of the
+wrong type is a ValueError that names the document type.  Dense
 matrices serialize as CSV rows of re,im pairs with 17 significant digits;
 non-finite entries are rejected.
 
@@ -208,15 +209,18 @@ def _partition(p: CartanPartition) -> dict:
 
 def _partition_from(payload: dict) -> CartanPartition:
     dims = tuple(payload["tensor_dims"]) if payload["tensor_dims"] else None
-    partition = CartanPartition(payload["dimension"], [], payload["complete"], dims)
+    marked_complete = payload["complete"]
+    partition = CartanPartition(payload["dimension"], [], True, dims)
     if dims is not None and math.prod(dims) != partition.dimension:
         raise ValueError(f"tensor_dims {list(dims)} do not multiply to {partition.dimension}")
     moduli = partition.label_moduli()
     partition.classes = [[_label_from(text, moduli) for text in cls] for cls in payload["classes"]]
+    # the flag is recomputed, not read: a Cartan partition is complete whatever it says
+    partition.complete = validate_cartan_partition(partition)
     if partition.complete:
-        if not validate_cartan_partition(partition):
-            raise ValueError("partition document is marked complete but is not a Cartan partition")
         return partition
+    if marked_complete:
+        raise ValueError("partition document is marked complete but is not a Cartan partition")
     flat = [label for cls in partition.classes for label in cls]
     if len(flat) != len(set(flat)) or not _classes_commute(partition.dims, partition.classes):
         raise ValueError("partition document repeats a label or has a class that does not commute")
@@ -301,7 +305,8 @@ def _conjugacy_classes(report: ConjugacyClassReport) -> dict:
         "singleton_count": report.singleton_count,
         "size_d_count": report.size_d_count,
         "size_histogram": {str(k): v for k, v in report.size_histogram.items()},
-        "classes": [[[g.a, g.b, g.c] for g in cls] for cls in report.classes],
+        # a few hundred short tables render faster as lists than as deferred arrays
+        "classes": [cls.tolist() for cls in report.classes],
     }
 
 
@@ -397,7 +402,7 @@ def export_subgroups(d: int, subgroups: list[Subgroup]) -> Iterator[str]:
             "order": len(s.elements),
             "is_normal": s.is_normal,
             "isomorphism": s.isomorphism,
-            "elements": [[g.a, g.b, g.c] for g in s.elements],
+            "elements": s.elements,
         }
         for s in subgroups
     ]

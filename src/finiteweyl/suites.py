@@ -14,11 +14,12 @@ row by row) and the bracket's match with the monomial product law.  Its
 samples are indices drawn with `rng.randrange`, the call `rng.choice`
 makes, so they are the elements the scalar loops drew, in the same order,
 from the one shared generator; a failing check may stop drawing at a
-different point than the scalar loop did.  Normality of the named
-subgroups stays on the scalar `pd_conjugate`.  The hw suite's pair laws
-run through `on_pairs`, the two sine-bracket checks through `brackets`
-(each t-operator built once per check), and every trace pairing through
-`operators.trace_gram`.
+different point than the scalar loop did.  The census checks read the
+classes of `pd_conjugacy_classes`, (n, 3) int64 arrays, and the named
+subgroups, one array each, are tested for closure and normality on the
+array law.  The hw suite's pair laws run through `on_pairs`, the two
+sine-bracket checks through `brackets` (each t-operator built once per
+check), and every trace pairing through `operators.trace_gram`.
 
 Every float recheck reports `operators.residual_norm` of its residuals,
 the largest |entry| over all of them; one NaN entry makes it NaN, which
@@ -196,7 +197,7 @@ def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> Verifi
             return False
         # orbit-stabilizer: |class| * |centralizer| = |group|
         sizes = np.array([len(cls) for cls in census.classes])
-        representatives = np.array([cls[0].key() for cls in census.classes])
+        representatives = np.array([cls[0] for cls in census.classes])
         return bool((sizes * group_mod.pd_centralizer_sizes(representatives, d) == d**3).all())
 
     _run(report, "class_census_brute_force", 0.0, census_consistent)
@@ -211,7 +212,7 @@ def suite_group(d: int = 3, cap: int = limits.DEFAULT_BRUTE_FORCE_CAP) -> Verifi
         "center_classes_are_singletons",
         0.0,
         lambda: all(
-            len(cls) == 1 for cls in census.classes if (cls[0].b, cls[0].c) == (0, 0)
+            len(cls) == 1 for cls in census.classes if not cls[0, 1:].any()
         ),
     )
     def centralizers() -> bool:

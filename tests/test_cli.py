@@ -502,7 +502,7 @@ def test_malformed_tuple_arguments_rejected(capsys, argv, form):
 
 
 def test_group_subgroups_closure_failure_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(group_mod, "_is_closed", lambda elements: False)
+    monkeypatch.setattr(group_mod, "_is_closed", lambda array, d: False)
     code, out, err = run_cli(capsys, "group", "subgroups", "--d", "3")
     assert (code, out) == (2, "")
     assert err == "error: subset center is not closed under the group law\n"

@@ -50,18 +50,22 @@ from finiteweyl.phases import PhaseExponent
 SMALL_D = range(2, 7)
 
 
-def brute_force_class_count(d: int) -> int:
-    """Independent oracle: conjugate by every group element explicitly."""
+def brute_force_classes(d: int) -> list[list[tuple[int, int, int]]]:
+    """Independent oracle: conjugate by every group element explicitly.
+
+    Each class is sorted, and the classes come in order of their smallest
+    element.
+    """
     remaining = {g.key() for g in pd_elements(d)}
-    count = 0
+    classes = []
     elems = pd_elements(d)
     while remaining:
         seed_key = min(remaining)
         seed = PdElement(*seed_key, d)
         orbit = {pd_conjugate(h, seed).key() for h in elems}
         remaining -= orbit
-        count += 1
-    return count
+        classes.append(sorted(orbit))
+    return classes
 
 
 def test_compose_law():
@@ -137,7 +141,7 @@ def test_center_classes_are_singletons():
     for d in (2, 3, 4, 6):
         rep = pd_conjugacy_classes(d)
         for cls in rep.classes:
-            if (cls[0].b, cls[0].c) == (0, 0):
+            if tuple(cls[0, 1:]) == (0, 0):
                 assert len(cls) == 1
         assert rep.singleton_count == d
 
@@ -145,20 +149,25 @@ def test_center_classes_are_singletons():
 def test_classes_partition_group_and_match_centralizers():
     for d in range(2, 9):
         rep = pd_conjugacy_classes(d)
-        seen = [g.key() for cls in rep.classes for g in cls]
+        seen = [tuple(row) for cls in rep.classes for row in cls.tolist()]
         assert len(seen) == d**3 and len(set(seen)) == d**3
         for cls in rep.classes:
+            g = PdElement(*cls[0].tolist(), d)
             # orbit-stabilizer in verifiable form
-            assert len(cls) * pd_centralizer_size(cls[0]) == d**3
+            assert len(cls) * pd_centralizer_size(g) == d**3
             # class size is d / gcd(b, c, d)
-            g = cls[0]
             assert len(cls) == d // math.gcd(math.gcd(g.b, g.c), d)
 
 
 def test_class_count_census_two_routes():
     # closed-form orbits against explicit conjugation by all d^3 elements
     for d in range(2, 7):
-        assert pd_conjugacy_classes(d).class_count == brute_force_class_count(d)
+        rep = pd_conjugacy_classes(d)
+        expected = brute_force_classes(d)
+        assert rep.class_count == len(expected)
+        # the same classes, each row-sorted, in the same order
+        assert [[tuple(row) for row in cls.tolist()] for cls in rep.classes] == expected
+        assert all(cls.dtype == np.int64 and cls.shape[1:] == (3,) for cls in rep.classes)
 
 
 def test_class_count_census_arithmetic_oracle():
@@ -211,7 +220,7 @@ def test_ambivalence():
 def test_named_subgroups_d3():
     table = {s.name: s for s in pd_named_subgroups(3)}
     center = table["center"]
-    assert {g.key() for g in center.elements} == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
+    assert center.elements.tolist() == [[0, 0, 0], [1, 0, 0], [2, 0, 0]]
     assert center.is_normal and center.isomorphism == "cyclic-Z3"
     assert table["shift-axis"].is_normal is False
     assert table["clock-axis"].is_normal is False
@@ -249,30 +258,34 @@ def cyclic_subgroup(g: PdElement) -> tuple[PdElement, ...]:
     return tuple(members)
 
 
+def named_subsets(d: int) -> list[list[PdElement]]:
+    return [[PdElement(*row, d) for row in s.elements.tolist()] for s in pd_named_subgroups(d)]
+
+
 def test_generator_normality_matches_brute_force():
     for d in range(2, 9):
-        named = [list(s.elements) for s in pd_named_subgroups(d)]
+        named = named_subsets(d)
         cyclic = {frozenset(cyclic_subgroup(g)) for g in pd_elements(d)}
         verdicts = set()
         for members in named + [list(c) for c in cyclic]:
             expected = brute_force_is_normal(members, d)
-            assert _is_normal(members, d) == expected, (d, members)
+            assert _is_normal(keys_of(members), d) == expected, (d, members)
             verdicts.add(expected)
         # both verdicts occur, so a shortcut that always agrees cannot pass
         assert verdicts == {True, False}
 
 
-def test_named_subgroups_conjugation_count(monkeypatch):
-    calls = 0
+def test_census_and_named_subgroups_run_on_the_array_law(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the scalar group law was called")
 
-    def counting_conjugate(g, h):
-        nonlocal calls
-        calls += 1
-        return pd_conjugate(g, h)
-
-    monkeypatch.setattr(group_mod, "pd_conjugate", counting_conjugate)
+    monkeypatch.setattr(group_mod, "pd_conjugate", refuse)
+    monkeypatch.setattr(PdElement, "compose", refuse)
+    monkeypatch.setattr(PdElement, "__init__", refuse)
     subgroups = pd_named_subgroups(12)
-    assert 0 < calls <= 3 * sum(len(s.elements) for s in subgroups)
+    report = pd_conjugacy_classes(12)
+    assert [s.is_normal for s in subgroups] == [True, False, False, True, True, True]
+    assert report.class_count == 242 and not pd_is_ambivalent(report)
 
 
 def test_quotient_by_center():
@@ -606,7 +619,7 @@ def brute_force_is_closed(elements) -> bool:
 
 def test_closure_and_commutativity_match_brute_force():
     for d in range(2, 6):
-        named = [list(s.elements) for s in pd_named_subgroups(d)]
+        named = named_subsets(d)
         cyclic = [list(cyclic_subgroup(g)) for g in pd_elements(d)]
         # a subset missing one element, or with one extra, is rarely closed
         broken = [members[:-1] for members in named + cyclic if len(members) > 1]
@@ -614,8 +627,8 @@ def test_closure_and_commutativity_match_brute_force():
         verdicts = set()
         for members in named + cyclic + broken:
             expected = brute_force_is_closed(members)
-            assert _is_closed(members) == expected, (d, members)
-            assert _is_abelian(members) == all(
+            assert _is_closed(keys_of(members), d) == expected, (d, members)
+            assert _is_abelian(keys_of(members), d) == all(
                 g.commutes_with(h) for g in members for h in members
             )
             verdicts.add(expected)

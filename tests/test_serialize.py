@@ -249,6 +249,17 @@ def test_import_reads_an_incomplete_partition_of_disjoint_commuting_classes():
     assert partition.classes == [[(0, 1), (0, 2)], [(1, 0)]] and not partition.complete
 
 
+@pytest.mark.parametrize("part", [cartan_partition_prime(3), cartan_partition_prime_power(2, 2)])
+def test_import_recomputes_the_complete_flag_of_a_cartan_partition(part):
+    # a Cartan partition is complete even where its document says otherwise
+    text = export(part, "json")
+    payload = json.loads(text)
+    assert payload["complete"] is True
+    rebuilt = import_exact(json.dumps({**payload, "complete": False}))
+    assert rebuilt.complete is True and rebuilt.classes == part.classes
+    assert export(rebuilt, "json") == text
+
+
 def test_every_partition_and_hadamard_the_cli_prints_reads_back(capsys):
     commands = [["basis", "partition", "--d", str(d)] for d in range(2, 13)]
     commands += [["basis", "partition", "--tensor", t] for t in ("2,2", "2,3", "2,4", "3,2")]
