@@ -127,6 +127,13 @@ COMMANDS = [
     "verify weyl --d 2",
     "weyl su2-check --d 2",
     "verify mub --d 2",
+    # dense CSV and re and im rows past d = 5, where the table writer meets
+    # many distinct numbers: the Fourier matrix, a weighted shift at
+    # non-integer r, and a composite-d Hadamard matrix
+    "weyl fourier --d 97 --format dense-csv",
+    "weyl vra --d 31 --r 0.37 --a 3",
+    "weyl vra --d 31 --r 0.37 --a 3 --format dense-csv",
+    "mub hadamard --d 12 --a 5 --format dense-csv",
 ]
 
 

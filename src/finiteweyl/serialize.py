@@ -4,10 +4,11 @@ No other module knows the shape of a payload.  `export(obj, fmt)` returns
 the text of one library object, `export_chunks` the same text in chunks,
 each `export_*` function the chunks of the results of one CLI command, and
 `_document` adds the top-level "schema": 1.  Exact objects (phases,
-monomials, Hadamard exponent tables, partitions) serialize through integer
-tau exponents and read back bit-identically through `import_exact`, whose
-decoders sit next to their encoders; a Hadamard table must be the table of
-H_a for its d and a, a partition label must fit the dimension, a
+monomials, Weyl pairs, Hadamard exponent tables, partitions) serialize
+through integer tau exponents and read back bit-identically through
+`import_exact`, whose decoders sit next to their encoders; a Weyl pair must
+be the shift and clock of its d, a Hadamard table must be the table of H_a
+for its d and a, a partition label must fit the dimension, a
 partition's `complete` flag is recomputed by `validate_cartan_partition`
 (a document marked complete must pass it, one that fails it must have
 disjoint classes that commute within themselves), and a field of the
@@ -24,9 +25,9 @@ ndarray goes; every error (a non-finite float, a value that is not JSON) is
 raised while the skeleton is built, before the first chunk is yielded, so a
 writer never leaves a partial document.  The chunks are the skeleton pieces
 with the text of each deferred array between them, so at most one table's
-text exists at a time.  An integer array is written in one join over a
-lookup of number strings, a float array one innermost row per call of the
-C encoder; bool and complex arrays are not JSON here, as in `json.dumps`.
+text exists at a time.  `_table_text` writes every numeric table, an int
+or float array of JSON and the re,im rows of dense CSV alike; bool and
+complex arrays are not JSON here, as in `json.dumps`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .basis import CartanPartition, CommutatorTable, _classes_commute, validate_cartan_partition
 from .mub import HadamardMatrix, basis_exponent_table, hadamard_h_a
-from .operators import MonomialOperator
+from .operators import MonomialOperator, weyl_pair
 from .phases import PhaseExponent
 from .report import VerificationReport
 
@@ -94,18 +95,12 @@ def _interleave(pieces: list[str], arrays: list[np.ndarray]) -> Iterator[str]:
     for array, before, piece in zip(arrays, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1 :]
         indent = line[: len(line) - len(line.lstrip(" "))]
-        render = _render_int_array if array.dtype.kind in "iu" else _render_float_array
-        yield render(array, indent)
+        yield _json_array(array, indent)
         yield piece
 
 
-def _render_int_array(value: np.ndarray, indent: str) -> str:
-    """The text of `value.tolist()` at indent, for a nonempty integer array of at least one axis.
-
-    Each entry is followed by the text that closes the m innermost lists
-    ending at it and opens the next ones, so the text is one lookup of
-    (entry, m) per entry.
-    """
+def _json_array(value: np.ndarray, indent: str) -> str:
+    """The text of `value.tolist()` at indent, for a nonempty finite array of at least one axis."""
     depth = value.ndim
     # the closing bracket of a list at nesting level q sits at pads[q], its entries at pads[q + 1]
     pads = [indent + "  " * q for q in range(depth + 1)]
@@ -117,28 +112,25 @@ def _render_int_array(value: np.ndarray, indent: str) -> str:
         closing = "".join(f"\n{pads[level]}]" for level in range(depth - 1, depth - 1 - m, -1))
         return closing if m == depth else f"{closing},\n{pads[depth - m]}{opening(depth - m)}"
 
-    # m counts the trailing axes whose last index the entry sits at
+    # repr is the stdlib's text of an int and of a finite float
+    return opening(0) + _table_text(value, repr, gap)
+
+
+def _table_text(value: np.ndarray, number: Callable[[Any], str], gap: Callable[[int], str]) -> str:
+    """Each entry of value as number(entry) + gap(m), in row-major order.
+
+    m counts the trailing axes whose last index the entry sits at.  The text
+    is one lookup of (distinct entry, m) per entry; entries are told apart
+    by their bits, so -0.0 keeps its own text.
+    """
+    depth = value.ndim
     position = np.arange(1, value.size + 1)
     ends = sum(position % math.prod(value.shape[q:]) == 0 for q in range(depth))
-    numbers, codes = np.unique(value.ravel(), return_inverse=True)
+    bits, codes = np.unique(value.ravel().view(f"u{value.itemsize}"), return_inverse=True)
     gaps = [gap(m) for m in range(depth + 1)]
-    lookup = [int.__repr__(number) + g for number in numbers.tolist() for g in gaps]
+    lookup = [text + g for text in map(number, bits.view(value.dtype).tolist()) for g in gaps]
     keys = codes * (depth + 1) + ends
-    return opening(0) + "".join(map(lookup.__getitem__, keys.tolist()))
-
-
-def _render_float_array(value: np.ndarray, indent: str) -> str:
-    """The text of `value.tolist()` at indent, for a nonempty finite float array of at least one axis.
-
-    Each innermost row is one call of the C encoder, which writes "[1.5, -0.0]";
-    numbers never contain ", ", so its separators become the indented ones.
-    """
-    inner = indent + "  "
-    if value.ndim == 1:
-        rows = [json.dumps(value.tolist())[1:-1].replace(", ", ",\n" + inner)]
-    else:
-        rows = [_render_float_array(row, inner) for row in value]
-    return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{indent}]"
+    return "".join(map(lookup.__getitem__, keys.tolist()))
 
 
 def _document(payload: dict) -> dict:
@@ -177,6 +169,14 @@ def _monomial_from(payload: dict) -> MonomialOperator:
     return MonomialOperator.from_tau_exponent(
         payload["d"], payload["tau_exp"], payload["shift"], payload["clock"]
     )
+
+
+def _weyl_pair_from(payload: dict) -> tuple[MonomialOperator, MonomialOperator]:
+    pair = _monomial_from(payload["X"]), _monomial_from(payload["Z"])
+    # the pair is a function of d, so the document must hold that pair
+    if pair != weyl_pair(payload["d"]):
+        raise ValueError(f"weyl-pair X and Z are not the shift and clock of d={payload['d']}")
+    return pair
 
 
 def _hadamard(h: HadamardMatrix) -> dict:
@@ -259,6 +259,7 @@ def parse_index(label: str) -> tuple[int, ...]:
 _DECODERS = {
     "phase": _phase_from,
     "monomial": _monomial_from,
+    "weyl-pair": _weyl_pair_from,
     "hadamard": _hadamard_from,
     "partition": _partition_from,
 }
@@ -489,12 +490,6 @@ def matrix_to_csv(mat: np.ndarray) -> str:
     mat = np.atleast_2d(mat)
     if not np.isfinite(mat).all():
         raise ValueError("dense CSV cannot encode non-finite matrix entries (NaN or infinity)")
-    lines = []
-    for row in mat:
-        cells = []
-        for entry in row:
-            value = complex(entry)
-            # adding positive zero folds -0.0 into 0.0
-            cells.append(f"{value.real + 0.0:.17g},{value.imag + 0.0:.17g}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    # each row's re,im pairs side by side; adding positive zero folds -0.0 into 0.0
+    pairs = np.ascontiguousarray(mat, dtype=complex).view(float)
+    return _table_text(pairs, lambda x: f"{x + 0.0:.17g}", lambda m: "\n" if m else ",")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
+from hypothesis.extra.numpy import array_shapes, arrays, from_dtype
 
 import finiteweyl.cli as cli_mod
 import finiteweyl.serialize as serialize_mod
@@ -20,6 +20,7 @@ from finiteweyl.operators import MonomialOperator, weyl_pair
 from finiteweyl.phases import PhaseExponent
 from finiteweyl.serialize import (
     export,
+    export_weyl_pair,
     format_index,
     import_exact,
     json_chunks,
@@ -153,6 +154,13 @@ def test_import_rejects_a_hadamard_document_that_is_not_h_a():
         import_exact(json.dumps(payload))
 
 
+def test_import_rejects_a_weyl_pair_whose_x_and_z_are_swapped():
+    x, z = weyl_pair(3)
+    text = "".join(export_weyl_pair(z, x, "exact-json"))
+    with pytest.raises(ValueError, match=r"^weyl-pair X and Z are not the shift and clock of d=3$"):
+        import_exact(text)
+
+
 def _document_with(obj, **fields) -> str:
     """The exact document of obj with fields replaced."""
     return json.dumps({**json.loads(export(obj)), **fields})
@@ -265,11 +273,15 @@ def test_every_partition_and_hadamard_the_cli_prints_reads_back(capsys):
     commands += [["basis", "partition", "--tensor", t] for t in ("2,2", "2,3", "2,4", "3,2")]
     commands += [["mub", "hadamard", "--d", "2", "--a", str(a)] for a in range(2)]
     commands += [["mub", "hadamard", "--d", "6", "--a", str(a)] for a in range(6)]
+    commands += [["weyl", "pair", "--d", str(d), "--format", "exact-json"] for d in (2, 3, 7)]
     codes = set()
     for argv in commands:
         codes.add(cli_mod.main(argv))
         text = capsys.readouterr().out
-        assert export(import_exact(text)) == text, argv
+        obj = import_exact(text)
+        # a weyl-pair document reads back as the (X, Z) tuple
+        chunks = export_weyl_pair(*obj, "exact-json") if argv[0] == "weyl" else export(obj)
+        assert "".join(chunks) == text, argv
     # complete partitions exit 0, the incomplete ones of composite d exit 1
     assert codes == {0, 1}
 
@@ -366,23 +378,36 @@ def _first_difference(a: str, b: str) -> str:
     return f"the texts first differ at offset {len(os.path.commonprefix([a, b]))}"
 
 
+table_shapes = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)
 int64_arrays = arrays(
-    np.int64,
-    array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
-    elements=st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3),
+    np.int64, table_shapes, elements=st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3)
 )
 float64_arrays = arrays(
     np.float64,
-    array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+    table_shapes,
     elements=finite_floats | st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324]),
 )
 
 
-@given(int64_arrays, st.text(alphabet=" ", max_size=8), st.integers(0, 3))
-def test_integer_array_renders_like_its_list(array, indent, depth):
+def finite(dtype: type) -> st.SearchStrategy:
+    return from_dtype(np.dtype(dtype), allow_nan=False, allow_infinity=False)
+
+
+numeric_arrays = st.one_of(
+    int64_arrays,
+    float64_arrays,
+    *(
+        arrays(dtype, table_shapes, elements=finite(dtype))
+        for dtype in (np.uint8, np.float32, np.float16)
+    ),
+)
+
+
+@given(numeric_arrays, st.text(alphabet=" ", max_size=8), st.integers(0, 3))
+def test_numeric_array_renders_like_its_list(array, indent, depth):
     if array.ndim and array.size:
         expected = json.dumps(array.tolist(), indent=2).replace("\n", "\n" + indent)
-        assert serialize_mod._render_int_array(array, indent) == expected
+        assert serialize_mod._json_array(array, indent) == expected
     # the table's indent is read off the text around it, at any nesting
     payload = array
     for _ in range(depth):
@@ -472,6 +497,23 @@ def test_non_finite_float_arrays_raise_the_stdlib_value_error_before_any_chunk(b
 def test_a_payload_string_like_the_placeholder_raises_before_any_chunk(text):
     with pytest.raises(ValueError, match="placeholder"):
         json_chunks({"table": np.arange(6).reshape(2, 3), "label": text})
+
+
+signed_zero_parts = st.sampled_from([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)])
+complex_matrices = st.sampled_from([np.complex128, np.complex64]).flatmap(
+    lambda dtype: arrays(
+        dtype,
+        array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=5),
+        elements=finite(dtype) | signed_zero_parts,
+    )
+)
+
+
+@given(complex_matrices)
+def test_csv_writes_each_entry_as_its_re_im_pair(mat):
+    rows = (map(complex, row) for row in np.atleast_2d(mat))
+    lines = (",".join(f"{z.real + 0.0:.17g},{z.imag + 0.0:.17g}" for z in row) for row in rows)
+    assert matrix_to_csv(mat) == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
