@@ -134,6 +134,13 @@ COMMANDS = [
     "weyl vra --d 31 --r 0.37 --a 3",
     "weyl vra --d 31 --r 0.37 --a 3 --format dense-csv",
     "mub hadamard --d 12 --a 5 --format dense-csv",
+    # the structure constants' record list on either side of format_index's
+    # comma rule (moduli up to 10 write "(ab)", moduli past 10 "(a,b)"), and
+    # weyl vra with an --a outside 0..d-1, which reads as a mod d
+    "basis structure --d 10",
+    "basis structure --d 11",
+    "weyl vra --d 5 --a 7",
+    "weyl vra --d 5 --a -1",
 ]
 
 

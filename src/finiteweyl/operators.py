@@ -151,9 +151,12 @@ def v_ra_matrix(d: int, r: float = 0.0, a: float = 0.0) -> np.ndarray:
     """Weighted cyclic shift: superdiagonal q^(ka), corner exp(2*pi*i*j*r).
 
     Here j = (d-1)/2.  For integer r and a the matrix is monomial with
-    root-of-unity entries; both parameters are accepted as floats.
+    root-of-unity entries; both parameters are accepted as floats.  An int or
+    NumPy integer a is reduced mod d first, exactly: q^(ka) has period d in a.
     """
     check_dimension(d)
+    if isinstance(a, (int, np.integer)):
+        a %= d
     mat = np.zeros((d, d), dtype=complex)
     for k in range(1, d):
         mat[k - 1, k] = cmath.exp(2j * cmath.pi * k * a / d)
@@ -206,7 +209,12 @@ def polar_su2_ops(
 
 
 def ladder_matrices(d: int, a: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """j+ and j- written directly from their ladder actions (s = 1/2 phases)."""
+    """j+ and j- written directly from their ladder actions (s = 1/2 phases).
+
+    An integer a is reduced mod d first, as `v_ra_matrix` reduces it.
+    """
+    if isinstance(a, (int, np.integer)):
+        a %= d
     jplus = np.zeros((d, d), dtype=complex)
     jminus = np.zeros((d, d), dtype=complex)
     for k in range(1, d):

@@ -19,15 +19,17 @@ non-finite entries are rejected.
 `json_chunks` is the one renderer of payload text, and `json_dumps` joins
 its chunks.  The text is byte-identical to `json.dumps(payload, indent=2,
 separators=(",", ": "), allow_nan=False) + "\n"`, with each numeric ndarray
-written as its `.tolist()` would be.  The stdlib encodes the skeleton of the
-payload, with a NUL placeholder string where each nonempty int or float
-ndarray goes; every error (a non-finite float, a value that is not JSON) is
-raised while the skeleton is built, before the first chunk is yielded, so a
-writer never leaves a partial document.  The chunks are the skeleton pieces
-with the text of each deferred array between them, so at most one table's
-text exists at a time.  `_table_text` writes every numeric table, an int
-or float array of JSON and the re,im rows of dense CSV alike; bool and
-complex arrays are not JSON here, as in `json.dumps`.
+written as its `.tolist()` would be, and each record list (a one-axis
+structured array, as the structure constants are) as the list of its
+records' dicts.  The stdlib encodes the skeleton of the payload, with a NUL
+placeholder string where each nonempty table goes; every error (a
+non-finite float, a value that is not JSON) is raised while the skeleton is
+built, before the first chunk is yielded, so a writer never leaves a
+partial document.  The chunks are the skeleton pieces with the text of each
+deferred table between them, so at most one table's text exists at a time.
+`_table_text` writes every table: an int or float array of JSON, the codes
+of a record list's `"key": value` texts and the re,im rows of dense CSV
+alike; bool and complex arrays are not JSON here, as in `json.dumps`.
 """
 
 from __future__ import annotations
@@ -61,13 +63,19 @@ def json_chunks(payload: dict) -> Iterator[str]:
     written.  Non-finite floats raise ValueError rather than emitting
     NaN/Infinity, which are not standard JSON.
     """
-    arrays: list[np.ndarray] = []
+    tables: list[_Table] = []
 
     def defer(value: Any) -> Any:
+        if isinstance(value, np.ndarray) and value.dtype.names and value.ndim == 1:
+            if not value.size:
+                return []
+            tables.append(_record_table(value))
+            return _DEFERRED
         # a longdouble array's .tolist() holds numpy scalars, which are not JSON
         if isinstance(value, np.ndarray) and value.dtype.kind in "iuf" and value.itemsize <= 8:
             if value.ndim and value.size and np.isfinite(value).all():
-                arrays.append(value)
+                # repr is the stdlib's text of an int and of a finite float
+                tables.append((value, repr, "[]"))
                 return _DEFERRED
             # the stdlib renders an empty or 0-d array and raises on NaN or infinity
             return value.tolist()
@@ -75,9 +83,9 @@ def json_chunks(payload: dict) -> Iterator[str]:
 
     text = json.dumps(payload, indent=2, allow_nan=False, default=defer) + "\n"
     pieces = text.split(json.dumps(_DEFERRED))
-    if len(pieces) != len(arrays) + 1:
+    if len(pieces) != len(tables) + 1:
         raise ValueError("a payload string reads as the NUL placeholder of a table")
-    return _interleave(pieces, arrays)
+    return _interleave(pieces, tables)
 
 
 def json_dumps(payload: dict) -> str:
@@ -89,31 +97,58 @@ def json_dumps(payload: dict) -> str:
 # is NUL or ends in a quote and NUL; json_chunks rejects such a payload
 _DEFERRED = "\0"
 
+# a nonempty table of at least one axis, its entries' text, its innermost lists' brackets
+_Table = tuple[np.ndarray, Callable[[Any], str], str]
 
-def _interleave(pieces: list[str], arrays: list[np.ndarray]) -> Iterator[str]:
+
+def _interleave(pieces: list[str], tables: list[_Table]) -> Iterator[str]:
     yield pieces[0]
-    for array, before, piece in zip(arrays, pieces, pieces[1:]):
+    for (value, number, inner), before, piece in zip(tables, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1 :]
         indent = line[: len(line) - len(line.lstrip(" "))]
-        yield _json_array(array, indent)
+        yield _json_array(value, indent, number, inner)
         yield piece
 
 
-def _json_array(value: np.ndarray, indent: str) -> str:
-    """The text of `value.tolist()` at indent, for a nonempty finite array of at least one axis."""
+def _record_table(value: np.ndarray) -> _Table:
+    """A nonempty record list as the table of its dicts: each record's codes of its texts.
+
+    Each field's distinct values (numbers told apart by their bits, text by
+    its value) become `"key": value` texts, encoded here, so that a value
+    that is not JSON raises before the first chunk.
+    """
+    # the stdlib's text of a value in an indented document, and its errors
+    encode = json.JSONEncoder(indent=2, allow_nan=False).encode
+    texts: list[str] = []
+    codes = np.empty((len(value), len(value.dtype.names)), dtype=np.int64)
+    for q, name in enumerate(value.dtype.names):
+        column = value[name]
+        bits = column if column.dtype.kind == "U" else column.view(f"u{column.itemsize}")
+        distinct, codes[:, q] = np.unique(bits, return_inverse=True)
+        codes[:, q] += len(texts)
+        texts += [f"{encode(name)}: {encode(x)}" for x in distinct.view(column.dtype).tolist()]
+    return codes, texts.__getitem__, "{}"
+
+
+def _json_array(value: np.ndarray, indent: str, number: Callable[[Any], str], inner: str) -> str:
+    """The text of the `_Table` (value, number, inner) at indent.
+
+    Its lists nest as in `value.tolist()`, and each entry reads number(entry).
+    """
     depth = value.ndim
     # the closing bracket of a list at nesting level q sits at pads[q], its entries at pads[q + 1]
     pads = [indent + "  " * q for q in range(depth + 1)]
+    brackets = ["[]"] * (depth - 1) + [inner]
 
     def opening(q: int) -> str:
-        return "".join(f"[\n{pads[level + 1]}" for level in range(q, depth))
+        return "".join(f"{brackets[level][0]}\n{pads[level + 1]}" for level in range(q, depth))
 
     def gap(m: int) -> str:
-        closing = "".join(f"\n{pads[level]}]" for level in range(depth - 1, depth - 1 - m, -1))
+        levels = reversed(range(depth - m, depth))
+        closing = "".join(f"\n{pads[level]}{brackets[level][1]}" for level in levels)
         return closing if m == depth else f"{closing},\n{pads[depth - m]}{opening(depth - m)}"
 
-    # repr is the stdlib's text of an int and of a finite float
-    return opening(0) + _table_text(value, repr, gap)
+    return opening(0) + _table_text(value, number, gap)
 
 
 def _table_text(value: np.ndarray, number: Callable[[Any], str], gap: Callable[[int], str]) -> str:
@@ -312,29 +347,22 @@ def _conjugacy_classes(report: ConjugacyClassReport) -> dict:
 
 
 def _structure_constants(table: CommutatorTable) -> dict:
-    """The nonzero commutators [u_i, u_j], in row-major (i, j) order."""
+    """The nonzero commutators [u_i, u_j], in row-major (i, j) order, as a record list."""
     d = table.d
-    labels = [format_index(divmod(k, d), (d, d)) for k in range(d * d)]
+    labels = np.array([format_index(divmod(k, d), (d, d)) for k in range(d * d)])
     # u_i and u_j commute exactly when their two exponents agree
-    pairs = np.nonzero(table.first != table.second)
-    coefficients = table.coefficients("-", pairs)
-    columns = (*pairs, table.target[pairs], table.first[pairs], table.second[pairs])
-    rows = [
-        {
-            "left": labels[i],
-            "right": labels[j],
-            "target": labels[k],
-            "tau_first": first,
-            "tau_second": second,
-            "re": re,
-            "im": im,
-        }
-        for i, j, k, first, second, re, im in zip(
-            *(column.tolist() for column in columns),
-            coefficients.real.tolist(),
-            coefficients.imag.tolist(),
-        )
-    ]
+    i, j = np.nonzero(table.first != table.second)
+    coefficients = table.coefficients("-", (i, j))
+    columns = {
+        "left": labels[i],
+        "right": labels[j],
+        "target": labels[table.target[i, j]],
+        "tau_first": table.first[i, j],
+        "tau_second": table.second[i, j],
+        "re": coefficients.real,
+        "im": coefficients.imag,
+    }
+    rows = np.rec.fromarrays(list(columns.values()), names=list(columns))
     return {"type": "structure-constants", "d": d, "nonzero_count": len(rows), "entries": rows}
 
 

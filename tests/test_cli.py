@@ -121,6 +121,17 @@ def test_weyl_vra_and_fourier(capsys):
     assert np.max(np.abs(mat - np.array([[1, 1], [1, -1]]) / np.sqrt(2))) < 1e-12
 
 
+@pytest.mark.parametrize("a", [7, -1, 10**20, 10**400])
+def test_weyl_vra_reads_an_integer_a_mod_d(capsys, a):
+    # q^(ka) has period d in a, so the matrix is the one of a mod d
+    code, out, err = run_cli(capsys, "weyl", "vra", "--d", "5", "--r", "0.37", "--a", str(a))
+    assert (code, err) == (0, "")
+    _, reduced, _ = run_cli(capsys, "weyl", "vra", "--d", "5", "--r", "0.37", "--a", str(a % 5))
+    payload, expected = json.loads(out), json.loads(reduced)
+    assert payload["a"] == a
+    assert (payload["re"], payload["im"]) == (expected["re"], expected["im"])
+
+
 def test_weyl_su2_check(capsys):
     code, out, _ = run_cli(capsys, "weyl", "su2-check", "--d", "5")
     assert code == 0

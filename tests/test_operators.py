@@ -440,6 +440,16 @@ def test_ladder_actions_match_polar_construction():
                 assert max_abs(jz - jz_matrix(d)) < 1e-12
 
 
+@pytest.mark.parametrize("a", [7, -1, 10**20, 10**400, np.int64(-8)])
+def test_an_integer_a_reads_mod_d(a):
+    # q^(ka) has period d in a, so the reduction is exact
+    assert np.array_equal(v_ra_matrix(5, 0.37, a), v_ra_matrix(5, 0.37, a % 5))
+    assert np.array_equal(ladder_matrices(5, a), ladder_matrices(5, a % 5))
+    jp, jm, _ = polar_su2_ops(5, 0, a)
+    lp, lm = ladder_matrices(5, a)
+    assert max_abs(jp - lp) < 1e-9 and max_abs(jm - lm) < 1e-9
+
+
 def test_jz_eigenvalues_are_m_values():
     for d in range(2, 11):
         _, _, jz = polar_su2_ops(d, 0, 0)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays, from_dtype
 
@@ -407,7 +407,7 @@ numeric_arrays = st.one_of(
 def test_numeric_array_renders_like_its_list(array, indent, depth):
     if array.ndim and array.size:
         expected = json.dumps(array.tolist(), indent=2).replace("\n", "\n" + indent)
-        assert serialize_mod._json_array(array, indent) == expected
+        assert serialize_mod._json_array(array, indent, repr, "[]") == expected
     # the table's indent is read off the text around it, at any nesting
     payload = array
     for _ in range(depth):
@@ -497,6 +497,50 @@ def test_non_finite_float_arrays_raise_the_stdlib_value_error_before_any_chunk(b
 def test_a_payload_string_like_the_placeholder_raises_before_any_chunk(text):
     with pytest.raises(ValueError, match="placeholder"):
         json_chunks({"table": np.arange(6).reshape(2, 3), "label": text})
+
+
+# the values of one field of a record list, by the field's dtype
+record_fields = {
+    "i8": st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3),
+    "f8": finite_floats | st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324]),
+    "f4": finite(np.float32),
+    "U8": st.text(max_size=8) | st.sampled_from(["(1,15)", "(15,15)", "(01)", 'a"\\b']),
+}
+
+
+@st.composite
+def record_lists(draw) -> np.ndarray:
+    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True))
+    dtype = [(name, draw(st.sampled_from(list(record_fields)))) for name in names]
+    records = np.empty(draw(st.integers(0, 6)), dtype=dtype)
+    for name, kind in dtype:
+        field = st.lists(record_fields[kind], min_size=len(records), max_size=len(records))
+        records[name] = draw(field)
+    return records
+
+
+def as_dicts(records: np.ndarray) -> list[dict]:
+    return [dict(zip(records.dtype.names, row)) for row in records.tolist()]
+
+
+@given(record_lists(), st.integers(0, 2))
+@example(np.empty(0, dtype=[("left", "U8"), ("re", "f8")]), 1)
+@example(np.rec.fromarrays([["(1,15)"], [-2], [-0.0], [5e-324]], names="left,tau,re,im"), 0)
+def test_record_list_renders_like_its_dicts(records, depth):
+    payload, expected = records, as_dicts(records)
+    for _ in range(depth):
+        payload, expected = {"entries": payload}, {"entries": expected}
+    assert "".join(json_chunks(payload)) == stdlib_dumps(expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_record_field_raises_the_stdlib_value_error_before_any_chunk(bad):
+    records = np.rec.fromarrays([["(01)", "(10)"], [0.5, bad]], names="label,re")
+    with pytest.raises(ValueError) as ours:
+        json_chunks({"table": np.ones((2, 2)), "entries": records})
+    with pytest.raises(ValueError) as theirs:
+        stdlib_dumps({"table": [[1.0, 1.0], [1.0, 1.0]], "entries": as_dicts(records)})
+    assert str(ours.value) == str(theirs.value)
 
 
 signed_zero_parts = st.sampled_from([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)])
