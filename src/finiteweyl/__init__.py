@@ -7,10 +7,10 @@ stated tolerances.
 
 Importing the package loads none of its modules.  Each public name in
 `__all__`, and each module in `_EXPORTS`, is loaded on first access (PEP
-562), so `from finiteweyl import pd_irrep` loads `group` and what it
-imports, and a CLI request that never touches P_d or the suites does not
-pay for them.  `dir()` and `from finiteweyl import *` list every public
-name as an eager import would.
+562), so `from finiteweyl import pd_named_subgroups` loads `group` and
+what it imports, and a CLI request that never touches P_d or the suites
+does not pay for them.  `dir()` and `from finiteweyl import *` list every
+public name as an eager import would.
 """
 
 import importlib
@@ -32,15 +32,11 @@ _EXPORTS = {
     ),
     "group": (
         "ConjugacyClassReport",
-        "FormalCombination",
         "PdElement",
         "pd_centralizer_size",
-        "pd_character",
         "pd_conjugacy_classes",
-        "pd_irrep",
         "pd_irrep_counts",
         "pd_is_ambivalent",
-        "pd_lie_bracket",
         "pd_named_subgroups",
     ),
     "heisenberg": ("HWElement", "hw_conjugate", "hw_lie_check", "hw_matrix"),

@@ -9,21 +9,20 @@ exhaustive backtracking over the commutation graph.  For composite d
 (single qudit) the search instead certifies that no such partition exists
 and returns the best-effort classes.
 
-`commutator_table(d)` is the array form of `commutator_coefficient_exponents`
-and `pauli_commutator`: one `CommutatorTable` of int64 tau exponents and
-target label indices for all d^4 label pairs, whose `coefficients` method
-turns the exponents into the complex coefficients through
-`phases.tau_powers`, bit for bit as `pauli_commutator` does.
-`hs_orthogonality` reads the trace pairings off the same table.
-`tensor_commutation_table(dims, labels)` is the array form of
-`tensor_indices_commute` (and, with dims = (d,), of `indices_commute`):
-the symplectic form of every label pair.  Both searches read their
-commutation graph off it, and `validate_cartan_partition` the commutation
-within each class of every partition, the two-qubit spread
-`TWO_QUBIT_SPREAD` (the p^e = 4 case) included.  `pauli_stack(dims,
-labels)` is the one builder of dense Pauli matrices.  The trace pairings
-of tensor monomials, the Gram of the spread included, are
-`operators.trace_gram`; the text form of a label is `serialize`'s.
+`commutator_table(d)` holds the exponents of `pauli_commutator` for all
+d^4 label pairs: one `CommutatorTable` of int64 tau exponents and target
+label indices, whose `coefficients` method turns the exponents into the
+complex coefficients through `phases.tau_powers`, bit for bit as
+`pauli_commutator` does.  `hs_orthogonality` reads the trace pairings off
+the same table.  `tensor_commutation_table(dims, labels)` holds the
+symplectic form of every label pair, the law `tensor_indices_commute`
+tests one pair at a time.  Both searches read their commutation graph
+off it, and `validate_cartan_partition` the commutation within each
+class of every partition, the two-qubit spread `TWO_QUBIT_SPREAD` (the
+p^e = 4 case) included.  `pauli_stack(dims, labels)` is the one builder
+of dense Pauli matrices.  The trace pairings of tensor monomials, the
+Gram of the spread included, are `operators.trace_gram`; the text form
+of a label is `serialize`'s.
 """
 
 from __future__ import annotations
@@ -56,30 +55,17 @@ def pauli_indices(d: int, include_identity: bool = False) -> list[PauliIndex]:
     return out if include_identity else [ab for ab in out if ab != (0, 0)]
 
 
-def indices_commute(d: int, ab: PauliIndex, ab2: PauliIndex) -> bool:
-    (a, b), (a2, b2) = ab, ab2
-    return (a * b2 - b * a2) % d == 0
-
-
-def commutator_coefficient_exponents(
-    d: int, ab: PauliIndex, ab2: PauliIndex
-) -> tuple[PhaseExponent, PhaseExponent]:
-    """The pair (q^(-ba'), q^(-ab')) entering the (anti)commutator."""
-    (a, b), (a2, b2) = ab, ab2
-    return PhaseExponent.q_power(-b * a2, d), PhaseExponent.q_power(-a * b2, d)
-
-
 def pauli_commutator(
     d: int, ab: PauliIndex, ab2: PauliIndex, sign: str = "-"
 ) -> tuple[complex, PauliIndex]:
     """[u_ab, u_a'b']_-+ = (q^(-ba') -+ q^(-ab')) u_(a+a', b+b')."""
     if sign not in ("-", "+"):
         raise ValueError(f"sign must be '-' or '+', got {sign!r}")
-    first, second = commutator_coefficient_exponents(d, ab, ab2)
-    coeff = first.to_complex() - second.to_complex() if sign == "-" else (
-        first.to_complex() + second.to_complex()
-    )
-    target = ((ab[0] + ab2[0]) % d, (ab[1] + ab2[1]) % d)
+    (a, b), (a2, b2) = ab, ab2
+    first = PhaseExponent.q_power(-b * a2, d).to_complex()
+    second = PhaseExponent.q_power(-a * b2, d).to_complex()
+    coeff = first - second if sign == "-" else first + second
+    target = ((a + a2) % d, (b + b2) % d)
     return coeff, target
 
 
@@ -301,12 +287,12 @@ def tensor_indices_commute(dims: tuple[int, ...], idx1: tuple, idx2: tuple) -> b
 
 
 def tensor_commutation_table(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
-    """The array form of `tensor_indices_commute`, for all pairs of labels.
+    """`tensor_indices_commute` for all pairs of labels at once.
 
     Entry [i, j] is the symplectic form of labels[i] and labels[j]: with
     w_j = L / d_j and L = lcm(d_j), the sum of (a_j b'_j - b_j a'_j) * w_j
     mod L.  It is 0 exactly when the two operators commute.  With dims =
-    (d,) it is ab' - ba' mod d, the form of `indices_commute`.
+    (d,) it is ab' - ba' mod d.
     """
     lcm = math.lcm(*dims)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2 * len(dims))

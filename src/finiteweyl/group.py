@@ -17,25 +17,22 @@ and (0,0,1) only, at a cost of 3|H| conjugations.
 
 At run time the module holds elements only as int arrays whose last axis
 holds (a, b, c): the census returns each class as a row-sorted (n, 3)
-int64 array and each named subgroup is one such array.  The array forms
-are `pd_element_array` (the elements in `pd_elements` order),
-`pd_compose_array` and `pd_inverse_array` (the group law),
-`pd_centralizer_sizes`, `pd_element_orders` (`_element_order`),
-`pd_character_exponents` (tau exponents of `pd_character`),
-`pd_irrep_array` (`pd_irrep` as (t, shift, clock) rows for
-`operators.monomial_mul_array`), `pd_irrep_trace_exponents`
-(`rho_k(g).trace_exact()`) and `pd_lie_bracket_terms` (the signed terms
-of `pd_lie_bracket_combinations`).  They evaluate the same integer
-formulas mod d or mod 2d, so they agree exactly with the scalar forms;
-the census, ambivalence, closure, normality, commutativity, element
-orders, the centre, the quotient law and the character norms are
-evaluated with them, and so is every check of `suites.suite_group`.
+int64 array and each named subgroup is one such array.  The laws on
+those arrays are `pd_element_array` (the d^3 elements in lexicographic
+(a, b, c) order), `pd_compose_array` and `pd_inverse_array` (the group
+law), `pd_centralizer_sizes`, `pd_element_orders`,
+`pd_character_exponents` (tau exponents of the linear characters),
+`pd_irrep_array` (rho_k as (t, shift, clock) rows for
+`operators.monomial_mul_array`), `pd_irrep_trace_exponents` (the traces
+of rho_k) and `pd_lie_bracket_terms` (the signed terms of the bracket).
+They evaluate integer formulas mod d or mod 2d, so they are exact; the
+census, ambivalence, closure, normality, commutativity, element orders,
+the centre, the quotient law and the character norms are evaluated with
+them, and so is every check of `suites.suite_group`.
 
-The scalar forms (`PdElement`, `pd_conjugate`, `pd_centralizer_size`,
-`pd_character`, `pd_irrep`, the bracket) are the public single-element
-API and the references the tests pin the arrays to.  They share one law
-on (a, b, c) keys, `pd_compose_key`: `PdElement.compose` calls it, and
-the bracket accumulates its products straight into one dict of terms.
+`PdElement`, `pd_conjugate` and `pd_centralizer_size` are the public
+single-element API.  `PdElement.compose` uses the law on (a, b, c) keys,
+`pd_compose_key`.
 """
 
 from __future__ import annotations
@@ -46,13 +43,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
 from .limits import DEFAULT_BRUTE_FORCE_CAP, check_brute_force, check_dimension
-from .operators import MonomialOperator, monomial_mul
-from .phases import PhaseExponent
 
 PdKey = tuple[int, int, int]
 
@@ -95,21 +89,13 @@ class PdElement:
         return (self.a, self.b, self.c)
 
 
-def pd_identity(d: int) -> PdElement:
-    return PdElement(0, 0, 0, d)
-
-
 def pd_conjugate(g: PdElement, h: PdElement) -> PdElement:
     """g h g^-1, via composition (the closed form only moves h.a)."""
     return g.compose(h).compose(g.inverse())
 
 
-def pd_elements(d: int) -> list[PdElement]:
-    return [PdElement(a, b, c, d) for a, b, c in product(range(d), repeat=3)]
-
-
 def pd_element_array(d: int) -> np.ndarray:
-    """The d^3 elements as a (d^3, 3) int64 array, in `pd_elements` order."""
+    """The d^3 elements as a (d^3, 3) int64 array, in lexicographic (a, b, c) order."""
     check_dimension(d)
     return np.indices((d, d, d), dtype=np.int64).reshape(3, -1).T
 
@@ -133,7 +119,7 @@ def pd_inverse_array(g: np.ndarray, d: int) -> np.ndarray:
 
 
 def _element_codes(g: np.ndarray, d: int) -> np.ndarray:
-    """Index of each reduced (a, b, c) in `pd_elements` order."""
+    """Index of each reduced (a, b, c) in `pd_element_array` order."""
     return (g[..., 0] * d + g[..., 1]) * d + g[..., 2]
 
 
@@ -184,7 +170,7 @@ def pd_conjugacy_classes(d: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> Conjugac
     first = elements.copy()
     first[:, 0] = smallest.transpose(2, 0, 1).ravel()
     labels = _element_codes(first, d)
-    # a stable sort keeps each class in `pd_elements` order
+    # a stable sort keeps each class in `pd_element_array` order
     order = np.argsort(labels, kind="stable")
     bounds = np.flatnonzero(np.diff(labels[order])) + 1
     return ConjugacyClassReport(d=d, classes=np.split(elements[order], bounds))
@@ -224,7 +210,7 @@ def pd_is_ambivalent(report: ConjugacyClassReport) -> bool:
     d = report.d
     members = np.concatenate(report.classes)
     codes = _element_codes(members, d)
-    # the class of each element, indexed in `pd_elements` order
+    # the class of each element, indexed in `pd_element_array` order
     label = np.full(d**3, -1)
     label[codes] = np.repeat(np.arange(report.class_count), [len(cls) for cls in report.classes])
     return bool((label[_element_codes(pd_inverse_array(members, d), d)] == label[codes]).all())
@@ -239,7 +225,7 @@ class Subgroup:
 
 
 def _members(array: np.ndarray, d: int) -> np.ndarray:
-    """The membership mask of the rows of a (n, 3) array, in `pd_elements` order."""
+    """The membership mask of the rows of a (n, 3) array, in `pd_element_array` order."""
     member = np.zeros(d**3, dtype=bool)
     member[_element_codes(array, d)] = True
     return member
@@ -269,18 +255,8 @@ def _is_abelian(array: np.ndarray, d: int) -> bool:
     return not ((np.outer(c, b) - np.outer(b, c)) % d).any()
 
 
-def _element_order(g: PdElement) -> int:
-    acc = g
-    order = 1
-    ident = pd_identity(g.d).key()
-    while acc.key() != ident:
-        acc = acc.compose(g)
-        order += 1
-    return order
-
-
 def pd_element_orders(g: np.ndarray, d: int) -> np.ndarray:
-    """`_element_order` of each element of a (..., 3) int array.
+    """The order of each element of a (..., 3) int array.
 
     The powers g^n come from repeated `pd_compose_array`, all elements at
     once; each order is the first n at which g^n is the identity.
@@ -373,34 +349,14 @@ def pd_irrep_counts(d: int) -> tuple[int, int]:
     return one_dim, d_dim
 
 
-def pd_character(m: int, n: int, d: int) -> Callable[[PdElement], PhaseExponent]:
-    """The linear character (a, b, c) -> q^(mb + nc)."""
-
-    def chi(g: PdElement) -> PhaseExponent:
-        return PhaseExponent.q_power(m * g.b + n * g.c, d)
-
-    return chi
-
-
 def pd_character_exponents(m: int, n: int, g: np.ndarray, d: int) -> np.ndarray:
-    """Tau exponents of `pd_character(m, n, d)` on a (..., 3) int array."""
+    """Tau exponents of the linear character (a, b, c) -> q^(mb + nc) on a (..., 3) int array."""
     g = np.asarray(g, dtype=np.int64)
     return (2 * (m * g[..., 1] + n * g[..., 2])) % (2 * d)
 
 
-def pd_irrep(k: int, d: int) -> Callable[[PdElement], MonomialOperator]:
-    """The monomial representation rho_k(a, b, c) = q^(ka) X^b Z^(kc)."""
-    if not 1 <= k <= d - 1:
-        raise ValueError(f"k must lie in 1..{d - 1}, got {k}")
-
-    def rho(g: PdElement) -> MonomialOperator:
-        return MonomialOperator(PhaseExponent.q_power(k * g.a, d), g.b, k * g.c)
-
-    return rho
-
-
 def pd_irrep_array(k: int, g: np.ndarray, d: int) -> np.ndarray:
-    """`pd_irrep(k, d)(g)` for a (..., 3) int array, as (..., 3) monomial rows.
+    """rho_k(a, b, c) = q^(ka) X^b Z^(kc) for a (..., 3) int array, as (..., 3) monomial rows.
 
     Each row is (t, shift, clock) = (2ka mod 2d, b mod d, kc mod d), the
     tau exponent and powers of q^(ka) X^b Z^(kc), in the layout of
@@ -412,7 +368,7 @@ def pd_irrep_array(k: int, g: np.ndarray, d: int) -> np.ndarray:
 
 
 def pd_irrep_trace_exponents(k: int, g: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """`pd_irrep(k, d)(g).trace_exact()` for a (..., 3) int array.
+    """The exact trace of rho_k(g) for a (..., 3) int array.
 
     Returns (exponents, scalar): where `scalar` holds, rho_k(g) is the
     scalar d * tau^exponent and its trace is that; elsewhere it is traceless
@@ -437,91 +393,17 @@ def irrep_character_norm(k: int, d: int) -> Fraction:
     return Fraction(d * d * int(np.count_nonzero(scalar)), d**3)
 
 
-class FormalCombination:
-    """Finitely supported integer combination of group elements."""
-
-    def __init__(self, terms: dict[PdKey, int], d: int):
-        self.d = d
-        self.terms = {k: v for k, v in terms.items() if v != 0}
-
-    @classmethod
-    def zero(cls, d: int) -> "FormalCombination":
-        return cls({}, d)
-
-    @classmethod
-    def single(cls, g: PdElement, coeff: int = 1) -> "FormalCombination":
-        return cls({g.key(): coeff}, g.d)
-
-    def __add__(self, other: "FormalCombination") -> "FormalCombination":
-        if self.d != other.d:
-            raise ValueError("modulus mismatch")
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, 0) + coeff
-        return FormalCombination(merged, self.d)
-
-    def __sub__(self, other: "FormalCombination") -> "FormalCombination":
-        return self + other.scale(-1)
-
-    def scale(self, factor: int) -> "FormalCombination":
-        return FormalCombination({k: factor * v for k, v in self.terms.items()}, self.d)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FormalCombination)
-            and self.d == other.d
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"{v}*{k}" for k, v in sorted(self.terms.items()))
-        return f"FormalCombination({body or '0'}, d={self.d})"
-
-
-def _add_bracket(terms: dict[PdKey, int], g: PdKey, h: PdKey, d: int, coeff: int) -> None:
-    """Accumulate coeff * (gh - hg) into terms."""
-    gh, hg = pd_compose_key(g, h, d), pd_compose_key(h, g, d)
-    terms[gh] = terms.get(gh, 0) + coeff
-    terms[hg] = terms.get(hg, 0) - coeff
-
-
-def pd_lie_bracket(g: PdElement, h: PdElement) -> FormalCombination:
-    """The bracket <g, h> = gh - hg in the group algebra."""
-    if g.d != h.d:
-        raise ValueError(f"modulus mismatch: {g.d} != {h.d}")
-    terms: dict[PdKey, int] = {}
-    _add_bracket(terms, g.key(), h.key(), g.d, 1)
-    return FormalCombination(terms, g.d)
-
-
-def pd_lie_bracket_combinations(
-    f: FormalCombination, g: FormalCombination
-) -> FormalCombination:
-    """Bilinear extension of the bracket to formal combinations."""
-    if f.d != g.d:
-        raise ValueError(f"modulus mismatch: {f.d} != {g.d}")
-    terms: dict[PdKey, int] = {}
-    for key1, coeff1 in f.terms.items():
-        for key2, coeff2 in g.terms.items():
-            _add_bracket(terms, key1, key2, f.d, coeff1 * coeff2)
-    return FormalCombination(terms, f.d)
-
-
 def pd_lie_bracket_terms(
     f: np.ndarray, f_coeffs: np.ndarray, g: np.ndarray, g_coeffs: np.ndarray, d: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`pd_lie_bracket_combinations` on arrays of terms, left unmerged.
+    """The bracket <f, g> = fg - gf of two integer combinations of elements, left unmerged.
 
     f holds (..., n, 3) keys with (..., n) integer coefficients and g holds
     (..., m, 3) keys with (..., m) coefficients.  Returns the (..., 2nm, 3)
     keys and (..., 2nm) coefficients of the bracket's signed terms, in the
-    order of the scalar loop: for each pair of terms, +f_i g_j at f_i g_j,
-    then -f_i g_j at g_j f_i.  Summing the coefficients per key gives the
-    terms of the scalar combination.
+    order of a loop over the pairs of terms: for each pair, +f_i g_j at
+    f_i g_j, then -f_i g_j at g_j f_i.  Summing the coefficients per key
+    gives the terms of the bracket.
     """
     left, right = np.asarray(f)[..., :, None, :], np.asarray(g)[..., None, :, :]
     keys = np.stack([pd_compose_array(left, right, d), pd_compose_array(right, left, d)], axis=-2)
@@ -529,22 +411,6 @@ def pd_lie_bracket_terms(
     coeffs = np.broadcast_to(coeffs * np.array([1, -1]), keys.shape[:-1])
     batch = keys.shape[:-4]
     return keys.reshape(*batch, -1, 3), coeffs.reshape(*batch, -1)
-
-
-def bracket_matches_monomial_commutator(g: PdElement, h: PdElement) -> bool:
-    """The group-algebra bracket maps to the matrix commutator of the w's.
-
-    Both sides are computed in exact monomial arithmetic: the bracket's two
-    group terms must be exactly the monomials w(gh) and w(hg).
-    """
-    d = g.d
-    wg = MonomialOperator.w(d, g.a, g.b, g.c)
-    wh = MonomialOperator.w(d, h.a, h.b, h.c)
-    gh, hg = g.compose(h), h.compose(g)
-    return (
-        monomial_mul(wg, wh) == MonomialOperator.w(d, gh.a, gh.b, gh.c)
-        and monomial_mul(wh, wg) == MonomialOperator.w(d, hg.a, hg.b, hg.c)
-    )
 
 
 def class_count_minus_order_factor(d: int) -> int:

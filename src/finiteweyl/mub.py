@@ -102,13 +102,6 @@ def s_permutation(d: int) -> np.ndarray:
     return s / math.sqrt(d)
 
 
-def fourier_hadamard_residual(d: int) -> float:
-    """Literal residual of the factorization F = (H_0 S)^dagger."""
-    h0 = hadamard_h_a(d, 0).to_matrix()
-    candidate = (h0 @ s_permutation(d)).conj().T
-    return residual_norm([fourier_matrix(d) - candidate])
-
-
 def fourier_hadamard_corrected_residual(d: int) -> float:
     """Residual of F = Z (H_0 S)^dagger, with the clock Z = diag(q^k).
 

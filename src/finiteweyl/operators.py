@@ -165,14 +165,26 @@ def v_ra_matrix(d: int, r: float = 0.0, a: float = 0.0) -> np.ndarray:
 
 
 def v_ra_eigenvalue(d: int, r: float, a: float, alpha: int) -> complex:
-    """q^(j(a+r) - alpha) with j = (d-1)/2."""
+    """q^(j(a+r) - alpha) with j = (d-1)/2.
+
+    An int or NumPy integer a is reduced mod 2d first, exactly: the phase
+    is exp(pi i n a / d) with n = d - 1 an integer, so its period in a is 2d.
+    """
+    if isinstance(a, (int, np.integer)):
+        a %= 2 * d
     return cmath.exp(2j * cmath.pi * ((d - 1) * (a + r) / 2 - alpha) / d)
 
 
 def v_ra_eigenvector(d: int, r: float, a: float, alpha: int) -> np.ndarray:
-    """Normalized eigenvector of v_ra for the eigenvalue indexed by alpha."""
+    """Normalized eigenvector of v_ra for the eigenvalue indexed by alpha.
+
+    An int or NumPy integer a is reduced mod 2d first, as `v_ra_eigenvalue`
+    reduces it: component k carries exp(pi i (d-1-k)(k+1) a / d).
+    """
     if not 0 <= alpha <= d - 1:
         raise ValueError(f"alpha must lie in 0..{d - 1}, got {alpha}")
+    if isinstance(a, (int, np.integer)):
+        a %= 2 * d
     j = (d - 1) / 2
     vec = np.zeros(d, dtype=complex)
     for k in range(d):

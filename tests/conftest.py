@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import pathlib
 
 import numpy as np
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def load_golden(name: str) -> dict:
     with open(GOLDEN_DIR / name) as handle:
         return json.load(handle)
+
+
+def load_spans():
+    """The benchmark's `perfbench/spans.py`, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def max_abs(array) -> float:

@@ -1,0 +1,190 @@
+"""Scalar forms of the laws that `finiteweyl` evaluates on int64 arrays.
+
+The library ships one implementation of each law: the array kernels of
+`group`, `basis` and `mub`.  The scalar forms below are the references
+the tests pin those kernels to, one element, label or pair at a time:
+
+- P_d: its elements in (a, b, c) order, element orders, the linear
+  characters q^(mb + nc), the monomial representations rho_k and the
+  bracket gh - hg on the group algebra (`FormalCombination`);
+- u(d): the commutation test ab' - ba' = 0 (mod d) of two labels and the
+  exponents of the two coefficients q^(-ba') and q^(-ab') of their
+  (anti)commutator;
+- the literal residual of F = (H_0 S)^dagger, acceptance criterion 05,
+  which fails by design.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+from itertools import product
+
+from finiteweyl.group import PdElement, PdKey, pd_compose_key
+from finiteweyl.mub import hadamard_h_a, s_permutation
+from finiteweyl.operators import MonomialOperator, fourier_matrix, monomial_mul, residual_norm
+from finiteweyl.phases import PhaseExponent
+
+PauliIndex = tuple[int, int]
+
+
+# ---------------------------------------------------------------------------
+# P_d
+# ---------------------------------------------------------------------------
+
+
+def pd_identity(d: int) -> PdElement:
+    return PdElement(0, 0, 0, d)
+
+
+def pd_elements(d: int) -> list[PdElement]:
+    return [PdElement(a, b, c, d) for a, b, c in product(range(d), repeat=3)]
+
+
+def element_order(g: PdElement) -> int:
+    acc = g
+    order = 1
+    ident = pd_identity(g.d).key()
+    while acc.key() != ident:
+        acc = acc.compose(g)
+        order += 1
+    return order
+
+
+def pd_character(m: int, n: int, d: int) -> Callable[[PdElement], PhaseExponent]:
+    """The linear character (a, b, c) -> q^(mb + nc)."""
+
+    def chi(g: PdElement) -> PhaseExponent:
+        return PhaseExponent.q_power(m * g.b + n * g.c, d)
+
+    return chi
+
+
+def pd_irrep(k: int, d: int) -> Callable[[PdElement], MonomialOperator]:
+    """The monomial representation rho_k(a, b, c) = q^(ka) X^b Z^(kc)."""
+    if not 1 <= k <= d - 1:
+        raise ValueError(f"k must lie in 1..{d - 1}, got {k}")
+
+    def rho(g: PdElement) -> MonomialOperator:
+        return MonomialOperator(PhaseExponent.q_power(k * g.a, d), g.b, k * g.c)
+
+    return rho
+
+
+class FormalCombination:
+    """Finitely supported integer combination of group elements."""
+
+    def __init__(self, terms: dict[PdKey, int], d: int):
+        self.d = d
+        self.terms = {k: v for k, v in terms.items() if v != 0}
+
+    @classmethod
+    def zero(cls, d: int) -> "FormalCombination":
+        return cls({}, d)
+
+    @classmethod
+    def single(cls, g: PdElement, coeff: int = 1) -> "FormalCombination":
+        return cls({g.key(): coeff}, g.d)
+
+    def __add__(self, other: "FormalCombination") -> "FormalCombination":
+        if self.d != other.d:
+            raise ValueError("modulus mismatch")
+        merged = dict(self.terms)
+        for key, coeff in other.terms.items():
+            merged[key] = merged.get(key, 0) + coeff
+        return FormalCombination(merged, self.d)
+
+    def __sub__(self, other: "FormalCombination") -> "FormalCombination":
+        return self + other.scale(-1)
+
+    def scale(self, factor: int) -> "FormalCombination":
+        return FormalCombination({k: factor * v for k, v in self.terms.items()}, self.d)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, FormalCombination)
+            and self.d == other.d
+            and self.terms == other.terms
+        )
+
+    def __repr__(self) -> str:
+        body = " + ".join(f"{v}*{k}" for k, v in sorted(self.terms.items()))
+        return f"FormalCombination({body or '0'}, d={self.d})"
+
+
+def _add_bracket(terms: dict[PdKey, int], g: PdKey, h: PdKey, d: int, coeff: int) -> None:
+    """Accumulate coeff * (gh - hg) into terms."""
+    gh, hg = pd_compose_key(g, h, d), pd_compose_key(h, g, d)
+    terms[gh] = terms.get(gh, 0) + coeff
+    terms[hg] = terms.get(hg, 0) - coeff
+
+
+def pd_lie_bracket(g: PdElement, h: PdElement) -> FormalCombination:
+    """The bracket <g, h> = gh - hg in the group algebra."""
+    if g.d != h.d:
+        raise ValueError(f"modulus mismatch: {g.d} != {h.d}")
+    terms: dict[PdKey, int] = {}
+    _add_bracket(terms, g.key(), h.key(), g.d, 1)
+    return FormalCombination(terms, g.d)
+
+
+def pd_lie_bracket_combinations(
+    f: FormalCombination, g: FormalCombination
+) -> FormalCombination:
+    """Bilinear extension of the bracket to formal combinations."""
+    if f.d != g.d:
+        raise ValueError(f"modulus mismatch: {f.d} != {g.d}")
+    terms: dict[PdKey, int] = {}
+    for key1, coeff1 in f.terms.items():
+        for key2, coeff2 in g.terms.items():
+            _add_bracket(terms, key1, key2, f.d, coeff1 * coeff2)
+    return FormalCombination(terms, f.d)
+
+
+def bracket_matches_monomial_commutator(g: PdElement, h: PdElement) -> bool:
+    """The group-algebra bracket maps to the matrix commutator of the w's.
+
+    Both sides are computed in exact monomial arithmetic: the bracket's two
+    group terms must be exactly the monomials w(gh) and w(hg).
+    """
+    d = g.d
+    wg = MonomialOperator.w(d, g.a, g.b, g.c)
+    wh = MonomialOperator.w(d, h.a, h.b, h.c)
+    gh, hg = g.compose(h), h.compose(g)
+    return (
+        monomial_mul(wg, wh) == MonomialOperator.w(d, gh.a, gh.b, gh.c)
+        and monomial_mul(wh, wg) == MonomialOperator.w(d, hg.a, hg.b, hg.c)
+    )
+
+
+# ---------------------------------------------------------------------------
+# u(d)
+# ---------------------------------------------------------------------------
+
+
+def indices_commute(d: int, ab: PauliIndex, ab2: PauliIndex) -> bool:
+    (a, b), (a2, b2) = ab, ab2
+    return (a * b2 - b * a2) % d == 0
+
+
+def commutator_coefficient_exponents(
+    d: int, ab: PauliIndex, ab2: PauliIndex
+) -> tuple[PhaseExponent, PhaseExponent]:
+    """The pair (q^(-ba'), q^(-ab')) entering the (anti)commutator."""
+    (a, b), (a2, b2) = ab, ab2
+    return PhaseExponent.q_power(-b * a2, d), PhaseExponent.q_power(-a * b2, d)
+
+
+# ---------------------------------------------------------------------------
+# MUBs
+# ---------------------------------------------------------------------------
+
+
+def fourier_hadamard_residual(d: int) -> float:
+    """Literal residual of the factorization F = (H_0 S)^dagger."""
+    h0 = hadamard_h_a(d, 0).to_matrix()
+    candidate = (h0 @ s_permutation(d)).conj().T
+    return residual_norm([fourier_matrix(d) - candidate])

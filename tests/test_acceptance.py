@@ -25,9 +25,7 @@ from conftest import commutator, load_golden, max_abs
 from finiteweyl.basis import (
     cartan_partition_prime,
     cartan_partition_prime_power,
-    commutator_coefficient_exponents,
     commuting_class_search,
-    indices_commute,
     pauli_commutator,
     pauli_indices,
     su4_spread_check,
@@ -44,7 +42,6 @@ from finiteweyl.heisenberg import (
 )
 from finiteweyl.mub import (
     basis_b0a,
-    fourier_hadamard_residual,
     hadamard_h_a,
     hadamard_reduction_defect,
     minimal_triple,
@@ -60,6 +57,11 @@ from finiteweyl.operators import (
     v_ra_eigenvalue,
     v_ra_matrix,
     weyl_pair,
+)
+from oracles import (
+    commutator_coefficient_exponents,
+    fourier_hadamard_residual,
+    indices_commute,
 )
 
 

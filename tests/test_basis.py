@@ -17,11 +17,9 @@ from finiteweyl.basis import (
     TensorMonomial,
     cartan_partition_prime,
     cartan_partition_prime_power,
-    commutator_coefficient_exponents,
     commutator_table,
     commuting_class_search,
     hs_orthogonality,
-    indices_commute,
     partition_dense_commutation_defect,
     pauli_commutator,
     pauli_indices,
@@ -38,6 +36,7 @@ from finiteweyl.limits import MUB_PRIME_CAP, SEARCH_CAP, is_prime
 from finiteweyl.mub import OrthonormalBasis, pairwise_deviations
 from finiteweyl.operators import MonomialOperator, trace_gram
 from finiteweyl.search import find_commuting_partition, greedy_commuting_classes
+from oracles import commutator_coefficient_exponents, indices_commute
 
 
 def kron_matrix(u: TensorMonomial) -> np.ndarray:

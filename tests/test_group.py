@@ -11,18 +11,14 @@ from hypothesis import strategies as st
 
 import finiteweyl.group as group_mod
 from finiteweyl.group import (
-    FormalCombination,
     PdElement,
-    _element_order,
     _is_abelian,
     _is_closed,
     _is_normal,
-    bracket_matches_monomial_commutator,
     class_count_minus_order_factor,
     irrep_character_norm,
     pd_centralizer_size,
     pd_centralizer_sizes,
-    pd_character,
     pd_character_exponents,
     pd_compose_array,
     pd_compose_key,
@@ -30,22 +26,28 @@ from finiteweyl.group import (
     pd_conjugate,
     pd_element_array,
     pd_element_orders,
-    pd_elements,
-    pd_identity,
     pd_inverse_array,
-    pd_irrep,
     pd_irrep_array,
     pd_irrep_counts,
     pd_irrep_trace_exponents,
     pd_is_ambivalent,
-    pd_lie_bracket,
-    pd_lie_bracket_combinations,
     pd_lie_bracket_terms,
     pd_named_subgroups,
     pd_quotient_is_double_cyclic,
 )
 from finiteweyl.operators import MonomialOperator, monomial_mul, monomial_mul_array
 from finiteweyl.phases import PhaseExponent
+from oracles import (
+    FormalCombination,
+    bracket_matches_monomial_commutator,
+    element_order,
+    pd_character,
+    pd_elements,
+    pd_identity,
+    pd_irrep,
+    pd_lie_bracket,
+    pd_lie_bracket_combinations,
+)
 
 SMALL_D = range(2, 7)
 
@@ -547,7 +549,7 @@ def test_element_orders_match_element_order(d):
     elems = twin_samples(d)
     orders = pd_element_orders(keys_of(elems), d)
     assert orders.dtype == np.int64
-    assert orders.tolist() == [_element_order(g) for g in elems]
+    assert orders.tolist() == [element_order(g) for g in elems]
 
 
 def merged_terms(keys: np.ndarray, coeffs: np.ndarray) -> dict:

@@ -15,7 +15,6 @@ from finiteweyl.mub import (
     basis_exponent_table,
     computational_basis,
     fourier_hadamard_corrected_residual,
-    fourier_hadamard_residual,
     hadamard_h_a,
     hadamard_reduction_defect,
     minimal_triple,
@@ -27,6 +26,7 @@ from finiteweyl.mub import (
 from finiteweyl.limits import is_prime
 from finiteweyl.operators import v_ra_eigenvalue, v_ra_matrix
 from finiteweyl.phases import tau_powers
+from oracles import fourier_hadamard_residual
 
 
 def test_is_prime():

@@ -359,6 +359,21 @@ def test_spectrum_nondegenerate():
                         assert abs(values[i] - values[j]) > 1e-9
 
 
+@pytest.mark.parametrize(
+    "a", [10**20, 10**400, -7, np.int64(-8)], ids=["1e20", "1e400", "-7", "int64(-8)"]
+)
+def test_eigen_pair_reads_an_integer_a_mod_2d(a):
+    # both phases are exp(pi i n a / d) with n an integer: period 2d in a
+    for d in (4, 5, 6):
+        v = v_ra_matrix(d, 0, a)
+        for alpha in range(d):
+            vec = v_ra_eigenvector(d, 0, a, alpha)
+            lam = v_ra_eigenvalue(d, 0, a, alpha)
+            assert np.array_equal(vec, v_ra_eigenvector(d, 0, a % (2 * d), alpha))
+            assert lam == v_ra_eigenvalue(d, 0, a % (2 * d), alpha)
+            assert max_abs(v @ vec - lam * vec) < 1e-12
+
+
 def test_eigenvector_alpha_out_of_range():
     with pytest.raises(ValueError):
         v_ra_eigenvector(3, 0, 0, 3)

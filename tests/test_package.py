@@ -1,10 +1,15 @@
+import ast
 import importlib
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from conftest import load_spans
 import finiteweyl
+
+SRC = pathlib.Path(finiteweyl.__file__).parent
 
 
 def test_every_public_name_resolves_to_its_home_module_object():
@@ -20,8 +25,54 @@ def test_every_public_name_resolves_to_its_home_module_object():
         finiteweyl.serialize_everything
 
 
+def test_the_scalar_twins_are_not_public():
+    # the scalar forms of the P_d laws are test oracles, not library API
+    assert len(finiteweyl.__all__) == 39
+    for name in ("FormalCombination", "pd_character", "pd_irrep", "pd_lie_bracket"):
+        assert name not in finiteweyl.__all__
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(finiteweyl, name)
+
+
 def test_importing_the_package_loads_none_of_its_modules():
     code = "import sys, finiteweyl; print([m for m in sys.modules if m.startswith('finiteweyl')])"
     argv = [sys.executable, "-c", code]
     result = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout) == (0, "['finiteweyl']\n")
+
+
+def unreferenced_definitions() -> set[tuple[str, str]]:
+    """Each top-level function or class of `src/finiteweyl` that nothing there names.
+
+    A reference is a name or an attribute in code, so the strings of
+    `__init__._EXPORTS`, docstrings and check names do not count, and
+    neither does a definition's use of itself.
+    """
+    defined, referenced = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add((path.stem, stmt.name))
+                names.discard(stmt.name)
+            referenced |= names
+    return {(module, name) for module, name in defined if name not in referenced}
+
+
+def test_every_definition_in_src_is_used_in_src():
+    # the entry points that stay without a caller: the PEP 562 hooks, the
+    # functions the benchmark traces, and the README's single-element and
+    # exact-export API
+    traced = {tuple(target.split(".")) for target in load_spans().TARGETS}
+    allowed = {target for target in traced if len(target) == 2} | {
+        ("__init__", "__getattr__"),
+        ("__init__", "__dir__"),
+        ("group", "pd_centralizer_size"),
+        ("serialize", "import_exact"),
+        ("serialize", "export"),
+    }
+    assert unreferenced_definitions() - allowed == set()

@@ -5,20 +5,9 @@
 `KeyError` here rather than only in the benchmark's own self-test.
 """
 
-import importlib.util
-import pathlib
-
+from conftest import load_spans
 import finiteweyl.basis as basis_mod
 import finiteweyl.search as search_mod
-
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_target_is_wrapped_and_restored():

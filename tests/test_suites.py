@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finiteweyl import suites
+from finiteweyl.group import PdElement
 from finiteweyl.operators import MonomialOperator
 from finiteweyl.report import VerificationReport
 from finiteweyl.suites import (
@@ -30,16 +31,25 @@ def test_hw_suite_passes():
     assert report.overall, failing_names(report)
 
 
+def refuse_the_scalar_group_law(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the scalar group law was called")
+
+    monkeypatch.setattr(PdElement, "__init__", refuse)
+    monkeypatch.setattr(suites.group_mod, "pd_compose_key", refuse)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_group_suite_prime(monkeypatch, d):
     # every check runs on the integer array laws
-    monkeypatch.setattr(suites.group_mod, "pd_elements", lambda d: pytest.fail("pd_elements ran"))
+    refuse_the_scalar_group_law(monkeypatch)
     report = suite_group(d)
     assert report.overall, failing_names(report)
 
 
-@pytest.mark.parametrize("d", [4, 6, 9])
-def test_group_suite_composite_fails_only_the_count_claim(d):
+@pytest.mark.parametrize("d", [4, 6, 9, 12])
+def test_group_suite_composite_fails_only_the_count_claim(monkeypatch, d):
+    refuse_the_scalar_group_law(monkeypatch)
     report = suite_group(d)
     assert failing_names(report) == ["class_count_formula"]
 
