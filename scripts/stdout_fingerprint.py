@@ -141,6 +141,8 @@ COMMANDS = [
     "basis structure --d 11",
     "weyl vra --d 5 --a 7",
     "weyl vra --d 5 --a -1",
+    # the exact traces of rho_k at composite d
+    "group irreps --d 12",
 ]
 
 

@@ -13,15 +13,16 @@ and returns the best-effort classes.
 d^4 label pairs: one `CommutatorTable` of int64 tau exponents and target
 label indices, whose `coefficients` method turns the exponents into the
 complex coefficients through `phases.tau_powers`, bit for bit as
-`pauli_commutator` does.  `hs_orthogonality` reads the trace pairings off
-the same table.  `tensor_commutation_table(dims, labels)` holds the
-symplectic form of every label pair, the law `tensor_indices_commute`
+`pauli_commutator` does.  `tensor_commutation_table(dims, labels)` holds
+the symplectic form of every label pair, the law `tensor_indices_commute`
 tests one pair at a time.  Both searches read their commutation graph
 off it, and `validate_cartan_partition` the commutation within each
 class of every partition, the two-qubit spread `TWO_QUBIT_SPREAD` (the
 p^e = 4 case) included.  `pauli_stack(dims, labels)` is the one builder
-of dense Pauli matrices.  The trace pairings of tensor monomials, the
-Gram of the spread included, are `operators.trace_gram`; the text form
+of dense Pauli matrices and `pauli_rows(dims, labels)` of their exact
+(t, shift, clock) rows.  Every trace pairing, `hs_orthogonality` over the
+d^2 labels and the Gram of the spread included, is `operators.trace_gram`
+of those rows; a `TensorMonomial` only holds its factors.  The text form
 of a label is `serialize`'s.
 """
 
@@ -36,7 +37,7 @@ from types import EllipsisType
 import numpy as np
 
 from .limits import check_prime, check_search, check_structure_table, check_tensor
-from .operators import MonomialOperator, monomial_mul, residual_norm, trace_gram
+from .operators import MonomialOperator, residual_norm, trace_gram
 from .phases import PhaseExponent, tau_powers
 from .search import find_commuting_partition, greedy_commuting_classes
 
@@ -111,25 +112,19 @@ def commutator_table(d: int) -> CommutatorTable:
 
 
 def hs_orthogonality(d: int) -> float:
-    """Max deviation of Tr(u^dagger u') from d delta delta, exactly 0.0.
+    """Max deviation of Tr(u^dagger u') from d delta delta over the d^2 labels, exactly 0.0."""
+    return _gram_defect((d,), pauli_indices(d, include_identity=True))
 
-    Trace pairings are evaluated exactly from the commutator table; any
-    deviation is reported as its exact magnitude.
-    """
-    table = commutator_table(d)
-    a, b = np.divmod(np.arange(d * d, dtype=np.int64), d)
-    # u_ab^dagger = tau^(-2ab) u_(-a,-b), so Tr(u_ab^dagger u_j) is d times
-    # tau^(-2ab) tau^first[(-a,-b), j] when target[(-a,-b), j] is the
-    # identity label 0, and 0 otherwise
-    negated = ((-a) % d) * d + (-b) % d
-    exponents = table.first[negated]
-    exponents += (-2 * a * b)[:, None]
-    exponents %= 2 * d
-    scalar = table.target[negated] == 0
-    diagonal = np.eye(d * d, dtype=bool)
-    diagonal_defect = 0.0 if (scalar[diagonal] & (exponents[diagonal] == 0)).all() else 1.0
-    off_diagonal = scalar & ~diagonal
-    return residual_norm([diagonal_defect, d * tau_powers(exponents[off_diagonal], d)])
+
+def _gram_defect(dims: tuple[int, ...], labels: list[tuple]) -> float:
+    """Max |Tr(u_i^dagger u_j) - prod(dims) delta_ij| of the exact Gram of equal-d labels."""
+    d, size = dims[0], math.prod(dims)
+    exponents, scalar = trace_gram(pauli_rows(dims, labels), d)
+    on_diagonal = np.eye(len(labels), dtype=bool)[scalar]
+    # the scalar pairs against size delta, then size for each traceless u^dagger u
+    return residual_norm(
+        [size * (tau_powers(exponents[scalar], d) - on_diagonal), size * ~scalar.diagonal()]
+    )
 
 
 @dataclass
@@ -226,31 +221,6 @@ class TensorMonomial:
     def dims(self) -> tuple[int, ...]:
         return tuple(f.d for f in self.factors)
 
-    def __matmul__(self, other: "TensorMonomial") -> "TensorMonomial":
-        if self.dims != other.dims:
-            raise ValueError("tensor factor dimensions do not match")
-        return TensorMonomial(
-            tuple(monomial_mul(u, v) for u, v in zip(self.factors, other.factors))
-        )
-
-    def adjoint(self) -> "TensorMonomial":
-        return TensorMonomial(tuple(f.adjoint() for f in self.factors))
-
-    def trace(self) -> complex:
-        """prod(d_j) times the product of the factor phases tau_j^t_j.
-
-        With L = lcm(d_j), tau_j^t_j = exp(i*pi*t_j*(L/d_j)/L), so the
-        product is the single phase PhaseExponent(sum t_j*(L/d_j), L).
-        """
-        lcm = math.lcm(*self.dims)
-        total = 0
-        for f in self.factors:
-            scalar = f.trace_exact()
-            if scalar is None:
-                return 0j
-            total += scalar.t * (lcm // scalar.d)
-        return math.prod(self.dims) * PhaseExponent(total, lcm).to_complex()
-
 
 def tensor_indices(dims: tuple[int, ...]) -> list[tuple]:
     """All interleaved digit labels (a1, b1, ..., ae, be) except the identity."""
@@ -269,6 +239,12 @@ def tensor_pauli(dims: tuple[int, ...], index: tuple) -> TensorMonomial:
         a, b = index[2 * pos], index[2 * pos + 1]
         factors.append(u_ab(p, a % p, b % p))
     return TensorMonomial(tuple(factors))
+
+
+def pauli_rows(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
+    """The (n, e, 3) rows of the labels' `tensor_pauli` factors, for `trace_gram`."""
+    factors = [tensor_pauli(dims, idx).factors for idx in labels]
+    return np.array([[(f.phase.t, f.shift, f.clock) for f in fs] for fs in factors], np.int64)
 
 
 def tensor_indices_commute(dims: tuple[int, ...], idx1: tuple, idx2: tuple) -> bool:
@@ -417,7 +393,7 @@ class SpreadReport:
             self.sets_commute
             and self.union_size == 15
             and self.covers_all_nonidentity
-            and self.gram_defect < 1e-12
+            and self.gram_defect == 0.0
             and self.gram_rank == 15
             and self.spans_u4
         )
@@ -439,8 +415,7 @@ def su4_spread_check() -> SpreadReport:
     union_set = set(union)
     covers = union_set == set(tensor_indices(dims))
 
-    gram = trace_gram([tensor_pauli(dims, idx) for idx in union])
-    gram_defect = residual_norm([gram - 4.0 * np.eye(15)])
+    gram_defect = _gram_defect(dims, union)
     # the 15 labels, then the identity
     stacked = pauli_stack(dims, [*union, (0, 0, 0, 0)]).reshape(16, -1)
     gram_rank = int(np.linalg.matrix_rank(stacked[:15]))

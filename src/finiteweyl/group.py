@@ -24,7 +24,8 @@ law), `pd_centralizer_sizes`, `pd_element_orders`,
 `pd_character_exponents` (tau exponents of the linear characters),
 `pd_irrep_array` (rho_k as (t, shift, clock) rows for
 `operators.monomial_mul_array`), `pd_irrep_trace_exponents` (the traces
-of rho_k) and `pd_lie_bracket_terms` (the signed terms of the bracket).
+of rho_k, read off those rows by `operators.monomial_trace_array`) and
+`pd_lie_bracket_terms` (the signed terms of the bracket).
 They evaluate integer formulas mod d or mod 2d, so they are exact; the
 census, ambivalence, closure, normality, commutativity, element orders,
 the centre, the quotient law and the character norms are evaluated with
@@ -47,6 +48,7 @@ from itertools import product
 import numpy as np
 
 from .limits import DEFAULT_BRUTE_FORCE_CAP, check_brute_force, check_dimension
+from .operators import monomial_trace_array
 
 PdKey = tuple[int, int, int]
 
@@ -368,17 +370,8 @@ def pd_irrep_array(k: int, g: np.ndarray, d: int) -> np.ndarray:
 
 
 def pd_irrep_trace_exponents(k: int, g: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exact trace of rho_k(g) for a (..., 3) int array.
-
-    Returns (exponents, scalar): where `scalar` holds, rho_k(g) is the
-    scalar d * tau^exponent and its trace is that; elsewhere it is traceless
-    and the exponent is meaningless.
-    """
-    if not 1 <= k <= d - 1:
-        raise ValueError(f"k must lie in 1..{d - 1}, got {k}")
-    g = np.asarray(g, dtype=np.int64)
-    scalar = (g[..., 1] % d == 0) & ((k * g[..., 2]) % d == 0)
-    return (2 * k * g[..., 0]) % (2 * d), scalar
+    """The (exponents, scalar) trace of rho_k(g): `monomial_trace_array` of its rows."""
+    return monomial_trace_array(pd_irrep_array(k, g, d)[..., None, :], d)
 
 
 def irrep_character_norm(k: int, d: int) -> Fraction:

@@ -10,9 +10,9 @@ so XZ = q ZX and X^d = Z^d = I.  A monomial operator tau^t X^b Z^c is
 stored by its exact phase exponent and the two powers; its matrix has one
 nonzero entry per column, namely tau^(t+2ck) at row (k-b) mod d.  Products,
 adjoints, traces and determinants of monomials are computed in integer
-arithmetic; `monomial_mul_array` evaluates the product law on int arrays
-of (t, shift, clock) rows, and `trace_gram` is the one form of the trace
-pairings Tr(u^dagger v), of monomials and tensor monomials alike.  Every
+arithmetic.  On int arrays of (t, shift, clock) rows, `monomial_mul_array`,
+`monomial_adjoint_array` and `monomial_trace_array` are the product,
+adjoint and trace, and `trace_gram` pairs rows by Tr(u^dagger v).  Every
 exact phase, the entries of the Fourier matrix included, goes through
 `phases.tau_powers` or `PhaseExponent.to_complex`; only phases with real
 parameters (v_ra for real r and a, the ladder matrices) are formed here
@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +137,34 @@ def monomial_mul_array(u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
     out[..., 0] -= 2 * u[..., 2] * v[..., 1]
     out %= (2 * d, d, d)
     return out
+
+
+def monomial_adjoint_array(u: np.ndarray, d: int) -> np.ndarray:
+    """`MonomialOperator.adjoint` on (..., 3) rows: tau^(-t - 2bc) X^-b Z^-c, reduced."""
+    u = np.asarray(u, dtype=np.int64)
+    out = -u
+    out[..., 0] -= 2 * u[..., 1] * u[..., 2]
+    out %= (2 * d, d, d)
+    return out
+
+
+def monomial_trace_array(u: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact trace of (..., e, 3) rows, the e factors of a tensor product of dimension d^e.
+
+    Returns (exponents, scalar): where every factor has shift and clock 0
+    the trace is d^e tau^exponent, the factor exponents summed mod 2d;
+    elsewhere it is 0 and the exponent is meaningless.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    scalar = ((u[..., 1] % d == 0) & (u[..., 2] % d == 0)).all(axis=-1)
+    return u[..., 0].sum(axis=-1) % (2 * d), scalar
+
+
+def trace_gram(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """`monomial_trace_array` of u_i^dagger u_j, at [i, j], for every pair of (n, e, 3) rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    products = monomial_mul_array(monomial_adjoint_array(rows, d)[:, None], rows[None], d)
+    return monomial_trace_array(products, d)
 
 
 def weyl_pair(d: int) -> tuple[MonomialOperator, MonomialOperator]:
@@ -262,18 +290,6 @@ def t_operator(d: int, m1: int, m2: int, ordering: str = "zv") -> np.ndarray:
     zm = np.linalg.matrix_power(z, m2)
     scalar = PhaseExponent(m1 * m2, d).to_complex()
     return scalar * (vm @ zm) if ordering == "vz" else scalar * (zm @ vm)
-
-
-def trace_gram(operators: Sequence) -> np.ndarray:
-    """The complex matrix of Tr(u^dagger v) over every pair of `operators`.
-
-    Exact pairings of monomials: any operators with `adjoint`, `@` and an
-    exact `trace` will do, `MonomialOperator` and `basis.TensorMonomial`
-    alike.  For w(a, b, c) and w(a', b', c') the entry is q^(a'-a) d when
-    the powers match, else 0.
-    """
-    adjoints = [u.adjoint() for u in operators]
-    return np.array([[(u @ v).trace() for v in operators] for u in adjoints])
 
 
 def residual_norm(residuals: Iterable[np.ndarray | complex]) -> float:

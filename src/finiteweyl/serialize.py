@@ -8,7 +8,8 @@ monomials, Weyl pairs, Hadamard exponent tables, partitions) serialize
 through integer tau exponents and read back bit-identically through
 `import_exact`, whose decoders sit next to their encoders; a Weyl pair must
 be the shift and clock of its d, a Hadamard table must be the table of H_a
-for its d and a, a partition label must fit the dimension, a
+for its d and a, a partition must have dimensions of at least 2 and
+nonempty classes of labels that fit them, the identity excluded, a
 partition's `complete` flag is recomputed by `validate_cartan_partition`
 (a document marked complete must pass it, one that fails it must have
 disjoint classes that commute within themselves), and a field of the
@@ -243,13 +244,19 @@ def _partition(p: CartanPartition) -> dict:
 
 
 def _partition_from(payload: dict) -> CartanPartition:
-    dims = tuple(payload["tensor_dims"]) if payload["tensor_dims"] else None
+    dimension, dims = payload["dimension"], payload["tensor_dims"]
+    # the library writes dimensions of at least 2, and null tensor_dims for one qudit
+    if dims == [] or min([dimension, *(dims or [])]) < 2:
+        raise ValueError(f"partition document has dimension {dimension}, tensor_dims {dims}")
+    dims = None if dims is None else tuple(dims)
     marked_complete = payload["complete"]
-    partition = CartanPartition(payload["dimension"], [], True, dims)
+    partition = CartanPartition(dimension, [], True, dims)
     if dims is not None and math.prod(dims) != partition.dimension:
         raise ValueError(f"tensor_dims {list(dims)} do not multiply to {partition.dimension}")
     moduli = partition.label_moduli()
     partition.classes = [[_label_from(text, moduli) for text in cls] for cls in payload["classes"]]
+    if not all(cls and all(any(label) for label in cls) for cls in partition.classes):
+        raise ValueError("partition document has an empty class or the identity label")
     # the flag is recomputed, not read: a Cartan partition is complete whatever it says
     partition.complete = validate_cartan_partition(partition)
     if partition.complete:

@@ -19,7 +19,8 @@ classes of `pd_conjugacy_classes`, (n, 3) int64 arrays, and the named
 subgroups, one array each, are tested for closure and normality on the
 array law.  The hw suite's pair laws run through `on_pairs`, the two
 sine-bracket checks through `brackets` (each t-operator built once per
-check), and every trace pairing through `operators.trace_gram`.
+check), and every trace pairing through the integer `operators.trace_gram`,
+whose exponents and scalar masks are compared for equality.
 
 Every float recheck reports `operators.residual_norm` of its residuals,
 the largest |entry| over all of them; one NaN entry makes it NaN, which
@@ -466,15 +467,13 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
     _run(report, "sine_bracket_printed_order_modulus", tolerance, sine_bracket_vz_modulus)
 
     def trace_pairing() -> bool:
-        # Tr(w(a, b, c)^dagger w(a', b', c')) = d q^(a'-a) when the powers match, else 0
-        triples = list(product(range(min(d, 3)), repeat=3))
-        gram = op_mod.trace_gram([op_mod.MonomialOperator.w(d, *abc) for abc in triples])
-        q_power = op_mod.PhaseExponent.q_power
-        expected = [
-            [d * q_power(v[0] - u[0], d).to_complex() if u[1:] == v[1:] else 0j for v in triples]
-            for u in triples
-        ]
-        return op_mod.residual_norm([gram - np.array(expected)]) <= 1e-12
+        # Tr(w(a, b, c)^dagger w(a', b', c')) = d q^(a'-a) when the powers match, else 0;
+        # w(a, b, c) = tau^(2a) X^b Z^c is the row (2a, b, c)
+        abc = np.array(list(product(range(min(d, 3)), repeat=3)))
+        exponents, scalar = op_mod.trace_gram((abc * (2, 1, 1))[:, None], d)
+        expected = (2 * (abc[:, 0] - abc[:, :1])) % (2 * d)
+        match = (abc[:, None, 1:] == abc[:, 1:]).all(axis=-1)
+        return np.array_equal(scalar, match) and np.array_equal(exponents[match], expected[match])
 
     _run(report, "w_trace_pairing", 0.0, trace_pairing)
     return report
@@ -555,8 +554,11 @@ def suite_mub(d: int = 3, tolerance: float = DEFAULT_TOLERANCE) -> VerificationR
     _run(report, "hadamard_identities", tolerance, hadamard_identities)
 
     def hadamard_columns() -> bool:
+        # column alpha of H_a against the exponents of v_ra_eigenvector(d, 0, a, alpha)
+        k, alpha = np.ogrid[:d, :d]
+        weight, column = (d - 1 - k) * (k + 1), 2 * (d - 1 - k) * alpha
         return all(
-            np.array_equal(mub_mod.hadamard_h_a(d, a).exponents, mub_mod.basis_exponent_table(d, a))
+            np.array_equal(mub_mod.hadamard_h_a(d, a).exponents, (weight * a + column) % (2 * d))
             for a in range(d)
         )
 
@@ -723,8 +725,9 @@ def suite_basis(
             # twelve distinct labels and the identity: Tr(u^dagger v) = p^e delta
             dims = (p,) * e
             labels = basis_mod.tensor_indices(dims)[:12] + [(0,) * (2 * e)]
-            gram = op_mod.trace_gram([basis_mod.tensor_pauli(dims, idx) for idx in labels])
-            return op_mod.residual_norm([gram - p**e * np.eye(len(labels))]) <= 1e-12
+            exponents, scalar = op_mod.trace_gram(basis_mod.pauli_rows(dims, labels), p)
+            diagonal = np.eye(len(labels), dtype=bool)
+            return np.array_equal(scalar, diagonal) and not exponents[diagonal].any()
 
         _run(report, "tensor_trace_pairing", 0.0, tensor_traces)
 

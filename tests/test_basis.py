@@ -23,6 +23,7 @@ from finiteweyl.basis import (
     partition_dense_commutation_defect,
     pauli_commutator,
     pauli_indices,
+    pauli_rows,
     pauli_stack,
     su4_spread_check,
     tensor_commutation_table,
@@ -34,7 +35,9 @@ from finiteweyl.basis import (
 )
 from finiteweyl.limits import MUB_PRIME_CAP, SEARCH_CAP, is_prime
 from finiteweyl.mub import OrthonormalBasis, pairwise_deviations
-from finiteweyl.operators import MonomialOperator, trace_gram
+from finiteweyl.operators import MonomialOperator, monomial_trace_array, trace_gram
+from finiteweyl.phases import tau_powers
+from finiteweyl.suites import suite_basis
 from finiteweyl.search import find_commuting_partition, greedy_commuting_classes
 from oracles import commutator_coefficient_exponents, indices_commute
 
@@ -115,7 +118,7 @@ def test_structure_table():
 
 
 def test_hs_orthogonality():
-    for d in range(2, 9):
+    for d in range(2, 17):
         assert hs_orthogonality(d) == 0.0
 
 
@@ -160,18 +163,39 @@ def test_commutator_table_matches_scalar_forms_on_samples(case):
     assert_table_matches_scalar_forms(d, pairs)
 
 
-def test_hs_orthogonality_catches_a_wrong_table_entry(monkeypatch):
+def test_the_basis_suite_catches_a_wrong_table_entry(monkeypatch):
     build = basis_mod.commutator_table
 
     def corrupted(d):
         table = build(d)
-        # label (d-1, 0) is the negation of (1, 0); the pair ((d-1, 0), (1, 0))
-        # is where hs_orthogonality reads Tr(u_10^dagger u_10)
+        # the pair ((d-1, 0), (1, 0)): u_(d-1,0) u_10 = I reads as tau I
         table.first[(d - 1) * d, d] += 1
         return table
 
     monkeypatch.setattr(basis_mod, "commutator_table", corrupted)
-    assert hs_orthogonality(3) == 1.0
+    failing = {c.name for c in suite_basis(3).checks if not c.passed}
+    assert {
+        "structure_constants_close_dense_commutators",
+        "structure_constants_antisymmetric_and_vanishing",
+    } <= failing
+
+
+@pytest.mark.parametrize("corrupt", ["exponent", "mask"])
+def test_hs_orthogonality_catches_a_wrong_trace_entry(monkeypatch, corrupt):
+    gram = basis_mod.trace_gram
+
+    def corrupted(rows, d):
+        exponents, scalar = gram(rows, d)
+        if corrupt == "exponent":
+            exponents[3, 3] += 1  # Tr(u^dagger u) = d tau, not d
+        else:
+            scalar[3, 4] = True  # Tr(u^dagger v) = d tau^t, not 0
+        return exponents, scalar
+
+    monkeypatch.setattr(basis_mod, "trace_gram", corrupted)
+    # each wrong entry shows as its magnitude
+    expected = 3 * abs(tau_powers(1, 3) - 1) if corrupt == "exponent" else 3.0
+    assert hs_orthogonality(3) == pytest.approx(expected)
 
 
 def test_gram_full_rank():
@@ -475,32 +499,33 @@ def test_dense_recheck_reads_zero_for_classes_without_pairs():
 
 
 def test_tensor_trace_gram():
-    for dims in ((2, 2), (2, 3), (3, 3)):
-        labels = tensor_indices(dims)[:10]
-        gram = trace_gram([tensor_pauli(dims, idx) for idx in labels])
-        total = math.prod(dims)
-        for (i, u_idx), (j, v_idx) in product(enumerate(labels), repeat=2):
-            expected = complex(total) if u_idx == v_idx else 0j
-            assert abs(gram[i, j] - expected) < 1e-12
+    for dims in ((2, 2), (3, 3), (2, 2, 2), (2, 2, 2, 2), (3, 3, 3)):
+        labels = tensor_indices(dims)[:10] + [(0,) * (2 * len(dims))]
+        rows = pauli_rows(dims, labels)
+        assert rows.shape == (len(labels), len(dims), 3) and rows.dtype == np.int64
+        exponents, scalar = trace_gram(rows, dims[0])
+        assert np.array_equal(scalar, np.eye(len(labels), dtype=bool))
+        assert not np.diagonal(exponents).any()
 
 
-def test_tensor_trace_equals_product_of_factor_traces():
+def test_tensor_trace_gram_matches_dense():
     rng = random.Random(67)
     for dims in ((2, 2), (3, 3)):
         labels = tensor_indices(dims)
         for _ in range(100):
-            u_idx, v_idx = rng.choice(labels), rng.choice(labels)
-            u = tensor_pauli(dims, u_idx)
-            v = tensor_pauli(dims, v_idx)
-            dense = complex(np.trace(kron_matrix(u.adjoint()) @ kron_matrix(v)))
-            assert abs(trace_gram([u, v])[0, 1] - dense) < 1e-10
+            pair = [rng.choice(labels), rng.choice(labels)]
+            exponents, scalar = trace_gram(pauli_rows(dims, pair), dims[0])
+            u, v = (kron_matrix(tensor_pauli(dims, idx)) for idx in pair)
+            entry = math.prod(dims) * tau_powers(exponents[0, 1], dims[0]) if scalar[0, 1] else 0j
+            assert abs(entry - np.trace(u.conj().T @ v)) < 1e-10
 
 
 @st.composite
 def phased_tensor_monomials(draw):
-    """1-3 factors tau^t X^b Z^c; about half of them scalar, so traces are often nonzero."""
+    """1-3 factors tau^t X^b Z^c of one d, about half of them scalar: traces are often nonzero."""
+    p = draw(st.sampled_from([2, 3, 4, 5, 6]))
     factors = []
-    for p in draw(st.lists(st.sampled_from([2, 3, 4, 5, 6]), min_size=1, max_size=3)):
+    for _ in range(draw(st.integers(1, 3))):
         shift, clock = draw(
             st.one_of(st.just((0, 0)), st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)))
         )
@@ -522,14 +547,19 @@ def fraction_trace_phase(u: TensorMonomial) -> Fraction | None:
 
 @given(phased_tensor_monomials())
 def test_phased_tensor_trace(u):
-    got = u.trace()
-    size = math.prod(u.dims)
+    p, size = u.dims[0], math.prod(u.dims)
     s = fraction_trace_phase(u)
-    reference = 0j if s is None else size * complex(math.cos(math.pi * s), math.sin(math.pi * s))
-    assert abs(got - reference) <= 1e-12
-    assert abs(got - complex(np.trace(kron_matrix(u)))) <= 1e-12
-    if s is not None and (2 * s).denominator == 1:
-        assert got == size * (1, 1j, -1, -1j)[int(2 * s)]
+    rows = np.array([(f.phase.t, f.shift, f.clock) for f in u.factors])
+    # unreduced factors read as their reduced monomials
+    offsets = np.arange(-1, len(rows) - 1)[:, None] * (2 * p, p, p)
+    for factors in (rows, rows + offsets):
+        exponent, scalar = monomial_trace_array(factors, p)
+        assert bool(scalar) == (s is not None)
+        got = size * tau_powers(exponent, p) if scalar else 0j
+        assert s is None or Fraction(int(exponent), p) == s
+        assert abs(got - complex(np.trace(kron_matrix(u)))) <= 1e-12
+        if s is not None and (2 * s).denominator == 1:
+            assert got == size * (1, 1j, -1, -1j)[int(2 * s)]
 
 
 def test_qutrit_pair_anticommutators_never_vanish():

@@ -17,8 +17,10 @@ from finiteweyl.operators import (
     h_matrix,
     jz_matrix,
     ladder_matrices,
+    monomial_adjoint_array,
     monomial_mul,
     monomial_mul_array,
+    monomial_trace_array,
     polar_su2_ops,
     residual_norm,
     t_operator,
@@ -87,12 +89,16 @@ def monomial_rows(monomials) -> np.ndarray:
     ).reshape(-1, 3)
 
 
+def every_monomial(d: int) -> list[MonomialOperator]:
+    return [
+        MonomialOperator.from_tau_exponent(d, t, b, c)
+        for t, b, c in product(range(2 * d), range(d), range(d))
+    ]
+
+
 def test_monomial_mul_array_matches_monomial_mul_exhaustively():
     for d in (2, 3, 4):
-        monomials = [
-            MonomialOperator.from_tau_exponent(d, t, b, c)
-            for t, b, c in product(range(2 * d), range(d), range(d))
-        ]
+        monomials = every_monomial(d)
         rows = monomial_rows(monomials)
         products = monomial_mul_array(rows[:, None, :], rows[None, :, :], d)
         expected = monomial_rows(monomial_mul(u, v) for u in monomials for v in monomials)
@@ -232,27 +238,62 @@ def test_monomial_dimension_mismatch():
         monomial_mul(MonomialOperator.identity(2), MonomialOperator.identity(3))
 
 
+def test_adjoint_and_trace_kernels_match_the_scalar_and_dense_forms_exhaustively():
+    for d in range(2, 8):
+        monomials = every_monomial(d)
+        rows = monomial_rows(monomials)
+        adjoints = monomial_adjoint_array(rows, d)
+        exponents, scalar = monomial_trace_array(rows[:, None, :], d)
+        assert adjoints.dtype == exponents.dtype == np.int64 and scalar.dtype == bool
+        assert np.array_equal(adjoints, monomial_rows(u.adjoint() for u in monomials))
+        traces = [u.trace_exact() for u in monomials]
+        assert scalar.tolist() == [t is not None for t in traces]
+        assert exponents[scalar].tolist() == [t.t for t in traces if t is not None]
+        for u, adjoint, exponent, is_scalar in zip(monomials, adjoints, exponents, scalar):
+            mat = u.to_matrix()
+            dagger = MonomialOperator.from_tau_exponent(d, *adjoint).to_matrix()
+            assert max_abs(dagger - mat.conj().T) < 1e-12
+            trace = d * tau_powers(exponent, d) if is_scalar else 0j
+            assert abs(trace - np.trace(mat)) < 1e-12
+        # unreduced rows reduce as PhaseExponent and MonomialOperator reduce them
+        offsets = np.array([2 * d, d, d]) * np.random.default_rng(d).integers(-3, 4, rows.shape)
+        assert np.array_equal(monomial_adjoint_array(rows + offsets, d), adjoints)
+        shifted_exponents, shifted_scalar = monomial_trace_array((rows + offsets)[:, None], d)
+        assert np.array_equal(shifted_scalar, scalar)
+        assert np.array_equal(shifted_exponents, exponents)
+
+
+def test_trace_kernel_sums_the_factors_of_a_tensor_row():
+    # tau^1 I (x) tau^2 I is scalar with exponent 3; a shifted or clocked factor makes it traceless
+    rows = np.array([[(1, 0, 0), (2, 0, 0)], [(1, 0, 0), (2, 1, 0)], [(1, 0, 1), (2, 0, 0)]])
+    exponents, scalar = monomial_trace_array(rows, 3)
+    assert scalar.tolist() == [True, False, False] and exponents[0] == 3
+    # the exponents add mod 2d: tau^5 tau^4 = tau^3 at d = 3
+    assert monomial_trace_array(np.array([[(5, 0, 0), (4, 3, 6)]]), 3)[0].tolist() == [3]
+
+
 def test_trace_gram():
     x, z = weyl_pair(2)
-    assert trace_gram([x, z])[0, 1] == 0j
-    got = trace_gram([MonomialOperator.w(3, 0, 0, 0), MonomialOperator.w(3, 1, 0, 0)])[0, 1]
-    assert abs(got - 3 * cmath.exp(2j * cmath.pi / 3)) < 1e-15
+    assert not trace_gram(monomial_rows([x, z])[:, None], 2)[1][0, 1]
+    pair = [MonomialOperator.w(3, 0, 0, 0), MonomialOperator.w(3, 1, 0, 0)]
+    exponents, scalar = trace_gram(monomial_rows(pair)[:, None], 3)
+    # Tr(I^dagger q I) = 3 q = 3 tau^2
+    assert scalar[0, 1] and exponents[0, 1] == 2
     rng = random.Random(47)
     for d in (2, 3, 4, 7):
         monomials = [random_monomial(rng, d) for _ in range(100)]
-        gram = trace_gram(monomials)
-        assert gram.shape == (100, 100) and gram.dtype == complex
-        assert (np.diagonal(gram) == d + 0j).all()
+        exponents, scalar = trace_gram(monomial_rows(monomials)[:, None], d)
+        assert exponents.shape == scalar.shape == (100, 100) and exponents.dtype == np.int64
+        assert np.diagonal(scalar).all() and not np.diagonal(exponents).any()
     # full closed form on a small exhaustive grid
     for d in (2, 3):
         triples = list(product(range(d), repeat=3))
-        gram = trace_gram([MonomialOperator.w(d, *abc) for abc in triples])
+        rows = monomial_rows(MonomialOperator.w(d, *abc) for abc in triples)
+        exponents, scalar = trace_gram(rows[:, None], d)
         for (i, (a, b, c)), (j, (a2, b2, c2)) in product(enumerate(triples), repeat=2):
-            if (b, c) == (b2, c2):
-                expected = d * PhaseExponent.q_power(a2 - a, d).to_complex()
-            else:
-                expected = 0j
-            assert abs(gram[i, j] - expected) < 1e-12
+            assert scalar[i, j] == ((b, c) == (b2, c2))
+            if scalar[i, j]:
+                assert exponents[i, j] == PhaseExponent.q_power(a2 - a, d).t
 
 
 def test_trace_gram_entries_are_the_pairwise_traces():
@@ -260,11 +301,14 @@ def test_trace_gram_entries_are_the_pairwise_traces():
     rng = random.Random(53)
     for d in (2, 5, 6):
         monomials = [random_monomial(rng, d) for _ in range(12)]
-        gram = trace_gram(monomials)
+        exponents, scalar = trace_gram(monomial_rows(monomials)[:, None], d)
         for (i, u), (j, v) in product(enumerate(monomials), repeat=2):
-            assert gram[i, j] == monomial_mul(u.adjoint(), v).trace()
+            trace = monomial_mul(u.adjoint(), v).trace_exact()
+            assert scalar[i, j] == (trace is not None)
+            assert trace is None or exponents[i, j] == trace.t
+            entry = d * tau_powers(exponents[i, j], d) if scalar[i, j] else 0j
             dense = np.trace(u.to_matrix().conj().T @ v.to_matrix())
-            assert abs(gram[i, j] - dense) < 1e-10
+            assert abs(entry - dense) < 1e-10
 
 
 def test_monomial_determinant():

@@ -244,11 +244,20 @@ def _partition_document(classes, complete, dimension=3, tensor_dims=None) -> str
             _partition_document([["(01)", "(01)"], ["(10)", "(02)"]], False),
             "repeats a label or has a class that does not commute",
         ),
+        # documents the library cannot write: a dimension below 2, empty tensor_dims
+        # (one qudit is null), the identity label, an empty class
+        (_partition_document([], False, 1), r"^partition document has dimension 1, tensor_dims"),
+        (_partition_document([], False, 2, [2, 1]), r"has dimension 2, tensor_dims \[2, 1\]$"),
+        (_partition_document([["(01)"]], False, 3, []), r"has dimension 3, tensor_dims \[\]$"),
+        (_partition_document([["(00)"]], False), "^partition document has an empty class or"),
+        (_partition_document([["(0000)"]], False, 4, [2, 2]), "or the identity label$"),
+        (_partition_document([["(01)"], []], False), "^partition document has an empty class"),
     ],
 )
 def test_import_rejects_partition_labels_that_do_not_fit(text, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as caught:
         import_exact(text)
+    assert "\n" not in str(caught.value)
 
 
 def test_import_reads_an_incomplete_partition_of_disjoint_commuting_classes():

@@ -139,6 +139,7 @@ def test_weyl_suite_builds_each_t_operator_once_per_sine_check(monkeypatch):
     assert orderings == ["zv"] * 36 + ["vz"] * 36
 
 
+@pytest.mark.parametrize("corrupt", ["exponent", "mask"])
 @pytest.mark.parametrize(
     "suite, check",
     [
@@ -147,17 +148,35 @@ def test_weyl_suite_builds_each_t_operator_once_per_sine_check(monkeypatch):
         (lambda: suite_basis(4, tensor=(2, 2)), "two_qubit_spread"),
     ],
 )
-def test_a_nan_trace_pairing_fails_its_gram_check(monkeypatch, suite, check):
+def test_a_wrong_trace_entry_fails_its_gram_check(monkeypatch, suite, check, corrupt):
     trace_gram = suites.op_mod.trace_gram
 
-    def poisoned(operators):
-        gram = trace_gram(operators)
-        gram[1, 0] = complex(np.nan, 0.0)
-        return gram
+    def corrupted(rows, d):
+        exponents, scalar = trace_gram(rows, d)
+        if corrupt == "exponent":
+            exponents[1, 1] += 1
+        else:
+            scalar[1, 0] = True
+        return exponents, scalar
 
-    monkeypatch.setattr(suites.op_mod, "trace_gram", poisoned)
-    monkeypatch.setattr(suites.basis_mod, "trace_gram", poisoned)
+    monkeypatch.setattr(suites.op_mod, "trace_gram", corrupted)
+    monkeypatch.setattr(suites.basis_mod, "trace_gram", corrupted)
     assert check in failing_names(suite())
+
+
+@pytest.mark.parametrize("d", [2, 5, 6])
+def test_a_wrong_basis_exponent_fails_the_hadamard_column_check(monkeypatch, d):
+    table = suites.mub_mod.basis_exponent_table
+
+    def shifted(d, a):
+        # column alpha = 1 of every eigenbasis two tau steps off
+        out = table(d, a)
+        out[:, 1] = (out[:, 1] + 2) % (2 * d)
+        return out
+
+    assert "hadamard_columns_share_basis_exponents" not in failing_names(suite_mub(d))
+    monkeypatch.setattr(suites.mub_mod, "basis_exponent_table", shifted)
+    assert "hadamard_columns_share_basis_exponents" in failing_names(suite_mub(d))
 
 
 def test_report_rejects_a_nan_deviation_by_name():
