@@ -143,6 +143,17 @@ COMMANDS = [
     "weyl vra --d 5 --a -1",
     # the exact traces of rho_k at composite d
     "group irreps --d 12",
+    # the tensor partition validator at p^e = 8, and the single-qubit basis
+    # suite with its two-qubit spread
+    "verify basis --p 2 --e 3",
+    "verify basis --d 2",
+    # the rest of the commands whose stdout Tier-1 pins: the group at
+    # composite d and the quarter-turn structure constants
+    "group classes --d 12",
+    "group subgroups --d 12",
+    "group centralizer --d 12 --elem 5,4,6",
+    "basis structure --d 2",
+    "basis structure --d 4",
 ]
 
 

@@ -27,7 +27,6 @@ _EXPORTS = {
         "hs_orthogonality",
         "pauli_commutator",
         "su4_spread_check",
-        "tensor_pauli",
         "u_ab",
     ),
     "group": (

@@ -7,7 +7,8 @@ slope classes of p-1 pairwise commuting operators; for prime powers the
 same decomposition exists for tensor-product labels and is found here by
 exhaustive backtracking over the commutation graph.  For composite d
 (single qudit) the search instead certifies that no such partition exists
-and returns the best-effort classes.
+and returns the best-effort classes.  A single qudit is the tensor case
+dims = (d,), so both searches run one route over `tensor_indices(dims)`.
 
 `commutator_table(d)` holds the exponents of `pauli_commutator` for all
 d^4 label pairs: one `CommutatorTable` of int64 tau exponents and target
@@ -22,14 +23,13 @@ p^e = 4 case) included.  `pauli_stack(dims, labels)` is the one builder
 of dense Pauli matrices and `pauli_rows(dims, labels)` of their exact
 (t, shift, clock) rows.  Every trace pairing, `hs_orthogonality` over the
 d^2 labels and the Gram of the spread included, is `operators.trace_gram`
-of those rows; a `TensorMonomial` only holds its factors.  The text form
+of those rows, read off the label digits by arithmetic.  The text form
 of a label is `serialize`'s.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import product
 from types import EllipsisType
@@ -76,7 +76,8 @@ class CommutatorTable:
 
     Label (a, b) has index a*d + b.  With i = (a, b) and j = (a', b'),
     u_i u_j = tau^first[i, j] u_k and u_j u_i = tau^second[i, j] u_k, where
-    k = target[i, j] is the index of (a + a', b + b') mod d.
+    k = target[i, j] is the index of (a + a', b + b') mod d.  The pair
+    commutes when first equals second, the zero of `tensor_commutation_table`.
     """
 
     d: int
@@ -145,9 +146,6 @@ class CartanPartition:
         """The factor dimensions: `tensor_dims`, or (dimension,) for one qudit."""
         return self.tensor_dims or (self.dimension,)
 
-    def label_moduli(self) -> tuple[int, ...]:
-        return tuple(x for p in self.dims for x in (p, p))
-
 
 def cartan_partition_prime(p: int) -> CartanPartition:
     """The p+1 slope classes of su(p), p prime.
@@ -171,14 +169,7 @@ def commuting_class_search(d: int) -> CartanPartition:
     failed search having proved that no full partition exists.
     """
     check_search(d)
-    vertices = pauli_indices(d)
-    # one table serves both searches; each reads every pair once
-    commutes = _table_lookup((d,), vertices)
-    solution = find_commuting_partition(vertices, commutes, d - 1)
-    if solution is not None:
-        return CartanPartition(dimension=d, classes=solution, complete=True)
-    best_effort = greedy_commuting_classes(vertices, commutes, d - 1)
-    return CartanPartition(dimension=d, classes=best_effort, complete=False)
+    return _partition_search((d,))
 
 
 def validate_cartan_partition(partition: CartanPartition) -> bool:
@@ -211,17 +202,6 @@ def _classes_commute(dims: tuple[int, ...], classes: list) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TensorMonomial:
-    """Kronecker product of monomial factors, kept exactly factor by factor."""
-
-    factors: tuple[MonomialOperator, ...]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(f.d for f in self.factors)
-
-
 def tensor_indices(dims: tuple[int, ...]) -> list[tuple]:
     """All interleaved digit labels (a1, b1, ..., ae, be) except the identity."""
     ranges = []
@@ -230,21 +210,14 @@ def tensor_indices(dims: tuple[int, ...]) -> list[tuple]:
     return [idx for idx in product(*ranges) if any(idx)]
 
 
-def tensor_pauli(dims: tuple[int, ...], index: tuple) -> TensorMonomial:
-    """Build the Kronecker operator from an interleaved digit label."""
-    if len(index) != 2 * len(dims):
-        raise ValueError(f"label length {len(index)} does not match dims {dims}")
-    factors = []
-    for pos, p in enumerate(dims):
-        a, b = index[2 * pos], index[2 * pos + 1]
-        factors.append(u_ab(p, a % p, b % p))
-    return TensorMonomial(tuple(factors))
-
-
 def pauli_rows(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
-    """The (n, e, 3) rows of the labels' `tensor_pauli` factors, for `trace_gram`."""
-    factors = [tensor_pauli(dims, idx).factors for idx in labels]
-    return np.array([[(f.phase.t, f.shift, f.clock) for f in fs] for fs in factors], np.int64)
+    """The (n, e, 3) int64 rows (0, a_k mod d_k, b_k mod d_k) of the factors u_(a_k b_k)."""
+    digits = np.asarray(labels, dtype=np.int64)
+    if digits.ndim != 2 or digits.shape[1] != 2 * len(dims):
+        raise ValueError(f"label length {digits.shape[-1]} does not match dims {dims}")
+    rows = np.zeros((len(digits), len(dims), 3), dtype=np.int64)
+    rows[..., 1:] = digits.reshape(-1, len(dims), 2) % np.array(dims)[:, None]
+    return rows
 
 
 def tensor_indices_commute(dims: tuple[int, ...], idx1: tuple, idx2: tuple) -> bool:
@@ -279,38 +252,36 @@ def tensor_commutation_table(dims: tuple[int, ...], labels: list[tuple]) -> np.n
     return (half - half.T) % lcm
 
 
-def _table_lookup(dims: tuple[int, ...], labels: list[tuple]) -> Callable[[tuple, tuple], bool]:
-    """A `commutes(u, v)` that reads labels u and v off their `tensor_commutation_table`."""
-    position = {label: i for i, label in enumerate(labels)}
-    commuting = (tensor_commutation_table(dims, labels) == 0).tolist()
+def _partition_search(dims: tuple[int, ...]) -> CartanPartition:
+    """d + 1 classes of d - 1 labels, d = prod(dims), or the greedy classes, incomplete."""
+    d = math.prod(dims)
+    vertices = tensor_indices(dims)
+    position = {label: i for i, label in enumerate(vertices)}
+    commuting = (tensor_commutation_table(dims, vertices) == 0).tolist()
 
     def commutes(u: tuple, v: tuple) -> bool:
         return commuting[position[u]][position[v]]
 
-    return commutes
+    found = find_commuting_partition(vertices, commutes, d - 1)
+    classes = greedy_commuting_classes(vertices, commutes, d - 1) if found is None else found
+    return CartanPartition(d, classes, found is not None, dims if len(dims) > 1 else None)
 
 
 def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
     """Partition the p^2e - 1 tensor labels into p^e + 1 commuting classes.
 
-    Found by the same deterministic backtracking used for single qudits;
-    a failure would contradict the existence of the decomposition at this
-    size and is raised rather than ignored, as is a nonzero dense
-    commutator in the found classes (`partition_dense_commutation_defect`).
+    Found by the search route of single qudits; a failure would contradict
+    the existence of the decomposition at this size and is raised rather
+    than ignored, as is a nonzero dense commutator in the found classes
+    (`partition_dense_commutation_defect`).
     """
     d = check_tensor(p, e)
-    dims = (p,) * e
-    vertices = tensor_indices(dims)
-    commutes = _table_lookup(dims, vertices)
-    solution = find_commuting_partition(vertices, commutes, d - 1)
-    if solution is None:
+    partition = _partition_search((p,) * e)
+    if not partition.complete:
         raise RuntimeError(
             f"no partition of the {p**(2 * e) - 1} labels into "
             f"{d + 1} commuting classes of {d - 1} was found"
         )
-    partition = CartanPartition(
-        dimension=d, classes=solution, complete=True, tensor_dims=dims
-    )
     defect = partition_dense_commutation_defect(partition)
     if defect > 1e-12:
         raise RuntimeError(f"dense recheck failed with defect {defect}")
@@ -318,7 +289,7 @@ def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
 
 
 def pauli_stack(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
-    """The dense `tensor_pauli(dims, idx)` of every label, stacked, bit for bit.
+    """The dense Kronecker product of every label's factors u_(a_k b_k), stacked.
 
     Each distinct factor matrix u_ab(p, a, b) is built once, and the
     Kronecker products of all labels are one broadcast per factor, with the

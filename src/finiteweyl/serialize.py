@@ -8,8 +8,8 @@ monomials, Weyl pairs, Hadamard exponent tables, partitions) serialize
 through integer tau exponents and read back bit-identically through
 `import_exact`, whose decoders sit next to their encoders; a Weyl pair must
 be the shift and clock of its d, a Hadamard table must be the table of H_a
-for its d and a, a partition must have dimensions of at least 2 and
-nonempty classes of labels that fit them, the identity excluded, a
+for its d and a, a partition must have dimensions that `basis partition`
+writes and nonempty classes of labels that fit them, the identity excluded, a
 partition's `complete` flag is recomputed by `validate_cartan_partition`
 (a document marked complete must pass it, one that fails it must have
 disjoint classes that commute within themselves), and a field of the
@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .basis import CartanPartition, CommutatorTable, _classes_commute, validate_cartan_partition
+from .limits import MUB_PRIME_CAP, check_tensor, is_prime, searchable
 from .mub import HadamardMatrix, basis_exponent_table, hadamard_h_a
 from .operators import MonomialOperator, weyl_pair
 from .phases import PhaseExponent
@@ -233,7 +234,7 @@ def _hadamard_from(payload: dict) -> HadamardMatrix:
 
 
 def _partition(p: CartanPartition) -> dict:
-    moduli = p.label_moduli()
+    moduli = _digit_moduli(p)
     return {
         "type": "partition",
         "dimension": p.dimension,
@@ -243,17 +244,30 @@ def _partition(p: CartanPartition) -> dict:
     }
 
 
+def _digit_moduli(p: CartanPartition) -> tuple[int, ...]:
+    """The modulus of each digit of a label: d_k for both a_k and b_k."""
+    return tuple(x for m in p.dims for x in (m, m))
+
+
+def _writable_dims(dimension: int, dims: list | None) -> bool:
+    """`basis partition` writes null with d within the search cap or prime within the
+    prime cap (cap first), or e >= 2 equal factors p, p^e = d, that pass `check_tensor`."""
+    if dims is None:
+        prime = dimension <= MUB_PRIME_CAP and is_prime(dimension)
+        return 2 <= dimension and (searchable(dimension) or prime)
+    try:
+        return len(set(dims)) == 1 and check_tensor(dims[0], len(dims)) == dimension
+    except ValueError:
+        return False
+
+
 def _partition_from(payload: dict) -> CartanPartition:
     dimension, dims = payload["dimension"], payload["tensor_dims"]
-    # the library writes dimensions of at least 2, and null tensor_dims for one qudit
-    if dims == [] or min([dimension, *(dims or [])]) < 2:
+    if not _writable_dims(dimension, dims):
         raise ValueError(f"partition document has dimension {dimension}, tensor_dims {dims}")
-    dims = None if dims is None else tuple(dims)
     marked_complete = payload["complete"]
-    partition = CartanPartition(dimension, [], True, dims)
-    if dims is not None and math.prod(dims) != partition.dimension:
-        raise ValueError(f"tensor_dims {list(dims)} do not multiply to {partition.dimension}")
-    moduli = partition.label_moduli()
+    partition = CartanPartition(dimension, [], True, None if dims is None else tuple(dims))
+    moduli = _digit_moduli(partition)
     partition.classes = [[_label_from(text, moduli) for text in cls] for cls in payload["classes"]]
     if not all(cls and all(any(label) for label in cls) for cls in partition.classes):
         raise ValueError("partition document has an empty class or the identity label")

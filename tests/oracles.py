@@ -7,9 +7,9 @@ the tests pin those kernels to, one element, label or pair at a time:
 - P_d: its elements in (a, b, c) order, element orders, the linear
   characters q^(mb + nc), the monomial representations rho_k and the
   bracket gh - hg on the group algebra (`FormalCombination`);
-- u(d): the commutation test ab' - ba' = 0 (mod d) of two labels and the
+- u(d): the commutation test ab' - ba' = 0 (mod d) of two labels, the
   exponents of the two coefficients q^(-ba') and q^(-ab') of their
-  (anti)commutator;
+  (anti)commutator, and the factors u_(a_k b_k) of a tensor label;
 - the literal residual of F = (H_0 S)^dagger, acceptance criterion 05,
   which fails by design.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from itertools import product
 
+from finiteweyl.basis import u_ab
 from finiteweyl.group import PdElement, PdKey, pd_compose_key
 from finiteweyl.mub import hadamard_h_a, s_permutation
 from finiteweyl.operators import MonomialOperator, fourier_matrix, monomial_mul, residual_norm
@@ -176,6 +177,11 @@ def commutator_coefficient_exponents(
     """The pair (q^(-ba'), q^(-ab')) entering the (anti)commutator."""
     (a, b), (a2, b2) = ab, ab2
     return PhaseExponent.q_power(-b * a2, d), PhaseExponent.q_power(-a * b2, d)
+
+
+def tensor_factors(dims: tuple[int, ...], label: tuple) -> tuple[MonomialOperator, ...]:
+    """The factors u_(a_k b_k) of label (a1, b1, ..., ae, be), digits reduced mod d_k."""
+    return tuple(u_ab(p, label[2 * k] % p, label[2 * k + 1] % p) for k, p in enumerate(dims))
 
 
 # ---------------------------------------------------------------------------

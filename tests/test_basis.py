@@ -14,7 +14,6 @@ import finiteweyl.basis as basis_mod
 from finiteweyl.basis import (
     TWO_QUBIT_SPREAD,
     CartanPartition,
-    TensorMonomial,
     cartan_partition_prime,
     cartan_partition_prime_power,
     commutator_table,
@@ -29,7 +28,6 @@ from finiteweyl.basis import (
     tensor_commutation_table,
     tensor_indices,
     tensor_indices_commute,
-    tensor_pauli,
     u_ab,
     validate_cartan_partition,
 )
@@ -39,12 +37,16 @@ from finiteweyl.operators import MonomialOperator, monomial_trace_array, trace_g
 from finiteweyl.phases import tau_powers
 from finiteweyl.suites import suite_basis
 from finiteweyl.search import find_commuting_partition, greedy_commuting_classes
-from oracles import commutator_coefficient_exponents, indices_commute
+from oracles import commutator_coefficient_exponents, indices_commute, tensor_factors
 
 
-def kron_matrix(u: TensorMonomial) -> np.ndarray:
+def kron_matrix(factors: tuple[MonomialOperator, ...]) -> np.ndarray:
     """The dense reference of a tensor monomial: np.kron of its factor matrices."""
-    return functools.reduce(np.kron, [f.to_matrix() for f in u.factors])
+    return functools.reduce(np.kron, [f.to_matrix() for f in factors])
+
+
+def label_matrix(dims: tuple[int, ...], label: tuple) -> np.ndarray:
+    return kron_matrix(tensor_factors(dims, label))
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +396,40 @@ def test_bitset_search_matches_set_search(graph):
 # ---------------------------------------------------------------------------
 
 
-def test_tensor_pauli_matches_kron():
+def test_pauli_rows_and_stack_match_kron():
     x = u_ab(2, 1, 0).to_matrix()
     z = u_ab(2, 0, 1).to_matrix()
-    assert tensor_pauli((2, 2), (1, 0, 0, 1)).factors == (u_ab(2, 1, 0), u_ab(2, 0, 1))
+    assert pauli_rows((2, 2), [(1, 0, 0, 1)]).tolist() == [[[0, 1, 0], [0, 0, 1]]]
     got = pauli_stack((2, 2), [(1, 0, 0, 1)])[0]
     assert max_abs(got - np.kron(x, z)) == 0.0
-    with pytest.raises(ValueError):
-        tensor_pauli((2, 2), (1, 0, 0))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2), (5,)])
+def test_pauli_rows_are_the_rows_of_the_label_factors(dims):
+    labels = [(0,) * (2 * len(dims)), *tensor_indices(dims)]
+    expected = [[[f.phase.t, f.shift, f.clock] for f in tensor_factors(dims, i)] for i in labels]
+    assert pauli_rows(dims, labels).tolist() == expected
+    # digits at or past d_k, and negative ones, read mod d_k
+    p = dims[0]
+    shifted = [
+        tuple(x + p * ((i + k) % 3 - 1) for k, x in enumerate(idx)) for i, idx in enumerate(labels)
+    ]
+    assert np.array_equal(pauli_rows(dims, shifted), pauli_rows(dims, labels))
+    assert min(min(idx) for idx in shifted) < 0 and max(max(idx) for idx in shifted) >= p
+
+
+@pytest.mark.parametrize("label", [(1, 0, 0), (1, 0, 0, 1, 1)])
+def test_pauli_rows_rejects_a_label_of_the_wrong_length(label):
+    message = rf"^label length {len(label)} does not match dims \(2, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        pauli_rows((2, 2), [label])
 
 
 def test_tensor_commutation_rule():
     dims = (2, 2)
     assert tensor_indices_commute(dims, (1, 0, 1, 0), (0, 1, 0, 1))
-    xx = kron_matrix(tensor_pauli(dims, (1, 0, 1, 0)))
-    zz = kron_matrix(tensor_pauli(dims, (0, 1, 0, 1)))
+    xx = label_matrix(dims, (1, 0, 1, 0))
+    zz = label_matrix(dims, (0, 1, 0, 1))
     assert max_abs(commutator(xx, zz)) == 0.0
     # single-factor mismatch does not commute
     assert not tensor_indices_commute(dims, (1, 0, 0, 0), (0, 1, 0, 0))
@@ -438,9 +459,9 @@ def test_tensor_commutation_matches_dense():
         labels = tensor_indices(dims)
         for _ in range(150):
             u_idx, v_idx = rng.choice(labels), rng.choice(labels)
-            u = tensor_pauli(dims, u_idx)
-            v = tensor_pauli(dims, v_idx)
-            dense_commutes = max_abs(commutator(kron_matrix(u), kron_matrix(v))) < 1e-12
+            u = label_matrix(dims, u_idx)
+            v = label_matrix(dims, v_idx)
+            dense_commutes = max_abs(commutator(u, v)) < 1e-12
             assert dense_commutes == tensor_indices_commute(dims, u_idx, v_idx)
 
 
@@ -469,7 +490,7 @@ def test_single_qudit_commutation_table_is_the_form():
 def test_dense_stack_is_bit_equal_to_kron(dims):
     labels = tensor_indices(dims)
     stack = pauli_stack(dims, labels)
-    expected = np.stack([kron_matrix(tensor_pauli(dims, idx)) for idx in labels])
+    expected = np.stack([label_matrix(dims, idx) for idx in labels])
     assert stack.dtype == expected.dtype and stack.shape == expected.shape
     assert np.array_equal(stack.view(np.uint64), expected.view(np.uint64))
 
@@ -515,7 +536,7 @@ def test_tensor_trace_gram_matches_dense():
         for _ in range(100):
             pair = [rng.choice(labels), rng.choice(labels)]
             exponents, scalar = trace_gram(pauli_rows(dims, pair), dims[0])
-            u, v = (kron_matrix(tensor_pauli(dims, idx)) for idx in pair)
+            u, v = (label_matrix(dims, idx) for idx in pair)
             entry = math.prod(dims) * tau_powers(exponents[0, 1], dims[0]) if scalar[0, 1] else 0j
             assert abs(entry - np.trace(u.conj().T @ v)) < 1e-10
 
@@ -531,13 +552,13 @@ def phased_tensor_monomials(draw):
         )
         t = draw(st.integers(-4 * p, 4 * p))
         factors.append(MonomialOperator.from_tau_exponent(p, t, shift, clock))
-    return TensorMonomial(tuple(factors))
+    return tuple(factors)
 
 
-def fraction_trace_phase(u: TensorMonomial) -> Fraction | None:
+def fraction_trace_phase(u: tuple[MonomialOperator, ...]) -> Fraction | None:
     """s with Tr u = prod(d_j) exp(i*pi*s), by rational arithmetic; None if Tr u = 0."""
     total = Fraction(0)
-    for f in u.factors:
+    for f in u:
         scalar = f.trace_exact()
         if scalar is None:
             return None
@@ -547,9 +568,9 @@ def fraction_trace_phase(u: TensorMonomial) -> Fraction | None:
 
 @given(phased_tensor_monomials())
 def test_phased_tensor_trace(u):
-    p, size = u.dims[0], math.prod(u.dims)
+    p, size = u[0].d, math.prod(f.d for f in u)
     s = fraction_trace_phase(u)
-    rows = np.array([(f.phase.t, f.shift, f.clock) for f in u.factors])
+    rows = np.array([(f.phase.t, f.shift, f.clock) for f in u])
     # unreduced factors read as their reduced monomials
     offsets = np.arange(-1, len(rows) - 1)[:, None] * (2 * p, p, p)
     for factors in (rows, rows + offsets):
@@ -568,8 +589,8 @@ def test_qutrit_pair_anticommutators_never_vanish():
     labels = tensor_indices(dims)
     for _ in range(200):
         u_idx, v_idx = rng.choice(labels), rng.choice(labels)
-        u = kron_matrix(tensor_pauli(dims, u_idx))
-        v = kron_matrix(tensor_pauli(dims, v_idx))
+        u = label_matrix(dims, u_idx)
+        v = label_matrix(dims, v_idx)
         assert max_abs(u @ v + v @ u) > 1e-9
 
 

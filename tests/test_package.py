@@ -26,9 +26,10 @@ def test_every_public_name_resolves_to_its_home_module_object():
 
 
 def test_the_scalar_twins_are_not_public():
-    # the scalar forms of the P_d laws are test oracles, not library API
-    assert len(finiteweyl.__all__) == 39
-    for name in ("FormalCombination", "pd_character", "pd_irrep", "pd_lie_bracket"):
+    # the scalar forms of the P_d laws and of a tensor label's factors are
+    # test oracles, not library API
+    assert len(finiteweyl.__all__) == 38
+    for name in ("FormalCombination", "pd_character", "pd_irrep", "pd_lie_bracket", "tensor_pauli"):
         assert name not in finiteweyl.__all__
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(finiteweyl, name)

@@ -231,7 +231,7 @@ def _partition_document(classes, complete, dimension=3, tensor_dims=None) -> str
         (_partition_document([["(12)", "(9)"]], True), r"\(9\) does not fit moduli \(3, 3\)"),
         (_partition_document([["(12)", "(31)"]], False), r"label \(31\) does not fit"),
         (_partition_document([["(121)"]], False), r"label \(121\) does not fit"),
-        (_partition_document([["(1011)"]], False, 4, [2, 3]), r"\[2, 3\] do not multiply to 4"),
+        (_partition_document([["(1011)"]], False, 4, [2, 3]), r"dimension 4, tensor_dims \[2, 3]$"),
         (_partition_document([["(1011)", "(1,2,0,1)"]], False, 4, [2, 2]), r"label \(1,2,0,1\)"),
         # disjoint and fitting, but neither covering nor commuting
         (_partition_document([["(01)", "(10)"]], True), "marked complete but is not"),
@@ -252,6 +252,17 @@ def _partition_document(classes, complete, dimension=3, tensor_dims=None) -> str
         (_partition_document([["(00)"]], False), "^partition document has an empty class or"),
         (_partition_document([["(0000)"]], False, 4, [2, 2]), "or the identity label$"),
         (_partition_document([["(01)"], []], False), "^partition document has an empty class"),
+        # dimensions `basis partition` does not write: one factor, a factor that is not
+        # prime, unequal factors, p^e = 32 over the tensor cap, a composite d over the
+        # search cap, and a prime over the prime cap, rejected before any primality test
+        *[
+            (
+                _partition_document([["(01)"]], False, d, dims),
+                rf"^partition document has dimension {d}, tensor_dims {re.escape(str(dims))}$",
+            )
+            for d, dims in [(3, [3]), (16, [4, 4]), (6, [2, 3]), (32, [2] * 5)]
+            + [(200, None), (1000000000000000003, None)]
+        ],
     ],
 )
 def test_import_rejects_partition_labels_that_do_not_fit(text, message):

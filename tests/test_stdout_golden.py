@@ -8,10 +8,14 @@ pins two commands whose floats are all exact quarter turns the same way.
 """
 
 import hashlib
+import importlib.util
 import json
+import pathlib
 import shlex
 
 import pytest
+import test_check_lists
+import test_verify_stdout
 from conftest import load_golden
 
 from finiteweyl.cli import main
@@ -55,3 +59,21 @@ def test_quarter_turn_stdout_matches_golden_digest(capsys, command):
     parts = {e[part] for e in json.loads(out)["entries"] for part in ("re", "im")}
     assert parts <= {0.0, 1.0, -1.0, 2.0, -2.0}
     assert hashlib.sha256(out.encode()).hexdigest() == QUARTER_TURN_GOLDEN[command]
+
+
+def test_the_fingerprint_script_lists_every_pinned_command():
+    # `scripts/stdout_fingerprint.py` compares two checkouts command by
+    # command; a digest pinned here but missing from its list would go
+    # unchecked by that comparison
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "stdout_fingerprint.py"
+    spec = importlib.util.spec_from_file_location("stdout_fingerprint", script)
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    (verify_group,) = test_verify_stdout.test_verify_group_stdout_matches_recorded_digest.pytestmark
+    pinned = {
+        *GOLDEN,
+        *QUARTER_TURN_GOLDEN,
+        *(f"verify group --d {d}" for d, _, _ in verify_group.args[1]),
+        *(pin[0] for pin in test_check_lists.PINS),
+    }
+    assert pinned - set(fingerprint.COMMANDS) == set()
