@@ -8,7 +8,8 @@ same decomposition exists for tensor-product labels and is found here by
 exhaustive backtracking over the commutation graph.  For composite d
 (single qudit) the search instead certifies that no such partition exists
 and returns the best-effort classes.  A single qudit is the tensor case
-dims = (d,), so both searches run one route over `tensor_indices(dims)`.
+dims = (d,), so both searches make one search call over the positions
+of `tensor_indices(dims)` and return a `CartanPartition` of those dims.
 
 `commutator_table(d)` holds the exponents of `pauli_commutator` for all
 d^4 label pairs: one `CommutatorTable` of int64 tau exponents and target
@@ -21,8 +22,9 @@ off it, and `validate_cartan_partition` the commutation within each
 class of every partition, the two-qubit spread `TWO_QUBIT_SPREAD` (the
 p^e = 4 case) included.  `pauli_stack(dims, labels)` is the one builder
 of dense Pauli matrices and `pauli_rows(dims, labels)` of their exact
-(t, shift, clock) rows.  Every trace pairing, `hs_orthogonality` over the
-d^2 labels and the Gram of the spread included, is `operators.trace_gram`
+(t, shift, clock) rows.  All three read labels as one checked (n, 2e)
+int64 array, n = 0 allowed.  Every trace pairing, `hs_orthogonality` over
+the d^2 labels and the Gram of the spread included, is `operators.trace_gram`
 of those rows, read off the label digits by arithmetic.  The text form
 of a label is `serialize`'s.
 """
@@ -39,7 +41,7 @@ import numpy as np
 from .limits import check_prime, check_search, check_structure_table, check_tensor
 from .operators import MonomialOperator, residual_norm, trace_gram
 from .phases import PhaseExponent, tau_powers
-from .search import find_commuting_partition, greedy_commuting_classes
+from .search import find_commuting_partition
 
 PauliIndex = tuple[int, int]
 
@@ -130,21 +132,19 @@ def _gram_defect(dims: tuple[int, ...], labels: list[tuple]) -> float:
 
 @dataclass
 class CartanPartition:
-    """Disjoint classes of pairwise commuting operator labels."""
+    """Disjoint classes of pairwise commuting labels of the factors dims, (d,) for one qudit."""
 
-    dimension: int
+    dims: tuple[int, ...]
     classes: list[list[tuple]]
     complete: bool = True
-    tensor_dims: tuple[int, ...] | None = None
+
+    @property
+    def dimension(self) -> int:
+        return math.prod(self.dims)
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        """The factor dimensions: `tensor_dims`, or (dimension,) for one qudit."""
-        return self.tensor_dims or (self.dimension,)
 
 
 def cartan_partition_prime(p: int) -> CartanPartition:
@@ -158,7 +158,7 @@ def cartan_partition_prime(p: int) -> CartanPartition:
     classes: list[list[tuple]] = [[(0, b) for b in range(1, p)]]
     for slope in range(p):
         classes.append([(x, (slope * x) % p) for x in range(1, p)])
-    return CartanPartition(dimension=p, classes=classes, complete=True)
+    return CartanPartition((p,), classes)
 
 
 def commuting_class_search(d: int) -> CartanPartition:
@@ -210,11 +210,19 @@ def tensor_indices(dims: tuple[int, ...]) -> list[tuple]:
     return [idx for idx in product(*ranges) if any(idx)]
 
 
-def pauli_rows(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
-    """The (n, e, 3) int64 rows (0, a_k mod d_k, b_k mod d_k) of the factors u_(a_k b_k)."""
+def _label_array(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
+    """The labels as an (n, 2 len(dims)) int64 array, n = 0 for no labels."""
     digits = np.asarray(labels, dtype=np.int64)
+    if digits.shape == (0,):
+        digits = digits.reshape(0, 2 * len(dims))
     if digits.ndim != 2 or digits.shape[1] != 2 * len(dims):
         raise ValueError(f"label length {digits.shape[-1]} does not match dims {dims}")
+    return digits
+
+
+def pauli_rows(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
+    """The (n, e, 3) int64 rows (0, a_k mod d_k, b_k mod d_k) of the factors u_(a_k b_k)."""
+    digits = _label_array(dims, labels)
     rows = np.zeros((len(digits), len(dims), 3), dtype=np.int64)
     rows[..., 1:] = digits.reshape(-1, len(dims), 2) % np.array(dims)[:, None]
     return rows
@@ -244,7 +252,7 @@ def tensor_commutation_table(dims: tuple[int, ...], labels: list[tuple]) -> np.n
     (d,) it is ab' - ba' mod d.
     """
     lcm = math.lcm(*dims)
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2 * len(dims))
+    labels = _label_array(dims, labels)
     weights = np.array([lcm // p for p in dims], dtype=np.int64)
     # half[i, j] is the sum of a_k b'_k w_k for labels[i] and labels[j],
     # so half[j, i] is the sum of b_k a'_k w_k
@@ -254,17 +262,13 @@ def tensor_commutation_table(dims: tuple[int, ...], labels: list[tuple]) -> np.n
 
 def _partition_search(dims: tuple[int, ...]) -> CartanPartition:
     """d + 1 classes of d - 1 labels, d = prod(dims), or the greedy classes, incomplete."""
-    d = math.prod(dims)
-    vertices = tensor_indices(dims)
-    position = {label: i for i, label in enumerate(vertices)}
-    commuting = (tensor_commutation_table(dims, vertices) == 0).tolist()
-
-    def commutes(u: tuple, v: tuple) -> bool:
-        return commuting[position[u]][position[v]]
-
-    found = find_commuting_partition(vertices, commutes, d - 1)
-    classes = greedy_commuting_classes(vertices, commutes, d - 1) if found is None else found
-    return CartanPartition(d, classes, found is not None, dims if len(dims) > 1 else None)
+    # the labels are sorted, so their positions order as they do
+    labels = tensor_indices(dims)
+    commuting = (tensor_commutation_table(dims, labels) == 0).tolist()
+    found, complete = find_commuting_partition(
+        range(len(labels)), lambda i, j: commuting[i][j], math.prod(dims) - 1
+    )
+    return CartanPartition(dims, [[labels[i] for i in cls] for cls in found], complete)
 
 
 def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
@@ -295,6 +299,7 @@ def pauli_stack(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
     Kronecker products of all labels are one broadcast per factor, with the
     same elementwise products as `np.kron` of the factor matrices.
     """
+    digits = _label_array(dims, labels).tolist()
     factors: dict[tuple[int, int, int], np.ndarray] = {}
 
     def factor(p: int, a: int, b: int) -> np.ndarray:
@@ -304,7 +309,7 @@ def pauli_stack(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
 
     out = None
     for pos, p in enumerate(dims):
-        f = np.stack([factor(p, idx[2 * pos], idx[2 * pos + 1]) for idx in labels])
+        f = np.stack([factor(p, idx[2 * pos], idx[2 * pos + 1]) for idx in digits])
         if out is None:
             out = f
         else:
@@ -378,7 +383,7 @@ def su4_spread_check() -> SpreadReport:
     which are exact for qubit entries 0 and +-1.
     """
     dims = (2, 2)
-    spread = CartanPartition(4, [list(cls) for cls in TWO_QUBIT_SPREAD], tensor_dims=dims)
+    spread = CartanPartition(dims, [list(cls) for cls in TWO_QUBIT_SPREAD])
     sets_commute = _classes_commute(dims, spread.classes) and (
         partition_dense_commutation_defect(spread) == 0.0
     )

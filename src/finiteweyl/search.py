@@ -1,12 +1,13 @@
 """Deterministic backtracking search for commuting-class partitions.
 
-Vertices are operator labels; two labels are adjacent when the operators
-commute.  The search covers the lexicographically smallest uncovered
-vertex with each clique of the requested size through it (cliques are
-generated in lexicographic order), recursing until the vertex set is
-exhausted or all branches fail.  With a fixed vertex ordering the outcome
+Vertices are sortable values, the positions of sorted operator labels in
+`basis`; two are adjacent when the operators commute.  The search covers
+the lexicographically smallest uncovered vertex with each clique of the
+requested size through it (cliques are generated in lexicographic
+order), recursing until the vertex set is exhausted or all branches fail.  With a fixed vertex ordering the outcome
 is fully deterministic, and failure is an exhaustive proof that no
-partition into cliques of that size exists.
+partition into cliques of that size exists; the first-found disjoint
+cliques are then returned, read off the same adjacency.
 
 Sets of vertices are bitsets: Python ints whose bit i stands for the i-th
 vertex in sorted order.  Lowest set bit first is then lexicographic order,
@@ -68,11 +69,13 @@ def find_commuting_partition(
     vertices: Sequence[Vertex],
     commutes: Callable[[Vertex, Vertex], bool],
     class_size: int,
-) -> list[list[Vertex]] | None:
-    """Partition all vertices into cliques of class_size, or None if impossible."""
+) -> tuple[list[list[Vertex]], bool]:
+    """(partition into cliques of class_size, True), or (greedy cliques, False) if impossible.
+
+    The greedy pass gives each uncovered pivot, in order, its first clique
+    among the uncovered vertices.  Both read one adjacency build.
+    """
     ordered = sorted(vertices)
-    if len(ordered) % class_size != 0:
-        return None
     adjacency = _adjacency_masks(ordered, commutes)
 
     def cover(uncovered: int) -> list[int] | None:
@@ -86,33 +89,16 @@ def find_commuting_partition(
                 return [clique] + tail
         return None
 
-    solution = cover((1 << len(ordered)) - 1)
-    if solution is None:
-        return None
-    return [_members(clique, ordered) for clique in solution]
-
-
-def greedy_commuting_classes(
-    vertices: Sequence[Vertex],
-    commutes: Callable[[Vertex, Vertex], bool],
-    class_size: int,
-) -> list[list[Vertex]]:
-    """First-found disjoint cliques, scanning pivots in lexicographic order.
-
-    Used as the best-effort answer when no full partition exists.  A pivot
-    with no clique stays uncovered and may join a later pivot's clique.
-    """
-    ordered = sorted(vertices)
-    adjacency = _adjacency_masks(ordered, commutes)
-    uncovered = (1 << len(ordered)) - 1
-    classes: list[list[Vertex]] = []
-    for pivot in range(len(ordered)):
-        bit = 1 << pivot
-        if not uncovered & bit:
-            continue
-        clique = next(_cliques_through(pivot, uncovered ^ bit, adjacency, class_size), None)
-        if clique is not None:
-            classes.append(_members(clique, ordered))
-            uncovered &= ~clique
-    return classes
-
+    everything = (1 << len(ordered)) - 1
+    solution = cover(everything) if len(ordered) % class_size == 0 else None
+    complete = solution is not None
+    if not complete:
+        solution, uncovered = [], everything
+        for pivot in range(len(ordered)):
+            bit = 1 << pivot
+            if uncovered & bit:
+                for clique in _cliques_through(pivot, uncovered ^ bit, adjacency, class_size):
+                    solution.append(clique)
+                    uncovered &= ~clique
+                    break
+    return [_members(clique, ordered) for clique in solution], complete

@@ -234,19 +234,19 @@ def _hadamard_from(payload: dict) -> HadamardMatrix:
 
 
 def _partition(p: CartanPartition) -> dict:
-    moduli = _digit_moduli(p)
+    moduli = _digit_moduli(p.dims)
     return {
         "type": "partition",
         "dimension": p.dimension,
-        "tensor_dims": list(p.tensor_dims) if p.tensor_dims else None,
+        "tensor_dims": list(p.dims) if len(p.dims) > 1 else None,  # null: one qudit
         "complete": p.complete,
         "classes": [[format_index(idx, moduli) for idx in cls] for cls in p.classes],
     }
 
 
-def _digit_moduli(p: CartanPartition) -> tuple[int, ...]:
+def _digit_moduli(dims: tuple[int, ...]) -> tuple[int, ...]:
     """The modulus of each digit of a label: d_k for both a_k and b_k."""
-    return tuple(x for m in p.dims for x in (m, m))
+    return tuple(x for m in dims for x in (m, m))
 
 
 def _writable_dims(dimension: int, dims: list | None) -> bool:
@@ -262,23 +262,25 @@ def _writable_dims(dimension: int, dims: list | None) -> bool:
 
 
 def _partition_from(payload: dict) -> CartanPartition:
-    dimension, dims = payload["dimension"], payload["tensor_dims"]
-    if not _writable_dims(dimension, dims):
-        raise ValueError(f"partition document has dimension {dimension}, tensor_dims {dims}")
+    dimension, listed = payload["dimension"], payload["tensor_dims"]
+    if not _writable_dims(dimension, listed):
+        raise ValueError(f"partition document has dimension {dimension}, tensor_dims {listed}")
     marked_complete = payload["complete"]
-    partition = CartanPartition(dimension, [], True, None if dims is None else tuple(dims))
-    moduli = _digit_moduli(partition)
-    partition.classes = [[_label_from(text, moduli) for text in cls] for cls in payload["classes"]]
-    if not all(cls and all(any(label) for label in cls) for cls in partition.classes):
+    # null is one qudit
+    dims = (dimension,) if listed is None else tuple(listed)
+    moduli = _digit_moduli(dims)
+    classes = [[_label_from(text, moduli) for text in cls] for cls in payload["classes"]]
+    if not all(cls and all(any(label) for label in cls) for cls in classes):
         raise ValueError("partition document has an empty class or the identity label")
+    partition = CartanPartition(dims, classes)
     # the flag is recomputed, not read: a Cartan partition is complete whatever it says
     partition.complete = validate_cartan_partition(partition)
     if partition.complete:
         return partition
     if marked_complete:
         raise ValueError("partition document is marked complete but is not a Cartan partition")
-    flat = [label for cls in partition.classes for label in cls]
-    if len(flat) != len(set(flat)) or not _classes_commute(partition.dims, partition.classes):
+    flat = [label for cls in classes for label in cls]
+    if len(flat) != len(set(flat)) or not _classes_commute(dims, classes):
         raise ValueError("partition document repeats a label or has a class that does not commute")
     return partition
 

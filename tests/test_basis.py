@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -36,7 +37,7 @@ from finiteweyl.mub import OrthonormalBasis, pairwise_deviations
 from finiteweyl.operators import MonomialOperator, monomial_trace_array, trace_gram
 from finiteweyl.phases import tau_powers
 from finiteweyl.suites import suite_basis
-from finiteweyl.search import find_commuting_partition, greedy_commuting_classes
+from finiteweyl.search import find_commuting_partition
 from oracles import commutator_coefficient_exponents, indices_commute, tensor_factors
 
 
@@ -294,21 +295,44 @@ def test_adjacency_tests_each_pair_once():
 
     vertices = list(range(8))
     part = find_commuting_partition(vertices, commutes, 4)
-    assert part == [[0, 2, 4, 6], [1, 3, 5, 7]]
+    assert part == ([[0, 2, 4, 6], [1, 3, 5, 7]], True)
     assert len(calls) == len(set(calls)) == 8 * 7 // 2
+
+
+@pytest.mark.parametrize(
+    "n, commutes, size, expected",
+    [
+        # no edges: the search fails and no pivot has a clique
+        (6, lambda u, v: False, 2, []),
+        # 7 vertices do not split into pairs: the greedy pass alone
+        (7, lambda u, v: u // 2 == v // 2, 2, [[0, 1], [2, 3], [4, 5]]),
+        # a triangle and a lone vertex: every branch fails, then 0 takes 1 and 2 stays out
+        (4, lambda u, v: max(u, v) < 3, 2, [[0, 1]]),
+    ],
+)
+def test_failed_search_tests_each_pair_once(n, commutes, size, expected):
+    calls = []
+
+    def counted(u, v):
+        calls.append(frozenset((u, v)))
+        return commutes(u, v)
+
+    assert find_commuting_partition(list(range(n)), counted, size) == (expected, False)
+    assert len(calls) == len(set(calls)) == n * (n - 1) // 2
 
 
 def test_generic_search_engine():
     vertices = list(range(6))
-    part = find_commuting_partition(vertices, lambda u, v: u // 2 == v // 2, 2)
-    assert part == [[0, 1], [2, 3], [4, 5]]
+    part, complete = find_commuting_partition(vertices, lambda u, v: u // 2 == v // 2, 2)
+    assert (part, complete) == ([[0, 1], [2, 3], [4, 5]], True)
     assert per_pair_partition_valid(part, vertices, lambda u, v: u // 2 == v // 2, 2)
     assert not per_pair_partition_valid(part, vertices, lambda u, v: u + v < 5, 2)
     assert not per_pair_partition_valid([[0, 1], [2, 3]], vertices, lambda u, v: True, 2)
     assert not per_pair_partition_valid([[0, 1, 2], [3, 4, 5]], vertices, lambda u, v: True, 2)
-    assert find_commuting_partition(vertices, lambda u, v: False, 2) is None
-    greedy = greedy_commuting_classes(vertices, lambda u, v: u // 2 == v // 2, 2)
-    assert greedy == [[0, 1], [2, 3], [4, 5]]
+    assert find_commuting_partition(vertices, lambda u, v: False, 2) == ([], False)
+    # a vertex with no neighbour leaves the other pairs as the greedy classes
+    greedy = find_commuting_partition(vertices, lambda u, v: u // 2 == v // 2 and u < 4, 2)
+    assert greedy == ([[0, 1], [2, 3]], False)
 
 
 def set_search_partition(vertices, commutes, class_size):
@@ -387,8 +411,8 @@ def test_bitset_search_matches_set_search(graph):
         return frozenset((u, v)) in edges
 
     solution, greedy = set_search_partition(vertices, commutes, size)
-    assert find_commuting_partition(vertices, commutes, size) == solution
-    assert greedy_commuting_classes(vertices, commutes, size) == greedy
+    expected = (greedy, False) if solution is None else (solution, True)
+    assert find_commuting_partition(vertices, commutes, size) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +442,29 @@ def test_pauli_rows_are_the_rows_of_the_label_factors(dims):
     assert min(min(idx) for idx in shifted) < 0 and max(max(idx) for idx in shifted) >= p
 
 
-@pytest.mark.parametrize("label", [(1, 0, 0), (1, 0, 0, 1, 1)])
-def test_pauli_rows_rejects_a_label_of_the_wrong_length(label):
-    message = rf"^label length {len(label)} does not match dims \(2, 2\)$"
+@pytest.mark.parametrize("reader", [pauli_rows, pauli_stack, tensor_commutation_table])
+@pytest.mark.parametrize(
+    "dims, labels, length",
+    [
+        ((2, 2), [(1, 0, 0)], 3),
+        ((2, 2), [(1, 0, 0, 1, 1)], 5),
+        ((2, 2), [(1, 0)], 2),
+        ((2,), [(1, 0, 1, 1)], 4),
+        ((2, 2), [()], 0),
+        # eight digits that would fill two labels of four, as four labels of two
+        ((2, 2), [(0, 1), (1, 0), (1, 1), (0, 1)], 2),
+    ],
+)
+def test_label_readers_reject_a_label_of_the_wrong_length(reader, dims, labels, length):
+    message = rf"^label length {length} does not match dims {re.escape(str(dims))}$"
     with pytest.raises(ValueError, match=message):
-        pauli_rows((2, 2), [label])
+        reader(dims, labels)
+
+
+@pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3)])
+def test_label_readers_take_no_labels(dims):
+    assert pauli_rows(dims, []).shape == (0, len(dims), 3)
+    assert tensor_commutation_table(dims, []).shape == (0, 0)
 
 
 def test_tensor_commutation_rule():
@@ -501,9 +543,7 @@ def test_dense_recheck_catches_a_non_commuting_pair():
     # swap one label between two classes: each class now holds a non-commuting pair
     classes = [list(cls) for cls in good.classes]
     classes[0][-1], classes[1][-1] = classes[1][-1], classes[0][-1]
-    bad = basis_mod.CartanPartition(
-        dimension=good.dimension, classes=classes, tensor_dims=good.tensor_dims
-    )
+    bad = basis_mod.CartanPartition(good.dims, classes)
     assert not validate_cartan_partition(bad)
     assert partition_dense_commutation_defect(bad) > 1e-12
     prime = cartan_partition_prime(5)
@@ -511,11 +551,28 @@ def test_dense_recheck_catches_a_non_commuting_pair():
     assert partition_dense_commutation_defect(prime) > 1e-12
 
 
+def test_validator_accepts_an_empty_extra_class():
+    # an empty class reads an empty commutation table, so it adds no pair
+    for good in (cartan_partition_prime(3), cartan_partition_prime_power(2, 2)):
+        padded = CartanPartition(good.dims, [*good.classes, []], complete=False)
+        assert validate_cartan_partition(padded)
+        # a complete partition has exactly d + 1 classes
+        padded.complete = True
+        assert not validate_cartan_partition(padded)
+
+
+def test_partition_holds_its_dims():
+    assert cartan_partition_prime(5).dims == (5,)
+    assert commuting_class_search(6).dims == (6,)
+    partition = cartan_partition_prime_power(2, 3)
+    assert (partition.dims, partition.dimension) == ((2, 2, 2), 8)
+
+
 def test_dense_recheck_reads_zero_for_classes_without_pairs():
-    assert partition_dense_commutation_defect(CartanPartition(3, [[(0, 1)], []], False)) == 0.0
-    assert partition_dense_commutation_defect(CartanPartition(3, [], False)) == 0.0
+    assert partition_dense_commutation_defect(CartanPartition((3,), [[(0, 1)], []], False)) == 0.0
+    assert partition_dense_commutation_defect(CartanPartition((3,), [], False)) == 0.0
     # a short class is skipped, a non-commuting pair elsewhere still shows
-    mixed = CartanPartition(3, [[], [(0, 1), (1, 0)]], False)
+    mixed = CartanPartition((3,), [[], [(0, 1), (1, 0)]], False)
     assert partition_dense_commutation_defect(mixed) > 1e-12
 
 
@@ -619,7 +676,7 @@ def test_tensor_partitions():
 
 
 def test_printed_spread_is_a_valid_partition():
-    spread = CartanPartition(4, [list(cls) for cls in TWO_QUBIT_SPREAD], tensor_dims=(2, 2))
+    spread = CartanPartition((2, 2), [list(cls) for cls in TWO_QUBIT_SPREAD])
     assert validate_cartan_partition(spread)
     assert per_pair_cartan_valid(spread)
 
@@ -642,8 +699,7 @@ def per_pair_partition_valid(classes, vertices, commutes, class_size=None) -> bo
 
 def per_pair_cartan_valid(partition: CartanPartition) -> bool:
     """`validate_cartan_partition` by `tensor_indices_commute`, one pair at a time."""
-    dims = partition.tensor_dims or (partition.dimension,)
-    d = partition.dimension
+    dims, d = partition.dims, partition.dimension
     if partition.complete and len(partition.classes) != d + 1:
         return False
     return per_pair_partition_valid(
@@ -661,7 +717,7 @@ def valid_and_searched_partitions() -> tuple[CartanPartition, ...]:
     return (
         *(cartan_partition_prime(p) for p in (2, 3, 5, 7)),
         *(cartan_partition_prime_power(p, e) for p, e in ((2, 2), (2, 3), (3, 2))),
-        CartanPartition(4, [list(cls) for cls in TWO_QUBIT_SPREAD], tensor_dims=(2, 2)),
+        CartanPartition((2, 2), [list(cls) for cls in TWO_QUBIT_SPREAD]),
         commuting_class_search(4),
         commuting_class_search(6),
     )
@@ -697,9 +753,7 @@ def test_table_validator_matches_the_per_pair_oracle(data):
             del classes[i][k:]
         else:
             classes[data.draw(index) % len(classes)].append(classes[i][k])
-    partition = CartanPartition(
-        base.dimension, classes, data.draw(st.booleans(), label="complete"), base.tensor_dims
-    )
+    partition = CartanPartition(base.dims, classes, data.draw(st.booleans(), label="complete"))
     assert validate_cartan_partition(partition) == per_pair_cartan_valid(partition)
 
 
