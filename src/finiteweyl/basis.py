@@ -16,17 +16,18 @@ d^4 label pairs: one `CommutatorTable` of int64 tau exponents and target
 label indices, whose `coefficients` method turns the exponents into the
 complex coefficients through `phases.tau_powers`, bit for bit as
 `pauli_commutator` does.  `tensor_commutation_table(dims, labels)` holds
-the symplectic form of every label pair, the law `tensor_indices_commute`
-tests one pair at a time.  Both searches read their commutation graph
+the symplectic form of every label pair; `tensor_indices_commute` reads
+one pair off it.  Both searches read their commutation graph
 off it, and `validate_cartan_partition` the commutation within each
 class of every partition, the two-qubit spread `TWO_QUBIT_SPREAD` (the
 p^e = 4 case) included.  `pauli_stack(dims, labels)` is the one builder
 of dense Pauli matrices and `pauli_rows(dims, labels)` of their exact
 (t, shift, clock) rows.  All three read labels as one checked (n, 2e)
-int64 array, n = 0 allowed.  Every trace pairing, `hs_orthogonality` over
-the d^2 labels and the Gram of the spread included, is `operators.trace_gram`
-of those rows, read off the label digits by arithmetic.  The text form
-of a label is `serialize`'s.
+int64 array, n = 0 allowed, and name a label of another length in their
+error.  Every trace pairing, `hs_orthogonality` over the d^2 labels and
+the Gram of the spread included, is `operators.trace_gram` of those rows,
+read off the label digits by arithmetic.  The text form of a label is
+`serialize`'s.
 """
 
 from __future__ import annotations
@@ -212,12 +213,13 @@ def tensor_indices(dims: tuple[int, ...]) -> list[tuple]:
 
 def _label_array(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
     """The labels as an (n, 2 len(dims)) int64 array, n = 0 for no labels."""
-    digits = np.asarray(labels, dtype=np.int64)
-    if digits.shape == (0,):
-        digits = digits.reshape(0, 2 * len(dims))
-    if digits.ndim != 2 or digits.shape[1] != 2 * len(dims):
-        raise ValueError(f"label length {digits.shape[-1]} does not match dims {dims}")
-    return digits
+    width = 2 * len(dims)
+    for label in labels:
+        if len(label) != width:
+            raise ValueError(
+                f"label length {len(label)} does not match dims {dims}: {tuple(label)}"
+            )
+    return np.asarray(labels, dtype=np.int64).reshape(-1, width)
 
 
 def pauli_rows(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
@@ -229,27 +231,18 @@ def pauli_rows(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
 
 
 def tensor_indices_commute(dims: tuple[int, ...], idx1: tuple, idx2: tuple) -> bool:
-    """Exact commutation test: sum of (a_j b'_j - b_j a'_j)/d_j integral.
-
-    In integers (the symplectic form of Aaronson & Gottesman): with
-    L = lcm(d_j), the sum of (a_j b'_j - b_j a'_j) * (L / d_j) is 0 mod L.
-    """
-    lcm = math.lcm(*dims)
-    total = 0
-    for pos, p in enumerate(dims):
-        a, b = idx1[2 * pos], idx1[2 * pos + 1]
-        a2, b2 = idx2[2 * pos], idx2[2 * pos + 1]
-        total += (a * b2 - b * a2) * (lcm // p)
-    return total % lcm == 0
+    """Exact commutation test of two labels, their entry of `tensor_commutation_table`."""
+    return bool(tensor_commutation_table(dims, [idx1, idx2])[0, 1] == 0)
 
 
 def tensor_commutation_table(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
-    """`tensor_indices_commute` for all pairs of labels at once.
+    """The symplectic form of every pair of labels.
 
-    Entry [i, j] is the symplectic form of labels[i] and labels[j]: with
-    w_j = L / d_j and L = lcm(d_j), the sum of (a_j b'_j - b_j a'_j) * w_j
-    mod L.  It is 0 exactly when the two operators commute.  With dims =
-    (d,) it is ab' - ba' mod d.
+    Entry [i, j] is the form of labels[i] and labels[j]: the sum of
+    (a_j b'_j - b_j a'_j)/d_j is an integer exactly when the two operators
+    commute, so in integers (Aaronson & Gottesman), with w_j = L / d_j and
+    L = lcm(d_j), it is the sum of (a_j b'_j - b_j a'_j) * w_j mod L, 0
+    exactly for a commuting pair.  With dims = (d,) it is ab' - ba' mod d.
     """
     lcm = math.lcm(*dims)
     labels = _label_array(dims, labels)
@@ -309,7 +302,9 @@ def pauli_stack(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
 
     out = None
     for pos, p in enumerate(dims):
-        f = np.stack([factor(p, idx[2 * pos], idx[2 * pos + 1]) for idx in digits])
+        # (n, p, p) complex, n = 0 for no labels
+        f = np.array([factor(p, idx[2 * pos], idx[2 * pos + 1]) for idx in digits], dtype=complex)
+        f = f.reshape(-1, p, p)
         if out is None:
             out = f
         else:

@@ -92,7 +92,7 @@ def cmd_group(args: argparse.Namespace) -> int:
     from .group import (
         PdElement,
         irrep_character_norm,
-        pd_centralizer_sizes,
+        pd_centralizer_size,
         pd_conjugacy_classes,
         pd_irrep_counts,
         pd_named_subgroups,
@@ -106,7 +106,7 @@ def cmd_group(args: argparse.Namespace) -> int:
         if args.elem is None:
             raise ValueError("--elem a,b,c is required for the centralizer command")
         element = PdElement(*_int_fields("--elem", args.elem, "a,b,c"), d)
-        chunks = export_centralizer(element, int(pd_centralizer_sizes(element.key(), d)))
+        chunks = export_centralizer(element, pd_centralizer_size(element))
     elif args.action == "subgroups":
         chunks = export_subgroups(d, pd_named_subgroups(d, cap))
     else:

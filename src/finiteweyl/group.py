@@ -32,8 +32,9 @@ the centre, the quotient law and the character norms are evaluated with
 them, and so is every check of `suites.suite_group`.
 
 `PdElement`, `pd_conjugate` and `pd_centralizer_size` are the public
-single-element API.  `PdElement.compose` uses the law on (a, b, c) keys,
-`pd_compose_key`.
+single-element API.  They hold no law of their own: `PdElement.compose`
+and `inverse` read `pd_compose_array` and `pd_inverse_array` on the
+(a, b, c) key, and `pd_centralizer_size` reads `pd_centralizer_sizes`.
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ from .limits import DEFAULT_BRUTE_FORCE_CAP, check_brute_force, check_dimension
 from .operators import monomial_trace_array
 
 PdKey = tuple[int, int, int]
-
-
-def pd_compose_key(g: PdKey, h: PdKey, d: int) -> PdKey:
-    """The group law on (a, b, c) keys, reduced mod d."""
-    a, b, c = g
-    a2, b2, c2 = h
-    return ((a + a2 - c * b2) % d, (b + b2) % d, (c + c2) % d)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -79,13 +73,10 @@ class PdElement:
     def compose(self, other: "PdElement") -> "PdElement":
         if self.d != other.d:
             raise ValueError(f"modulus mismatch: {self.d} != {other.d}")
-        return PdElement(*pd_compose_key(self.key(), other.key(), self.d), self.d)
+        return PdElement(*pd_compose_array(self.key(), other.key(), self.d).tolist(), self.d)
 
     def inverse(self) -> "PdElement":
-        return PdElement(-self.a - self.b * self.c, -self.b, -self.c, self.d)
-
-    def commutes_with(self, other: "PdElement") -> bool:
-        return (self.c * other.b - self.b * other.c) % self.d == 0
+        return PdElement(*pd_inverse_array(self.key(), self.d).tolist(), self.d)
 
     def key(self) -> PdKey:
         return (self.a, self.b, self.c)
@@ -103,7 +94,7 @@ def pd_element_array(d: int) -> np.ndarray:
 
 
 def pd_compose_array(g: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
-    """`PdElement.compose` on (..., 3) int arrays, broadcast, reduced mod d."""
+    """The group law on (..., 3) int arrays of (a, b, c), broadcast, reduced mod d."""
     g, h = np.asarray(g, dtype=np.int64), np.asarray(h, dtype=np.int64)
     out = g + h
     out[..., 0] -= g[..., 2] * h[..., 1]
@@ -112,7 +103,7 @@ def pd_compose_array(g: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
 
 
 def pd_inverse_array(g: np.ndarray, d: int) -> np.ndarray:
-    """`PdElement.inverse` on a (..., 3) int array, reduced mod d."""
+    """The inverse (-a - bc, -b, -c) of each row of a (..., 3) int array, reduced mod d."""
     g = np.asarray(g, dtype=np.int64)
     out = -g
     out[..., 0] -= g[..., 1] * g[..., 2]
@@ -179,25 +170,16 @@ def pd_conjugacy_classes(d: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> Conjugac
 
 
 def pd_centralizer_size(g: PdElement) -> int:
-    """Number of elements commuting with g, by brute-force count.
-
-    Commutation depends only on (b', c'), so each solution of
-    c b' - b c' = 0 (mod d) accounts for d choices of a'.
-    """
-    d = g.d
-    pairs = sum(
-        1
-        for b2, c2 in product(range(d), repeat=2)
-        if (g.c * b2 - g.b * c2) % d == 0
-    )
-    return d * pairs
+    """Number of elements commuting with g, read off `pd_centralizer_sizes`."""
+    return int(pd_centralizer_sizes(g.key(), g.d))
 
 
 def pd_centralizer_sizes(g: np.ndarray, d: int) -> np.ndarray:
-    """`pd_centralizer_size` of each element of a (..., 3) int array.
+    """The centralizer order of each element of a (..., 3) int array.
 
-    The same brute-force count, once per coset label (b, c) that occurs:
-    the number of (b', c') with c b' - b c' = 0 (mod d), times d.
+    Commutation depends only on (b', c'), so a brute-force count, once per
+    coset label (b, c) that occurs: the number of (b', c') with
+    c b' - b c' = 0 (mod d), times d choices of a'.
     """
     g = np.asarray(g, dtype=np.int64) % d
     labels, index = np.unique(g[..., 1] * d + g[..., 2], return_inverse=True)
@@ -252,7 +234,7 @@ def _is_normal(array: np.ndarray, d: int) -> bool:
 
 
 def _is_abelian(array: np.ndarray, d: int) -> bool:
-    # PdElement.commutes_with on every pair: c b' - b c' = 0 (mod d)
+    # every pair commutes: c b' - b c' = 0 (mod d)
     b, c = array[:, 1], array[:, 2]
     return not ((np.outer(c, b) - np.outer(b, c)) % d).any()
 

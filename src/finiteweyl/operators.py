@@ -12,11 +12,13 @@ nonzero entry per column, namely tau^(t+2ck) at row (k-b) mod d.  Products,
 adjoints, traces and determinants of monomials are computed in integer
 arithmetic.  On int arrays of (t, shift, clock) rows, `monomial_mul_array`,
 `monomial_adjoint_array` and `monomial_trace_array` are the product,
-adjoint and trace, and `trace_gram` pairs rows by Tr(u^dagger v).  Every
-exact phase, the entries of the Fourier matrix included, goes through
-`phases.tau_powers` or `PhaseExponent.to_complex`; only phases with real
-parameters (v_ra for real r and a, the ladder matrices) are formed here
-directly.
+adjoint and trace, and `trace_gram` pairs rows by Tr(u^dagger v).  They
+are the one implementation of each law: `monomial_mul`,
+`MonomialOperator.adjoint` and `trace_exact` read them on the monomial's
+own row.  Every exact phase, the entries of the Fourier matrix included,
+goes through `phases.tau_powers` or `PhaseExponent.to_complex`; only
+phases with real parameters (v_ra for real r and a, the ladder matrices)
+are formed here directly.
 """
 
 from __future__ import annotations
@@ -82,12 +84,7 @@ class MonomialOperator:
         return out
 
     def adjoint(self) -> "MonomialOperator":
-        d = self.d
-        b = (-self.shift) % d
-        c = (-self.clock) % d
-        # (tau^t X^b Z^c)^dagger = tau^-t Z^-c X^-b, then reorder ZX -> XZ.
-        t = -self.phase.t - 2 * c * b
-        return MonomialOperator(PhaseExponent(t, d), b, c)
+        return _from_row(monomial_adjoint_array(_row(self), self.d), self.d)
 
     def to_matrix(self) -> np.ndarray:
         d = self.d
@@ -100,9 +97,8 @@ class MonomialOperator:
 
     def trace_exact(self) -> PhaseExponent | None:
         """d * tau^t when the monomial is scalar, None when traceless."""
-        if self.shift == 0 and self.clock == 0:
-            return self.phase
-        return None
+        exponent, scalar = monomial_trace_array(_row(self)[None], self.d)
+        return PhaseExponent(int(exponent), self.d) if scalar else None
 
     def trace(self) -> complex:
         scalar = self.trace_exact()
@@ -117,20 +113,30 @@ class MonomialOperator:
         return PhaseExponent(sign_exp + entries_exp, d)
 
 
+def _row(u: MonomialOperator) -> np.ndarray:
+    """The (t, shift, clock) int64 row of a monomial."""
+    return np.array([u.phase.t, u.shift, u.clock], dtype=np.int64)
+
+
+def _from_row(row: np.ndarray, d: int) -> MonomialOperator:
+    """The monomial of a (t, shift, clock) row, its fields Python ints."""
+    t, shift, clock = row.tolist()
+    return MonomialOperator(PhaseExponent(t, d), shift, clock)
+
+
 def monomial_mul(u: MonomialOperator, v: MonomialOperator) -> MonomialOperator:
-    """Product via the reordering rule Z^c X^b = q^(-cb) X^b Z^c."""
+    """The product u v, read off `monomial_mul_array` of the two rows."""
     if u.d != v.d:
         raise ValueError(f"dimension mismatch: {u.d} != {v.d}")
-    d = u.d
-    t = u.phase.t + v.phase.t - 2 * u.clock * v.shift
-    return MonomialOperator(PhaseExponent(t, d), u.shift + v.shift, u.clock + v.clock)
+    return _from_row(monomial_mul_array(_row(u), _row(v), u.d), u.d)
 
 
 def monomial_mul_array(u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
-    """`monomial_mul` on (..., 3) int arrays of (t, shift, clock), broadcast.
+    """The product of (..., 3) int arrays of (t, shift, clock), broadcast.
 
-    The exponent t + t' - 2 clock shift' is reduced mod 2d and the powers
-    mod d, as `PhaseExponent` and `MonomialOperator` reduce them.
+    The reordering rule Z^c X^b = q^(-cb) X^b Z^c gives the exponent
+    t + t' - 2 clock shift', reduced mod 2d, and the powers mod d, as
+    `PhaseExponent` and `MonomialOperator` reduce them.
     """
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     out = u + v
@@ -140,7 +146,7 @@ def monomial_mul_array(u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
 
 
 def monomial_adjoint_array(u: np.ndarray, d: int) -> np.ndarray:
-    """`MonomialOperator.adjoint` on (..., 3) rows: tau^(-t - 2bc) X^-b Z^-c, reduced."""
+    """The adjoint of (..., 3) rows, reordered Z^-c X^-b -> tau^(-t - 2bc) X^-b Z^-c, reduced."""
     u = np.asarray(u, dtype=np.int64)
     out = -u
     out[..., 0] -= 2 * u[..., 1] * u[..., 2]

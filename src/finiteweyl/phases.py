@@ -4,8 +4,9 @@ Every monomial operator in dimension d carries a scalar phase tau^t with
 tau = exp(i*pi/d).  The square q = tau^2 = exp(2*pi*i/d) is the primitive
 d-th root of unity used by clock matrices; half-integer powers of q that
 show up in Hadamard exponents are integer powers of tau, which is why tau
-(and not q) is the base phase.  Exponents live in Z_{2d}, so products and
-inverses involve no floating point at all.
+(and not q) is the base phase.  Exponents live in Z_{2d}: the monomial
+kernels of `operators` add and negate them as integers, with no floating
+point at all.
 
 One scalar formula, `PhaseExponent.to_complex`, is the only route from a
 tau exponent to a complex number: it takes the quarter turns 1, i, -1, -i
@@ -51,17 +52,6 @@ class PhaseExponent:
     def q_power(cls, k: int, d: int) -> "PhaseExponent":
         """q^k with q = tau^2 the primitive d-th root of unity."""
         return cls(2 * k, d)
-
-    def __mul__(self, other: "PhaseExponent") -> "PhaseExponent":
-        if self.d != other.d:
-            raise ValueError(f"dimension mismatch: {self.d} != {other.d}")
-        return PhaseExponent(self.t + other.t, self.d)
-
-    def __pow__(self, n: int) -> "PhaseExponent":
-        return PhaseExponent(self.t * n, self.d)
-
-    def inverse(self) -> "PhaseExponent":
-        return PhaseExponent(-self.t, self.d)
 
     @property
     def is_one(self) -> bool:

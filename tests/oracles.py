@@ -1,15 +1,20 @@
 """Scalar forms of the laws that `finiteweyl` evaluates on int64 arrays.
 
 The library ships one implementation of each law: the array kernels of
-`group`, `basis` and `mub`.  The scalar forms below are the references
-the tests pin those kernels to, one element, label or pair at a time:
+`operators`, `group`, `basis` and `mub`, which its single-element API
+(`monomial_mul`, `PdElement.compose`, `pd_centralizer_size`, ...) reads
+too.  The scalar forms below are references the tests pin those kernels
+to, one element, label or pair at a time:
 
-- P_d: its elements in (a, b, c) order, element orders, the linear
-  characters q^(mb + nc), the monomial representations rho_k and the
-  bracket gh - hg on the group algebra (`FormalCombination`);
-- u(d): the commutation test ab' - ba' = 0 (mod d) of two labels, the
-  exponents of the two coefficients q^(-ba') and q^(-ab') of their
-  (anti)commutator, and the factors u_(a_k b_k) of a tensor label;
+- P_d: the group law on (a, b, c) keys (`pd_compose_key`), its elements
+  in (a, b, c) order, element orders, centralizer orders counted over
+  Z_d^2, the linear characters q^(mb + nc), the monomial representations
+  rho_k and the bracket gh - hg on the group algebra (`FormalCombination`);
+- u(d): the commutation test ab' - ba' = 0 (mod d) of two labels and of
+  two tensor labels (the sum of (a_k b'_k - b_k a'_k)/d_k integral, in
+  `Fraction`s), the exponents of the two coefficients q^(-ba') and
+  q^(-ab') of their (anti)commutator, and the factors u_(a_k b_k) of a
+  tensor label;
 - the literal residual of F = (H_0 S)^dagger, acceptance criterion 05,
   which fails by design.
 """
@@ -17,10 +22,11 @@ the tests pin those kernels to, one element, label or pair at a time:
 from __future__ import annotations
 
 from collections.abc import Callable
+from fractions import Fraction
 from itertools import product
 
 from finiteweyl.basis import u_ab
-from finiteweyl.group import PdElement, PdKey, pd_compose_key
+from finiteweyl.group import PdElement, PdKey
 from finiteweyl.mub import hadamard_h_a, s_permutation
 from finiteweyl.operators import MonomialOperator, fourier_matrix, monomial_mul, residual_norm
 from finiteweyl.phases import PhaseExponent
@@ -33,6 +39,13 @@ PauliIndex = tuple[int, int]
 # ---------------------------------------------------------------------------
 
 
+def pd_compose_key(g: PdKey, h: PdKey, d: int) -> PdKey:
+    """The group law (a + a' - cb', b + b', c + c') on (a, b, c) keys, reduced mod d."""
+    a, b, c = g
+    a2, b2, c2 = h
+    return ((a + a2 - c * b2) % d, (b + b2) % d, (c + c2) % d)
+
+
 def pd_identity(d: int) -> PdElement:
     return PdElement(0, 0, 0, d)
 
@@ -42,13 +55,23 @@ def pd_elements(d: int) -> list[PdElement]:
 
 
 def element_order(g: PdElement) -> int:
-    acc = g
+    acc = g.key()
     order = 1
-    ident = pd_identity(g.d).key()
-    while acc.key() != ident:
-        acc = acc.compose(g)
+    while acc != (0, 0, 0):
+        acc = pd_compose_key(acc, g.key(), g.d)
         order += 1
     return order
+
+
+def centralizer_size(g: PdElement) -> int:
+    """Number of elements commuting with g, counted over Z_d^2.
+
+    Commutation depends only on (b', c'), so each solution of
+    c b' - b c' = 0 (mod d) accounts for d choices of a'.
+    """
+    d = g.d
+    pairs = sum(1 for b2, c2 in product(range(d), repeat=2) if (g.c * b2 - g.b * c2) % d == 0)
+    return d * pairs
 
 
 def pd_character(m: int, n: int, d: int) -> Callable[[PdElement], PhaseExponent]:
@@ -169,6 +192,14 @@ def bracket_matches_monomial_commutator(g: PdElement, h: PdElement) -> bool:
 def indices_commute(d: int, ab: PauliIndex, ab2: PauliIndex) -> bool:
     (a, b), (a2, b2) = ab, ab2
     return (a * b2 - b * a2) % d == 0
+
+
+def tensor_labels_commute(dims: tuple[int, ...], u: tuple, v: tuple) -> bool:
+    """Whether the sum of (a_k b'_k - b_k a'_k)/d_k over the factors is an integer."""
+    total = sum(
+        Fraction(u[2 * k] * v[2 * k + 1] - u[2 * k + 1] * v[2 * k], p) for k, p in enumerate(dims)
+    )
+    return total.denominator == 1
 
 
 def commutator_coefficient_exponents(

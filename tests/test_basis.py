@@ -38,7 +38,12 @@ from finiteweyl.operators import MonomialOperator, monomial_trace_array, trace_g
 from finiteweyl.phases import tau_powers
 from finiteweyl.suites import suite_basis
 from finiteweyl.search import find_commuting_partition
-from oracles import commutator_coefficient_exponents, indices_commute, tensor_factors
+from oracles import (
+    commutator_coefficient_exponents,
+    indices_commute,
+    tensor_factors,
+    tensor_labels_commute,
+)
 
 
 def kron_matrix(factors: tuple[MonomialOperator, ...]) -> np.ndarray:
@@ -453,18 +458,32 @@ def test_pauli_rows_are_the_rows_of_the_label_factors(dims):
         ((2, 2), [()], 0),
         # eight digits that would fill two labels of four, as four labels of two
         ((2, 2), [(0, 1), (1, 0), (1, 1), (0, 1)], 2),
+        # a ragged list, a short label after a good one, named by the reader
+        ((2, 2), [(1, 0, 0, 1), (1, 0)], 2),
     ],
 )
 def test_label_readers_reject_a_label_of_the_wrong_length(reader, dims, labels, length):
-    message = rf"^label length {length} does not match dims {re.escape(str(dims))}$"
+    bad = re.escape(str(next(label for label in labels if len(label) == length)))
+    message = rf"^label length {length} does not match dims {re.escape(str(dims))}: {bad}$"
     with pytest.raises(ValueError, match=message):
         reader(dims, labels)
+
+
+def test_tensor_indices_commute_rejects_a_label_of_the_wrong_length():
+    # two extra digits are refused, not dropped
+    with pytest.raises(ValueError, match=r"^label length 6 does not match dims \(2, 2\)"):
+        tensor_indices_commute((2, 2), (1, 0, 0, 1), (1, 0, 0, 1, 1, 1))
+    with pytest.raises(ValueError, match=r"^label length 2 does not match dims \(2, 2\)"):
+        tensor_indices_commute((2, 2), (1, 0), (0, 1, 0, 1))
 
 
 @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3)])
 def test_label_readers_take_no_labels(dims):
     assert pauli_rows(dims, []).shape == (0, len(dims), 3)
     assert tensor_commutation_table(dims, []).shape == (0, 0)
+    size = math.prod(dims)
+    stack = pauli_stack(dims, [])
+    assert stack.shape == (0, size, size) and stack.dtype == complex
 
 
 def test_tensor_commutation_rule():
@@ -489,10 +508,7 @@ def test_tensor_commutation_matches_fraction_sum(case):
     dims, *coords = case
     idx1 = tuple(x for a, b, _, _ in coords for x in (a, b))
     idx2 = tuple(x for _, _, a, b in coords for x in (a, b))
-    total = sum(
-        Fraction(a * b2 - b * a2, p) for p, (a, b, a2, b2) in zip(dims, coords)
-    )
-    assert tensor_indices_commute(dims, idx1, idx2) == (total.denominator == 1)
+    assert tensor_indices_commute(dims, idx1, idx2) == tensor_labels_commute(dims, idx1, idx2)
 
 
 def test_tensor_commutation_matches_dense():
@@ -508,14 +524,15 @@ def test_tensor_commutation_matches_dense():
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2), (3, 3), (2, 3), (3, 5)])
-def test_commutation_table_matches_scalar_test(dims):
+def test_commutation_table_matches_dense_commutators(dims):
     labels = tensor_indices(dims)
     form = tensor_commutation_table(dims, labels)
     assert form.shape == (len(labels), len(labels))
     assert ((form >= 0) & (form < math.lcm(*dims))).all()
-    for i, u in enumerate(labels):
-        for j, v in enumerate(labels):
-            assert (form[i, j] == 0) == tensor_indices_commute(dims, u, v)
+    mats = np.array([label_matrix(dims, u) for u in labels])
+    for i, mat in enumerate(mats):
+        dense_commutes = np.abs(mat @ mats - mats @ mat).max(axis=(1, 2)) < 1e-12
+        assert np.array_equal(form[i] == 0, dense_commutes)
 
 
 def test_single_qudit_commutation_table_is_the_form():
@@ -616,10 +633,10 @@ def fraction_trace_phase(u: tuple[MonomialOperator, ...]) -> Fraction | None:
     """s with Tr u = prod(d_j) exp(i*pi*s), by rational arithmetic; None if Tr u = 0."""
     total = Fraction(0)
     for f in u:
-        scalar = f.trace_exact()
-        if scalar is None:
+        # a factor is scalar, tau^t I, exactly when it neither shifts nor clocks
+        if f.shift or f.clock:
             return None
-        total += Fraction(scalar.t, scalar.d)
+        total += Fraction(f.phase.t, f.d)
     return total % 2
 
 
@@ -698,14 +715,14 @@ def per_pair_partition_valid(classes, vertices, commutes, class_size=None) -> bo
 
 
 def per_pair_cartan_valid(partition: CartanPartition) -> bool:
-    """`validate_cartan_partition` by `tensor_indices_commute`, one pair at a time."""
+    """`validate_cartan_partition` by the `Fraction` sum, one pair at a time."""
     dims, d = partition.dims, partition.dimension
     if partition.complete and len(partition.classes) != d + 1:
         return False
     return per_pair_partition_valid(
         partition.classes,
         tensor_indices(dims),
-        lambda u, v: tensor_indices_commute(dims, u, v),
+        lambda u, v: tensor_labels_commute(dims, u, v),
         d - 1 if partition.complete else None,
     )
 

@@ -21,7 +21,6 @@ from finiteweyl.group import (
     pd_centralizer_sizes,
     pd_character_exponents,
     pd_compose_array,
-    pd_compose_key,
     pd_conjugacy_classes,
     pd_conjugate,
     pd_element_array,
@@ -36,12 +35,14 @@ from finiteweyl.group import (
     pd_quotient_is_double_cyclic,
 )
 from finiteweyl.operators import MonomialOperator, monomial_mul, monomial_mul_array
-from finiteweyl.phases import PhaseExponent
+from finiteweyl.phases import PhaseExponent, tau_powers
 from oracles import (
     FormalCombination,
     bracket_matches_monomial_commutator,
+    centralizer_size,
     element_order,
     pd_character,
+    pd_compose_key,
     pd_elements,
     pd_identity,
     pd_irrep,
@@ -244,10 +245,11 @@ def test_named_subgroups_d2():
 
 
 def brute_force_is_normal(elements, d: int) -> bool:
-    """Independent oracle: conjugate by every one of the d^3 elements."""
-    keys = {h.key() for h in elements}
+    """Independent oracle: gH = Hg for every one of the d^3 elements g, by the scalar law."""
+    keys = [h.key() for h in elements]
     return all(
-        pd_conjugate(g, h).key() in keys for g in pd_elements(d) for h in elements
+        {pd_compose_key(g, h, d) for h in keys} == {pd_compose_key(h, g, d) for h in keys}
+        for g in pd_element_array(d).tolist()
     )
 
 
@@ -311,7 +313,7 @@ def test_characters_are_homomorphisms():
     for m, n in product(range(d), repeat=2):
         chi = pd_character(m, n, d)
         for g, h in product(elems, repeat=2):
-            assert chi(g.compose(h)) == chi(g) * chi(h)
+            assert chi(g.compose(h)).t == (chi(g).t + chi(h).t) % (2 * d)
     assert pd_character(1, 0, 2)(PdElement(0, 1, 0, 2)).to_complex() == -1 + 0j
     trivial = pd_character(0, 0, 5)
     assert all(trivial(g).is_one for g in pd_elements(5))
@@ -325,7 +327,7 @@ def test_characters_separate_by_sampling():
         chi = pd_character(m, n, d)
         for _ in range(200):
             g, h = rng.choice(elems), rng.choice(elems)
-            assert chi(g.compose(h)) == chi(g) * chi(h)
+            assert chi(g.compose(h)).t == (chi(g).t + chi(h).t) % (2 * d)
 
 
 def test_irrep_is_homomorphism():
@@ -459,24 +461,49 @@ def test_element_array_is_pd_elements_order():
         pd_element_array(1)
 
 
-def test_array_group_law_matches_compose_exhaustively():
+def heisenberg_matrices(keys, d: int) -> np.ndarray:
+    """The integer matrices M(a, b, c) = [[1, -c, a], [0, 1, b], [0, 0, 1]] mod d of (..., 3) keys.
+
+    A faithful model of P_d: M(g) M(h) = M(gh), the cross term -c b' included,
+    with no (a, b, c) formula for the law.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    mats = np.broadcast_to(np.eye(3, dtype=np.int64), (*keys.shape[:-1], 3, 3)).copy()
+    mats[..., 0, 1], mats[..., 0, 2], mats[..., 1, 2] = -keys[..., 2], keys[..., 0], keys[..., 1]
+    return mats % d
+
+
+def test_array_group_law_is_the_matrix_model_exhaustively():
     for d in SMALL_D:
-        elems = pd_elements(d)
-        array = keys_of(elems)
+        array = pd_element_array(d)
+        mats = heisenberg_matrices(array, d)
         products = pd_compose_array(array[:, None, :], array[None, :, :], d)
-        expected = np.array([[g.compose(h).key() for h in elems] for g in elems])
-        assert np.array_equal(products, expected)
-        assert np.array_equal(pd_inverse_array(array, d), keys_of(g.inverse() for g in elems))
+        assert np.array_equal(heisenberg_matrices(products, d), mats[:, None] @ mats[None] % d)
+        inverses = heisenberg_matrices(pd_inverse_array(array, d), d)
+        assert ((mats @ inverses % d) == np.eye(3, dtype=np.int64)).all()
+    # the single-element methods read the same kernels
+    for d in (2, 3):
+        for g, h in product(pd_elements(d), repeat=2):
+            assert np.array_equal(
+                heisenberg_matrices(g.compose(h).key(), d),
+                heisenberg_matrices(g.key(), d) @ heisenberg_matrices(h.key(), d) % d,
+            )
+            assert g.compose(g.inverse()) == pd_identity(d)
 
 
 @given(elements_mod_d(2), st.lists(st.integers(-40, 40), min_size=6, max_size=6))
-def test_array_group_law_matches_compose_on_samples(case, shifts):
+def test_array_group_law_is_the_matrix_model_on_samples(case, shifts):
     # unreduced inputs: the array law reduces mod d exactly as PdElement does
     d, (g, h) = case
     raw_g = np.array(g.key()) + d * np.array(shifts[:3])
     raw_h = np.array(h.key()) + d * np.array(shifts[3:])
-    assert tuple(pd_compose_array(raw_g, raw_h, d)) == g.compose(h).key()
-    assert tuple(pd_inverse_array(raw_g, d)) == g.inverse().key()
+    mat_g, mat_h = heisenberg_matrices(g.key(), d), heisenberg_matrices(h.key(), d)
+    gh = pd_compose_array(raw_g, raw_h, d)
+    assert np.array_equal(heisenberg_matrices(gh, d), mat_g @ mat_h % d)
+    assert tuple(gh) == g.compose(h).key()
+    inverse = pd_inverse_array(raw_g, d)
+    assert np.array_equal(mat_g @ heisenberg_matrices(inverse, d) % d, np.eye(3, dtype=np.int64))
+    assert tuple(inverse) == g.inverse().key()
 
 
 def test_character_and_trace_exponents_match_scalar_forms_exhaustively():
@@ -489,9 +516,8 @@ def test_character_and_trace_exponents_match_scalar_forms_exhaustively():
             assert pd_character_exponents(m, n, array, d).tolist() == expected
         for k in range(1, d):
             exponents, scalar = pd_irrep_trace_exponents(k, array, d)
-            traces = [pd_irrep(k, d)(g).trace_exact() for g in elems]
-            assert scalar.tolist() == [t is not None for t in traces]
-            assert exponents[scalar].tolist() == [t.t for t in traces if t is not None]
+            dense = np.array([np.trace(pd_irrep(k, d)(g).to_matrix()) for g in elems])
+            assert np.abs(np.where(scalar, d * tau_powers(exponents, d), 0) - dense).max() < 1e-12
         with pytest.raises(ValueError, match="k must lie"):
             pd_irrep_trace_exponents(d, array, d)
 
@@ -502,10 +528,8 @@ def test_character_and_trace_exponents_match_scalar_forms_on_samples(case, m, n,
     k = 1 + k % (d - 1)
     assert pd_character_exponents(m, n, np.array(g.key()), d) == pd_character(m, n, d)(g).t
     exponent, scalar = pd_irrep_trace_exponents(k, np.array(g.key()), d)
-    trace = pd_irrep(k, d)(g).trace_exact()
-    assert bool(scalar) == (trace is not None)
-    if trace is not None:
-        assert exponent == trace.t
+    dense = np.trace(pd_irrep(k, d)(g).to_matrix())
+    assert abs((d * tau_powers(exponent, d) if scalar else 0) - dense) < 1e-12
 
 
 def monomial_row(u: MonomialOperator) -> tuple[int, int, int]:
@@ -600,16 +624,21 @@ def test_nested_bracket_terms_match_pd_lie_bracket_combinations(d):
 
 
 def test_centralizer_sizes_match_brute_force_count():
+    # every h of P_d commuting with g, in the matrix model
     for d in SMALL_D:
-        elems = pd_elements(d)
-        expected = [pd_centralizer_size(g) for g in elems]
-        assert pd_centralizer_sizes(keys_of(elems), d).tolist() == expected
+        array = pd_element_array(d)
+        mats = heisenberg_matrices(array, d)
+        left, right = mats[:, None] @ mats[None] % d, mats[None] @ mats[:, None] % d
+        expected = (left == right).all(axis=(-2, -1)).sum(axis=1)
+        assert np.array_equal(pd_centralizer_sizes(array, d), expected)
+        assert [pd_centralizer_size(PdElement(*g, d)) for g in array.tolist()] == expected.tolist()
 
 
 @given(elements_mod_d(1))
 def test_centralizer_sizes_match_brute_force_count_on_samples(case):
     d, (g,) = case
-    assert pd_centralizer_sizes(np.array(g.key()), d) == pd_centralizer_size(g)
+    assert pd_centralizer_sizes(np.array(g.key()), d) == centralizer_size(g)
+    assert pd_centralizer_size(g) == centralizer_size(g)
 
 
 def brute_force_is_closed(elements) -> bool:
@@ -631,7 +660,7 @@ def test_closure_and_commutativity_match_brute_force():
             expected = brute_force_is_closed(members)
             assert _is_closed(keys_of(members), d) == expected, (d, members)
             assert _is_abelian(keys_of(members), d) == all(
-                g.commutes_with(h) for g in members for h in members
+                g.compose(h) == h.compose(g) for g in members for h in members
             )
             verdicts.add(expected)
         assert verdicts == {True, False}
@@ -702,7 +731,11 @@ def combinations_mod_d(draw):
 @given(elements_mod_d(2))
 def test_bracket_is_the_single_scale_add_form(case):
     d, (g, h) = case
-    assert pd_compose_key(g.key(), h.key(), d) == tuple(pd_compose_array(g.key(), h.key(), d))
+    # the oracle's scalar law, which the bracket oracle uses, is the matrix model
+    assert np.array_equal(
+        heisenberg_matrices(pd_compose_key(g.key(), h.key(), d), d),
+        heisenberg_matrices(g.key(), d) @ heisenberg_matrices(h.key(), d) % d,
+    )
     assert pd_lie_bracket(g, h) == bracket_by_single_scale_add(g, h)
 
 

@@ -83,6 +83,10 @@ def test_monomial_mul_matches_group_law():
             assert got == MonomialOperator.w(d, (a + a2 - c * b2) % d, b + b2, c + c2)
 
 
+def monomial_row(u: MonomialOperator) -> tuple[int, int, int]:
+    return (u.phase.t, u.shift, u.clock)
+
+
 def monomial_rows(monomials) -> np.ndarray:
     return np.array(
         [(u.phase.t, u.shift, u.clock) for u in monomials], dtype=np.int64
@@ -96,26 +100,43 @@ def every_monomial(d: int) -> list[MonomialOperator]:
     ]
 
 
-def test_monomial_mul_array_matches_monomial_mul_exhaustively():
-    for d in (2, 3, 4):
+def row_matrices(rows, d: int) -> np.ndarray:
+    """The dense matrices of (..., 3) rows, tau^(t + 2ck) at row (k - b) mod d of column k."""
+    t, b, c = np.moveaxis(np.asarray(rows, dtype=np.int64)[..., None, None, :], -1, 0)
+    k = np.arange(d)
+    mats = np.zeros((*t.shape[:-2], d, d), dtype=complex)
+    np.put_along_axis(mats, (k - b) % d, tau_powers(t + 2 * c * k, d), axis=-2)
+    return mats
+
+
+def test_row_matrices_are_to_matrix():
+    for d in (2, 3, 7):
         monomials = every_monomial(d)
-        rows = monomial_rows(monomials)
+        expected = np.array([u.to_matrix() for u in monomials])
+        assert row_matrices(monomial_rows(monomials), d).tobytes() == expected.tobytes()
+
+
+def test_monomial_mul_array_matches_dense_products_exhaustively():
+    for d in (2, 3, 4):
+        rows = monomial_rows(every_monomial(d))
+        mats = row_matrices(rows, d)
         products = monomial_mul_array(rows[:, None, :], rows[None, :, :], d)
-        expected = monomial_rows(monomial_mul(u, v) for u in monomials for v in monomials)
         assert products.dtype == np.int64
-        assert np.array_equal(products, expected.reshape(products.shape))
+        assert max_abs(row_matrices(products, d) - mats[:, None] @ mats[None]) < 1e-12
 
 
-def test_monomial_mul_array_matches_monomial_mul_on_samples():
+def test_monomial_mul_array_matches_dense_products_on_samples():
     rng = random.Random(43)
     d = 12
     pairs = [(random_monomial(rng, d), random_monomial(rng, d)) for _ in range(2000)]
     u, v = (monomial_rows(side) for side in zip(*pairs))
-    expected = monomial_rows(monomial_mul(x, y) for x, y in pairs)
-    assert np.array_equal(monomial_mul_array(u, v, d), expected)
+    expected = monomial_mul_array(u, v, d)
+    dense = row_matrices(u, d) @ row_matrices(v, d)
+    assert max_abs(row_matrices(expected, d) - dense) < 1e-12
     # unreduced rows reduce as PhaseExponent and MonomialOperator reduce them
     offsets = np.array([2 * d, d, d]) * np.random.default_rng(43).integers(-3, 4, u.shape)
     assert np.array_equal(monomial_mul_array(u + offsets, v - offsets, d), expected)
+    assert expected.tolist() == [list(monomial_row(monomial_mul(x, y))) for x, y in pairs]
 
 
 def test_identity_neutral():
@@ -238,23 +259,21 @@ def test_monomial_dimension_mismatch():
         monomial_mul(MonomialOperator.identity(2), MonomialOperator.identity(3))
 
 
-def test_adjoint_and_trace_kernels_match_the_scalar_and_dense_forms_exhaustively():
+def test_adjoint_and_trace_kernels_match_the_dense_forms_exhaustively():
     for d in range(2, 8):
         monomials = every_monomial(d)
         rows = monomial_rows(monomials)
         adjoints = monomial_adjoint_array(rows, d)
         exponents, scalar = monomial_trace_array(rows[:, None, :], d)
         assert adjoints.dtype == exponents.dtype == np.int64 and scalar.dtype == bool
-        assert np.array_equal(adjoints, monomial_rows(u.adjoint() for u in monomials))
-        traces = [u.trace_exact() for u in monomials]
-        assert scalar.tolist() == [t is not None for t in traces]
-        assert exponents[scalar].tolist() == [t.t for t in traces if t is not None]
-        for u, adjoint, exponent, is_scalar in zip(monomials, adjoints, exponents, scalar):
-            mat = u.to_matrix()
-            dagger = MonomialOperator.from_tau_exponent(d, *adjoint).to_matrix()
-            assert max_abs(dagger - mat.conj().T) < 1e-12
-            trace = d * tau_powers(exponent, d) if is_scalar else 0j
-            assert abs(trace - np.trace(mat)) < 1e-12
+        mats = row_matrices(rows, d)
+        assert max_abs(row_matrices(adjoints, d) - mats.conj().swapaxes(-2, -1)) < 1e-12
+        traces = np.where(scalar, d * tau_powers(exponents, d), 0)
+        assert max_abs(traces - np.trace(mats, axis1=-2, axis2=-1)) < 1e-12
+        # the single-element methods against the same dense forms
+        for u, mat in zip(monomials, mats):
+            assert max_abs(u.adjoint().to_matrix() - mat.conj().T) < 1e-12
+            assert abs(u.trace() - np.trace(mat)) < 1e-12
         # unreduced rows reduce as PhaseExponent and MonomialOperator reduce them
         offsets = np.array([2 * d, d, d]) * np.random.default_rng(d).integers(-3, 4, rows.shape)
         assert np.array_equal(monomial_adjoint_array(rows + offsets, d), adjoints)

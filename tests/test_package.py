@@ -29,7 +29,14 @@ def test_the_scalar_twins_are_not_public():
     # the scalar forms of the P_d laws and of a tensor label's factors are
     # test oracles, not library API
     assert len(finiteweyl.__all__) == 38
-    for name in ("FormalCombination", "pd_character", "pd_irrep", "pd_lie_bracket", "tensor_pauli"):
+    for name in (
+        "FormalCombination",
+        "pd_character",
+        "pd_compose_key",
+        "pd_irrep",
+        "pd_lie_bracket",
+        "tensor_pauli",
+    ):
         assert name not in finiteweyl.__all__
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(finiteweyl, name)
@@ -72,8 +79,50 @@ def test_every_definition_in_src_is_used_in_src():
     allowed = {target for target in traced if len(target) == 2} | {
         ("__init__", "__getattr__"),
         ("__init__", "__dir__"),
-        ("group", "pd_centralizer_size"),
         ("serialize", "import_exact"),
         ("serialize", "export"),
     }
     assert unreferenced_definitions() - allowed == set()
+
+
+class KernelRefused(Exception):
+    pass
+
+
+def _single_element_calls():
+    from finiteweyl.basis import tensor_indices_commute
+    from finiteweyl.group import PdElement, pd_centralizer_size
+    from finiteweyl.operators import MonomialOperator, monomial_mul
+
+    u, v = MonomialOperator.w(3, 1, 1, 2), MonomialOperator.w(3, 2, 0, 1)
+    g, h = PdElement(1, 2, 0, 3), PdElement(0, 1, 1, 3)
+    return {
+        ("operators", "monomial_mul_array"): [
+            lambda: monomial_mul(u, v),
+            lambda: u @ v,
+            lambda: u**3,
+        ],
+        ("operators", "monomial_adjoint_array"): [u.adjoint, lambda: u**-1],
+        ("operators", "monomial_trace_array"): [u.trace_exact, u.trace],
+        ("group", "pd_compose_array"): [lambda: g.compose(h)],
+        ("group", "pd_inverse_array"): [g.inverse],
+        ("group", "pd_centralizer_sizes"): [lambda: pd_centralizer_size(g)],
+        ("basis", "tensor_commutation_table"): [
+            lambda: tensor_indices_commute((2, 2), (1, 0, 0, 1), (0, 1, 1, 0))
+        ],
+    }
+
+
+@pytest.mark.parametrize("module, kernel", list(_single_element_calls()))
+def test_single_element_api_reads_the_row_kernels(monkeypatch, module, kernel):
+    # one implementation per law: with its kernel refused, each single-element
+    # form of the law fails, so a scalar copy of the law cannot come back unnoticed
+    calls = _single_element_calls()[module, kernel]
+
+    def refuse(*args, **kwargs):
+        raise KernelRefused(f"{module}.{kernel}")
+
+    monkeypatch.setattr(importlib.import_module(f"finiteweyl.{module}"), kernel, refuse)
+    for call in calls:
+        with pytest.raises(KernelRefused):
+            call()

@@ -12,23 +12,18 @@ from finiteweyl.phases import PhaseExponent, tau_powers, tau_table
 from finiteweyl.serialize import export, import_exact
 
 
-def test_product_adds_exponents():
-    assert PhaseExponent(2, 3) * PhaseExponent(3, 3) == PhaseExponent(5, 3)
-
-
-def test_tau_to_the_d_squares_to_one():
-    # tau^d = -1, so tau^d * tau^d = 1
+def test_tau_to_the_d_is_minus_one():
     for d in range(2, 10):
-        assert (PhaseExponent(d, d) * PhaseExponent(d, d)).t == 0
+        assert PhaseExponent(d, d).to_complex() == -1 + 0j
+        assert PhaseExponent(2 * d, d).is_one
 
 
-def test_q_multiplication_matches_minus_one_for_qubits():
-    # d = 2 makes q = -1, so q^a q^b = (-1)^(a+b)
-    for a in range(4):
-        for b in range(4):
-            p = PhaseExponent.q_power(a, 2) * PhaseExponent.q_power(b, 2)
-            assert p.t == (2 * (a + b)) % 4
-            assert p.to_complex() == (-1 + 0j) ** ((a + b) % 2)
+def test_q_powers_are_signs_for_qubits():
+    # d = 2 makes q = -1, so q^a = (-1)^a
+    for a in range(8):
+        p = PhaseExponent.q_power(a, 2)
+        assert p.t == (2 * a) % 4
+        assert p.to_complex() == (-1 + 0j) ** (a % 2)
 
 
 def test_canonical_representative():
@@ -37,9 +32,7 @@ def test_canonical_representative():
     assert 0 <= PhaseExponent(12345, 7).t < 14
 
 
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        PhaseExponent(1, 3) * PhaseExponent(1, 4)
+def test_dimension_below_two_rejected():
     with pytest.raises(ValueError):
         PhaseExponent(0, 1)
 
@@ -99,38 +92,21 @@ def test_phase_exponent_value_semantics(case):
     assert not hasattr(p, "__dict__")
 
 
-def test_inverse_cancels():
-    rng = random.Random(3)
-    for _ in range(200):
-        d = rng.randrange(2, 30)
-        p = PhaseExponent(rng.randrange(2 * d), d)
-        assert (p * p.inverse()).t == 0
-        assert p.inverse().t == (2 * d - p.t) % (2 * d)
-
-
-def test_multiplicativity_against_complex():
+def test_to_complex_is_multiplicative():
     rng = random.Random(4)
     for _ in range(300):
         d = rng.randrange(2, 40)
-        p1 = PhaseExponent(rng.randrange(2 * d), d)
-        p2 = PhaseExponent(rng.randrange(2 * d), d)
-        lhs = (p1 * p2).to_complex()
-        rhs = p1.to_complex() * p2.to_complex()
+        t1, t2 = rng.randrange(2 * d), rng.randrange(2 * d)
+        lhs = PhaseExponent(t1 + t2, d).to_complex()
+        rhs = PhaseExponent(t1, d).to_complex() * PhaseExponent(t2, d).to_complex()
         assert abs(lhs - rhs) < 1e-14
 
 
 def test_q_has_order_d():
     for d in range(2, 65):
-        q = PhaseExponent.q_power(1, d)
-        assert (q**d).t == 0
+        assert PhaseExponent.q_power(d, d).is_one
         # and no smaller power works, q being primitive
-        assert all((q**k).t != 0 for k in range(1, d))
-
-
-def test_power_and_conjugate():
-    p = PhaseExponent(3, 7)
-    assert (p**5).t == 15 % 14
-    assert (p**0).is_one
+        assert not any(PhaseExponent.q_power(k, d).is_one for k in range(1, d))
 
 
 def test_json_round_trip():

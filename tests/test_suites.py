@@ -36,7 +36,6 @@ def refuse_the_scalar_group_law(monkeypatch):
         raise AssertionError("the scalar group law was called")
 
     monkeypatch.setattr(PdElement, "__init__", refuse)
-    monkeypatch.setattr(suites.group_mod, "pd_compose_key", refuse)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
