@@ -154,6 +154,11 @@ COMMANDS = [
     "group centralizer --d 12 --elem 5,4,6",
     "basis structure --d 2",
     "basis structure --d 4",
+    # the edges of the two routes that limits.check_partition orders: a d
+    # below 2, a composite d just over the search cap, the largest prime
+    "basis partition --d 1",
+    "basis partition --d 15",
+    "basis partition --d 97",
 ]
 
 

@@ -20,14 +20,15 @@ the symplectic form of every label pair; `tensor_indices_commute` reads
 one pair off it.  Both searches read their commutation graph
 off it, and `validate_cartan_partition` the commutation within each
 class of every partition, the two-qubit spread `TWO_QUBIT_SPREAD` (the
-p^e = 4 case) included.  `pauli_stack(dims, labels)` is the one builder
-of dense Pauli matrices and `pauli_rows(dims, labels)` of their exact
-(t, shift, clock) rows.  All three read labels as one checked (n, 2e)
+p^e = 4 case) included; it is the one rule for a valid partition.
+`pauli_rows(dims, labels)` is the one reader of exact (t, shift, clock)
+rows, digits mod d_k, and `pauli_stack(dims, labels)` builds dense Pauli
+matrices off them.  All three read labels as one checked (n, 2e)
 int64 array, n = 0 allowed, and name a label of another length in their
 error.  Every trace pairing, `hs_orthogonality` over the d^2 labels and
 the Gram of the spread included, is `operators.trace_gram` of those rows,
-read off the label digits by arithmetic.  The text form of a label is
-`serialize`'s.
+read off the label digits by arithmetic.  The digits of a label run over
+`label_moduli(dims)`; the text form of a label is `serialize`'s.
 """
 
 from __future__ import annotations
@@ -174,12 +175,12 @@ def commuting_class_search(d: int) -> CartanPartition:
 
 
 def validate_cartan_partition(partition: CartanPartition) -> bool:
-    """Recheck disjointness, covering and intra-class commutation.
+    """Recheck that the classes are disjoint, fit dims (the identity does not) and commute.
 
-    A complete partition also needs d + 1 classes of d - 1 labels.
+    A complete partition also needs d + 1 classes of d - 1 labels, and so
+    covers every label; an incomplete one need not.
     """
-    dims = partition.dims
-    classes = partition.classes
+    dims, classes = partition.dims, partition.classes
     # sizes first: the d^2 - 1 labels are listed only for classes that hold as many
     if partition.complete and (
         len(classes) != partition.dimension + 1
@@ -187,14 +188,9 @@ def validate_cartan_partition(partition: CartanPartition) -> bool:
     ):
         return False
     flat = [label for cls in classes for label in cls]
-    # covering first: the commutation table reads only labels that fit dims
-    if len(flat) != len(set(flat)) or set(flat) != set(tensor_indices(dims)):
+    # fit first: the commutation table reads only labels that fit dims
+    if len(flat) != len(set(flat)) or not set(flat) <= set(tensor_indices(dims)):
         return False
-    return _classes_commute(dims, classes)
-
-
-def _classes_commute(dims: tuple[int, ...], classes: list) -> bool:
-    """Exact: every pair within each class commutes, read off its commutation table."""
     return all(not tensor_commutation_table(dims, cls).any() for cls in classes)
 
 
@@ -203,12 +199,14 @@ def _classes_commute(dims: tuple[int, ...], classes: list) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def label_moduli(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """The modulus of each digit of a label (a1, b1, ..., ae, be): d_k for a_k and b_k."""
+    return tuple(m for d in dims for m in (d, d))
+
+
 def tensor_indices(dims: tuple[int, ...]) -> list[tuple]:
     """All interleaved digit labels (a1, b1, ..., ae, be) except the identity."""
-    ranges = []
-    for p in dims:
-        ranges.extend([range(p), range(p)])
-    return [idx for idx in product(*ranges) if any(idx)]
+    return [idx for idx in product(*map(range, label_moduli(dims))) if any(idx)]
 
 
 def _label_array(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
@@ -288,11 +286,12 @@ def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
 def pauli_stack(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
     """The dense Kronecker product of every label's factors u_(a_k b_k), stacked.
 
-    Each distinct factor matrix u_ab(p, a, b) is built once, and the
-    Kronecker products of all labels are one broadcast per factor, with the
-    same elementwise products as `np.kron` of the factor matrices.
+    The factors are read off `pauli_rows`, so digits reduce mod d_k.  Each
+    distinct factor matrix u_ab(p, a, b) is built once, and the Kronecker
+    products of all labels are one broadcast per factor, with the same
+    elementwise products as `np.kron` of the factor matrices.
     """
-    digits = _label_array(dims, labels).tolist()
+    rows = pauli_rows(dims, labels)
     factors: dict[tuple[int, int, int], np.ndarray] = {}
 
     def factor(p: int, a: int, b: int) -> np.ndarray:
@@ -303,7 +302,7 @@ def pauli_stack(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
     out = None
     for pos, p in enumerate(dims):
         # (n, p, p) complex, n = 0 for no labels
-        f = np.array([factor(p, idx[2 * pos], idx[2 * pos + 1]) for idx in digits], dtype=complex)
+        f = np.array([factor(p, a, b) for a, b in rows[:, pos, 1:].tolist()], dtype=complex)
         f = f.reshape(-1, p, p)
         if out is None:
             out = f
@@ -373,13 +372,13 @@ class SpreadReport:
 def su4_spread_check() -> SpreadReport:
     """Verify the five commuting triples spanning su(4).
 
-    The spread is the p^e = 4 tensor partition: its classes commute exactly
-    by the commutation table and, as a recheck, by the dense commutators,
-    which are exact for qubit entries 0 and +-1.
+    The spread is the p^e = 4 tensor partition: it passes
+    `validate_cartan_partition` and, as a recheck, its classes commute by
+    the dense commutators, which are exact for qubit entries 0 and +-1.
     """
     dims = (2, 2)
     spread = CartanPartition(dims, [list(cls) for cls in TWO_QUBIT_SPREAD])
-    sets_commute = _classes_commute(dims, spread.classes) and (
+    sets_commute = validate_cartan_partition(spread) and (
         partition_dense_commutation_defect(spread) == 0.0
     )
     union = [idx for cls in spread.classes for idx in cls]

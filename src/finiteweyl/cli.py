@@ -163,7 +163,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
             raise ValueError(f"--d {d} contradicts --tensor {args.tensor}: d must be p^e")
         partition = cartan_partition_prime_power(p, e)
     else:
-        limits.check_partition(d)
+        limits.check_partition((d,))
         partition = cartan_partition_prime(d) if limits.is_prime(d) else commuting_class_search(d)
     _write(export_chunks(partition))
     status = "complete" if partition.complete else "incomplete"

@@ -59,12 +59,23 @@ def check_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
-def check_partition(d: int) -> None:
-    """A d over the caps of both partition routes fails before the primality test picks one."""
+def check_partition(dims: tuple[int, ...]) -> int:
+    """prod(dims) by the one rule on the dims of a partition, which the CLI and import_exact
+    read: (d,) within the search cap or prime within the prime cap, both caps before
+    primality, or e >= 2 equal factors p that pass `check_tensor(p, e)`."""
+    if len(dims) != 1:
+        if len(set(dims)) != 1:
+            raise ValueError(f"tensor dims must be e >= 2 equal factors, got {dims}")
+        return check_tensor(dims[0], len(dims))
+    d = dims[0]
+    check_dimension(d)
     if d > max(SEARCH_CAP, MUB_PRIME_CAP):
         raise ValueError(
             f"d={d} exceeds the search cap {SEARCH_CAP} and the prime cap {MUB_PRIME_CAP}"
         )
+    if not is_prime(d):
+        check_search(d)
+    return d
 
 
 def check_tensor(p: int, e: int) -> int:

@@ -8,14 +8,14 @@ monomials, Weyl pairs, Hadamard exponent tables, partitions) serialize
 through integer tau exponents and read back bit-identically through
 `import_exact`, whose decoders sit next to their encoders; a Weyl pair must
 be the shift and clock of its d, a Hadamard table must be the table of H_a
-for its d and a, a partition must have dimensions that `basis partition`
-writes and nonempty classes of labels that fit them, the identity excluded, a
-partition's `complete` flag is recomputed by `validate_cartan_partition`
-(a document marked complete must pass it, one that fails it must have
-disjoint classes that commute within themselves), and a field of the
-wrong type is a ValueError that names the document type.  Dense
-matrices serialize as CSV rows of re,im pairs with 17 significant digits;
-non-finite entries are rejected.
+for its d and a, a partition must have dimensions that pass
+`limits.check_partition` (a listed tensor has two factors or more, since
+null is one qudit) and nonempty classes of labels that fit them, the
+identity excluded, and must pass `validate_cartan_partition`, which also
+recomputes its `complete` flag (a document marked complete must pass it as
+a complete partition), and a field of the wrong type is a ValueError that
+names the document type.  Dense matrices serialize as CSV rows of re,im
+pairs with 17 significant digits; non-finite entries are rejected.
 
 `json_chunks` is the one renderer of payload text, and `json_dumps` joins
 its chunks.  The text is byte-identical to `json.dumps(payload, indent=2,
@@ -43,8 +43,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .basis import CartanPartition, CommutatorTable, _classes_commute, validate_cartan_partition
-from .limits import MUB_PRIME_CAP, check_tensor, is_prime, searchable
+from .basis import CartanPartition, CommutatorTable, label_moduli, validate_cartan_partition
+from .limits import check_partition
 from .mub import HadamardMatrix, basis_exponent_table, hadamard_h_a
 from .operators import MonomialOperator, weyl_pair
 from .phases import PhaseExponent
@@ -234,7 +234,7 @@ def _hadamard_from(payload: dict) -> HadamardMatrix:
 
 
 def _partition(p: CartanPartition) -> dict:
-    moduli = _digit_moduli(p.dims)
+    moduli = label_moduli(p.dims)
     return {
         "type": "partition",
         "dimension": p.dimension,
@@ -244,31 +244,18 @@ def _partition(p: CartanPartition) -> dict:
     }
 
 
-def _digit_moduli(dims: tuple[int, ...]) -> tuple[int, ...]:
-    """The modulus of each digit of a label: d_k for both a_k and b_k."""
-    return tuple(x for m in dims for x in (m, m))
-
-
-def _writable_dims(dimension: int, dims: list | None) -> bool:
-    """`basis partition` writes null with d within the search cap or prime within the
-    prime cap (cap first), or e >= 2 equal factors p, p^e = d, that pass `check_tensor`."""
-    if dims is None:
-        prime = dimension <= MUB_PRIME_CAP and is_prime(dimension)
-        return 2 <= dimension and (searchable(dimension) or prime)
-    try:
-        return len(set(dims)) == 1 and check_tensor(dims[0], len(dims)) == dimension
-    except ValueError:
-        return False
-
-
 def _partition_from(payload: dict) -> CartanPartition:
     dimension, listed = payload["dimension"], payload["tensor_dims"]
-    if not _writable_dims(dimension, listed):
+    # null is one qudit, so a listed tensor has at least two factors
+    dims = (dimension,) if listed is None else tuple(listed)
+    try:
+        writable = (listed is None or len(dims) > 1) and check_partition(dims) == dimension
+    except ValueError:
+        writable = False
+    if not writable:
         raise ValueError(f"partition document has dimension {dimension}, tensor_dims {listed}")
     marked_complete = payload["complete"]
-    # null is one qudit
-    dims = (dimension,) if listed is None else tuple(listed)
-    moduli = _digit_moduli(dims)
+    moduli = label_moduli(dims)
     classes = [[_label_from(text, moduli) for text in cls] for cls in payload["classes"]]
     if not all(cls and all(any(label) for label in cls) for cls in classes):
         raise ValueError("partition document has an empty class or the identity label")
@@ -279,8 +266,7 @@ def _partition_from(payload: dict) -> CartanPartition:
         return partition
     if marked_complete:
         raise ValueError("partition document is marked complete but is not a Cartan partition")
-    flat = [label for cls in classes for label in cls]
-    if len(flat) != len(set(flat)) or not _classes_commute(dims, classes):
+    if not validate_cartan_partition(partition):
         raise ValueError("partition document repeats a label or has a class that does not commute")
     return partition
 

@@ -554,6 +554,12 @@ def test_dense_stack_is_bit_equal_to_kron(dims):
     assert np.array_equal(stack.view(np.uint64), expected.view(np.uint64))
 
 
+def test_dense_stack_reduces_digits_mod_d():
+    # as pauli_rows does: 2 reads as 0 and -1 as 1 mod 2
+    assert np.array_equal(pauli_stack((2,), [(2, 1)]), pauli_stack((2,), [(0, 1)]))
+    assert np.array_equal(pauli_stack((2,), [(-1, 1)]), pauli_stack((2,), [(1, 1)]))
+
+
 def test_dense_recheck_catches_a_non_commuting_pair():
     good = cartan_partition_prime_power(2, 3)
     assert partition_dense_commutation_defect(good) <= 1e-12
@@ -576,6 +582,25 @@ def test_validator_accepts_an_empty_extra_class():
         # a complete partition has exactly d + 1 classes
         padded.complete = True
         assert not validate_cartan_partition(padded)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 9, 10, 12])
+def test_validator_accepts_the_searched_classes_of_composite_d(d):
+    partition = commuting_class_search(d)
+    assert not partition.complete and validate_cartan_partition(partition)
+
+
+def test_validator_reads_a_partial_partition():
+    # the three cyclic lines of Z_4^2 through (0, 1), (1, 0) and (1, 1)
+    lines = [[(0, 1), (0, 2), (0, 3)], [(1, 0), (2, 0), (3, 0)], [(1, 1), (2, 2), (3, 3)]]
+    assert validate_cartan_partition(CartanPartition((4,), lines, complete=False))
+    for classes in (
+        [[(0, 1), (0, 2)], [(0, 2)]],  # a repeated label
+        [[(0, 1), (1, 0)]],  # a class that does not commute
+        [[(0, 1), (0, 4)]],  # a label that does not fit dims
+        [[(0, 0), (0, 1)]],  # the identity
+    ):
+        assert not validate_cartan_partition(CartanPartition((4,), classes, complete=False))
 
 
 def test_partition_holds_its_dims():
@@ -701,11 +726,12 @@ def test_printed_spread_is_a_valid_partition():
 def per_pair_partition_valid(classes, vertices, commutes, class_size=None) -> bool:
     """The per-pair validator that the commutation table replaced, kept as an oracle.
 
-    Disjoint, covering, sized when class_size is given, and commutes(u, v)
-    for every pair within a class.
+    Disjoint, drawn from vertices, and commutes(u, v) for every pair within
+    a class; covering and sized as well when class_size is given.
     """
     flat = [v for cls in classes for v in cls]
-    if len(flat) != len(set(flat)) or set(flat) != set(vertices):
+    fits = set(flat) == set(vertices) if class_size else set(flat) <= set(vertices)
+    if len(flat) != len(set(flat)) or not fits:
         return False
     return all(
         (class_size is None or len(cls) == class_size)

@@ -14,7 +14,11 @@ from hypothesis.extra.numpy import array_shapes, arrays, from_dtype
 import finiteweyl.cli as cli_mod
 import finiteweyl.serialize as serialize_mod
 
-from finiteweyl.basis import cartan_partition_prime, cartan_partition_prime_power
+from finiteweyl.basis import (
+    cartan_partition_prime,
+    cartan_partition_prime_power,
+    commuting_class_search,
+)
 from finiteweyl.mub import hadamard_h_a
 from finiteweyl.operators import MonomialOperator, weyl_pair
 from finiteweyl.phases import PhaseExponent
@@ -275,6 +279,15 @@ def test_import_reads_an_incomplete_partition_of_disjoint_commuting_classes():
     # an incomplete partition need not cover every label
     partition = import_exact(_partition_document([["(01)", "(02)"], ["(10)"]], False))
     assert partition.classes == [[(0, 1), (0, 2)], [(1, 0)]] and not partition.complete
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 9, 10, 12])
+def test_import_reads_back_the_searched_classes_of_composite_d(d):
+    part = commuting_class_search(d)
+    text = export(part)
+    rebuilt = import_exact(text)
+    assert rebuilt.classes == part.classes and rebuilt.dims == (d,) and not rebuilt.complete
+    assert export(rebuilt) == text
 
 
 @pytest.mark.parametrize("part", [cartan_partition_prime(3), cartan_partition_prime_power(2, 2)])
