@@ -64,7 +64,8 @@ COMMANDS = [
     "verify all --d 8",
     "verify basis --d 11",
     # the first-found classes of the clique search: the tensor partitions,
-    # then the composite d whose failed search falls back to greedy classes
+    # then the composite d, where the slope classes cover only part of the
+    # labels, and the primes, where they cover all of them
     "basis partition --tensor 2,2",
     "basis partition --tensor 2,3",
     "basis partition --tensor 3,2",
@@ -73,6 +74,11 @@ COMMANDS = [
     "basis partition --d 9",
     "basis partition --d 10",
     "basis partition --d 12",
+    "basis partition --d 2",
+    "basis partition --d 3",
+    "basis partition --d 7",
+    "basis partition --d 11",
+    "basis partition --d 13",
     # families whose p + 1 bases end in a partial block of the blocked
     # unbiasedness products
     "mub family --p 11",

@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "basis": (
         "CartanPartition",
-        "cartan_partition_prime",
+        "cartan_partition",
         "cartan_partition_prime_power",
         "commuting_class_search",
         "hs_orthogonality",

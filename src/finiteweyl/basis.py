@@ -2,14 +2,17 @@
 
 Structure constants are cyclotomic-exact: [u_ab, u_a'b'] is
 (q^(-ba') - q^(-ab')) u_(a+a', b+b'), vanishing precisely when
-ab' - ba' = 0 mod d.  For prime p the nonidentity labels split into p+1
-slope classes of p-1 pairwise commuting operators; for prime powers the
-same decomposition exists for tensor-product labels and is found here by
-exhaustive backtracking over the commutation graph.  For composite d
-(single qudit) the search instead certifies that no such partition exists
-and returns the best-effort classes.  A single qudit is the tensor case
-dims = (d,), so both searches make one search call over the positions
-of `tensor_indices(dims)` and return a `CartanPartition` of those dims.
+ab' - ba' = 0 mod d.  `cartan_partition(d)` lists one qudit's commuting
+classes in closed form: the clock class and the slope classes below q,
+the smallest prime factor of d.  At prime d they are the d+1 classes of
+d-1 pairwise commuting operators; at composite d they are q+1 classes, as
+many as can be disjoint, and no full partition exists.  For prime powers
+the d+1 classes of tensor-product labels are found by exhaustive
+backtracking over the commutation graph, and the same search certifies
+at composite d that one qudit has none.  A single qudit is the tensor
+case dims = (d,), so both searches make one search call over the
+positions of `tensor_indices(dims)` and return a `CartanPartition` of
+those dims.
 
 `commutator_table(d)` holds the exponents of `pauli_commutator` for all
 d^4 label pairs: one `CommutatorTable` of int64 tau exponents and target
@@ -40,7 +43,7 @@ from types import EllipsisType
 
 import numpy as np
 
-from .limits import check_prime, check_search, check_structure_table, check_tensor
+from .limits import check_dense, check_search, check_structure_table, check_tensor
 from .operators import MonomialOperator, residual_norm, trace_gram
 from .phases import PhaseExponent, tau_powers
 from .search import find_commuting_partition
@@ -149,29 +152,33 @@ class CartanPartition:
         return len(self.classes)
 
 
-def cartan_partition_prime(p: int) -> CartanPartition:
-    """The p+1 slope classes of su(p), p prime.
+def cartan_partition(d: int) -> CartanPartition:
+    """The clock class and the q slope classes of su(d), q the smallest prime factor of d.
 
     Class 0 is the pure clock class {(0, b)}; class i >= 1 collects
-    {(x, (i-1) x mod p)}, running the slope over 0..p-1, for p within the
-    cap of the MUBs whose eigenbasis classes they are (`limits.check_prime`).
+    {(x, (i-1) x mod d)}, running the slope over 0..q-1, for d within the
+    cap of the MUBs whose eigenbases the classes are at prime d
+    (`limits.check_dense`).  Two slopes differ by less than q, a unit mod d,
+    so the classes are disjoint.  They cover every label, and the partition
+    is complete, exactly when q = d.
     """
-    check_prime(p)
-    classes: list[list[tuple]] = [[(0, b) for b in range(1, p)]]
-    for slope in range(p):
-        classes.append([(x, (slope * x) % p) for x in range(1, p)])
-    return CartanPartition((p,), classes)
+    check_dense(d)
+    q = next(f for f in range(2, d + 1) if d % f == 0)
+    classes: list[list[tuple]] = [[(0, b) for b in range(1, d)]]
+    for slope in range(q):
+        classes.append([(x, (slope * x) % d) for x in range(1, d)])
+    return CartanPartition((d,), classes, q == d)
 
 
 def commuting_class_search(d: int) -> CartanPartition:
     """Exhaustive search for d+1 classes of d-1 commuting single-qudit labels.
 
-    Returns a complete partition when one exists (always, for prime d);
-    otherwise the first-found disjoint classes with complete=False, the
-    failed search having proved that no full partition exists.
+    Returns the partition found when one exists (always, for prime d);
+    otherwise, the failed search having proved that none exists,
+    `cartan_partition(d)`, which is incomplete.
     """
     check_search(d)
-    return _partition_search((d,))
+    return _partition_search((d,)) or cartan_partition(d)
 
 
 def validate_cartan_partition(partition: CartanPartition) -> bool:
@@ -251,15 +258,17 @@ def tensor_commutation_table(dims: tuple[int, ...], labels: list[tuple]) -> np.n
     return (half - half.T) % lcm
 
 
-def _partition_search(dims: tuple[int, ...]) -> CartanPartition:
-    """d + 1 classes of d - 1 labels, d = prod(dims), or the greedy classes, incomplete."""
+def _partition_search(dims: tuple[int, ...]) -> CartanPartition | None:
+    """d + 1 classes of d - 1 labels, d = prod(dims), or None if there are none."""
     # the labels are sorted, so their positions order as they do
     labels = tensor_indices(dims)
     commuting = (tensor_commutation_table(dims, labels) == 0).tolist()
-    found, complete = find_commuting_partition(
+    found = find_commuting_partition(
         range(len(labels)), lambda i, j: commuting[i][j], math.prod(dims) - 1
     )
-    return CartanPartition(dims, [[labels[i] for i in cls] for cls in found], complete)
+    if found is None:
+        return None
+    return CartanPartition(dims, [[labels[i] for i in cls] for cls in found])
 
 
 def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
@@ -272,7 +281,7 @@ def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
     """
     d = check_tensor(p, e)
     partition = _partition_search((p,) * e)
-    if not partition.complete:
+    if partition is None:
         raise RuntimeError(
             f"no partition of the {p**(2 * e) - 1} labels into "
             f"{d + 1} commuting classes of {d - 1} was found"

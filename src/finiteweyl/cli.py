@@ -5,7 +5,9 @@ A request loads only the modules its command runs: `basis`, `mub`,
 `operators` and `serialize` at import, `group` inside `cmd_group`, and
 `suites` (with `group` and `heisenberg`) inside the commands that run a
 suite.  `run` is the process entry point; `main` is the same request for
-in-process callers.
+in-process callers.  `basis partition` prints the closed-form classes
+`basis.cartan_partition(d)` of one qudit, and with `--tensor` the classes
+that `basis.cartan_partition_prime_power` finds.
 
 JSON payloads go to stdout (deterministic: fixed orderings, no timestamps),
 written in chunks by `_write`; human-readable diagnostics and timings go to
@@ -29,12 +31,7 @@ from typing import NoReturn
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, limits
-from .basis import (
-    cartan_partition_prime,
-    cartan_partition_prime_power,
-    commutator_table,
-    commuting_class_search,
-)
+from .basis import cartan_partition, cartan_partition_prime_power, commutator_table
 from .mub import hadamard_h_a, mub_family, pairwise_deviations
 from .operators import fourier_matrix, v_ra_matrix, weyl_pair
 from .report import DEFAULT_TOLERANCE
@@ -164,7 +161,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
         partition = cartan_partition_prime_power(p, e)
     else:
         limits.check_partition((d,))
-        partition = cartan_partition_prime(d) if limits.is_prime(d) else commuting_class_search(d)
+        partition = cartan_partition(d)
     _write(export_chunks(partition))
     status = "complete" if partition.complete else "incomplete"
     print(

@@ -11,7 +11,7 @@ DEFAULT_BRUTE_FORCE_CAP = 16  # the d^3 elements of P_d; --max-d overrides it
 STRUCTURE_TABLE_CAP = 16  # the d^4 label pairs of the structure constants
 SEARCH_CAP = 12  # the exhaustive search over the d^2 - 1 labels
 TENSOR_SEARCH_CAP = 16  # p^e for the search over the p^2e - 1 tensor labels
-MUB_PRIME_CAP = 97  # the p + 1 MUBs, their p + 1 slope classes, the dense d x d suites
+MUB_PRIME_CAP = 97  # the p + 1 MUBs, the slope classes of any d, the dense d x d suites
 
 
 def is_prime(n: int) -> bool:

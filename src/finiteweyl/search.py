@@ -4,10 +4,10 @@ Vertices are sortable values, the positions of sorted operator labels in
 `basis`; two are adjacent when the operators commute.  The search covers
 the lexicographically smallest uncovered vertex with each clique of the
 requested size through it (cliques are generated in lexicographic
-order), recursing until the vertex set is exhausted or all branches fail.  With a fixed vertex ordering the outcome
-is fully deterministic, and failure is an exhaustive proof that no
-partition into cliques of that size exists; the first-found disjoint
-cliques are then returned, read off the same adjacency.
+order), recursing until the vertex set is exhausted or all branches fail.
+With a fixed vertex ordering the outcome is fully deterministic, and
+failure (`None`) is an exhaustive proof that no partition into cliques of
+that size exists.
 
 Sets of vertices are bitsets: Python ints whose bit i stands for the i-th
 vertex in sorted order.  Lowest set bit first is then lexicographic order,
@@ -69,12 +69,8 @@ def find_commuting_partition(
     vertices: Sequence[Vertex],
     commutes: Callable[[Vertex, Vertex], bool],
     class_size: int,
-) -> tuple[list[list[Vertex]], bool]:
-    """(partition into cliques of class_size, True), or (greedy cliques, False) if impossible.
-
-    The greedy pass gives each uncovered pivot, in order, its first clique
-    among the uncovered vertices.  Both read one adjacency build.
-    """
+) -> list[list[Vertex]] | None:
+    """The first-found partition into cliques of class_size, or None if there is none."""
     ordered = sorted(vertices)
     adjacency = _adjacency_masks(ordered, commutes)
 
@@ -89,16 +85,5 @@ def find_commuting_partition(
                 return [clique] + tail
         return None
 
-    everything = (1 << len(ordered)) - 1
-    solution = cover(everything) if len(ordered) % class_size == 0 else None
-    complete = solution is not None
-    if not complete:
-        solution, uncovered = [], everything
-        for pivot in range(len(ordered)):
-            bit = 1 << pivot
-            if uncovered & bit:
-                for clique in _cliques_through(pivot, uncovered ^ bit, adjacency, class_size):
-                    solution.append(clique)
-                    uncovered &= ~clique
-                    break
-    return [_members(clique, ordered) for clique in solution], complete
+    solution = cover((1 << len(ordered)) - 1) if len(ordered) % class_size == 0 else None
+    return None if solution is None else [_members(clique, ordered) for clique in solution]

@@ -659,14 +659,12 @@ def suite_basis(
     _run(report, "anticommutator_vanishing_rule", 0.0, anticommutators)
 
     if limits.is_prime(d):
-        partition = basis_mod.cartan_partition_prime(d)
+        partition = basis_mod.cartan_partition(d)
         _run(
             report,
             "prime_partition_valid",
             0.0,
-            lambda: basis_mod.validate_cartan_partition(partition)
-            and partition.class_count == d + 1
-            and all(len(cls) == d - 1 for cls in partition.classes),
+            lambda: basis_mod.validate_cartan_partition(partition) and partition.complete,
         )
         _run(
             report,
@@ -713,11 +711,7 @@ def suite_basis(
 
         def tensor_partition() -> bool:
             part = basis_mod.cartan_partition_prime_power(p, e)
-            return (
-                part.class_count == p**e + 1
-                and all(len(cls) == p**e - 1 for cls in part.classes)
-                and basis_mod.validate_cartan_partition(part)
-            )
+            return basis_mod.validate_cartan_partition(part) and part.complete
 
         _run(report, "tensor_partition_found_and_valid", 0.0, tensor_partition)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from conftest import commutator, load_golden, max_abs
 from finiteweyl.basis import (
-    cartan_partition_prime,
+    cartan_partition,
     cartan_partition_prime_power,
     commuting_class_search,
     pauli_commutator,
@@ -206,10 +206,10 @@ def test_criterion_09_cartan_partitions():
     failures = []
     golden = load_golden("commuting_classes_d7.json")
     expected7 = [[tuple(pair) for pair in cls] for cls in golden["classes"]]
-    if cartan_partition_prime(7).classes != expected7:
+    if cartan_partition(7).classes != expected7:
         failures.append("p=7 classes differ from the printed eight sets")
     for p in (2, 3, 5, 7, 11, 13):
-        part = cartan_partition_prime(p)
+        part = cartan_partition(p)
         if part.class_count != p + 1 or not all(len(c) == p - 1 for c in part.classes):
             failures.append(f"p={p}: wrong shape")
         if not validate_cartan_partition(part):

@@ -15,7 +15,7 @@ import finiteweyl.basis as basis_mod
 from finiteweyl.basis import (
     TWO_QUBIT_SPREAD,
     CartanPartition,
-    cartan_partition_prime,
+    cartan_partition,
     cartan_partition_prime_power,
     commutator_table,
     commuting_class_search,
@@ -218,23 +218,50 @@ def test_gram_full_rank():
 
 
 def test_prime_partitions_match_slope_listing():
-    part3 = cartan_partition_prime(3)
+    part3 = cartan_partition(3)
     assert part3.classes == [
         [(0, 1), (0, 2)],
         [(1, 0), (2, 0)],
         [(1, 1), (2, 2)],
         [(1, 2), (2, 1)],
     ]
-    part2 = cartan_partition_prime(2)
+    part2 = cartan_partition(2)
     assert part2.classes == [[(0, 1)], [(1, 0)], [(1, 1)]]
-    with pytest.raises(ValueError):
-        cartan_partition_prime(4)
+    # at d = 4 the slopes stop at the smallest prime factor 2
+    part4 = cartan_partition(4)
+    assert part4.classes == [
+        [(0, 1), (0, 2), (0, 3)],
+        [(1, 0), (2, 0), (3, 0)],
+        [(1, 1), (2, 2), (3, 3)],
+    ]
+    assert not part4.complete
 
 
 def test_prime_partition_cap_is_the_mub_cap():
-    assert cartan_partition_prime(MUB_PRIME_CAP).class_count == MUB_PRIME_CAP + 1
-    with pytest.raises(ValueError, match=f"p=101 exceeds the cap {MUB_PRIME_CAP}"):
-        cartan_partition_prime(101)
+    assert cartan_partition(MUB_PRIME_CAP).class_count == MUB_PRIME_CAP + 1
+    with pytest.raises(ValueError, match=f"d=101 exceeds the cap {MUB_PRIME_CAP}"):
+        cartan_partition(101)
+
+
+@pytest.mark.parametrize("d", range(2, MUB_PRIME_CAP + 1))
+def test_closed_form_partition_has_the_slopes_below_the_smallest_prime(d):
+    partition = cartan_partition(d)
+    q = min(f for f in range(2, d + 1) if d % f == 0)
+    assert validate_cartan_partition(partition)
+    assert partition.class_count == q + 1
+    assert all(len(cls) == d - 1 for cls in partition.classes)
+    assert partition.complete == is_prime(d)
+    if d <= 16:
+        assert partition_dense_commutation_defect(partition) < 1e-12
+
+
+def test_a_label_with_a_unit_coordinate_commutes_only_with_its_multiples():
+    # a class that holds such a label is forced: it is the label's multiples
+    for d in range(2, 31):
+        labels = tensor_indices((d,))
+        zeros = (tensor_commutation_table((d,), labels) == 0).sum(axis=1)
+        unit = np.array([math.gcd(a, b, d) == 1 for a, b in labels])
+        assert (zeros[unit] == d - 1).all()
 
 
 def test_single_qudit_labels_are_one_factor_tensor_labels():
@@ -250,7 +277,7 @@ def test_prime_partitions_validate():
     from finiteweyl.operators import monomial_mul
 
     for p in (2, 3, 5, 7, 11, 13):
-        part = cartan_partition_prime(p)
+        part = cartan_partition(p)
         assert part.class_count == p + 1
         assert all(len(cls) == p - 1 for cls in part.classes)
         assert validate_cartan_partition(part)
@@ -260,7 +287,7 @@ def test_prime_partitions_validate():
                 for ab2 in cls[i + 1 :]:
                     u, v = u_ab(p, *ab), u_ab(p, *ab2)
                     assert monomial_mul(u, v) == monomial_mul(v, u)
-    assert partition_dense_commutation_defect(cartan_partition_prime(7)) < 1e-12
+    assert partition_dense_commutation_defect(cartan_partition(7)) < 1e-12
 
 
 def test_search_rediscovers_prime_partition():
@@ -268,7 +295,7 @@ def test_search_rediscovers_prime_partition():
     for p in filter(is_prime, range(2, SEARCH_CAP + 1)):
         found = commuting_class_search(p)
         assert found.complete
-        assert found.classes == cartan_partition_prime(p).classes
+        assert found.classes == cartan_partition(p).classes
 
 
 def test_search_d4_certifies_incompleteness():
@@ -300,50 +327,49 @@ def test_adjacency_tests_each_pair_once():
 
     vertices = list(range(8))
     part = find_commuting_partition(vertices, commutes, 4)
-    assert part == ([[0, 2, 4, 6], [1, 3, 5, 7]], True)
+    assert part == [[0, 2, 4, 6], [1, 3, 5, 7]]
     assert len(calls) == len(set(calls)) == 8 * 7 // 2
 
 
 @pytest.mark.parametrize(
-    "n, commutes, size, expected",
+    "n, commutes, size",
     [
-        # no edges: the search fails and no pivot has a clique
-        (6, lambda u, v: False, 2, []),
-        # 7 vertices do not split into pairs: the greedy pass alone
-        (7, lambda u, v: u // 2 == v // 2, 2, [[0, 1], [2, 3], [4, 5]]),
-        # a triangle and a lone vertex: every branch fails, then 0 takes 1 and 2 stays out
-        (4, lambda u, v: max(u, v) < 3, 2, [[0, 1]]),
+        # no edges: no pivot has a clique
+        (6, lambda u, v: False, 2),
+        # 7 vertices do not split into pairs
+        (7, lambda u, v: u // 2 == v // 2, 2),
+        # a triangle and a lone vertex: every branch fails
+        (4, lambda u, v: max(u, v) < 3, 2),
     ],
 )
-def test_failed_search_tests_each_pair_once(n, commutes, size, expected):
+def test_failed_search_tests_each_pair_once(n, commutes, size):
     calls = []
 
     def counted(u, v):
         calls.append(frozenset((u, v)))
         return commutes(u, v)
 
-    assert find_commuting_partition(list(range(n)), counted, size) == (expected, False)
+    assert find_commuting_partition(list(range(n)), counted, size) is None
     assert len(calls) == len(set(calls)) == n * (n - 1) // 2
 
 
 def test_generic_search_engine():
     vertices = list(range(6))
-    part, complete = find_commuting_partition(vertices, lambda u, v: u // 2 == v // 2, 2)
-    assert (part, complete) == ([[0, 1], [2, 3], [4, 5]], True)
+    part = find_commuting_partition(vertices, lambda u, v: u // 2 == v // 2, 2)
+    assert part == [[0, 1], [2, 3], [4, 5]]
     assert per_pair_partition_valid(part, vertices, lambda u, v: u // 2 == v // 2, 2)
     assert not per_pair_partition_valid(part, vertices, lambda u, v: u + v < 5, 2)
     assert not per_pair_partition_valid([[0, 1], [2, 3]], vertices, lambda u, v: True, 2)
     assert not per_pair_partition_valid([[0, 1, 2], [3, 4, 5]], vertices, lambda u, v: True, 2)
-    assert find_commuting_partition(vertices, lambda u, v: False, 2) == ([], False)
-    # a vertex with no neighbour leaves the other pairs as the greedy classes
-    greedy = find_commuting_partition(vertices, lambda u, v: u // 2 == v // 2 and u < 4, 2)
-    assert greedy == ([[0, 1], [2, 3]], False)
+    assert find_commuting_partition(vertices, lambda u, v: False, 2) is None
+    # a vertex with no neighbour leaves no partition, though the other pairs commute
+    assert find_commuting_partition(vertices, lambda u, v: u // 2 == v // 2 and u < 4, 2) is None
 
 
 def set_search_partition(vertices, commutes, class_size):
     """The set-based search that the bitset search replaced, kept as an oracle.
 
-    Returns the partition (or None) and the greedy classes.
+    Returns the partition, or None if there is none.
     """
     ordered = sorted(vertices)
     adjacency = {v: set() for v in ordered}
@@ -377,17 +403,7 @@ def set_search_partition(vertices, commutes, class_size):
         return None
 
     solution = cover(frozenset(ordered)) if len(ordered) % class_size == 0 else None
-    if solution is not None:
-        solution = [sorted(clique) for clique in solution]
-    covered, greedy = set(), []
-    for pivot in ordered:
-        if pivot not in covered:
-            allowed = frozenset(v for v in ordered if v not in covered and v != pivot)
-            clique = next(cliques_through(pivot, allowed), None)
-            if clique is not None:
-                greedy.append(sorted(clique))
-                covered |= clique
-    return solution, greedy
+    return None if solution is None else [sorted(clique) for clique in solution]
 
 
 @st.composite
@@ -415,8 +431,7 @@ def test_bitset_search_matches_set_search(graph):
     def commutes(u, v):
         return frozenset((u, v)) in edges
 
-    solution, greedy = set_search_partition(vertices, commutes, size)
-    expected = (greedy, False) if solution is None else (solution, True)
+    expected = set_search_partition(vertices, commutes, size)
     assert find_commuting_partition(vertices, commutes, size) == expected
 
 
@@ -569,14 +584,14 @@ def test_dense_recheck_catches_a_non_commuting_pair():
     bad = basis_mod.CartanPartition(good.dims, classes)
     assert not validate_cartan_partition(bad)
     assert partition_dense_commutation_defect(bad) > 1e-12
-    prime = cartan_partition_prime(5)
+    prime = cartan_partition(5)
     prime.classes[2][0], prime.classes[3][0] = prime.classes[3][0], prime.classes[2][0]
     assert partition_dense_commutation_defect(prime) > 1e-12
 
 
 def test_validator_accepts_an_empty_extra_class():
     # an empty class reads an empty commutation table, so it adds no pair
-    for good in (cartan_partition_prime(3), cartan_partition_prime_power(2, 2)):
+    for good in (cartan_partition(3), cartan_partition_prime_power(2, 2)):
         padded = CartanPartition(good.dims, [*good.classes, []], complete=False)
         assert validate_cartan_partition(padded)
         # a complete partition has exactly d + 1 classes
@@ -588,6 +603,8 @@ def test_validator_accepts_an_empty_extra_class():
 def test_validator_accepts_the_searched_classes_of_composite_d(d):
     partition = commuting_class_search(d)
     assert not partition.complete and validate_cartan_partition(partition)
+    # the failed search falls back on the closed form
+    assert partition.classes == cartan_partition(d).classes
 
 
 def test_validator_reads_a_partial_partition():
@@ -604,7 +621,7 @@ def test_validator_reads_a_partial_partition():
 
 
 def test_partition_holds_its_dims():
-    assert cartan_partition_prime(5).dims == (5,)
+    assert cartan_partition(5).dims == (5,)
     assert commuting_class_search(6).dims == (6,)
     partition = cartan_partition_prime_power(2, 3)
     assert (partition.dims, partition.dimension) == ((2, 2, 2), 8)
@@ -758,7 +775,7 @@ def valid_and_searched_partitions() -> tuple[CartanPartition, ...]:
     """The slope classes at p = 2, 3, 5, 7, the tensor partitions (2,2), (2,2,2)
     and (3,3), the two-qubit spread, and the searched classes at d = 4 and 6."""
     return (
-        *(cartan_partition_prime(p) for p in (2, 3, 5, 7)),
+        *(cartan_partition(p) for p in (2, 3, 5, 7)),
         *(cartan_partition_prime_power(p, e) for p, e in ((2, 2), (2, 3), (3, 2))),
         CartanPartition((2, 2), [list(cls) for cls in TWO_QUBIT_SPREAD]),
         commuting_class_search(4),
@@ -813,7 +830,7 @@ def test_su4_spread_report():
 
 def test_joint_eigenbases_of_classes_are_unbiased():
     for p in (2, 3, 5, 7):
-        partition = cartan_partition_prime(p)
+        partition = cartan_partition(p)
         bases = [OrthonormalBasis(d=p, label="computational", vectors=np.eye(p, dtype=complex))]
         for cls in partition.classes[1:]:
             generator = u_ab(p, *cls[0]).to_matrix()

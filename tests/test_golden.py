@@ -1,7 +1,7 @@
 """Anti-regression checks against hand-transcribed operator tables."""
 
 from conftest import golden_matrix, load_golden, max_abs
-from finiteweyl.basis import TWO_QUBIT_SPREAD, cartan_partition_prime, u_ab
+from finiteweyl.basis import TWO_QUBIT_SPREAD, cartan_partition, u_ab
 
 
 def exponent_table(d: int, a: int, b: int) -> list:
@@ -34,7 +34,7 @@ def test_qutrit_matrices_match_golden_exactly():
 def test_seven_dimensional_classes_match_golden():
     golden = load_golden("commuting_classes_d7.json")
     expected = [[tuple(pair) for pair in cls] for cls in golden["classes"]]
-    assert cartan_partition_prime(7).classes == expected
+    assert cartan_partition(7).classes == expected
 
 
 def test_two_qubit_spread_matches_golden():

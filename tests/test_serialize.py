@@ -15,7 +15,7 @@ import finiteweyl.cli as cli_mod
 import finiteweyl.serialize as serialize_mod
 
 from finiteweyl.basis import (
-    cartan_partition_prime,
+    cartan_partition,
     cartan_partition_prime_power,
     commuting_class_search,
 )
@@ -61,7 +61,7 @@ def test_monomial_round_trip():
 
 
 def test_partition_round_trip_bit_identical():
-    part = cartan_partition_prime(7)
+    part = cartan_partition(7)
     text = export(part, "json")
     rebuilt = import_exact(text)
     assert rebuilt == part and rebuilt.dims == (7,)
@@ -178,13 +178,13 @@ def _document_with(obj, **fields) -> str:
             "hadamard document has a malformed field: Python int too large",
         ),
         (
-            _document_with(cartan_partition_prime(3), classes=[[12]]),
+            _document_with(cartan_partition(3), classes=[[12]]),
             "partition document has a malformed field: 'int' object has no attribute",
         ),
-        (_document_with(cartan_partition_prime(3), dimension="3"), "partition document has"),
+        (_document_with(cartan_partition(3), dimension="3"), "partition document has"),
         *[
             (
-                _document_with(cartan_partition_prime(3), classes=[[label]]),
+                _document_with(cartan_partition(3), classes=[[label]]),
                 "partition document has a malformed field: label "
                 + re.escape(label)
                 + " is not a digit string",
@@ -192,7 +192,7 @@ def _document_with(obj, **fields) -> str:
             for label in ("(0x)", "01", "(((02)))", "(1_0,2)", "( 1,2)")
         ],
         (_document_with(PhaseExponent(1, 3), tau_denominator="6"), "phase document has"),
-        (_document_with(cartan_partition_prime(3), classes=5), "partition document has"),
+        (_document_with(cartan_partition(3), classes=5), "partition document has"),
         (
             _document_with(hadamard_h_a(3, 1), d="3"),
             "hadamard document has a malformed field: 'str' object cannot be interpreted",
@@ -290,7 +290,7 @@ def test_import_reads_back_the_searched_classes_of_composite_d(d):
     assert export(rebuilt) == text
 
 
-@pytest.mark.parametrize("part", [cartan_partition_prime(3), cartan_partition_prime_power(2, 2)])
+@pytest.mark.parametrize("part", [cartan_partition(3), cartan_partition_prime_power(2, 2)])
 def test_import_recomputes_the_complete_flag_of_a_cartan_partition(part):
     # a Cartan partition is complete even where its document says otherwise
     text = export(part, "json")
