@@ -165,6 +165,10 @@ COMMANDS = [
     "basis partition --d 1",
     "basis partition --d 15",
     "basis partition --d 97",
+    # the basis suite at odd composite d, where no anticommutator vanishes:
+    # d = 9 runs the partition search, d = 15 is over its cap
+    "verify basis --d 9",
+    "verify basis --d 15",
 ]
 
 

@@ -16,9 +16,10 @@ those dims.
 
 `commutator_table(d)` holds the exponents of `pauli_commutator` for all
 d^4 label pairs: one `CommutatorTable` of int64 tau exponents and target
-label indices, whose `coefficients` method turns the exponents into the
-complex coefficients through `phases.tau_powers`, bit for bit as
-`pauli_commutator` does.  `tensor_commutation_table(dims, labels)` holds
+label indices.  Exact verdicts read the exponents; its `coefficients`
+method turns them into the complex commutator coefficients through
+`phases.tau_powers`, bit for bit as `pauli_commutator` does.
+`tensor_commutation_table(dims, labels)` holds
 the symplectic form of every label pair; `tensor_indices_commute` reads
 one pair off it.  Both searches read their commutation graph
 off it, and `validate_cartan_partition` the commutation within each
@@ -29,8 +30,9 @@ rows, digits mod d_k, and `pauli_stack(dims, labels)` builds dense Pauli
 matrices off them.  All three read labels as one checked (n, 2e)
 int64 array, n = 0 allowed, and name a label of another length in their
 error.  Every trace pairing, `hs_orthogonality` over the d^2 labels and
-the Gram of the spread included, is `operators.trace_gram` of those rows,
-read off the label digits by arithmetic.  The digits of a label run over
+the Gram of the spread included, is decided by `trace_orthogonal`: the
+integer `operators.trace_gram` of those rows is exactly prod(dims) I.
+The digits of a label run over
 `label_moduli(dims)`; the text form of a label is `serialize`'s.
 """
 
@@ -92,18 +94,14 @@ class CommutatorTable:
     second: np.ndarray  # (-2ab') mod 2d
     target: np.ndarray
 
-    def coefficients(self, sign: str = "-", index: int | EllipsisType = ...) -> np.ndarray:
-        """tau^first -+ tau^second at `index` (default: every pair).
+    def coefficients(self, index: int | EllipsisType = ...) -> np.ndarray:
+        """tau^first - tau^second at `index` (default: every pair).
 
-        These are the coefficients `pauli_commutator` returns, bit for bit.
+        These are the commutator coefficients `pauli_commutator` returns, bit
+        for bit; exact facts about them are read off the exponents.
         """
-        if sign not in ("-", "+"):
-            raise ValueError(f"sign must be '-' or '+', got {sign!r}")
         out = tau_powers(self.first[index], self.d)
-        if sign == "-":
-            out -= tau_powers(self.second[index], self.d)
-        else:
-            out += tau_powers(self.second[index], self.d)
+        out -= tau_powers(self.second[index], self.d)
         return out
 
 
@@ -120,19 +118,15 @@ def commutator_table(d: int) -> CommutatorTable:
 
 
 def hs_orthogonality(d: int) -> float:
-    """Max deviation of Tr(u^dagger u') from d delta delta over the d^2 labels, exactly 0.0."""
-    return _gram_defect((d,), pauli_indices(d, include_identity=True))
+    """0.0 when Tr(u^dagger u') = d delta delta over the d^2 labels, else 1.0."""
+    return 0.0 if trace_orthogonal((d,), pauli_indices(d, include_identity=True)) else 1.0
 
 
-def _gram_defect(dims: tuple[int, ...], labels: list[tuple]) -> float:
-    """Max |Tr(u_i^dagger u_j) - prod(dims) delta_ij| of the exact Gram of equal-d labels."""
-    d, size = dims[0], math.prod(dims)
-    exponents, scalar = trace_gram(pauli_rows(dims, labels), d)
-    on_diagonal = np.eye(len(labels), dtype=bool)[scalar]
-    # the scalar pairs against size delta, then size for each traceless u^dagger u
-    return residual_norm(
-        [size * (tau_powers(exponents[scalar], d) - on_diagonal), size * ~scalar.diagonal()]
-    )
+def trace_orthogonal(dims: tuple[int, ...], labels: list[tuple]) -> bool:
+    """Whether Tr(u_i^dagger u_j) = prod(dims) delta_ij exactly, for labels of equal-d factors."""
+    exponents, scalar = trace_gram(pauli_rows(dims, labels), dims[0])
+    diagonal = np.eye(len(labels), dtype=bool)
+    return bool(np.array_equal(scalar, diagonal) and not exponents[diagonal].any())
 
 
 @dataclass
@@ -394,7 +388,7 @@ def su4_spread_check() -> SpreadReport:
     union_set = set(union)
     covers = union_set == set(tensor_indices(dims))
 
-    gram_defect = _gram_defect(dims, union)
+    gram_defect = 0.0 if trace_orthogonal(dims, union) else 1.0
     # the 15 labels, then the identity
     stacked = pauli_stack(dims, [*union, (0, 0, 0, 0)]).reshape(16, -1)
     gram_rank = int(np.linalg.matrix_rank(stacked[:15]))

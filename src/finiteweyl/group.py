@@ -328,8 +328,6 @@ def pd_irrep_counts(d: int) -> tuple[int, int]:
     """
     check_dimension(d)
     one_dim, d_dim = d * d, d - 1
-    if one_dim + d_dim * d * d != d**3:
-        raise RuntimeError("squared-dimension identity failed")
     return one_dim, d_dim
 
 

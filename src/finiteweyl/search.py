@@ -72,6 +72,9 @@ def find_commuting_partition(
 ) -> list[list[Vertex]] | None:
     """The first-found partition into cliques of class_size, or None if there is none."""
     ordered = sorted(vertices)
+    # a count that class_size does not divide has no partition: test no pair
+    if len(ordered) % class_size:
+        return None
     adjacency = _adjacency_masks(ordered, commutes)
 
     def cover(uncovered: int) -> list[int] | None:
@@ -85,5 +88,5 @@ def find_commuting_partition(
                 return [clique] + tail
         return None
 
-    solution = cover((1 << len(ordered)) - 1) if len(ordered) % class_size == 0 else None
+    solution = cover((1 << len(ordered)) - 1)
     return None if solution is None else [_members(clique, ordered) for clique in solution]

@@ -361,7 +361,7 @@ def _structure_constants(table: CommutatorTable) -> dict:
     labels = np.array([format_index(divmod(k, d), (d, d)) for k in range(d * d)])
     # u_i and u_j commute exactly when their two exponents agree
     i, j = np.nonzero(table.first != table.second)
-    coefficients = table.coefficients("-", (i, j))
+    coefficients = table.coefficients((i, j))
     columns = {
         "left": labels[i],
         "right": labels[j],

@@ -625,36 +625,34 @@ def suite_basis(
                 # the targets are in range; mode="clip" only spares take's buffered copy
                 expected = np.take(mats, table.target[i], axis=0, out=work, mode="clip")
                 # coefficient first: numpy's c * M and M * c can differ in the last bit
-                coefficients = table.coefficients("-", i)[:, None, None]
+                coefficients = table.coefficients(i)[:, None, None]
                 defect -= np.multiply(coefficients, expected, out=expected)
                 yield np.max(np.abs(defect, out=work.real))
 
         return op_mod.residual_norm(row_maxima())
 
     _run(report, "structure_constants_close_dense_commutators", 1e-12, structure_closure)
+    # built after the dense recheck, which keeps it off that check's peak memory
+    form = basis_mod.tensor_commutation_table((d,), labels)
 
     def antisymmetry_and_vanishing() -> bool:
-        coefficients = table.coefficients("-")
+        # u_j u_i = tau^first[j, i] u_k is the second term of [u_i, u_j], so
+        # first.T == second makes the coefficients antisymmetric bit for bit
         return bool(
             np.array_equal(table.target, table.target.T)
-            and (np.abs(coefficients + coefficients.T) <= 1e-12).all()
-            # the form is built after the sum above is freed, which keeps it
-            # off this check's peak memory
-            and np.array_equal(
-                table.first == table.second,
-                basis_mod.tensor_commutation_table((d,), labels) == 0,
-            )
+            and np.array_equal(table.first.T, table.second)
+            and np.array_equal(table.first == table.second, form == 0)
         )
 
     _run(report, "structure_constants_antisymmetric_and_vanishing", 0.0, antisymmetry_and_vanishing)
 
     def anticommutators() -> bool:
+        # tau^first + tau^second = 0 exactly when second = first + d mod 2d;
         # the identity label 0 is left out
-        small = np.abs(table.coefficients("+")[1:, 1:]) < 1e-12
+        vanish = ((table.first - table.second) % (2 * d) == d)[1:, 1:]
         # ab' - ba' comes reduced mod d, which leaves (2 form - d) mod 2d as it is
-        form = basis_mod.tensor_commutation_table((d,), labels[1:])
-        vanish = (2 * form - d) % (2 * d) == 0
-        return bool(np.array_equal(small, vanish) and not (d % 2 == 1 and small.any()))
+        rule = (2 * form[1:, 1:] - d) % (2 * d) == 0
+        return bool(np.array_equal(vanish, rule) and not (d % 2 == 1 and vanish.any()))
 
     _run(report, "anticommutator_vanishing_rule", 0.0, anticommutators)
 
@@ -719,9 +717,7 @@ def suite_basis(
             # twelve distinct labels and the identity: Tr(u^dagger v) = p^e delta
             dims = (p,) * e
             labels = basis_mod.tensor_indices(dims)[:12] + [(0,) * (2 * e)]
-            exponents, scalar = op_mod.trace_gram(basis_mod.pauli_rows(dims, labels), p)
-            diagonal = np.eye(len(labels), dtype=bool)
-            return np.array_equal(scalar, diagonal) and not exponents[diagonal].any()
+            return basis_mod.trace_orthogonal(dims, labels)
 
         _run(report, "tensor_trace_pairing", 0.0, tensor_traces)
 

@@ -242,16 +242,58 @@ def test_basis_suite_builds_each_dense_matrix_once(monkeypatch):
 def test_dense_structure_recheck_catches_a_wrong_coefficient(monkeypatch):
     coefficients = suites.basis_mod.CommutatorTable.coefficients
 
-    def corrupted(table, sign="-", index=...):
-        full = coefficients(table, sign)
-        if sign == "-":
-            # the pair ((1, 0), (0, 1)): label (a, b) has index a*d + b
-            full[table.d, 1] *= 1.5
+    def corrupted(table, index=...):
+        full = coefficients(table)
+        # the pair ((1, 0), (0, 1)): label (a, b) has index a*d + b
+        full[table.d, 1] *= 1.5
         return full[index]
 
     monkeypatch.setattr(suites.basis_mod.CommutatorTable, "coefficients", corrupted)
     report = suite_basis(3)
     assert "structure_constants_close_dense_commutators" in failing_names(report)
+
+
+@pytest.mark.parametrize("d", [3, 4, 12])
+def test_basis_suite_exact_checks_form_no_complex_number(monkeypatch, d):
+    coefficients = suites.basis_mod.CommutatorTable.coefficients
+    indices = []
+
+    def recording(table, index=...):
+        indices.append(index)
+        return coefficients(table, index)
+
+    monkeypatch.setattr(suites.basis_mod.CommutatorTable, "coefficients", recording)
+    report = suite_basis(d)
+    assert report.overall, failing_names(report)
+    # one row per label, all read by the dense recheck
+    assert indices == list(range(d * d))
+
+
+@pytest.mark.parametrize(
+    "d, corrupt",
+    [
+        # tau^x + tau^(x + 3) = 0: an anticommutator vanishes at odd d
+        (3, lambda first, second: (first + 3) % 6),
+        # form 2 at d = 4 is a vanishing anticommutator, which one more tau breaks
+        (4, lambda first, second: second + 1),
+    ],
+    ids=["odd-d-vanishes", "form-2-shifted"],
+)
+def test_anticommutator_rule_catches_a_wrong_exponent(monkeypatch, d, corrupt):
+    build = suites.basis_mod.commutator_table
+    labels = suites.basis_mod.pauli_indices(d, include_identity=True)
+    form = suites.basis_mod.tensor_commutation_table((d,), labels)
+    # the first pair of non-identity labels whose form is 2
+    i, j = np.argwhere(form == 2)[0]
+    assert i > 0 and j > 0
+
+    def corrupted(d):
+        table = build(d)
+        table.second[i, j] = corrupt(table.first[i, j], table.second[i, j])
+        return table
+
+    monkeypatch.setattr(suites.basis_mod, "commutator_table", corrupted)
+    assert "anticommutator_vanishing_rule" in failing_names(suite_basis(d))
 
 
 def test_basis_suite_catches_a_wrong_table_entry(monkeypatch):
