@@ -169,6 +169,10 @@ COMMANDS = [
     # d = 9 runs the partition search, d = 15 is over its cap
     "verify basis --d 9",
     "verify basis --d 15",
+    # the integer spectra of the weyl suite at the largest dense d, and
+    # hs_orthogonality and the two-qubit spread at quarter-turn size
+    "verify weyl --d 97",
+    "verify all --d 2",
 ]
 
 

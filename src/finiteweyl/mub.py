@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limits import check_dimension, check_prime
-from .operators import fourier_matrix, residual_norm, unitary_defect, v_ra_matrix, weyl_pair
+from .operators import (
+    fourier_matrix, residual_norm, unitary_defect, v_ra_eigenvalue_exponents, v_ra_matrix, weyl_pair
+)
 from .phases import tau_powers
 
 # bases per stacked left operand in pairwise_deviations
@@ -89,7 +91,7 @@ def hadamard_reduction_defect(d: int, a: int) -> float:
     """Residual of H_a^dagger V_0a H_a against its diagonal closed form."""
     h = hadamard_h_a(d, a).to_matrix()
     v = v_ra_matrix(d, 0.0, a)
-    eigenvalues = tau_powers((d - 1) * a - 2 * np.arange(d), d)
+    eigenvalues = tau_powers(v_ra_eigenvalue_exponents(d, 0, a), d)
     expected = d * np.diag(eigenvalues)
     return residual_norm([h.conj().T @ v @ h - expected])
 

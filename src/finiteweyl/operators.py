@@ -209,6 +209,11 @@ def v_ra_eigenvalue(d: int, r: float, a: float, alpha: int) -> complex:
     return cmath.exp(2j * cmath.pi * ((d - 1) * (a + r) / 2 - alpha) / d)
 
 
+def v_ra_eigenvalue_exponents(d: int, r: int, a: int) -> np.ndarray:
+    """The int64 tau exponents of `v_ra_eigenvalue`, alpha = 0..d-1, for integer r and a."""
+    return ((d - 1) * (a + r) % (2 * d) - 2 * np.arange(d, dtype=np.int64)) % (2 * d)
+
+
 def v_ra_eigenvector(d: int, r: float, a: float, alpha: int) -> np.ndarray:
     """Normalized eigenvector of v_ra for the eigenvalue indexed by alpha.
 

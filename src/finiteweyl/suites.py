@@ -19,12 +19,12 @@ classes of `pd_conjugacy_classes`, (n, 3) int64 arrays, and the named
 subgroups, one array each, are tested for closure and normality on the
 array law.  The hw suite's pair laws run through `on_pairs`, the two
 sine-bracket checks through `brackets` (each t-operator built once per
-check), and every trace pairing through the integer `operators.trace_gram`,
-whose exponents and scalar masks are compared for equality.
+check), every trace pairing through the integer `operators.trace_gram`,
+and the weyl spectra through the tau exponents of v_ra and exact traces.
 
-Every float recheck reports `operators.residual_norm` of its residuals,
-the largest |entry| over all of them; one NaN entry makes it NaN, which
-`VerificationReport.add` rejects with the name of the check.
+A check's kind is its return type: at tolerance 0.0 a `bool` decided in
+integers, else `operators.residual_norm` of its float residuals; one NaN
+entry makes it NaN, which `VerificationReport.add` rejects by check name.
 
 One check is a verdict on a claim that is false in general and fails by
 design when exercised in the failing regime: the class-count formula
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Callable, Iterator
 
 import numpy as np
@@ -398,11 +398,8 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
     _run(report, "vra_eigenvectors", 1e-10, vra_eigensystem)
 
     def vra_spectrum_nondegenerate() -> bool:
-        for r, a in product((0, 1), range(d)):
-            values = [op_mod.v_ra_eigenvalue(d, r, a, alpha) for alpha in range(d)]
-            if any(abs(u - v) < 1e-9 for u, v in combinations(values, 2)):
-                return False
-        return True
+        exponents = op_mod.v_ra_eigenvalue_exponents
+        return all(len(set(exponents(d, r, a).tolist())) == d for r, a in product((0, 1), range(d)))
 
     _run(report, "vra_spectrum_nondegenerate", 0.0, vra_spectrum_nondegenerate)
 
@@ -417,9 +414,9 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
     _run(report, "vra_equals_vr0_clock_power", 1e-12, vra_factorization)
 
     def shift_clock_isospectral() -> bool:
-        xs = np.sort_complex(np.round(np.linalg.eigvals(x.to_matrix()), 9))
-        zs = np.sort_complex(np.round(np.linalg.eigvals(z.to_matrix()), 9))
-        return op_mod.residual_norm([xs - zs]) < 1e-8
+        # equal Tr X^k and Tr Z^k, k = 1..d, fix the spectra with multiplicity (Newton)
+        powers = (accumulate([g] * d, op_mod.monomial_mul) for g in (x, z))
+        return all(u.trace_exact() == v.trace_exact() for u, v in zip(*powers))
 
     _run(report, "shift_and_clock_isospectral", 0.0, shift_clock_isospectral)
 

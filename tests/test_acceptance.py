@@ -28,6 +28,7 @@ from finiteweyl.basis import (
     commuting_class_search,
     pauli_commutator,
     pauli_indices,
+    pauli_stack,
     su4_spread_check,
     u_ab,
     validate_cartan_partition,
@@ -244,8 +245,10 @@ def test_criterion_10_su4_spread():
         failures.append("the five sets do not cover the 15 labels")
     if report.gram_defect >= 1e-12:
         failures.append(f"gram defect {report.gram_defect:.3e}")
-    if report.gram_rank != 15:
-        failures.append(f"gram rank {report.gram_rank} != 15")
+    union = [label for triple in report.sets for label in triple]
+    rank = np.linalg.matrix_rank(pauli_stack((2, 2), union).reshape(15, -1))
+    if rank != 15:
+        failures.append(f"gram rank {rank} != 15")
     conclude(10, "su4 spread", failures)
 
 

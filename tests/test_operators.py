@@ -27,6 +27,7 @@ from finiteweyl.operators import (
     trace_gram,
     unitary_defect,
     v_ra_eigenvalue,
+    v_ra_eigenvalue_exponents,
     v_ra_eigenvector,
     v_ra_matrix,
     weyl_pair,
@@ -422,6 +423,16 @@ def test_spectrum_nondegenerate():
                         assert abs(values[i] - values[j]) > 1e-9
 
 
+def test_eigenvalue_exponents_match_the_float_formula():
+    # r = 1 included, which no suite check reads through the exponents
+    for d in range(2, 17):
+        for r, a in product((0, 1), range(d)):
+            exponents = v_ra_eigenvalue_exponents(d, r, a)
+            assert exponents.dtype == np.int64
+            expected = [v_ra_eigenvalue(d, r, a, alpha) for alpha in range(d)]
+            assert max_abs(tau_powers(exponents, d) - expected) < 1e-12
+
+
 @pytest.mark.parametrize(
     "a", [10**20, 10**400, -7, np.int64(-8)], ids=["1e20", "1e400", "-7", "int64(-8)"]
 )
@@ -435,6 +446,8 @@ def test_eigen_pair_reads_an_integer_a_mod_2d(a):
             assert np.array_equal(vec, v_ra_eigenvector(d, 0, a % (2 * d), alpha))
             assert lam == v_ra_eigenvalue(d, 0, a % (2 * d), alpha)
             assert max_abs(v @ vec - lam * vec) < 1e-12
+        exponents = v_ra_eigenvalue_exponents(d, 0, a)
+        assert np.array_equal(exponents, v_ra_eigenvalue_exponents(d, 0, a % (2 * d)))
 
 
 def test_eigenvector_alpha_out_of_range():

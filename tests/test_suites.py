@@ -163,6 +163,66 @@ def test_a_wrong_trace_entry_fails_its_gram_check(monkeypatch, suite, check, cor
     assert check in failing_names(suite())
 
 
+@pytest.mark.parametrize(
+    "clock, passes",
+    [
+        # at d = 4, Z^2 has the eigenvalues +-1 twice each
+        (lambda z: z**2, False),
+        # Z^3 has every 4th root of unity once, as the shift has
+        (lambda z: z**3, True),
+        # tau Z has the same zero traces below k = d, but (tau Z)^d = -I
+        (lambda z: MonomialOperator.from_tau_exponent(z.d, 1, 0, 1), False),
+    ],
+    ids=["Z^2", "Z^3", "tau Z"],
+)
+def test_isospectral_check_counts_multiplicities(monkeypatch, clock, passes):
+    weyl_pair = suites.op_mod.weyl_pair
+
+    def with_other_clock(d):
+        x, z = weyl_pair(d)
+        return x, clock(z)
+
+    monkeypatch.setattr(suites.op_mod, "weyl_pair", with_other_clock)
+    failing = failing_names(suite_weyl(4))
+    assert ("shift_and_clock_isospectral" not in failing) == passes
+
+
+def test_a_repeated_eigenvalue_exponent_fails_the_spectrum_check(monkeypatch):
+    exponents = suites.op_mod.v_ra_eigenvalue_exponents
+
+    def repeated(d, r, a):
+        out = exponents(d, r, a)
+        out[-1] = out[0]
+        return out
+
+    monkeypatch.setattr(suites.op_mod, "v_ra_eigenvalue_exponents", repeated)
+    assert failing_names(suite_weyl(5)) == ["vra_spectrum_nondegenerate"]
+
+
+@pytest.mark.parametrize("corrupt", ["exact", "dense"])
+def test_a_wrong_spread_gram_fails_the_spread_check(monkeypatch, corrupt):
+    if corrupt == "exact":
+        trace_orthogonal = suites.basis_mod.trace_orthogonal
+        monkeypatch.setattr(
+            suites.basis_mod,
+            "trace_orthogonal",
+            lambda dims, labels: dims != (2, 2) and trace_orthogonal(dims, labels),
+        )
+    else:
+        pauli_stack = suites.basis_mod.pauli_stack
+
+        def doubled_identity(dims, labels):
+            out = pauli_stack(dims, labels)
+            if dims == (2, 2):
+                for i, label in enumerate(labels):
+                    if not any(label):
+                        out[i] *= 2
+            return out
+
+        monkeypatch.setattr(suites.basis_mod, "pauli_stack", doubled_identity)
+    assert failing_names(suite_basis(3)) == ["two_qubit_spread"]
+
+
 @pytest.mark.parametrize("d", [2, 5, 6])
 def test_a_wrong_basis_exponent_fails_the_hadamard_column_check(monkeypatch, d):
     table = suites.mub_mod.basis_exponent_table
@@ -350,3 +410,41 @@ def test_run_suite_checks_every_limit_before_any_suite_runs(monkeypatch, name, k
         monkeypatch.setattr(suites, suite, lambda *args, suite=suite: pytest.fail(f"{suite} ran"))
     with pytest.raises(ValueError, match=error):
         run_suite(name, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [("all", dict(d=d)) for d in (2, 3, 4, 12)] + [("basis", dict(d=4, p=2, e=2))],
+)
+def test_every_exact_check_is_a_bool_decided_without_a_float_spectrum(monkeypatch, name, kwargs):
+    # tolerance 0.0 exactly when the check returns a bool, and no exact check
+    # reads an eigen- or singular-value routine
+    run, kinds, exact = suites._run, {}, []
+
+    def refused(routine):
+        def guarded(*args, **kw):
+            assert not exact, f"np.linalg.{routine.__name__} called in {exact[0]}"
+            return routine(*args, **kw)
+
+        return guarded
+
+    for routine in ("eig", "eigvals", "svd", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, routine, refused(getattr(np.linalg, routine)))
+
+    def recording(report, check, tolerance, fn):
+        def kind_recorded():
+            if tolerance == 0.0:
+                exact.append(check)
+            try:
+                result = fn()
+            finally:
+                exact.clear()
+            kinds[check] = (tolerance, isinstance(result, bool))
+            return result
+
+        run(report, check, tolerance, kind_recorded)
+
+    monkeypatch.setattr(suites, "_run", recording)
+    run_suite(name, **kwargs)
+    wrong = {check: kind for check, kind in kinds.items() if (kind[0] == 0.0) != kind[1]}
+    assert kinds and not wrong
