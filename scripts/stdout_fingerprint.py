@@ -173,6 +173,9 @@ COMMANDS = [
     # hs_orthogonality and the two-qubit spread at quarter-turn size
     "verify weyl --d 97",
     "verify all --d 2",
+    # the structure constants, read off the product kernel, at composite
+    # d = 12 ("basis structure --d 16" above pins the table's cap)
+    "basis structure --d 12",
 ]
 
 

@@ -14,11 +14,13 @@ case dims = (d,), so both searches make one search call over the
 positions of `tensor_indices(dims)` and return a `CartanPartition` of
 those dims.
 
-`commutator_table(d)` holds the exponents of `pauli_commutator` for all
-d^4 label pairs: one `CommutatorTable` of int64 tau exponents and target
-label indices.  Exact verdicts read the exponents; its `coefficients`
-method turns them into the complex commutator coefficients through
-`phases.tau_powers`, bit for bit as `pauli_commutator` does.
+`commutator_table(d)` holds the exponents of u_i u_j and u_j u_i for all
+d^4 label pairs, read off `operators.monomial_mul_array` as
+`pauli_commutator` reads one pair: one `CommutatorTable` of int64 tau
+exponents and target label indices.  Exact verdicts read the exponents;
+its `coefficients` method turns them into the complex commutator
+coefficients through `phases.tau_powers`, bit for bit as
+`pauli_commutator` does.
 `tensor_commutation_table(dims, labels)` holds
 the symplectic form of every label pair; `tensor_indices_commute` reads
 one pair off it.  Both searches read their commutation graph
@@ -31,7 +33,8 @@ matrices off them.  All three read labels as one checked (n, 2e)
 int64 array, n = 0 allowed, and name a label of another length in their
 error.  Every trace pairing, `hs_orthogonality` over the d^2 labels and
 the Gram of the spread included, is decided by `trace_orthogonal`: the
-integer `operators.trace_gram` of those rows is exactly prod(dims) I.
+integer `operators.trace_gram` of those rows, one modulus d_k per
+factor, is exactly prod(dims) I.
 The digits of a label run over
 `label_moduli(dims)`; the text form of a label is `serialize`'s.
 """
@@ -46,7 +49,7 @@ from types import EllipsisType
 import numpy as np
 
 from .limits import check_dense, check_search, check_structure_table, check_tensor
-from .operators import MonomialOperator, residual_norm, trace_gram
+from .operators import MonomialOperator, monomial_mul_array, residual_norm, trace_gram
 from .phases import PhaseExponent, tau_powers
 from .search import find_commuting_partition
 
@@ -68,15 +71,14 @@ def pauli_indices(d: int, include_identity: bool = False) -> list[PauliIndex]:
 def pauli_commutator(
     d: int, ab: PauliIndex, ab2: PauliIndex, sign: str = "-"
 ) -> tuple[complex, PauliIndex]:
-    """[u_ab, u_a'b']_-+ = (q^(-ba') -+ q^(-ab')) u_(a+a', b+b')."""
+    """[u_ab, u_a'b']_-+ = (q^(-ba') -+ q^(-ab')) u_(a+a', b+b'), from u u' and u' u."""
     if sign not in ("-", "+"):
         raise ValueError(f"sign must be '-' or '+', got {sign!r}")
-    (a, b), (a2, b2) = ab, ab2
-    first = PhaseExponent.q_power(-b * a2, d).to_complex()
-    second = PhaseExponent.q_power(-a * b2, d).to_complex()
+    rows = pauli_rows((d,), [ab, ab2])[:, 0]
+    products = monomial_mul_array(rows, rows[::-1], d)
+    first, second = (PhaseExponent(t, d).to_complex() for t in products[:, 0].tolist())
     coeff = first - second if sign == "-" else first + second
-    target = ((a + a2) % d, (b + b2) % d)
-    return coeff, target
+    return coeff, tuple(products[0, 1:].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +92,8 @@ class CommutatorTable:
     """
 
     d: int
-    first: np.ndarray  # (-2ba') mod 2d
-    second: np.ndarray  # (-2ab') mod 2d
+    first: np.ndarray  # (-2ba') mod 2d, the exponent of u_i u_j
+    second: np.ndarray  # (-2ab') mod 2d, the exponent of u_j u_i
     target: np.ndarray
 
     def coefficients(self, index: int | EllipsisType = ...) -> np.ndarray:
@@ -106,15 +108,13 @@ class CommutatorTable:
 
 
 def commutator_table(d: int) -> CommutatorTable:
-    """The exponents and targets of `pauli_commutator` for all d^4 label pairs."""
+    """The exponents and targets of u_i u_j and u_j u_i by `monomial_mul_array`, all d^4 pairs."""
     check_structure_table(d)
-    a, b = np.divmod(np.arange(d * d, dtype=np.int64), d)
-    return CommutatorTable(
-        d=d,
-        first=(-2 * np.outer(b, a)) % (2 * d),
-        second=(-2 * np.outer(a, b)) % (2 * d),
-        target=((a[:, None] + a) % d) * d + (b[:, None] + b) % d,
-    )
+    rows = pauli_rows((d,), pauli_indices(d, include_identity=True))[:, 0]
+    uv = monomial_mul_array(rows[:, None], rows[None], d)
+    vu = monomial_mul_array(rows[None], rows[:, None], d)
+    # copies, so that the two (d^2, d^2, 3) products are freed on return
+    return CommutatorTable(d, uv[..., 0].copy(), vu[..., 0].copy(), uv[..., 1] * d + uv[..., 2])
 
 
 def hs_orthogonality(d: int) -> bool:
@@ -123,8 +123,8 @@ def hs_orthogonality(d: int) -> bool:
 
 
 def trace_orthogonal(dims: tuple[int, ...], labels: list[tuple]) -> bool:
-    """Whether Tr(u_i^dagger u_j) = prod(dims) delta_ij exactly, for labels of equal-d factors."""
-    exponents, scalar = trace_gram(pauli_rows(dims, labels), dims[0])
+    """Whether Tr(u_i^dagger u_j) = prod(dims) delta_ij exactly, by `trace_gram` over dims."""
+    exponents, scalar = trace_gram(pauli_rows(dims, labels), dims)
     diagonal = np.eye(len(labels), dtype=bool)
     return bool(np.array_equal(scalar, diagonal) and not exponents[diagonal].any())
 

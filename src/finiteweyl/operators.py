@@ -12,13 +12,14 @@ nonzero entry per column, namely tau^(t+2ck) at row (k-b) mod d.  Products,
 adjoints, traces and determinants of monomials are computed in integer
 arithmetic.  On int arrays of (t, shift, clock) rows, `monomial_mul_array`,
 `monomial_adjoint_array` and `monomial_trace_array` are the product,
-adjoint and trace, and `trace_gram` pairs rows by Tr(u^dagger v).  They
-are the one implementation of each law: `monomial_mul`,
-`MonomialOperator.adjoint` and `trace_exact` read them on the monomial's
-own row.  Every exact phase, the entries of the Fourier matrix included,
-goes through `phases.tau_powers` or `PhaseExponent.to_complex`; only
-phases with real parameters (v_ra for real r and a, the ladder matrices)
-are formed here directly.
+adjoint and trace, and `trace_gram` pairs rows by Tr(u^dagger v); each
+takes one d or one d_k per tensor factor.  They are the one
+implementation of each law: `monomial_mul`, `MonomialOperator.adjoint`,
+`trace_exact` and the commutators of `basis` read them on their rows.
+Every exact phase, the entries of the Fourier matrix included, goes
+through `phases.tau_powers` or `PhaseExponent.to_complex`; only phases
+with real parameters (v_ra for real r and a, the ladder matrices) are
+formed here directly.
 """
 
 from __future__ import annotations
@@ -131,42 +132,49 @@ def monomial_mul(u: MonomialOperator, v: MonomialOperator) -> MonomialOperator:
     return _from_row(monomial_mul_array(_row(u), _row(v), u.d), u.d)
 
 
-def monomial_mul_array(u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+def monomial_mul_array(u: np.ndarray, v: np.ndarray, d: int | tuple[int, ...]) -> np.ndarray:
     """The product of (..., 3) int arrays of (t, shift, clock), broadcast.
 
     The reordering rule Z^c X^b = q^(-cb) X^b Z^c gives the exponent
     t + t' - 2 clock shift', reduced mod 2d, and the powers mod d, as
-    `PhaseExponent` and `MonomialOperator` reduce them.
+    `PhaseExponent` and `MonomialOperator` reduce them.  Here and in the
+    adjoint and trace kernels d is an int or one modulus d_k per tensor
+    factor, broadcast over the factor axis of (..., e, 3) rows.
     """
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     out = u + v
     out[..., 0] -= 2 * u[..., 2] * v[..., 1]
-    out %= (2 * d, d, d)
+    out %= np.multiply.outer(d, (2, 1, 1))
     return out
 
 
-def monomial_adjoint_array(u: np.ndarray, d: int) -> np.ndarray:
+def monomial_adjoint_array(u: np.ndarray, d: int | tuple[int, ...]) -> np.ndarray:
     """The adjoint of (..., 3) rows, reordered Z^-c X^-b -> tau^(-t - 2bc) X^-b Z^-c, reduced."""
     u = np.asarray(u, dtype=np.int64)
     out = -u
     out[..., 0] -= 2 * u[..., 1] * u[..., 2]
-    out %= (2 * d, d, d)
+    out %= np.multiply.outer(d, (2, 1, 1))
     return out
 
 
-def monomial_trace_array(u: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exact trace of (..., e, 3) rows, the e factors of a tensor product of dimension d^e.
+def monomial_trace_array(
+    u: np.ndarray, d: int | tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact trace of (..., e, 3) rows, the e factors of a tensor product.
 
     Returns (exponents, scalar): where every factor has shift and clock 0
-    the trace is d^e tau^exponent, the factor exponents summed mod 2d;
-    elsewhere it is 0 and the exponent is meaningless.
+    the trace is prod(d_k) tau_L^exponent, tau_L = exp(i pi / L) with
+    L = lcm(d_k), factor k's exponent weighted by L / d_k and the sum taken
+    mod 2L (mod 2d for an int d); elsewhere it is 0 and the exponent is
+    meaningless.
     """
     u = np.asarray(u, dtype=np.int64)
     scalar = ((u[..., 1] % d == 0) & (u[..., 2] % d == 0)).all(axis=-1)
-    return u[..., 0].sum(axis=-1) % (2 * d), scalar
+    lcm = np.lcm.reduce(d, axis=None)
+    return (u[..., 0] * (lcm // np.asarray(d))).sum(axis=-1) % (2 * lcm), scalar
 
 
-def trace_gram(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+def trace_gram(rows: np.ndarray, d: int | tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """`monomial_trace_array` of u_i^dagger u_j, at [i, j], for every pair of (n, e, 3) rows."""
     rows = np.asarray(rows, dtype=np.int64)
     products = monomial_mul_array(monomial_adjoint_array(rows, d)[:, None], rows[None], d)

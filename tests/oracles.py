@@ -13,8 +13,10 @@ to, one element, label or pair at a time:
 - u(d): the commutation test ab' - ba' = 0 (mod d) of two labels and of
   two tensor labels (the sum of (a_k b'_k - b_k a'_k)/d_k integral, in
   `Fraction`s), the exponents of the two coefficients q^(-ba') and
-  q^(-ab') of their (anti)commutator, and the factors u_(a_k b_k) of a
-  tensor label;
+  q^(-ab') of their (anti)commutator, the same exponents and the target
+  label for every pair at once in closed form (the table
+  `basis.commutator_table` reads off the product kernel), and the
+  factors u_(a_k b_k) of a tensor label;
 - the literal residual of F = (H_0 S)^dagger, acceptance criterion 05,
   which fails by design.
 """
@@ -24,6 +26,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from finiteweyl.basis import u_ab
 from finiteweyl.group import PdElement, PdKey
@@ -208,6 +212,16 @@ def commutator_coefficient_exponents(
     """The pair (q^(-ba'), q^(-ab')) entering the (anti)commutator."""
     (a, b), (a2, b2) = ab, ab2
     return PhaseExponent.q_power(-b * a2, d), PhaseExponent.q_power(-a * b2, d)
+
+
+def commutator_table_closed_form(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(-2ba', -2ab') mod 2d and the index of (a + a', b + b') mod d, label (a, b) at a*d + b."""
+    a, b = np.divmod(np.arange(d * d, dtype=np.int64), d)
+    return (
+        (-2 * np.outer(b, a)) % (2 * d),
+        (-2 * np.outer(a, b)) % (2 * d),
+        ((a[:, None] + a) % d) * d + (b[:, None] + b) % d,
+    )
 
 
 def tensor_factors(dims: tuple[int, ...], label: tuple) -> tuple[MonomialOperator, ...]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import commutator, max_abs
+from conftest import commutator, max_abs, mixed_dims, patch_kernel_mutant
 import finiteweyl.basis as basis_mod
 from finiteweyl.basis import (
     TWO_QUBIT_SPREAD,
@@ -20,6 +20,7 @@ from finiteweyl.basis import (
     commutator_table,
     commuting_class_search,
     hs_orthogonality,
+    label_moduli,
     partition_dense_commutation_defect,
     pauli_commutator,
     pauli_indices,
@@ -29,6 +30,7 @@ from finiteweyl.basis import (
     tensor_commutation_table,
     tensor_indices,
     tensor_indices_commute,
+    trace_orthogonal,
     u_ab,
     validate_cartan_partition,
 )
@@ -40,6 +42,7 @@ from finiteweyl.suites import suite_basis
 from finiteweyl.search import find_commuting_partition
 from oracles import (
     commutator_coefficient_exponents,
+    commutator_table_closed_form,
     indices_commute,
     tensor_factors,
     tensor_labels_commute,
@@ -126,9 +129,58 @@ def test_structure_table():
         commutator_table(17)
 
 
+def test_commutator_table_is_the_closed_form():
+    # the table is read off two products of the kernel; the oracle states the law itself
+    for d in range(2, 17):
+        table = commutator_table(d)
+        arrays = (table.first, table.second, table.target)
+        for got, expected in zip(arrays, commutator_table_closed_form(d)):
+            assert got.dtype == np.int64 and np.array_equal(got, expected), d
+
+
+def test_a_flipped_reordering_sign_fails_the_closed_form_table(monkeypatch):
+    patch_kernel_mutant(monkeypatch, "flipped_reordering_sign")
+    with pytest.raises(AssertionError):
+        test_commutator_table_is_the_closed_form()
+
+
 def test_hs_orthogonality():
     for d in range(2, 17):
         assert hs_orthogonality(d) is True
+
+
+def full_label_set(dims: tuple[int, ...]) -> list[tuple]:
+    """The identity, then every other label of dims."""
+    return [(0,) * (2 * len(dims)), *tensor_indices(dims)]
+
+
+def test_trace_orthogonal_over_mixed_dims():
+    for dims in ((2, 3), (3, 2), (2, 2, 3), (4, 3), (3, 5), (2, 9)):
+        labels = full_label_set(dims)
+        assert trace_orthogonal(dims, labels) is True, dims
+        assert trace_orthogonal(dims, [*labels, labels[5]]) is False
+        # the last label replaced by label 5 in disguise: one digit raised by its d_k
+        for position, modulus in enumerate(label_moduli(dims)):
+            disguised = list(labels[5])
+            disguised[position] += modulus
+            assert trace_orthogonal(dims, [*labels[:-1], tuple(disguised)]) is False
+
+
+@pytest.mark.parametrize("mutant", ["first_factor_modulus", "flipped_reordering_sign"])
+def test_a_kernel_mutant_fails_the_mixed_trace_orthogonality(monkeypatch, mutant):
+    patch_kernel_mutant(monkeypatch, mutant)
+    with pytest.raises(AssertionError):
+        test_trace_orthogonal_over_mixed_dims()
+
+
+def test_mixed_trace_gram_matches_the_dense_gram():
+    # exponents in Z_2L, L = lcm(dims), read as powers of tau_L
+    for dims in mixed_dims(18):
+        labels = full_label_set(dims)
+        exponents, scalar = trace_gram(pauli_rows(dims, labels), dims)
+        exact = np.where(scalar, math.prod(dims) * tau_powers(exponents, math.lcm(*dims)), 0)
+        stack = pauli_stack(dims, labels).reshape(len(labels), -1)
+        assert max_abs(exact - stack.conj() @ stack.T) <= 1e-14, dims
 
 
 def assert_table_matches_scalar_forms(d, pairs):
@@ -639,7 +691,7 @@ def test_tensor_trace_gram():
         labels = tensor_indices(dims)[:10] + [(0,) * (2 * len(dims))]
         rows = pauli_rows(dims, labels)
         assert rows.shape == (len(labels), len(dims), 3) and rows.dtype == np.int64
-        exponents, scalar = trace_gram(rows, dims[0])
+        exponents, scalar = trace_gram(rows, dims)
         assert np.array_equal(scalar, np.eye(len(labels), dtype=bool))
         assert not np.diagonal(exponents).any()
 
@@ -650,7 +702,7 @@ def test_tensor_trace_gram_matches_dense():
         labels = tensor_indices(dims)
         for _ in range(100):
             pair = [rng.choice(labels), rng.choice(labels)]
-            exponents, scalar = trace_gram(pauli_rows(dims, pair), dims[0])
+            exponents, scalar = trace_gram(pauli_rows(dims, pair), dims)
             u, v = (label_matrix(dims, idx) for idx in pair)
             entry = math.prod(dims) * tau_powers(exponents[0, 1], dims[0]) if scalar[0, 1] else 0j
             assert abs(entry - np.trace(u.conj().T @ v)) < 1e-10

@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from conftest import commutator, max_abs
+from conftest import commutator, max_abs, mixed_dims, patch_kernel_mutant
+import finiteweyl.operators as op_mod
 from finiteweyl.operators import (
     MonomialOperator,
     fourier_matrix,
@@ -329,6 +330,57 @@ def test_trace_gram_entries_are_the_pairwise_traces():
             entry = d * tau_powers(exponents[i, j], d) if scalar[i, j] else 0j
             dense = np.trace(u.to_matrix().conj().T @ v.to_matrix())
             assert abs(entry - dense) < 1e-10
+
+
+def test_kernels_match_dense_over_mixed_dims():
+    # a tensor row's dense matrix is the Kronecker product of its factors' matrices, so a
+    # product or adjoint is the dense one when every factor is, and its trace is the product
+    # of the factors' traces; the kernels are read through the module, so that a patched
+    # kernel is the one tested
+    rng = np.random.default_rng(59)
+    for dims in mixed_dims(36):
+        moduli = np.multiply.outer(dims, (2, 1, 1))
+        u, v = rng.integers(0, moduli, (2, 500, len(dims), 3))
+        # half the rows scalar, so that half the traces are not 0
+        u[::2, :, 1:] = 0
+        products = op_mod.monomial_mul_array(u, v, dims)
+        adjoints = op_mod.monomial_adjoint_array(u, dims)
+        for out in (products, adjoints):
+            assert ((0 <= out) & (out < moduli)).all(), dims
+        dense_traces = np.ones(len(u), dtype=complex)
+        for k, d in enumerate(dims):
+            mu, mv = row_matrices(u[:, k], d), row_matrices(v[:, k], d)
+            assert max_abs(row_matrices(products[:, k], d) - mu @ mv) < 1e-12, dims
+            assert max_abs(row_matrices(adjoints[:, k], d) - mu.conj().swapaxes(-2, -1)) < 1e-12
+            dense_traces *= np.trace(mu, axis1=-2, axis2=-1)
+        # tau_L^exponent with L = lcm(dims): factor k's tau is tau_L^(L / d_k)
+        exponents, scalar = op_mod.monomial_trace_array(u, dims)
+        traces = np.where(scalar, math.prod(dims) * tau_powers(exponents, math.lcm(*dims)), 0)
+        assert max_abs(traces - dense_traces) < 1e-12, dims
+        # unreduced rows read as their reduced factors
+        offsets = moduli * rng.integers(-3, 4, u.shape)
+        assert np.array_equal(op_mod.monomial_mul_array(u + offsets, v - offsets, dims), products)
+
+
+def test_equal_moduli_per_factor_read_as_one_int_modulus():
+    rng = np.random.default_rng(61)
+    for d, e in ((2, 3), (3, 2), (12, 1)):
+        u, v = rng.integers(-4 * d, 4 * d, (2, 50, e, 3))
+        per_factor = (d,) * e
+        assert np.array_equal(monomial_mul_array(u, v, d), monomial_mul_array(u, v, per_factor))
+        assert np.array_equal(monomial_adjoint_array(u, d), monomial_adjoint_array(u, per_factor))
+        for kernel in (monomial_trace_array, trace_gram):
+            for by_int, by_factor in zip(kernel(u, d), kernel(u, per_factor)):
+                assert np.array_equal(by_int, by_factor)
+
+
+@pytest.mark.parametrize(
+    "mutant", ["unweighted_trace", "first_factor_modulus", "flipped_reordering_sign"]
+)
+def test_a_mixed_kernel_mutant_fails_the_dense_comparison(monkeypatch, mutant):
+    patch_kernel_mutant(monkeypatch, mutant)
+    with pytest.raises(AssertionError):
+        test_kernels_match_dense_over_mixed_dims()
 
 
 def test_monomial_determinant():

@@ -90,7 +90,7 @@ class KernelRefused(Exception):
 
 
 def _single_element_calls():
-    from finiteweyl.basis import tensor_indices_commute
+    from finiteweyl.basis import commutator_table, pauli_commutator, tensor_indices_commute
     from finiteweyl.group import PdElement, pd_centralizer_size
     from finiteweyl.operators import MonomialOperator, monomial_mul
 
@@ -107,6 +107,10 @@ def _single_element_calls():
         ("group", "pd_compose_array"): [lambda: g.compose(h)],
         ("group", "pd_inverse_array"): [g.inverse],
         ("group", "pd_centralizer_sizes"): [lambda: pd_centralizer_size(g)],
+        ("basis", "monomial_mul_array"): [
+            lambda: pauli_commutator(3, (1, 0), (0, 1), "-"),
+            lambda: commutator_table(3),
+        ],
         ("basis", "tensor_commutation_table"): [
             lambda: tensor_indices_commute((2, 2), (1, 0, 0, 1), (0, 1, 1, 0))
         ],
