@@ -176,6 +176,13 @@ COMMANDS = [
     # the structure constants, read off the product kernel, at composite
     # d = 12 ("basis structure --d 16" above pins the table's cap)
     "basis structure --d 12",
+    # the dense rechecks that form each Pauli product once, at odd and even
+    # d past the partition search cap, and that stack the random monomials
+    # in chunks of about 2^15 entries
+    "verify basis --d 13",
+    "verify basis --d 14",
+    "verify weyl --d 16",
+    "verify weyl --d 31",
 ]
 
 

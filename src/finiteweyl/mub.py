@@ -11,10 +11,11 @@ into one symmetric matrix, each as its own dense float product B_i^H B_j,
 but made in blocks of UNBIASEDNESS_BLOCK bases per GEMM.  It does not use
 the fact that the overlaps of two eigenbases depend only on the difference
 of their labels, so it stays an independent float recheck of that
-structure.  The blocks run as tasks on a thread pool, one worker per
-usable CPU when BLAS is confined to one thread (OPENBLAS_NUM_THREADS=1, as
-the CLI sets it) and one worker otherwise, and a pair's deviation comes
-from the largest and smallest magnitude of its product alone.
+structure.  A family of one block runs it on the calling thread; more
+blocks run as tasks on a thread pool, one worker per usable CPU when BLAS
+is confined to one thread (OPENBLAS_NUM_THREADS=1, as the CLI sets it) and
+one worker otherwise.  A pair's deviation comes from the largest and
+smallest magnitude of its product alone.
 """
 
 from __future__ import annotations
@@ -139,11 +140,13 @@ def pairwise_deviations(bases: list[OrthonormalBasis]) -> np.ndarray:
     multiplies each later basis in one GEMM.  Row slice i of that product
     is B_i^H B_j, entry (i, j) for i < j; the lower triangle mirrors it.
 
-    A block is one task on a thread pool and writes only its own rows of
-    the upper triangle.  The pool has one worker per usable CPU when
-    OPENBLAS_NUM_THREADS is "1" (the CLI's default), so the blocks, not
-    BLAS, use the cores; otherwise it has one worker, which leaves the
-    cores to a threaded BLAS.  Every GEMM has the same shape either way.
+    A block writes only its own rows of the upper triangle.  A family of
+    at most UNBIASEDNESS_BLOCK + 1 bases is one block, which runs on the
+    calling thread; with more blocks, each is one task on a thread pool.
+    The pool has one worker per usable CPU when OPENBLAS_NUM_THREADS is
+    "1" (the CLI's default), so the blocks, not BLAS, use the cores;
+    otherwise it has one worker, which leaves the cores to a threaded BLAS.
+    Every GEMM has the same shape either way.
     A pair's deviation is read off the largest and smallest magnitude of
     its product, as max(hi - c, c - lo) with c = 1/sqrt(d): fl(x - c) is
     monotone in x, so this is max |fl(|z| - c)| exactly.
@@ -151,15 +154,19 @@ def pairwise_deviations(bases: list[OrthonormalBasis]) -> np.ndarray:
     n = len(bases)
     if any(b.d != bases[0].d for b in bases):
         raise ValueError("dimension mismatch in the family")
-    # loaded here: only the requests that measure a family pay for the import
-    from concurrent.futures import ThreadPoolExecutor
-
     table = np.full((n, n), np.nan)  # a pair the blocks missed stays NaN
     np.fill_diagonal(table, 0.0)
-    with ThreadPoolExecutor(_pool_workers()) as pool:
-        blocks = range(0, n - 1, UNBIASEDNESS_BLOCK)
-        for done in [pool.submit(_block_deviations, bases, start, table) for start in blocks]:
-            done.result()
+    blocks = range(0, n - 1, UNBIASEDNESS_BLOCK)
+    if len(blocks) > 1:
+        # loaded here: only the requests that measure several blocks pay for the import
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(_pool_workers()) as pool:
+            for done in [pool.submit(_block_deviations, bases, start, table) for start in blocks]:
+                done.result()
+    else:
+        for start in blocks:
+            _block_deviations(bases, start, table)
     lower = np.tril_indices(n, -1)
     table[lower] = table.T[lower]
     return table

@@ -16,10 +16,13 @@ adjoint and trace, and `trace_gram` pairs rows by Tr(u^dagger v); each
 takes one d or one d_k per tensor factor.  They are the one
 implementation of each law: `monomial_mul`, `MonomialOperator.adjoint`,
 `trace_exact` and the commutators of `basis` read them on their rows.
-Every exact phase, the entries of the Fourier matrix included, goes
-through `phases.tau_powers` or `PhaseExponent.to_complex`; only phases
-with real parameters (v_ra for real r and a, the ladder matrices) are
-formed here directly.
+`monomial_matrix_array` is the array form of `to_matrix`, the dense
+matrices of many rows in one `tau_powers` scatter; `to_matrix` keeps its
+per-entry `to_complex` loop until the benchmark stops counting those calls
+(ROADMAP item 18(b)).  Every exact phase, the entries of the Fourier
+matrix included, goes through `phases.tau_powers` or
+`PhaseExponent.to_complex`; only phases with real parameters (v_ra for
+real r and a, the ladder matrices) are formed here directly.
 """
 
 from __future__ import annotations
@@ -123,6 +126,19 @@ def _from_row(row: np.ndarray, d: int) -> MonomialOperator:
     """The monomial of a (t, shift, clock) row, its fields Python ints."""
     t, shift, clock = row.tolist()
     return MonomialOperator(PhaseExponent(t, d), shift, clock)
+
+
+def monomial_matrix_array(rows: np.ndarray, d: int) -> np.ndarray:
+    """The dense matrices of (..., 3) rows, tau^(t + 2ck) at row (k - b) mod d of column k.
+
+    The array form of `MonomialOperator.to_matrix`, equal to it byte for
+    byte: one `tau_powers` scatter, whose table is built from `to_complex`.
+    """
+    t, b, c = np.moveaxis(np.asarray(rows, dtype=np.int64)[..., None, None, :], -1, 0)
+    k = np.arange(d)
+    mats = np.zeros((*t.shape[:-2], d, d), dtype=complex)
+    np.put_along_axis(mats, (k - b) % d, tau_powers(t + 2 * c * k, d), axis=-2)
+    return mats
 
 
 def monomial_mul(u: MonomialOperator, v: MonomialOperator) -> MonomialOperator:

@@ -356,22 +356,37 @@ def suite_weyl(d: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> Verification
 
     _run(report, "weyl_pair_relations_exact", 0.0, weyl_relations)
 
-    def random_monomial() -> op_mod.MonomialOperator:
-        return op_mod.MonomialOperator.from_tau_exponent(
-            d, rng.randrange(2 * d), rng.randrange(d), rng.randrange(d)
-        )
+    def random_row() -> tuple[int, int, int]:
+        # the (t, shift, clock) of a random monomial, drawn in that order
+        return rng.randrange(2 * d), rng.randrange(d), rng.randrange(d)
+
+    def monomial(row: tuple[int, int, int]) -> op_mod.MonomialOperator:
+        return op_mod.MonomialOperator.from_tau_exponent(d, *row)
+
+    def dense_chunks(rows: np.ndarray) -> Iterator[np.ndarray]:
+        # the (n, m, 3) rows' monomial matrices, about 2^15 complex entries at a time
+        step = max(1, 2**15 // (rows.shape[1] * d * d))
+        for start in range(0, len(rows), step):
+            yield op_mod.monomial_matrix_array(rows[start : start + step], d)
 
     def monomial_vs_dense() -> float:
-        pairs = ((random_monomial(), random_monomial()) for _ in range(300))
+        # rows of u, v and u v, the product by monomial_mul, pair by pair
+        triples = []
+        for _ in range(300):
+            u, v = random_row(), random_row()
+            uv = op_mod.monomial_mul(monomial(u), monomial(v))
+            triples.append((u, v, (uv.phase.t, uv.shift, uv.clock)))
         return op_mod.residual_norm(
-            u.to_matrix() @ v.to_matrix() - op_mod.monomial_mul(u, v).to_matrix() for u, v in pairs
+            mats[:, 0] @ mats[:, 1] - mats[:, 2] for mats in dense_chunks(np.array(triples))
         )
 
     _run(report, "monomial_product_matches_dense", 1e-12, monomial_vs_dense)
 
     def monomial_unitary() -> float:
+        rows = np.array([[random_row()] for _ in range(100)])
         return op_mod.residual_norm(
-            op_mod.unitary_defect(random_monomial().to_matrix()) for _ in range(100)
+            mats[:, 0].conj().swapaxes(-2, -1) @ mats[:, 0] - np.eye(d)
+            for mats in dense_chunks(rows)
         )
 
     _run(report, "monomials_unitary", 1e-12, monomial_unitary)
@@ -609,24 +624,45 @@ def suite_basis(
     _run(report, "odd_dimension_special_unitary", 0.0, determinants)
 
     def structure_closure() -> float:
-        # dense products, one whole row of label pairs at a time, in two work
-        # arrays of d^4 numbers reused for every row (the magnitudes go to the
-        # real parts of the spent one): an independent float recheck of the
-        # exact table
-        def row_maxima():
-            mats = basis_mod.pauli_stack((d,), labels)
-            defect, work = np.empty_like(mats), np.empty_like(mats)
-            for i, left in enumerate(mats):
-                np.matmul(left, mats, out=defect)
-                defect -= np.matmul(mats, left, out=work)
-                # the targets are in range; mode="clip" only spares take's buffered copy
-                expected = np.take(mats, table.target[i], axis=0, out=work, mode="clip")
-                # coefficient first: numpy's c * M and M * c can differ in the last bit
-                coefficients = table.coefficients(i)[:, None, None]
-                defect -= np.multiply(coefficients, expected, out=expected)
-                yield np.max(np.abs(defect, out=work.real))
+        # dense products, an independent float recheck of the exact table:
+        # row i forms u_i u_j and u_j u_i once, for the labels j >= i, and
+        # checks [u_i, u_j] and [u_j, u_i] against their own table entries.
+        # The later labels come in at most two slices, so the three work
+        # arrays hold half the labels each
+        mats = basis_mod.pauli_stack((d,), labels)
+        n = len(mats)
+        step = (n + 1) // 2
+        commutators, work = np.empty_like(mats[:step]), np.empty_like(mats[:step])
+        magnitudes = np.empty(work.shape)
 
-        return op_mod.residual_norm(row_maxima())
+        def deviation(commutator: np.ndarray, index: tuple, combine: np.ufunc) -> float:
+            # |combine(commutator, coefficient u_target)| over the table entries at index
+            size = len(commutator)
+            # the targets are in range; mode="clip" only spares take's buffered copy
+            expected = np.take(mats, table.target[index], axis=0, out=work[:size], mode="clip")
+            # coefficient first: numpy's c * M and M * c can differ in the last bit
+            coefficients = table.coefficients(index)[:, None, None]
+            residual = combine(
+                commutator, np.multiply(coefficients, expected, out=expected), out=expected
+            )
+            return np.max(np.abs(residual, out=magnitudes[:size]), initial=0.0)
+
+        def slice_maxima():
+            for i, left in enumerate(mats):
+                for start in range(i, n, step):
+                    later = slice(start, min(start + step, n))
+                    size = later.stop - start
+                    commutator = np.matmul(left, mats[later], out=commutators[:size])
+                    commutator -= np.matmul(mats[later], left, out=work[:size])
+                    yield deviation(commutator, (i, later), np.subtract)
+                    # fl(-x - y) = -fl(x + y), so [u_j, u_i] - c u_k, formed as
+                    # -[u_i, u_j] - c u_k, has the magnitudes of the sum; the
+                    # pair (i, i) was read above
+                    skip = int(start == i)
+                    index = (slice(start + skip, later.stop), i)
+                    yield deviation(commutator[skip:], index, np.add)
+
+        return op_mod.residual_norm(slice_maxima())
 
     _run(report, "structure_constants_close_dense_commutators", 1e-12, structure_closure)
     # built after the dense recheck, which keeps it off that check's peak memory

@@ -18,21 +18,34 @@ to, one element, label or pair at a time:
   `basis.commutator_table` reads off the product kernel), and the
   factors u_(a_k b_k) of a tensor label;
 - the literal residual of F = (H_0 S)^dagger, acceptance criterion 05,
-  which fails by design.
+  which fails by design;
+- the float rechecks in the form that makes every dense matrix and
+  product on its own: the structure constants against dense commutators,
+  two GEMMs per row of label pairs, and the weyl suite's monomial products
+  and unitarity, one `to_matrix` per monomial.  The suites' checks make
+  each product once and stack the monomials, and must return the same
+  float.
 """
 
 from __future__ import annotations
 
+import random
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from finiteweyl.basis import u_ab
+from finiteweyl.basis import commutator_table, pauli_indices, pauli_stack, u_ab
 from finiteweyl.group import PdElement, PdKey
 from finiteweyl.mub import hadamard_h_a, s_permutation
-from finiteweyl.operators import MonomialOperator, fourier_matrix, monomial_mul, residual_norm
+from finiteweyl.operators import (
+    MonomialOperator,
+    fourier_matrix,
+    monomial_mul,
+    residual_norm,
+    unitary_defect,
+)
 from finiteweyl.phases import PhaseExponent
 
 PauliIndex = tuple[int, int]
@@ -239,3 +252,49 @@ def fourier_hadamard_residual(d: int) -> float:
     h0 = hadamard_h_a(d, 0).to_matrix()
     candidate = (h0 @ s_permutation(d)).conj().T
     return residual_norm([fourier_matrix(d) - candidate])
+
+
+# ---------------------------------------------------------------------------
+# Float rechecks
+# ---------------------------------------------------------------------------
+
+
+def structure_closure_per_row(d: int) -> float:
+    """`structure_constants_close_dense_commutators` with both products in every row.
+
+    Row i forms u_i u_j and u_j u_i for every j, so each product is made
+    twice, once in row i and once in row j, and compares the commutator
+    with the table's coefficient times u_target.
+    """
+    table = commutator_table(d)
+    mats = pauli_stack((d,), pauli_indices(d, include_identity=True))
+    defect, work = np.empty_like(mats), np.empty_like(mats)
+    maxima = []
+    for i, left in enumerate(mats):
+        np.matmul(left, mats, out=defect)
+        defect -= np.matmul(mats, left, out=work)
+        expected = np.take(mats, table.target[i], axis=0, out=work, mode="clip")
+        defect -= np.multiply(table.coefficients(i)[:, None, None], expected, out=expected)
+        maxima.append(np.max(np.abs(defect, out=work.real)))
+    return residual_norm(maxima)
+
+
+def monomial_checks_per_pair(d: int) -> tuple[float, float]:
+    """`monomial_product_matches_dense` and `monomials_unitary`, one `to_matrix` per monomial.
+
+    The draws are the weyl suite's: seed 23, 300 pairs (u, v), then 100
+    monomials, each drawn as (t, shift, clock).
+    """
+    rng = random.Random(23)
+
+    def random_monomial() -> MonomialOperator:
+        return MonomialOperator.from_tau_exponent(
+            d, rng.randrange(2 * d), rng.randrange(d), rng.randrange(d)
+        )
+
+    pairs = [(random_monomial(), random_monomial()) for _ in range(300)]
+    products = residual_norm(
+        u.to_matrix() @ v.to_matrix() - monomial_mul(u, v).to_matrix() for u, v in pairs
+    )
+    unitary = residual_norm(unitary_defect(random_monomial().to_matrix()) for _ in range(100))
+    return products, unitary

@@ -1,5 +1,6 @@
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -262,6 +263,28 @@ def test_blocks_on_the_pool_equal_a_one_worker_run_bit_for_bit(monkeypatch, buil
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(pooled, one_worker)
+
+
+def test_a_one_block_family_runs_on_the_calling_thread():
+    # minimal_triple is one block: no pool, not even the import of one
+    code = (
+        "import sys, threading\n"
+        "from finiteweyl import mub\n"
+        "block, seen = mub._block_deviations, []\n"
+        "def recording(*args):\n"
+        "    seen.append((threading.current_thread() is threading.main_thread(),"
+        " threading.active_count()))\n"
+        "    return block(*args)\n"
+        "mub._block_deviations = recording\n"
+        "mub.pairwise_deviations(mub.minimal_triple(12))\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count(), seen)\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False 1 [(True, 1)]\n"
 
 
 def test_pairwise_deviations_rejects_mixed_dimensions():

@@ -19,6 +19,7 @@ from finiteweyl.operators import (
     jz_matrix,
     ladder_matrices,
     monomial_adjoint_array,
+    monomial_matrix_array,
     monomial_mul,
     monomial_mul_array,
     monomial_trace_array,
@@ -102,29 +103,27 @@ def every_monomial(d: int) -> list[MonomialOperator]:
     ]
 
 
-def row_matrices(rows, d: int) -> np.ndarray:
-    """The dense matrices of (..., 3) rows, tau^(t + 2ck) at row (k - b) mod d of column k."""
-    t, b, c = np.moveaxis(np.asarray(rows, dtype=np.int64)[..., None, None, :], -1, 0)
-    k = np.arange(d)
-    mats = np.zeros((*t.shape[:-2], d, d), dtype=complex)
-    np.put_along_axis(mats, (k - b) % d, tau_powers(t + 2 * c * k, d), axis=-2)
-    return mats
-
-
-def test_row_matrices_are_to_matrix():
-    for d in (2, 3, 7):
-        monomials = every_monomial(d)
+def test_monomial_matrix_array_is_to_matrix():
+    # every monomial at d = 2, 3 and 7, then samples at larger d
+    rng = random.Random(61)
+    for d, count in ((2, None), (3, None), (7, None), (12, 300), (16, 300), (97, 40)):
+        if count is None:
+            monomials = every_monomial(d)
+        else:
+            monomials = [random_monomial(rng, d) for _ in range(count)]
         expected = np.array([u.to_matrix() for u in monomials])
-        assert row_matrices(monomial_rows(monomials), d).tobytes() == expected.tobytes()
+        got = monomial_matrix_array(monomial_rows(monomials), d)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_monomial_mul_array_matches_dense_products_exhaustively():
     for d in (2, 3, 4):
         rows = monomial_rows(every_monomial(d))
-        mats = row_matrices(rows, d)
+        mats = monomial_matrix_array(rows, d)
         products = monomial_mul_array(rows[:, None, :], rows[None, :, :], d)
         assert products.dtype == np.int64
-        assert max_abs(row_matrices(products, d) - mats[:, None] @ mats[None]) < 1e-12
+        assert max_abs(monomial_matrix_array(products, d) - mats[:, None] @ mats[None]) < 1e-12
 
 
 def test_monomial_mul_array_matches_dense_products_on_samples():
@@ -133,8 +132,8 @@ def test_monomial_mul_array_matches_dense_products_on_samples():
     pairs = [(random_monomial(rng, d), random_monomial(rng, d)) for _ in range(2000)]
     u, v = (monomial_rows(side) for side in zip(*pairs))
     expected = monomial_mul_array(u, v, d)
-    dense = row_matrices(u, d) @ row_matrices(v, d)
-    assert max_abs(row_matrices(expected, d) - dense) < 1e-12
+    dense = monomial_matrix_array(u, d) @ monomial_matrix_array(v, d)
+    assert max_abs(monomial_matrix_array(expected, d) - dense) < 1e-12
     # unreduced rows reduce as PhaseExponent and MonomialOperator reduce them
     offsets = np.array([2 * d, d, d]) * np.random.default_rng(43).integers(-3, 4, u.shape)
     assert np.array_equal(monomial_mul_array(u + offsets, v - offsets, d), expected)
@@ -268,8 +267,8 @@ def test_adjoint_and_trace_kernels_match_the_dense_forms_exhaustively():
         adjoints = monomial_adjoint_array(rows, d)
         exponents, scalar = monomial_trace_array(rows[:, None, :], d)
         assert adjoints.dtype == exponents.dtype == np.int64 and scalar.dtype == bool
-        mats = row_matrices(rows, d)
-        assert max_abs(row_matrices(adjoints, d) - mats.conj().swapaxes(-2, -1)) < 1e-12
+        mats = monomial_matrix_array(rows, d)
+        assert max_abs(monomial_matrix_array(adjoints, d) - mats.conj().swapaxes(-2, -1)) < 1e-12
         traces = np.where(scalar, d * tau_powers(exponents, d), 0)
         assert max_abs(traces - np.trace(mats, axis1=-2, axis2=-1)) < 1e-12
         # the single-element methods against the same dense forms
@@ -349,9 +348,10 @@ def test_kernels_match_dense_over_mixed_dims():
             assert ((0 <= out) & (out < moduli)).all(), dims
         dense_traces = np.ones(len(u), dtype=complex)
         for k, d in enumerate(dims):
-            mu, mv = row_matrices(u[:, k], d), row_matrices(v[:, k], d)
-            assert max_abs(row_matrices(products[:, k], d) - mu @ mv) < 1e-12, dims
-            assert max_abs(row_matrices(adjoints[:, k], d) - mu.conj().swapaxes(-2, -1)) < 1e-12
+            mu, mv = monomial_matrix_array(u[:, k], d), monomial_matrix_array(v[:, k], d)
+            assert max_abs(monomial_matrix_array(products[:, k], d) - mu @ mv) < 1e-12, dims
+            adjoint = monomial_matrix_array(adjoints[:, k], d)
+            assert max_abs(adjoint - mu.conj().swapaxes(-2, -1)) < 1e-12
             dense_traces *= np.trace(mu, axis1=-2, axis2=-1)
         # tau_L^exponent with L = lcm(dims): factor k's tau is tau_L^(L / d_k)
         exponents, scalar = op_mod.monomial_trace_array(u, dims)

@@ -16,6 +16,7 @@ from finiteweyl.suites import (
     suite_su2,
     suite_weyl,
 )
+from oracles import monomial_checks_per_pair, structure_closure_per_row
 
 # the d(d+1)-1 class count is a prime-modulus statement and its claim
 # check is expected to fail at composite d
@@ -24,6 +25,18 @@ CLAIM_CHECKS = {"class_count_formula", "group.class_count_formula"}
 
 def failing_names(report):
     return [c.name for c in report.checks if not c.passed]
+
+
+def track_checks(monkeypatch) -> list:
+    """Patch `suites._run` to append each check's name as it starts; [None] before any."""
+    run, checks = suites._run, [None]
+
+    def named(report, name, tolerance, fn):
+        checks.append(name)
+        run(report, name, tolerance, fn)
+
+    monkeypatch.setattr(suites, "_run", named)
+    return checks
 
 
 def test_hw_suite_passes():
@@ -299,13 +312,14 @@ def test_basis_suite_builds_each_dense_matrix_once(monkeypatch):
     assert 0 < calls <= 2 * d * d
 
 
-def test_dense_structure_recheck_catches_a_wrong_coefficient(monkeypatch):
+@pytest.mark.parametrize("lower", [True, False], ids=["lower-triangle", "upper-triangle"])
+def test_dense_structure_recheck_catches_a_wrong_coefficient(monkeypatch, lower):
     coefficients = suites.basis_mod.CommutatorTable.coefficients
 
     def corrupted(table, index=...):
         full = coefficients(table)
-        # the pair ((1, 0), (0, 1)): label (a, b) has index a*d + b
-        full[table.d, 1] *= 1.5
+        # the pair ((1, 0), (0, 1)) or ((0, 1), (1, 0)): label (a, b) has index a*d + b
+        full[(table.d, 1) if lower else (1, table.d)] *= 1.5
         return full[index]
 
     monkeypatch.setattr(suites.basis_mod.CommutatorTable, "coefficients", corrupted)
@@ -316,17 +330,18 @@ def test_dense_structure_recheck_catches_a_wrong_coefficient(monkeypatch):
 @pytest.mark.parametrize("d", [3, 4, 12])
 def test_basis_suite_exact_checks_form_no_complex_number(monkeypatch, d):
     coefficients = suites.basis_mod.CommutatorTable.coefficients
-    indices = []
+    checks, reads = track_checks(monkeypatch), np.zeros((d * d, d * d), dtype=int)
 
     def recording(table, index=...):
-        indices.append(index)
+        assert checks[-1] == "structure_constants_close_dense_commutators"
+        reads[index] += 1
         return coefficients(table, index)
 
     monkeypatch.setattr(suites.basis_mod.CommutatorTable, "coefficients", recording)
     report = suite_basis(d)
     assert report.overall, failing_names(report)
-    # one row per label, all read by the dense recheck
-    assert indices == list(range(d * d))
+    # the dense recheck alone reads coefficients, each ordered pair once
+    assert (reads == 1).all()
 
 
 @pytest.mark.parametrize(
@@ -356,13 +371,18 @@ def test_anticommutator_rule_catches_a_wrong_exponent(monkeypatch, d, corrupt):
     assert "anticommutator_vanishing_rule" in failing_names(suite_basis(d))
 
 
-def test_basis_suite_catches_a_wrong_table_entry(monkeypatch):
+@pytest.mark.parametrize("field", ["first", "target"])
+def test_basis_suite_catches_a_wrong_table_entry(monkeypatch, field):
     build = suites.basis_mod.commutator_table
 
     def corrupted(d):
         table = build(d)
-        # the exponent of u_01 u_10; (0, 1) and (1, 0) do not commute
-        table.first[1, d] = (table.first[1, d] + 1) % (2 * d)
+        if field == "first":
+            # the exponent of u_01 u_10; (0, 1) and (1, 0) do not commute
+            table.first[1, d] = (table.first[1, d] + 1) % (2 * d)
+        else:
+            # the target of u_10 u_01, below the diagonal; target[1, d] stays right
+            table.target[d, 1] = (table.target[d, 1] + 1) % (d * d)
         return table
 
     monkeypatch.setattr(suites.basis_mod, "commutator_table", corrupted)
@@ -371,6 +391,49 @@ def test_basis_suite_catches_a_wrong_table_entry(monkeypatch):
         "structure_constants_close_dense_commutators",
         "structure_constants_antisymmetric_and_vanishing",
     } <= failing
+
+
+def run_only(monkeypatch, names, suite, d):
+    """The deviations of the named checks of suite(d), every other check skipped."""
+    with monkeypatch.context() as patch:
+        run = suites._run
+
+        def selected(report, name, tolerance, fn):
+            if name in names:
+                run(report, name, tolerance, fn)
+
+        patch.setattr(suites, "_run", selected)
+        return [c.max_deviation for c in suite(d).checks]
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_dense_rechecks_return_the_floats_of_their_per_product_forms(monkeypatch, d):
+    # each product once and the monomials stacked, the same float bit for bit
+    structure = run_only(
+        monkeypatch, {"structure_constants_close_dense_commutators"}, suite_basis, d
+    )
+    assert structure == [structure_closure_per_row(d)]
+    monomials = run_only(
+        monkeypatch, {"monomial_product_matches_dense", "monomials_unitary"}, suite_weyl, d
+    )
+    assert monomials == list(monomial_checks_per_pair(d))
+
+
+def test_monomial_product_check_catches_one_wrong_product(monkeypatch):
+    mul, checks, calls = suites.op_mod.monomial_mul, track_checks(monkeypatch), []
+
+    def one_wrong(u, v):
+        uv = mul(u, v)
+        if checks[-1] != "monomial_product_matches_dense":
+            return uv
+        calls.append((u, v))
+        if len(calls) != 150:
+            return uv
+        return MonomialOperator.from_tau_exponent(uv.d, uv.phase.t + 1, uv.shift, uv.clock)
+
+    monkeypatch.setattr(suites.op_mod, "monomial_mul", one_wrong)
+    assert failing_names(suite_weyl(5)) == ["monomial_product_matches_dense"]
+    assert len(calls) == 300
 
 
 def test_run_suite_dispatch():
