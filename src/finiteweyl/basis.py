@@ -28,13 +28,14 @@ off it, and `validate_cartan_partition` the commutation within each
 class of every partition, the two-qubit spread `TWO_QUBIT_SPREAD` (the
 p^e = 4 case) included; it is the one rule for a valid partition.
 `pauli_rows(dims, labels)` is the one reader of exact (t, shift, clock)
-rows, digits mod d_k, and `pauli_stack(dims, labels)` builds dense Pauli
-matrices off them.  All three read labels as one checked (n, 2e)
-int64 array, n = 0 allowed, and name a label of another length in their
-error.  Every trace pairing, `hs_orthogonality` over the d^2 labels and
-the Gram of the spread included, is decided by `trace_orthogonal`: the
-integer `operators.trace_gram` of those rows, one modulus d_k per
-factor, is exactly prod(dims) I.
+rows, digits mod d_k, and `pauli_stack(dims, labels)` is their dense
+Kronecker products by `operators.monomial_matrix_array`.  All three read
+labels as one checked (n, 2e) int64 array, n = 0 allowed, and name a
+label of another length in their error.  Every trace pairing,
+`hs_orthogonality` over the d^2 labels and the Gram of the spread
+included, is decided by `trace_orthogonal`: the integer
+`operators.trace_gram` of those rows, one modulus d_k per factor, is
+exactly prod(dims) I.
 The digits of a label run over
 `label_moduli(dims)`; the text form of a label is `serialize`'s.
 """
@@ -49,7 +50,9 @@ from types import EllipsisType
 import numpy as np
 
 from .limits import check_dense, check_search, check_structure_table, check_tensor
-from .operators import MonomialOperator, monomial_mul_array, residual_norm, trace_gram
+from .operators import (
+    MonomialOperator, monomial_matrix_array, monomial_mul_array, residual_norm, trace_gram
+)
 from .phases import PhaseExponent, tau_powers
 from .search import find_commuting_partition
 
@@ -289,30 +292,10 @@ def cartan_partition_prime_power(p: int, e: int) -> CartanPartition:
 def pauli_stack(dims: tuple[int, ...], labels: list[tuple]) -> np.ndarray:
     """The dense Kronecker product of every label's factors u_(a_k b_k), stacked.
 
-    The factors are read off `pauli_rows`, so digits reduce mod d_k.  Each
-    distinct factor matrix u_ab(p, a, b) is built once, and the Kronecker
-    products of all labels are one broadcast per factor, with the same
-    elementwise products as `np.kron` of the factor matrices.
+    `operators.monomial_matrix_array` of the `pauli_rows`, one modulus per
+    factor, so digits reduce mod d_k and the products are those of `np.kron`.
     """
-    rows = pauli_rows(dims, labels)
-    factors: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def factor(p: int, a: int, b: int) -> np.ndarray:
-        if (p, a, b) not in factors:
-            factors[p, a, b] = u_ab(p, a, b).to_matrix()
-        return factors[p, a, b]
-
-    out = None
-    for pos, p in enumerate(dims):
-        # (n, p, p) complex, n = 0 for no labels
-        f = np.array([factor(p, a, b) for a, b in rows[:, pos, 1:].tolist()], dtype=complex)
-        f = f.reshape(-1, p, p)
-        if out is None:
-            out = f
-        else:
-            n, r = out.shape[:2]
-            out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(n, r * p, r * p)
-    return out
+    return monomial_matrix_array(pauli_rows(dims, labels), dims)
 
 
 def partition_dense_commutation_defect(partition: CartanPartition) -> float:

@@ -16,12 +16,13 @@ adjoint and trace, and `trace_gram` pairs rows by Tr(u^dagger v); each
 takes one d or one d_k per tensor factor.  They are the one
 implementation of each law: `monomial_mul`, `MonomialOperator.adjoint`,
 `trace_exact` and the commutators of `basis` read them on their rows.
-`monomial_matrix_array` is the array form of `to_matrix`, the dense
-matrices of many rows in one `tau_powers` scatter; `to_matrix` keeps its
-per-entry `to_complex` loop until the benchmark stops counting those calls
-(ROADMAP item 18(b)).  Every exact phase, the entries of the Fourier
-matrix included, goes through `phases.tau_powers` or
-`PhaseExponent.to_complex`; only phases with real parameters (v_ra for
+`monomial_matrix_array` is the array form of `to_matrix`: the dense
+matrices of many rows in one `tau_powers` scatter, and with one d_k per
+tensor factor their Kronecker products (every Pauli stack of `basis`).
+`to_matrix` keeps its per-entry `to_complex` loop until the benchmark
+stops counting those calls (ROADMAP item 18(b)).  Every exact phase, the
+entries of the Fourier matrix included, goes through `phases.tau_powers`
+or `PhaseExponent.to_complex`; only phases with real parameters (v_ra for
 real r and a, the ladder matrices) are formed here directly.
 """
 
@@ -128,17 +129,29 @@ def _from_row(row: np.ndarray, d: int) -> MonomialOperator:
     return MonomialOperator(PhaseExponent(t, d), shift, clock)
 
 
-def monomial_matrix_array(rows: np.ndarray, d: int) -> np.ndarray:
-    """The dense matrices of (..., 3) rows, tau^(t + 2ck) at row (k - b) mod d of column k.
+def monomial_matrix_array(rows: np.ndarray, d: int | tuple[int, ...]) -> np.ndarray:
+    """The dense matrices of monomial rows, tau^(t + 2ck) at row (k - b) mod d of column k.
 
-    The array form of `MonomialOperator.to_matrix`, equal to it byte for
-    byte: one `tau_powers` scatter, whose table is built from `to_complex`.
+    With an int d, (..., 3) rows give (..., d, d) matrices, equal byte for
+    byte to `MonomialOperator.to_matrix`: one `tau_powers` scatter, whose
+    table is built from `to_complex`.  With one modulus d_k per tensor
+    factor, (..., e, 3) rows give the (..., D, D) Kronecker products of
+    their factors, D = prod(d_k) and factor 0 outermost, one broadcast per
+    factor with the same elementwise products as `np.kron`.
     """
-    t, b, c = np.moveaxis(np.asarray(rows, dtype=np.int64)[..., None, None, :], -1, 0)
-    k = np.arange(d)
-    mats = np.zeros((*t.shape[:-2], d, d), dtype=complex)
-    np.put_along_axis(mats, (k - b) % d, tau_powers(t + 2 * c * k, d), axis=-2)
-    return mats
+    rows = np.asarray(rows, dtype=np.int64)
+    if np.ndim(d) == 0:
+        t, b, c = rows.reshape(-1, 3).T[..., None]
+        k = np.arange(d)
+        mats = np.zeros((len(t), d, d), dtype=complex)
+        mats[np.arange(len(t))[:, None], (k - b) % d, k] = tau_powers(t + 2 * c * k, d)
+        return mats.reshape(*rows.shape[:-1], d, d)
+    out = monomial_matrix_array(rows[..., 0, :], d[0])
+    for pos in range(1, len(d)):
+        f = monomial_matrix_array(rows[..., pos, :], d[pos])
+        n = out.shape[-1] * d[pos]
+        out = (out[..., :, None, :, None] * f[..., None, :, None, :]).reshape(*f.shape[:-2], n, n)
+    return out
 
 
 def monomial_mul(u: MonomialOperator, v: MonomialOperator) -> MonomialOperator:
@@ -211,8 +224,11 @@ def v_ra_matrix(d: int, r: float = 0.0, a: float = 0.0) -> np.ndarray:
     Here j = (d-1)/2.  For integer r and a the matrix is monomial with
     root-of-unity entries; both parameters are accepted as floats.  An int or
     NumPy integer a is reduced mod d first, exactly: q^(ka) has period d in a.
+    A finite r whose corner phase pi (d-1) r overflows raises ValueError.
     """
     check_dimension(d)
+    if math.isfinite(r) and not math.isfinite(math.pi * (d - 1) * float(r)):
+        raise ValueError(f"r = {r} overflows the corner phase pi (d - 1) r of v_ra at d = {d}")
     if isinstance(a, (int, np.integer)):
         a %= d
     mat = np.zeros((d, d), dtype=complex)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import random
 import re
@@ -624,6 +625,28 @@ def test_dense_stack_reduces_digits_mod_d():
     # as pauli_rows does: 2 reads as 0 and -1 as 1 mod 2
     assert np.array_equal(pauli_stack((2,), [(2, 1)]), pauli_stack((2,), [(0, 1)]))
     assert np.array_equal(pauli_stack((2,), [(-1, 1)]), pauli_stack((2,), [(1, 1)]))
+
+
+# sha256 of the complex128 bytes of `pauli_stack` over every label, the
+# identity included, recorded when the stack was built from per-label
+# `to_matrix` factors joined by one broadcast per factor
+PAULI_STACK_SHA256 = {
+    (2, 2): "eca1f5db1da6e8e1f493f8231014a8ae58b147b117a1f81933f5866cd43ded20",
+    (2, 2, 2, 2): "d064d0144d3db4e36c064abb041db7f3cdcd72547fe758e4e96fc2d091206640",
+    (3, 3): "b2e61de62660bb6b19b4f80b1d1e034c7ae9ee623012405cc54cb806b9edd738",
+    (2, 3): "69e6f43436fca3af97b8271895538d2dc5ab023c109c504969cfd0cd0ff7bbea",
+    (3, 2, 2): "906ddb0cbfc14f26f31fdb1b34030f0fd7553e3b4f6d7199be644036b4b88e98",
+    (12,): "b9a4613f17831a978fef930ffc40b0b3f6dac0ebe65a4736072cd9f5f7ff001a",
+}
+
+
+@pytest.mark.parametrize("dims", list(PAULI_STACK_SHA256))
+def test_dense_stack_bytes_are_pinned(dims):
+    labels = list(product(*map(range, label_moduli(dims))))
+    stack = pauli_stack(dims, labels)
+    assert stack.shape == (len(labels), math.prod(dims), math.prod(dims))
+    assert stack.dtype == np.complex128
+    assert hashlib.sha256(stack.tobytes()).hexdigest() == PAULI_STACK_SHA256[dims]
 
 
 def test_dense_recheck_catches_a_non_commuting_pair():

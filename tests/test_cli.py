@@ -290,6 +290,14 @@ def test_non_finite_floats_rejected(capsys, argv):
     assert err.startswith("error: Out of range float values") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("r", ["1e308", "-1e308"])
+def test_vra_overflowing_corner_phase_rejected(capsys, r):
+    code, out, err = run_cli(capsys, "weyl", "vra", "--d", "3", "--r", r)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: r = {float(r)} overflows the corner phase")
+    assert err.count("\n") == 1
+
+
 def test_dense_csv_rejects_non_finite(capsys):
     code, out, err = run_cli(
         capsys, "weyl", "vra", "--d", "3", "--r", "nan", "--format", "dense-csv"
@@ -756,6 +764,46 @@ def test_ab_pairs_script_compares_one_checkout_with_itself():
     assert re.fullmatch(r"change won [0-2]/2 pairs on wall_s", lines[4])
     assert re.fullmatch(r"change won [0-2]/2 pairs on cpu_s", lines[5])
     assert len(lines) == 6
+
+
+def run_tier1_gate(tmp_path, criterion_05: str, other: str, *pytest_args: str):
+    """Exit code and verdict lines of `scripts/tier1_gate.py` on a module of three tests."""
+    import pathlib
+    import subprocess
+    import sys
+
+    (tmp_path / "test_gate_case.py").write_text(
+        "def test_criterion_01_group_class_counting():\n    assert False\n"
+        f"def test_criterion_05_hadamard_relations():\n    {criterion_05}\n"
+        f"def test_other():\n    {other}\n"
+    )
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "tier1_gate.py"
+    argv = [sys.executable, str(script), "-p", "no:cacheprovider", *pytest_args, str(tmp_path)]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    lines = result.stdout.splitlines()
+    start = max(i for i, line in enumerate(lines) if line.startswith("tier1 gate: "))
+    return result.returncode, lines[start:]
+
+
+def test_tier1_gate_passes_only_on_the_by_design_failures(tmp_path):
+    code, verdict = run_tier1_gate(tmp_path, "assert False", "pass")
+    assert (code, verdict) == (0, ["tier1 gate: PASS, only the by-design criteria 01 and 05 fail"])
+
+    code, verdict = run_tier1_gate(tmp_path, "pass", "assert False")
+    assert code == 1 and verdict[0] == "tier1 gate: FAIL (pytest exited 1)"
+    assert verdict[1:] == [
+        "failed: test_gate_case::test_other",
+        "did not fail: test_criterion_05_hadamard_relations",
+    ]
+
+    # a module that fails to collect, and criterion 05 deselected
+    (tmp_path / "test_broken.py").write_text("def test_x(:\n")
+    code, verdict = run_tier1_gate(tmp_path, "assert False", "pass", "-k", "not criterion_05")
+    assert code == 1 and verdict[0] == "tier1 gate: FAIL (pytest exited 1)"
+    assert verdict[1:] == [
+        "failed: test_broken",
+        "did not run: test_criterion_05_hadamard_relations",
+    ]
 
 
 def test_outputs_byte_identical(capsys):

@@ -1,6 +1,8 @@
 import cmath
+import functools
 import math
 import random
+import re
 from dataclasses import FrozenInstanceError
 from itertools import product
 
@@ -12,6 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import commutator, max_abs, mixed_dims, patch_kernel_mutant
 import finiteweyl.operators as op_mod
+from finiteweyl.basis import label_moduli, pauli_rows
 from finiteweyl.operators import (
     MonomialOperator,
     fourier_matrix,
@@ -115,6 +118,58 @@ def test_monomial_matrix_array_is_to_matrix():
         got = monomial_matrix_array(monomial_rows(monomials), d)
         assert got.shape == expected.shape and got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
+
+
+def kron_of_to_matrix(rows: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """np.kron of the factors' `to_matrix`, one (e, 3) row at a time, stacked."""
+    size = math.prod(dims)
+    mats = [
+        functools.reduce(
+            np.kron,
+            [MonomialOperator.from_tau_exponent(p, *r).to_matrix() for p, r in zip(dims, label)],
+        )
+        for label in rows.tolist()
+    ]
+    return np.array(mats, dtype=complex).reshape(-1, size, size)
+
+
+TENSOR_DIMS = [(2, 2), (2, 2, 2, 2), (3, 3), (2, 3), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("dims", TENSOR_DIMS)
+def test_tensor_matrix_array_is_kron_of_to_matrix(dims):
+    # every label, then the same labels with seeded phases, then unreduced
+    # digits and phases, which reduce as MonomialOperator reduces them
+    rows = pauli_rows(dims, list(product(*map(range, label_moduli(dims)))))
+    rng = np.random.default_rng(math.prod(dims))
+    phased = rows.copy()
+    phased[..., 0] = rng.integers(0, 2 * np.array(dims), rows.shape[:-1])
+    moduli = np.multiply.outer(dims, (2, 1, 1))
+    unreduced = phased + moduli * rng.integers(-3, 4, rows.shape)
+    for case in (rows, phased, unreduced):
+        got = monomial_matrix_array(case, dims)
+        expected = kron_of_to_matrix(case, dims)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+    # leading axes broadcast as for an int d
+    stacked = monomial_matrix_array(phased[:, None], dims)
+    assert stacked.shape == (len(rows), 1, *got.shape[1:])
+    assert stacked.tobytes() == monomial_matrix_array(phased, dims).tobytes()
+
+
+@pytest.mark.parametrize("dims", [(2,), *TENSOR_DIMS])
+def test_tensor_matrix_array_of_no_rows(dims):
+    size = math.prod(dims)
+    got = monomial_matrix_array(np.zeros((0, len(dims), 3), dtype=np.int64), dims)
+    assert got.shape == (0, size, size) and got.dtype == complex
+
+
+def test_tensor_matrix_array_reduces_digits():
+    # (2, 1) at dims (2,) is u_01, as MonomialOperator reads it
+    got = monomial_matrix_array([[[0, 2, 1]]], (2,))
+    expected = MonomialOperator.from_tau_exponent(2, 0, 2, 1).to_matrix()
+    assert got.tobytes() == expected[None].tobytes()
+    assert got.tobytes() == monomial_matrix_array([[[0, 0, 1]]], (2,)).tobytes()
 
 
 def test_monomial_mul_array_matches_dense_products_exhaustively():
@@ -416,6 +471,22 @@ def test_vra_corner_phase():
     mat = v_ra_matrix(2, 1, 0)
     assert max_abs(mat - np.array([[0, 1], [-1, 0]], dtype=complex)) < 1e-15
     assert max_abs(mat @ mat + np.eye(2)) < 1e-15
+
+
+@pytest.mark.parametrize("r", [1e308, -1e308, 5e307])
+def test_vra_rejects_a_finite_r_whose_corner_phase_overflows(r):
+    with pytest.raises(ValueError, match=rf"^r = {re.escape(str(r))} overflows"):
+        v_ra_matrix(3, r)
+    with pytest.raises(ValueError, match="r = "):
+        v_ra_matrix(3, np.float64(r))
+
+
+def test_vra_keeps_non_finite_r_and_large_finite_phases():
+    # nan and inf give non-finite entries, which the renderers reject
+    for r in (math.nan, math.inf, -math.inf):
+        assert not np.isfinite(v_ra_matrix(3, r)[2, 0])
+    # pi * 1 * 5e307 is finite at d = 2, so the matrix is built
+    assert np.isfinite(v_ra_matrix(2, 5e307)).all()
 
 
 def test_vra_unitary_and_cyclic():

@@ -1,4 +1,6 @@
+import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -296,20 +298,78 @@ def test_basis_suite_with_tensor():
     assert "search_certifies_incompleteness" in names
 
 
+class RecordingRandom(random.Random):
+    """A `random.Random` that records its draws: each `randrange` lookup opens one chunk.
+
+    A chunk lists the (args, value) of every call made through that lookup,
+    so a sampler that binds `rng.randrange` once draws one chunk.
+    """
+
+    def __init__(self, seed, made: list):
+        super().__init__(seed)
+        self.seed_value, self.chunks = seed, []
+        made.append(self)
+
+    @property
+    def randrange(self):
+        chunk, draw = [], super().randrange
+        self.chunks.append(chunk)
+
+        def recording(*args):
+            chunk.append((args, draw(*args)))
+            return chunk[-1][1]
+
+        return recording
+
+
+@pytest.mark.parametrize(
+    "suite, seed, count, bounds, chunk_sizes",
+    [
+        (
+            lambda: suite_group(12),
+            17,
+            37_670,
+            [(1728,)],
+            [3_000] * 10 + [40, 30, 600, 3_000, 4_000],
+        ),
+        (lambda: suite_weyl(12), 23, 2_100, [(24,), (12,), (12,)], None),
+        (suite_hw, 5, 1_200, [(200,)], None),
+    ],
+    ids=["group-12", "weyl-12", "hw"],
+)
+def test_sampled_draws_stay(monkeypatch, suite, seed, count, bounds, chunk_sizes):
+    # every generator a suite makes, and every draw, equal a fresh stream's
+    made = []
+    monkeypatch.setattr(
+        suites, "random", types.SimpleNamespace(Random=lambda s: RecordingRandom(s, made))
+    )
+    suite()
+    assert [rng.seed_value for rng in made] == [seed]
+    calls = [call for chunk in made[0].chunks for call in chunk]
+    assert len(calls) == count
+    assert [args for args, _ in calls] == bounds * (count // len(bounds))
+    if chunk_sizes is not None:
+        assert [len(chunk) for chunk in made[0].chunks] == chunk_sizes
+    fresh = random.Random(seed)
+    assert [value for _, value in calls] == [fresh.randrange(*args) for args, _ in calls]
+
+
 def test_basis_suite_builds_each_dense_matrix_once(monkeypatch):
+    # the matrices `operators.monomial_matrix_array` returns to `basis`
     d = 12
-    calls = 0
-    to_matrix = MonomialOperator.to_matrix
+    built = 0
+    kernel = suites.basis_mod.monomial_matrix_array
 
-    def counting_to_matrix(self):
-        nonlocal calls
-        calls += 1
-        return to_matrix(self)
+    def counting_kernel(rows, dims):
+        nonlocal built
+        mats = kernel(rows, dims)
+        built += math.prod(mats.shape[:-2])
+        return mats
 
-    monkeypatch.setattr(MonomialOperator, "to_matrix", counting_to_matrix)
+    monkeypatch.setattr(suites.basis_mod, "monomial_matrix_array", counting_kernel)
     report = suite_basis(d)
     assert report.overall, failing_names(report)
-    assert 0 < calls <= 2 * d * d
+    assert 0 < built <= 2 * d * d
 
 
 @pytest.mark.parametrize("lower", [True, False], ids=["lower-triangle", "upper-triangle"])
