@@ -160,8 +160,8 @@ COMMANDS = [
     "group centralizer --d 12 --elem 5,4,6",
     "basis structure --d 2",
     "basis structure --d 4",
-    # the edges of the two routes that limits.check_partition orders: a d
-    # below 2, a composite d just over the search cap, the largest prime
+    # the edges of the closed-form partition's dense cap: a d below 2, a
+    # composite d just over the search cap, the largest prime
     "basis partition --d 1",
     "basis partition --d 15",
     "basis partition --d 97",
@@ -183,6 +183,12 @@ COMMANDS = [
     "verify basis --d 14",
     "verify weyl --d 16",
     "verify weyl --d 31",
+    # composite d past the search cap, whose closed-form partition `basis
+    # partition` prints up to the dense cap: an even d, an odd prime square,
+    # and the largest composite d under the cap
+    "basis partition --d 14",
+    "basis partition --d 25",
+    "basis partition --d 96",
 ]
 
 

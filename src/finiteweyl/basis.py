@@ -26,7 +26,8 @@ the symplectic form of every label pair; `tensor_indices_commute` reads
 one pair off it.  Both searches read their commutation graph
 off it, and `validate_cartan_partition` the commutation within each
 class of every partition, the two-qubit spread `TWO_QUBIT_SPREAD` (the
-p^e = 4 case) included; it is the one rule for a valid partition.
+p^e = 4 case) included; it is the one rule for a valid partition, and
+`CartanPartition.complete` (d + 1 classes of d - 1 labels) is read off the classes.
 `pauli_rows(dims, labels)` is the one reader of exact (t, shift, clock)
 rows, digits mod d_k, and `pauli_stack(dims, labels)` is their dense
 Kronecker products by `operators.monomial_matrix_array`.  All three read
@@ -138,7 +139,6 @@ class CartanPartition:
 
     dims: tuple[int, ...]
     classes: list[list[tuple]]
-    complete: bool = True
 
     @property
     def dimension(self) -> int:
@@ -147,6 +147,12 @@ class CartanPartition:
     @property
     def class_count(self) -> int:
         return len(self.classes)
+
+    @property
+    def complete(self) -> bool:
+        """d + 1 classes of d - 1 labels each, so a valid one covers every label."""
+        d = self.dimension
+        return len(self.classes) == d + 1 and all(len(cls) == d - 1 for cls in self.classes)
 
 
 def cartan_partition(d: int) -> CartanPartition:
@@ -164,7 +170,7 @@ def cartan_partition(d: int) -> CartanPartition:
     classes: list[list[tuple]] = [[(0, b) for b in range(1, d)]]
     for slope in range(q):
         classes.append([(x, (slope * x) % d) for x in range(1, d)])
-    return CartanPartition((d,), classes, q == d)
+    return CartanPartition((d,), classes)
 
 
 def commuting_class_search(d: int) -> CartanPartition:
@@ -181,16 +187,9 @@ def commuting_class_search(d: int) -> CartanPartition:
 def validate_cartan_partition(partition: CartanPartition) -> bool:
     """Recheck that the classes are disjoint, fit dims (the identity does not) and commute.
 
-    A complete partition also needs d + 1 classes of d - 1 labels, and so
-    covers every label; an incomplete one need not.
+    A partition that passes and is `complete` covers every label.
     """
     dims, classes = partition.dims, partition.classes
-    # sizes first: the d^2 - 1 labels are listed only for classes that hold as many
-    if partition.complete and (
-        len(classes) != partition.dimension + 1
-        or any(len(cls) != partition.dimension - 1 for cls in classes)
-    ):
-        return False
     flat = [label for cls in classes for label in cls]
     # fit first: the commutation table reads only labels that fit dims
     if len(flat) != len(set(flat)) or not set(flat) <= set(tensor_indices(dims)):

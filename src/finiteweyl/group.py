@@ -44,7 +44,6 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -306,17 +305,11 @@ def pd_center_is_center(d: int) -> bool:
 
 
 def pd_quotient_is_double_cyclic(d: int) -> bool:
-    """P_d / Z(P_d) has the componentwise law on coset labels (b, c)."""
-    b2, c2 = np.divmod(np.arange(d * d, dtype=np.int64), d)
-    cosets = np.stack([np.zeros_like(b2), b2, c2], axis=-1)
-    for b, c in product(range(d), repeat=2):
-        products = pd_compose_array((0, b, c), cosets, d)
-        if not (
-            np.array_equal(products[:, 1], (b + b2) % d)
-            and np.array_equal(products[:, 2], (c + c2) % d)
-        ):
-            return False
-    return True
+    """P_d / Z(P_d) has the componentwise law on coset labels (b, c), every pair at once."""
+    b, c = np.divmod(np.arange(d * d, dtype=np.int64), d)
+    cosets = np.stack([np.zeros_like(b), b, c], axis=-1)
+    products = pd_compose_array(cosets[:, None], cosets[None], d)
+    return bool(np.array_equal(products[..., 1:], (cosets[:, None, 1:] + cosets[None, :, 1:]) % d))
 
 
 def pd_irrep_counts(d: int) -> tuple[int, int]:
@@ -332,7 +325,7 @@ def pd_irrep_counts(d: int) -> tuple[int, int]:
 
 
 def pd_character_exponents(m: int, n: int, g: np.ndarray, d: int) -> np.ndarray:
-    """Tau exponents of the linear character (a, b, c) -> q^(mb + nc) on a (..., 3) int array."""
+    """Tau exponents of the character (a, b, c) -> q^(mb + nc); int arrays m, n and g broadcast."""
     g = np.asarray(g, dtype=np.int64)
     return (2 * (m * g[..., 1] + n * g[..., 2])) % (2 * d)
 

@@ -2,7 +2,8 @@
 
 A check raises ValueError with the one line the CLI prints.  It tests the
 cheap bound first, a cap before any primality test and e and p before
-p**e, so an input far over a cap is rejected before any work.
+p**e, so an input far over a cap is rejected before any work.  The search
+cap bounds only the search; `check_partition((d,))` reads the dense cap.
 """
 
 import math
@@ -60,22 +61,15 @@ def check_prime(p: int) -> None:
 
 
 def check_partition(dims: tuple[int, ...]) -> int:
-    """prod(dims) by the one rule on the dims of a partition, which the CLI and import_exact
-    read: (d,) within the search cap or prime within the prime cap, both caps before
-    primality, or e >= 2 equal factors p that pass `check_tensor(p, e)`."""
+    """prod(dims) by the one rule on the dims of a partition, which import_exact reads:
+    (d,) that passes `check_dense(d)`, the cap of the closed form `basis.cartan_partition`,
+    or e >= 2 equal factors p that pass `check_tensor(p, e)`."""
     if len(dims) != 1:
         if len(set(dims)) != 1:
             raise ValueError(f"tensor dims must be e >= 2 equal factors, got {dims}")
         return check_tensor(dims[0], len(dims))
-    d = dims[0]
-    check_dimension(d)
-    if d > max(SEARCH_CAP, MUB_PRIME_CAP):
-        raise ValueError(
-            f"d={d} exceeds the search cap {SEARCH_CAP} and the prime cap {MUB_PRIME_CAP}"
-        )
-    if not is_prime(d):
-        check_search(d)
-    return d
+    check_dense(dims[0])
+    return dims[0]
 
 
 def check_tensor(p: int, e: int) -> int:

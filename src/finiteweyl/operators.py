@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,6 +218,19 @@ def weyl_pair(d: int) -> tuple[MonomialOperator, MonomialOperator]:
     return x, z
 
 
+def _phases(d: int, r: float, name: str, radians: Callable[[float], list[float]]) -> list[float]:
+    """radians(float(r)), the phases of a v_ra function.  ValueError when r is finite, or an
+    int, and a phase is not; a nan or infinite r keeps its non-finite entries."""
+    try:
+        phases = radians(float(r))
+    except OverflowError:  # an int too large for a float
+        phases = [math.inf]
+    finite_r = isinstance(r, (int, np.integer)) or math.isfinite(r)
+    if finite_r and not all(map(math.isfinite, phases)):
+        raise ValueError(f"r = {r} overflows the {name} of v_ra at d = {d}")
+    return phases
+
+
 def v_ra_matrix(d: int, r: float = 0.0, a: float = 0.0) -> np.ndarray:
     """Weighted cyclic shift: superdiagonal q^(ka), corner exp(2*pi*i*j*r).
 
@@ -227,14 +240,13 @@ def v_ra_matrix(d: int, r: float = 0.0, a: float = 0.0) -> np.ndarray:
     A finite r whose corner phase pi (d-1) r overflows raises ValueError.
     """
     check_dimension(d)
-    if math.isfinite(r) and not math.isfinite(math.pi * (d - 1) * float(r)):
-        raise ValueError(f"r = {r} overflows the corner phase pi (d - 1) r of v_ra at d = {d}")
+    (corner,) = _phases(d, r, "corner phase pi (d - 1) r", lambda r: [math.pi * (d - 1) * r])
     if isinstance(a, (int, np.integer)):
         a %= d
     mat = np.zeros((d, d), dtype=complex)
     for k in range(1, d):
         mat[k - 1, k] = cmath.exp(2j * cmath.pi * k * a / d)
-    mat[d - 1, 0] = cmath.exp(1j * cmath.pi * (d - 1) * r)
+    mat[d - 1, 0] = cmath.exp(1j * corner)
     return mat
 
 
@@ -243,10 +255,14 @@ def v_ra_eigenvalue(d: int, r: float, a: float, alpha: int) -> complex:
 
     An int or NumPy integer a is reduced mod 2d first, exactly: the phase
     is exp(pi i n a / d) with n = d - 1 an integer, so its period in a is 2d.
+    A finite r whose phase overflows raises ValueError, as `v_ra_matrix` does.
     """
     if isinstance(a, (int, np.integer)):
         a %= 2 * d
-    return cmath.exp(2j * cmath.pi * ((d - 1) * (a + r) / 2 - alpha) / d)
+    (phase,) = _phases(d, r, "eigenvalue phase", lambda r: [
+        2 * math.pi * ((d - 1) * (float(a) + r) / 2 - alpha) / d
+    ])
+    return cmath.exp(1j * phase)
 
 
 def v_ra_eigenvalue_exponents(d: int, r: int, a: int) -> np.ndarray:
@@ -258,19 +274,19 @@ def v_ra_eigenvector(d: int, r: float, a: float, alpha: int) -> np.ndarray:
     """Normalized eigenvector of v_ra for the eigenvalue indexed by alpha.
 
     An int or NumPy integer a is reduced mod 2d first, as `v_ra_eigenvalue`
-    reduces it: component k carries exp(pi i (d-1-k)(k+1) a / d).
+    reduces it: component k carries exp(pi i (d-1-k)(k+1) a / d).  A finite
+    r whose phases overflow raises ValueError, as `v_ra_matrix` does.
     """
     if not 0 <= alpha <= d - 1:
         raise ValueError(f"alpha must lie in 0..{d - 1}, got {alpha}")
     if isinstance(a, (int, np.integer)):
         a %= 2 * d
     j = (d - 1) / 2
-    vec = np.zeros(d, dtype=complex)
-    for k in range(d):
-        m = j - k
-        expo = (j + m) * (j - m + 1) * a / 2 - j * m * r + (j + m) * alpha
-        vec[k] = cmath.exp(2j * cmath.pi * expo / d)
-    return vec / math.sqrt(d)
+    phases = _phases(d, r, "eigenvector phases", lambda r: [
+        2 * math.pi * ((j + m) * (j - m + 1) * float(a) / 2 - j * m * r + (j + m) * alpha) / d
+        for m in (j - k for k in range(d))
+    ])
+    return np.array([cmath.exp(1j * phase) for phase in phases]) / math.sqrt(d)
 
 
 def fourier_matrix(d: int) -> np.ndarray:

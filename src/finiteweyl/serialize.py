@@ -11,11 +11,12 @@ be the shift and clock of its d, a Hadamard table must be the table of H_a
 for its d and a, a partition must have dimensions that pass
 `limits.check_partition` (a listed tensor has two factors or more, since
 null is one qudit) and nonempty classes of labels that fit them, the
-identity excluded, and must pass `validate_cartan_partition`, which also
-recomputes its `complete` flag (a document marked complete must pass it as
-a complete partition), and a field of the wrong type is a ValueError that
-names the document type.  Dense matrices serialize as CSV rows of re,im
-pairs with 17 significant digits; non-finite entries are rejected.
+identity excluded, and must pass `validate_cartan_partition` (a document
+marked complete must hold a complete partition, whose `complete` is read
+off its classes, never off the document), and a field of the wrong type
+is a ValueError that names the document type.  Dense matrices serialize
+as CSV rows of re,im pairs with 17 significant digits; non-finite
+entries are rejected.
 
 `json_chunks` is the one renderer of payload text, and `json_dumps` joins
 its chunks.  The text is byte-identical to `json.dumps(payload, indent=2,
@@ -260,13 +261,11 @@ def _partition_from(payload: dict) -> CartanPartition:
     if not all(cls and all(any(label) for label in cls) for cls in classes):
         raise ValueError("partition document has an empty class or the identity label")
     partition = CartanPartition(dims, classes)
-    # the flag is recomputed, not read: a Cartan partition is complete whatever it says
-    partition.complete = validate_cartan_partition(partition)
-    if partition.complete:
-        return partition
-    if marked_complete:
+    # completeness is read off the classes: a Cartan partition is complete whatever it says
+    valid = validate_cartan_partition(partition)
+    if marked_complete and not (valid and partition.complete):
         raise ValueError("partition document is marked complete but is not a Cartan partition")
-    if not validate_cartan_partition(partition):
+    if not valid:
         raise ValueError("partition document repeats a label or has a class that does not commute")
     return partition
 

@@ -666,11 +666,10 @@ def test_dense_recheck_catches_a_non_commuting_pair():
 def test_validator_accepts_an_empty_extra_class():
     # an empty class reads an empty commutation table, so it adds no pair
     for good in (cartan_partition(3), cartan_partition_prime_power(2, 2)):
-        padded = CartanPartition(good.dims, [*good.classes, []], complete=False)
+        padded = CartanPartition(good.dims, [*good.classes, []])
         assert validate_cartan_partition(padded)
         # a complete partition has exactly d + 1 classes
-        padded.complete = True
-        assert not validate_cartan_partition(padded)
+        assert good.complete and not padded.complete
 
 
 @pytest.mark.parametrize("d", [4, 6, 8, 9, 10, 12])
@@ -684,14 +683,15 @@ def test_validator_accepts_the_searched_classes_of_composite_d(d):
 def test_validator_reads_a_partial_partition():
     # the three cyclic lines of Z_4^2 through (0, 1), (1, 0) and (1, 1)
     lines = [[(0, 1), (0, 2), (0, 3)], [(1, 0), (2, 0), (3, 0)], [(1, 1), (2, 2), (3, 3)]]
-    assert validate_cartan_partition(CartanPartition((4,), lines, complete=False))
+    partial = CartanPartition((4,), lines)
+    assert validate_cartan_partition(partial) and not partial.complete
     for classes in (
         [[(0, 1), (0, 2)], [(0, 2)]],  # a repeated label
         [[(0, 1), (1, 0)]],  # a class that does not commute
         [[(0, 1), (0, 4)]],  # a label that does not fit dims
         [[(0, 0), (0, 1)]],  # the identity
     ):
-        assert not validate_cartan_partition(CartanPartition((4,), classes, complete=False))
+        assert not validate_cartan_partition(CartanPartition((4,), classes))
 
 
 def test_partition_holds_its_dims():
@@ -702,10 +702,10 @@ def test_partition_holds_its_dims():
 
 
 def test_dense_recheck_reads_zero_for_classes_without_pairs():
-    assert partition_dense_commutation_defect(CartanPartition((3,), [[(0, 1)], []], False)) == 0.0
-    assert partition_dense_commutation_defect(CartanPartition((3,), [], False)) == 0.0
+    assert partition_dense_commutation_defect(CartanPartition((3,), [[(0, 1)], []])) == 0.0
+    assert partition_dense_commutation_defect(CartanPartition((3,), [])) == 0.0
     # a short class is skipped, a non-commuting pair elsewhere still shows
-    mixed = CartanPartition((3,), [[], [(0, 1), (1, 0)]], False)
+    mixed = CartanPartition((3,), [[], [(0, 1), (1, 0)]])
     assert partition_dense_commutation_defect(mixed) > 1e-12
 
 
@@ -810,8 +810,8 @@ def test_tensor_partitions():
 
 def test_printed_spread_is_a_valid_partition():
     spread = CartanPartition((2, 2), [list(cls) for cls in TWO_QUBIT_SPREAD])
-    assert validate_cartan_partition(spread)
-    assert per_pair_cartan_valid(spread)
+    assert validate_cartan_partition(spread) and spread.complete
+    assert per_pair_cartan_valid(spread, complete=True)
 
 
 def per_pair_partition_valid(classes, vertices, commutes, class_size=None) -> bool:
@@ -831,16 +831,20 @@ def per_pair_partition_valid(classes, vertices, commutes, class_size=None) -> bo
     )
 
 
-def per_pair_cartan_valid(partition: CartanPartition) -> bool:
-    """`validate_cartan_partition` by the `Fraction` sum, one pair at a time."""
+def per_pair_cartan_valid(partition: CartanPartition, complete: bool = False) -> bool:
+    """`validate_cartan_partition` by the `Fraction` sum, one pair at a time.
+
+    With complete, `validate_cartan_partition(p) and p.complete`: d + 1
+    classes of d - 1 labels that cover every label as well.
+    """
     dims, d = partition.dims, partition.dimension
-    if partition.complete and len(partition.classes) != d + 1:
+    if complete and len(partition.classes) != d + 1:
         return False
     return per_pair_partition_valid(
         partition.classes,
         tensor_indices(dims),
         lambda u, v: tensor_labels_commute(dims, u, v),
-        d - 1 if partition.complete else None,
+        d - 1 if complete else None,
     )
 
 
@@ -887,8 +891,10 @@ def test_table_validator_matches_the_per_pair_oracle(data):
             del classes[i][k:]
         else:
             classes[data.draw(index) % len(classes)].append(classes[i][k])
-    partition = CartanPartition(base.dims, classes, data.draw(st.booleans(), label="complete"))
-    assert validate_cartan_partition(partition) == per_pair_cartan_valid(partition)
+    partition = CartanPartition(base.dims, classes)
+    valid = validate_cartan_partition(partition)
+    assert valid == per_pair_cartan_valid(partition)
+    assert (valid and partition.complete) == per_pair_cartan_valid(partition, complete=True)
 
 
 def test_su4_spread_report():

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 import finiteweyl.cli as cli_mod
 import finiteweyl.group as group_mod
 import finiteweyl.operators as op_mod
+from finiteweyl.basis import cartan_partition
 from finiteweyl.cli import main
+from finiteweyl.serialize import export
 
 
 def run_cli(capsys, *argv):
@@ -212,10 +214,19 @@ def test_basis_partition_large_prime_closed_form(capsys):
 
 
 def test_basis_partition_prime_shares_the_mub_cap(capsys):
-    # the p^2 - 1 labels are never built above the cap; any d over it is
-    # over the search cap too, so it is rejected before the primality test
-    error = "error: d=101 exceeds the search cap 12 and the prime cap 97\n"
-    assert run_cli(capsys, "basis", "partition", "--d", "101") == (2, "", error)
+    # the d^2 - 1 labels are never built above the cap, whether d is prime or not
+    for d in (98, 101):
+        error = f"error: d={d} exceeds the cap 97\n"
+        assert run_cli(capsys, "basis", "partition", "--d", str(d)) == (2, "", error)
+
+
+@pytest.mark.parametrize("d", [14, 15, 25, 96])
+def test_basis_partition_prints_the_closed_form_of_a_composite_d_past_the_search_cap(capsys, d):
+    # the closed form runs no search, so the search cap 12 does not bound it
+    code, out, err = run_cli(capsys, "basis", "partition", "--d", str(d))
+    partition = cartan_partition(d)
+    assert (code, out) == (1, export(partition))
+    assert err == f"partition d={d}: {partition.class_count} classes, incomplete\n"
 
 
 def test_basis_structure(capsys):
@@ -885,7 +896,7 @@ def test_cli_fuzzed_arguments_exit_cleanly(argv):
         # trial division up to 10^9 for this prime
         (
             ["basis", "partition", "--d", "1000000000000000003"],
-            "error: d=1000000000000000003 exceeds the search cap 12 and the prime cap 97\n",
+            "error: d=1000000000000000003 exceeds the cap 97\n",
         ),
         # 10^36 labels
         (

@@ -8,12 +8,8 @@ from finiteweyl import limits
     [
         (limits.check_prime, (101,), "p=101 exceeds the cap 97"),
         (limits.check_prime, (10**18 + 3,), "p=1000000000000000003 exceeds the cap 97"),
-        (limits.check_partition, ((101,),), "d=101 exceeds the search cap 12 and the prime cap 97"),
-        (
-            limits.check_partition,
-            ((10**18 + 3,),),
-            "d=1000000000000000003 exceeds the search cap 12 and the prime cap 97",
-        ),
+        (limits.check_partition, ((101,),), "^d=101 exceeds the cap 97$"),
+        (limits.check_partition, ((10**18 + 3,),), "^d=1000000000000000003 exceeds the cap 97$"),
         (limits.check_partition, ((6, 6),), r"p\^e=6\^2 exceeds the tensor search cap 16"),
         (limits.check_partition, ((2,) * 5,), r"p\^e=2\^5 exceeds the tensor search cap 16"),
         (limits.check_partition, ((2, 3),), r"equal factors, got \(2, 3\)$"),
@@ -43,10 +39,14 @@ def test_checks_pass_at_the_caps():
     limits.check_search(limits.SEARCH_CAP)
     limits.check_structure_table(limits.STRUCTURE_TABLE_CAP)
     limits.check_brute_force(17, 17)
-    assert limits.check_partition((limits.MUB_PRIME_CAP,)) == limits.MUB_PRIME_CAP
-    assert limits.check_partition((limits.SEARCH_CAP,)) == limits.SEARCH_CAP
+    # one qudit's dims read the cap of its closed form, prime or not
+    for d in range(2, limits.MUB_PRIME_CAP + 1):
+        assert limits.check_partition((d,)) == d
     assert limits.check_partition((2,) * 4) == 16
-    for dims, error in [((1,), "dimension must be >= 2, got 1"), ((15,), "search cap 12$")]:
+    for dims, error in [
+        ((1,), "^dimension must be >= 2, got 1$"),
+        ((limits.MUB_PRIME_CAP + 1,), f"^d=98 exceeds the cap {limits.MUB_PRIME_CAP}$"),
+    ]:
         with pytest.raises(ValueError, match=error):
             limits.check_partition(dims)
     with pytest.raises(ValueError, match="p must be prime, got 4"):

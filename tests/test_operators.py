@@ -481,10 +481,37 @@ def test_vra_rejects_a_finite_r_whose_corner_phase_overflows(r):
         v_ra_matrix(3, np.float64(r))
 
 
+@pytest.mark.parametrize(
+    "d, r, overflowing",
+    [
+        (3, 1e308, {"matrix", "eigenvalue", "eigenvector"}),
+        # j m r = 48 * 48 * 1e305 overflows, pi (d - 1) r and (d - 1) r / 2 do not
+        (97, 1e305, {"eigenvector"}),
+        # an int past the floats
+        (3, 10**400, {"matrix", "eigenvalue", "eigenvector"}),
+    ],
+)
+def test_vra_functions_reject_a_finite_r_whose_phase_overflows(d, r, overflowing):
+    calls = {
+        "matrix": lambda: v_ra_matrix(d, r, 1),
+        "eigenvalue": lambda: v_ra_eigenvalue(d, r, 1, 1),
+        "eigenvector": lambda: v_ra_eigenvector(d, r, 1, 1),
+    }
+    for name, call in calls.items():
+        if name in overflowing:
+            message = rf"^r = {re.escape(str(r))} overflows the .* of v_ra at d = {d}$"
+            with pytest.raises(ValueError, match=message):
+                call()
+        else:
+            assert np.isfinite(call()).all()
+
+
 def test_vra_keeps_non_finite_r_and_large_finite_phases():
     # nan and inf give non-finite entries, which the renderers reject
     for r in (math.nan, math.inf, -math.inf):
         assert not np.isfinite(v_ra_matrix(3, r)[2, 0])
+        assert cmath.isnan(v_ra_eigenvalue(3, r, 1, 1))
+        assert np.isnan(v_ra_eigenvector(3, r, 1, 1)).all()
     # pi * 1 * 5e307 is finite at d = 2, so the matrix is built
     assert np.isfinite(v_ra_matrix(2, 5e307)).all()
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays, from_dtype
 
@@ -15,10 +16,13 @@ import finiteweyl.cli as cli_mod
 import finiteweyl.serialize as serialize_mod
 
 from finiteweyl.basis import (
+    TWO_QUBIT_SPREAD,
+    CartanPartition,
     cartan_partition,
     cartan_partition_prime_power,
     commuting_class_search,
 )
+from finiteweyl.limits import MUB_PRIME_CAP, SEARCH_CAP
 from finiteweyl.mub import hadamard_h_a
 from finiteweyl.operators import MonomialOperator, weyl_pair
 from finiteweyl.phases import PhaseExponent
@@ -258,7 +262,7 @@ def _partition_document(classes, complete, dimension=3, tensor_dims=None) -> str
         (_partition_document([["(01)"], []], False), "^partition document has an empty class"),
         # dimensions `basis partition` does not write: one factor, a factor that is not
         # prime, unequal factors, p^e = 32 over the tensor cap, a composite d over the
-        # search cap, and a prime over the prime cap, rejected before any primality test
+        # dense cap, and a prime over it, rejected before any primality test
         *[
             (
                 _partition_document([["(01)"]], False, d, dims),
@@ -317,6 +321,62 @@ def test_every_partition_and_hadamard_the_cli_prints_reads_back(capsys):
         assert "".join(chunks) == text, argv
     # complete partitions exit 0, the incomplete ones of composite d exit 1
     assert codes == {0, 1}
+
+
+def two_qubit_spread() -> CartanPartition:
+    return CartanPartition((2, 2), [list(cls) for cls in TWO_QUBIT_SPREAD])
+
+
+# every partition the library builds: the closed form at each d it accepts,
+# the search at each d it accepts, the tensor partitions and the spread
+LIBRARY_PARTITIONS = {
+    **{f"cartan_partition({d})": functools.partial(cartan_partition, d)
+       for d in range(2, MUB_PRIME_CAP + 1)},
+    **{f"commuting_class_search({d})": functools.partial(commuting_class_search, d)
+       for d in range(2, SEARCH_CAP + 1)},
+    **{f"cartan_partition_prime_power{pe}": functools.partial(cartan_partition_prime_power, *pe)
+       for pe in ((2, 2), (2, 3), (3, 2), (2, 4))},
+    "TWO_QUBIT_SPREAD": two_qubit_spread,
+}
+
+
+def assert_reads_back(partition: CartanPartition) -> None:
+    text = export(partition)
+    rebuilt = import_exact(text)
+    assert rebuilt.dims == partition.dims
+    assert rebuilt.classes == partition.classes
+    assert rebuilt.complete == partition.complete
+    assert json.loads(text)["complete"] is partition.complete
+    assert export(rebuilt) == text
+
+
+@pytest.mark.parametrize("build", LIBRARY_PARTITIONS.values(), ids=LIBRARY_PARTITIONS.keys())
+def test_every_partition_the_library_builds_reads_back(build):
+    assert_reads_back(build())
+
+
+@functools.cache
+def partial_bases() -> tuple[CartanPartition, ...]:
+    return (
+        *(cartan_partition(d) for d in (2, 3, 4, 5, 6)),
+        cartan_partition_prime_power(2, 2),
+        two_qubit_spread(),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_partial_partition_built_with_no_flag_reads_back(data):
+    # nonempty subsets of the classes of a valid partition, in any order:
+    # complete exactly when every label is kept
+    base = data.draw(st.sampled_from(partial_bases()), label="base")
+    classes = []
+    for cls in base.classes:
+        kept = [label for label in cls if data.draw(st.booleans())]
+        if kept:
+            classes.append(kept)
+    partition = CartanPartition(base.dims, data.draw(st.permutations(classes), label="order"))
+    assert_reads_back(partition)
 
 
 def test_json_dumps_deterministic():

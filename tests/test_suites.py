@@ -97,6 +97,37 @@ def test_group_suite_catches_a_flipped_array_group_law(monkeypatch, d):
     } <= failing
 
 
+def entangled_group_law(g, h, d):
+    """`pd_compose_array` with c c' added to the shift b: the law no longer
+    acts on the cosets (b, c) of the center componentwise."""
+    g, h = np.asarray(g, dtype=np.int64), np.asarray(h, dtype=np.int64)
+    out = g + h
+    out[..., 0] -= g[..., 2] * h[..., 1]
+    out[..., 1] += g[..., 2] * h[..., 2]
+    return out % d
+
+
+@pytest.mark.parametrize("d", [3, 12])
+def test_quotient_and_character_checks_catch_a_law_that_mixes_the_cosets(monkeypatch, d):
+    monkeypatch.setattr(suites.group_mod, "pd_compose_array", entangled_group_law)
+    run = suites._run
+
+    def failing_on_error(report, name, tolerance, fn):
+        # named_subgroups raises on a subset the law does not close; the
+        # checks after it still run
+        def verdict():
+            try:
+                return fn()
+            except RuntimeError:
+                return False
+
+        run(report, name, tolerance, verdict)
+
+    monkeypatch.setattr(suites, "_run", failing_on_error)
+    failing = set(failing_names(suite_group(d)))
+    assert {"quotient_by_center_is_double_cyclic", "characters_are_homomorphisms"} <= failing
+
+
 bracket_terms = suites.group_mod.pd_lie_bracket_terms
 
 
